@@ -47,6 +47,7 @@ from .irl import (
     CostNet,
     FunctionDynamics,
     ModelDynamics,
+    PathBatch,
     PolicyNet,
     State,
     estimate_log_partition,
@@ -59,6 +60,7 @@ from .irl import (
     plan_path,
     plan_rollout,
     policy_update,
+    sample_path_batch,
     sample_trajectories,
     sequence_energy,
     traj_proposal_density,

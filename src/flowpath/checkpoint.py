@@ -63,12 +63,28 @@ class _Reader:
         return self.pos == len(self.data)
 
 
+def _text(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not valid UTF-8") from exc
+
+
+def _json_section(sections: dict[str, bytes], name: str):
+    if name not in sections:
+        raise CheckpointError(f"checkpoint missing section {name}")
+    try:
+        return json.loads(_text(sections[name], f"section {name}"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"malformed JSON in section {name}: {exc}") from exc
+
+
 def _unpack_arrays(payload: bytes) -> list[tuple[str, np.ndarray]]:
     r = _Reader(payload)
     count = r.u32()
     out = []
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        name = _text(r.take(r.u32()), "array name")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
         n = int(np.prod(shape)) if shape else 1
@@ -132,6 +148,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any corrupt or missing content raises CheckpointError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8 or data[:4] != MAGIC:
@@ -143,23 +160,24 @@ def load_checkpoint(path) -> Checkpoint:
     r.pos = 8
     sections: dict[str, bytes] = {}
     while not r.exhausted:
-        name = r.take(r.u32()).decode("utf-8")
+        name = _text(r.take(r.u32()), "section name")
         payload_len = r.u64()
         sections[name] = r.take(payload_len)
 
-    if "config" not in sections or "meta" not in sections:
-        raise CheckpointError("checkpoint missing required sections")
-    ckpt = Checkpoint(config=RunConfig.from_json(sections["config"].decode("utf-8")))
-    ckpt.meta = json.loads(sections["meta"].decode("utf-8"))
+    try:
+        config = RunConfig.from_dict(_json_section(sections, "config"))
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"invalid config section: {exc}") from exc
+    ckpt = Checkpoint(config=config, meta=_json_section(sections, "meta"))
     if "rng" in sections:
-        ckpt.rng_state = json.loads(sections["rng"].decode("utf-8"))
+        ckpt.rng_state = _json_section(sections, "rng")
     for name, payload in sections.items():
         if name.startswith("params/"):
             ckpt.params[name.split("/", 1)[1]] = _unpack_arrays(payload)
     for name, payload in sections.items():
         if name.startswith("opt/"):
             group = name.split("/", 1)[1]
-            scalars = json.loads(sections[f"optmeta/{group}"].decode("utf-8"))
+            scalars = _json_section(sections, f"optmeta/{group}")
             ckpt.opt_states[group] = _opt_from_arrays(_unpack_arrays(payload), scalars)
     return ckpt
 

@@ -15,13 +15,16 @@ from .errors import InsufficientDataError
 from .irl import (
     AgingTrajectory,
     ModelDynamics,
+    PathBatch,
     PolicyNet,
     State,
-    estimate_log_partition,
+    log_mean_exp,
     make_policy_net,
+    partition_log_weights,
+    path_energies,
     plan_rollout,
-    sample_trajectories,
-    sequence_energy,
+    sample_path_batch,
+    weight_diagnostics,
 )
 from .transform import AgingModel
 from .world import (
@@ -129,22 +132,28 @@ def energy_separation_report(model: AgingModel, cost, demos: list[AgingTrajector
                              policy: PolicyNet, seed: int,
                              partition_samples: int = 2000) -> dict:
     """Mean learned energy of demos vs uniform-policy rollouts from demo starts,
-    plus an importance-sampled log-partition estimate under the learned policy."""
+    plus an importance-sampled log-partition estimate under the learned policy
+    with the Kish effective sample size and largest normalized weight of its
+    importance weights."""
     dyn = ModelDynamics(model)
     uniform = make_policy_net(np.random.default_rng(0), model.dim, model.n_actions,
                               age_low=cost.age_low, age_high=cost.age_high)
     starts = [d.states[0] for d in demos]
     horizons = [max(1, d.horizon) for d in demos]
-    rollouts = sample_trajectories(uniform, dyn, starts, horizons,
-                                   m=2 * len(demos), seed=seed)
-    demo_e = float(np.mean([sequence_energy(t, cost) for t in demos]))
-    roll_e = float(np.mean([sequence_energy(t, cost) for t in rollouts]))
-    log_z = estimate_log_partition(cost, policy, dyn, starts[0], horizons[0],
-                                   n=partition_samples, seed=seed + 1)
+    rollouts = sample_path_batch(uniform, dyn, starts, horizons,
+                                 m=2 * len(demos), seed=seed)
+    demo_paths = PathBatch.from_trajectories(demos, cost.n_actions)
+    demo_e = float(np.mean(path_energies(cost, demo_paths)))
+    roll_e = float(np.mean(path_energies(cost, rollouts)))
+    log_w = partition_log_weights(cost, policy, dyn, starts[0], horizons[0],
+                                  n=partition_samples, seed=seed + 1)
+    ess, max_weight = weight_diagnostics(log_w)
     return {
         "demo_energy": demo_e,
         "uniform_rollout_energy": roll_e,
         "margin": roll_e - demo_e,
-        "log_partition_estimate": log_z,
+        "log_partition_estimate": log_mean_exp(log_w),
         "partition_samples": partition_samples,
+        "partition_ess": ess,
+        "partition_max_weight": max_weight,
     }

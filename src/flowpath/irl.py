@@ -9,25 +9,31 @@ policy gradient.  Transitions are deterministic (synthesis with zero noise)
 and demo start states are fixed, so proposal densities reduce to products of
 per-step action probabilities.
 
-Trajectory sampling draws per-trajectory RNG streams from a single seed and
-merges results in index order, so the sampled set is reproducible regardless
-of how the work would be split across workers.  Cost and policy parameter
-updates require exclusive access.
+Sampling and scoring work on a `PathBatch`, a struct-of-arrays batch of
+padded trajectories.  One lockstep engine rolls every path: at each time
+step it runs one policy forward pass over the rows still inside their
+horizon, draws one uniform per row from that row's own RNG stream (spawned
+from a single seed in index order), and makes one batched transition.
+Actions therefore do not depend on how the paths are split into batches or
+blocks; observations do only up to float rounding, because batched matrix
+products may round differently.  Energies, proposal densities and the cost
+gradient are each one net pass over all (row, step) pairs.  Cost and policy
+parameter updates require exclusive access.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .errors import (
     BudgetError,
     DegenerateWeightsError,
-    NumericError,
     ShapeError,
     ValidationError,
 )
@@ -36,6 +42,9 @@ from .transform import DEFAULT_NUM_ACTIONS, AgingModel, synthesize_step, transfo
 from .flows import flow_forward, flow_inverse
 
 ENUMERATION_BUDGET = 1_000_000
+# Rows rolled in lockstep per block.  Every row owns its RNG stream, so the
+# block size changes speed and memory only, never the sampled actions.
+ROLL_BLOCK = 256
 
 
 @dataclass(eq=False)
@@ -81,8 +90,74 @@ class AgingTrajectory:
                 )
 
 
+@dataclass(eq=False)
+class PathBatch:
+    """M trajectories as padded arrays; row i takes lengths[i] actions.
+
+    observations (M, T+1, D), ages (M, T+1) and actions (M, T) hold zeros
+    past a row's length.  log_q is each row's log proposal density under
+    the policy that rolled it (zero for batches built from data).
+    """
+
+    observations: np.ndarray
+    ages: np.ndarray
+    actions: np.ndarray
+    lengths: np.ndarray
+    log_q: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, step) indices of every action taken, row by row."""
+        return np.nonzero(np.arange(self.actions.shape[1]) < self.lengths[:, None])
+
+    def take(self, rows: np.ndarray) -> "PathBatch":
+        return PathBatch(self.observations[rows], self.ages[rows], self.actions[rows],
+                         self.lengths[rows], self.log_q[rows])
+
+    def trajectories(self) -> list[AgingTrajectory]:
+        return [AgingTrajectory([State(self.observations[i, t], self.ages[i, t])
+                                 for t in range(n + 1)], self.actions[i, :n].tolist())
+                for i, n in enumerate(self.lengths.tolist())]
+
+    @classmethod
+    def from_trajectories(cls, trajs: Sequence[AgingTrajectory],
+                          n_actions: int | None = None) -> "PathBatch":
+        if not trajs:
+            raise ValidationError("need at least one trajectory")
+        for traj in trajs:
+            traj.validate(n_actions)
+        width = max(traj.horizon for traj in trajs)
+        dim = trajs[0].states[0].observation.size
+        obs = np.zeros((len(trajs), width + 1, dim))
+        ages = np.zeros((len(trajs), width + 1), dtype=np.int64)
+        actions = np.zeros((len(trajs), width), dtype=np.int64)
+        for i, traj in enumerate(trajs):
+            n = traj.horizon
+            obs[i, :n + 1] = [s.observation for s in traj.states]
+            ages[i, :n + 1] = [s.age for s in traj.states]
+            actions[i, :n] = traj.actions
+        lengths = np.array([traj.horizon for traj in trajs], dtype=np.int64)
+        return cls(obs, ages, actions, lengths, np.zeros(len(trajs)))
+
+    @classmethod
+    def concat(cls, batches: Sequence["PathBatch"]) -> "PathBatch":
+        """Rows of every batch in order, padded to the widest."""
+        width = max(b.actions.shape[1] for b in batches)
+
+        def joined(name: str) -> np.ndarray:
+            parts = [getattr(b, name) for b in batches]
+            if name in ("observations", "ages", "actions"):
+                parts = [np.pad(a, [(0, 0), (0, width - b.actions.shape[1])]
+                                + [(0, 0)] * (a.ndim - 2)) for a, b in zip(parts, batches)]
+            return np.concatenate(parts)
+
+        return cls(*(joined(f.name) for f in dataclasses.fields(cls)))
+
+
 class Dynamics(Protocol):
-    """Deterministic transition model over states."""
+    """Deterministic transition model; step returns the state at age + action."""
 
     n_actions: int
 
@@ -112,7 +187,16 @@ class FunctionDynamics:
         return self.fn(state, action)
 
 
-def _age_unit(age: float, age_low: float, age_high: float) -> float:
+def _transition(dynamics: Dynamics, obs: np.ndarray, ages: np.ndarray,
+                actions: np.ndarray) -> np.ndarray:
+    """Next observations of a batch of rows: one synthesis call for the model."""
+    if isinstance(dynamics, ModelDynamics):
+        return synthesize_step(dynamics.model, obs, actions, 0.0)
+    return np.stack([dynamics.step(State(o, age), a).observation
+                     for o, age, a in zip(obs, ages.tolist(), actions.tolist())])
+
+
+def _age_unit(age, age_low: float, age_high: float):
     if age_high <= age_low:
         raise ValueError("age_high must exceed age_low")
     return (age - age_low) / (age_high - age_low)
@@ -190,6 +274,22 @@ def _softmax_1d(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def _policy_features(policy: PolicyNet, obs: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """Row-wise `PolicyNet.features` of (N, D) observations and (N,) ages."""
+    unit = _age_unit(ages, policy.age_low, policy.age_high)
+    return np.concatenate([obs, unit[:, None]], axis=1)
+
+
+def _action_distribution(policy: PolicyNet, feats: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise action probabilities and log-probabilities from one forward pass."""
+    logits = net_forward(policy.net, feats)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, shifted - np.log(total)
+
+
 def make_cost_net(rng: np.random.Generator, dim: int,
                   n_actions: int = DEFAULT_NUM_ACTIONS, age_low: float = 10.0,
                   age_high: float = 60.0, hidden: int = 32) -> CostNet:
@@ -211,28 +311,44 @@ def make_policy_net(rng: np.random.Generator, dim: int,
 # Energies and trajectory distributions
 # ---------------------------------------------------------------------------
 
+def _cost_features(cost: CostNet, batch: PathBatch, rows: np.ndarray,
+                   steps: np.ndarray) -> np.ndarray:
+    """Row-wise `CostNet.features` of the given (row, step) pairs."""
+    onehot = np.zeros((rows.size, cost.n_actions))
+    onehot[np.arange(rows.size), batch.actions[rows, steps]] = 1.0
+    unit = _age_unit(batch.ages[rows, steps], cost.age_low, cost.age_high)
+    return np.concatenate([batch.observations[rows, steps], unit[:, None], onehot], axis=1)
+
+
+def path_energies(cost: Callable[[State, int], float], batch: PathBatch) -> np.ndarray:
+    """Per-row summed step cost.
+
+    A `CostNet` scores all (row, step) pairs in one forward pass; any other
+    callable is called once per pair.
+    """
+    rows, steps = batch.pairs()
+    if isinstance(cost, CostNet):
+        values = net_forward(cost.net, _cost_features(cost, batch, rows, steps))[:, 0]
+    else:
+        values = np.array([float(cost(State(batch.observations[r, t], batch.ages[r, t]),
+                                      int(batch.actions[r, t])))
+                           for r, t in zip(rows.tolist(), steps.tolist())])
+    return np.bincount(rows, weights=values, minlength=len(batch))
+
+
+def path_log_proposals(policy: PolicyNet, batch: PathBatch) -> np.ndarray:
+    """Per-row log q: summed action log-probabilities, one forward pass."""
+    rows, steps = batch.pairs()
+    _, log_probs = _action_distribution(
+        policy, _policy_features(policy, batch.observations[rows, steps],
+                                 batch.ages[rows, steps]))
+    chosen = log_probs[np.arange(rows.size), batch.actions[rows, steps]]
+    return np.bincount(rows, weights=chosen, minlength=len(batch))
+
+
 def sequence_energy(traj: AgingTrajectory, cost: Callable[[State, int], float]) -> float:
     """Sum of per-step costs over the trajectory's (state, action) pairs."""
-    traj.validate()
-    total = 0.0
-    for t, a in enumerate(traj.actions):
-        total += float(cost(traj.states[t], a))
-    return total
-
-
-def sequence_energy_and_grad(traj: AgingTrajectory, cost: CostNet
-                             ) -> tuple[float, list[np.ndarray]]:
-    """Energy plus its gradient w.r.t. the cost-net parameters."""
-    traj.validate(cost.n_actions)
-    if not traj.actions:
-        return 0.0, [np.zeros_like(a) for _, a in cost.parameters()]
-    feats = np.stack([cost.features(traj.states[t], a)
-                      for t, a in enumerate(traj.actions)])
-    values = net_forward(cost.net, feats)
-    if not np.all(np.isfinite(values)):
-        raise NumericError("non-finite step cost")
-    grads, _ = net_backward(cost.net, feats, np.ones_like(values))
-    return float(values.sum()), grads
+    return float(path_energies(cost, PathBatch.from_trajectories([traj]))[0])
 
 
 def enumerate_energies(start: State, horizon: int, cost, dynamics: Dynamics,
@@ -292,100 +408,141 @@ def traj_log_proposal_density(traj: AgingTrajectory, policy: PolicyNet) -> float
     Transition and initial-state factors are point masses under deterministic
     synthesis and fixed start states, so only the policy terms remain.
     """
-    total = 0.0
-    for t, a in enumerate(traj.actions):
-        total += float(policy.log_probs(traj.states[t])[a])
-    return total
+    batch = PathBatch.from_trajectories([traj], policy.n_actions)
+    return float(path_log_proposals(policy, batch)[0])
 
 
 def traj_proposal_density(traj: AgingTrajectory, policy: PolicyNet) -> float:
-    """Product of per-step policy probabilities (exactly 0 if any step is)."""
-    traj.validate(policy.n_actions)
-    prob = 1.0
-    for t, a in enumerate(traj.actions):
-        prob *= float(policy.probs(traj.states[t])[a])
-    return prob
+    """Product of per-step policy probabilities, exp(log q(traj))."""
+    return math.exp(traj_log_proposal_density(traj, policy))
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Sampling: the lockstep engine
 # ---------------------------------------------------------------------------
 
-def rollout(policy: PolicyNet, dynamics: Dynamics, start: State, horizon: int,
-            rng: np.random.Generator) -> AgingTrajectory:
-    """Roll one trajectory by stochastically sampling actions from the policy."""
-    states = [start]
-    actions: list[int] = []
-    for _ in range(horizon):
-        p = policy.probs(states[-1])
-        a = int(rng.choice(policy.n_actions, p=p))
-        actions.append(a)
-        states.append(dynamics.step(states[-1], a))
-    return AgingTrajectory(states, actions)
+def _roll(policy: PolicyNet, dynamics: Dynamics, obs0: np.ndarray, ages0: np.ndarray,
+          lengths: np.ndarray, uniforms: np.ndarray) -> PathBatch:
+    """Roll len(lengths) paths in lockstep; uniforms[i, t] picks row i's action t.
+
+    The action is drawn by the CDF search `Generator.choice(n, p=p)` uses, so
+    a row's actions equal those of `rng.choice` on the same uniforms.
+    """
+    m, dim = obs0.shape
+    width = int(lengths.max())
+    obs = np.zeros((m, width + 1, dim))
+    ages = np.zeros((m, width + 1), dtype=np.int64)
+    actions = np.zeros((m, width), dtype=np.int64)
+    log_q = np.zeros(m)
+    obs[:, 0] = obs0
+    ages[:, 0] = ages0
+    for t in range(width):
+        live = np.flatnonzero(lengths > t)
+        probs, log_probs = _action_distribution(
+            policy, _policy_features(policy, obs[live, t], ages[live, t]))
+        cdf = np.cumsum(probs, axis=1)
+        cdf /= cdf[:, -1:]
+        chosen = (cdf <= uniforms[live, t][:, None]).sum(axis=1)
+        actions[live, t] = chosen
+        log_q[live] += log_probs[np.arange(live.size), chosen]
+        ages[live, t + 1] = ages[live, t] + chosen
+        obs[live, t + 1] = _transition(dynamics, obs[live, t], ages[live, t], chosen)
+    return PathBatch(obs, ages, actions, lengths, log_q)
 
 
-def sample_trajectories(policy: PolicyNet, dynamics: Dynamics,
-                        starts: Sequence[State], horizon: int | Sequence[int],
-                        m: int | None = None, seed: int = 0,
-                        retry_cap: int = 5) -> list[AgingTrajectory]:
-    """Sample m trajectories, cycling over start states.
+def _roll_blocks(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[State],
+                 horizon: int | Sequence[int], m: int | None,
+                 seed: int | np.random.SeedSequence) -> Iterator[PathBatch]:
+    """Roll m paths, cycling over start states, in blocks of ROLL_BLOCK rows.
 
-    Each trajectory gets its own RNG stream spawned from `seed` (index order),
-    so the result is bit-reproducible and independent of any worker split.
-    Numeric failures during synthesis are retried on the same stream up to
-    `retry_cap` times.
+    Path i gets the i-th child stream spawned from `seed` and draws one
+    uniform per step from it.
     """
     if not starts:
         raise ValidationError("need at least one start state")
     count = m if m is not None else len(starts)
     if count < 1:
         raise ValidationError("m must be >= 1")
-    horizons = ([int(horizon)] * len(starts) if np.isscalar(horizon)
-                else [int(h) for h in horizon])
+    horizons = np.array([int(horizon)] * len(starts) if np.isscalar(horizon)
+                        else [int(h) for h in horizon], dtype=np.int64)
     if len(horizons) != len(starts):
         raise ShapeError("one horizon per start state is required")
-    if min(horizons) < 1:
+    if horizons.min() < 1:
         raise ValidationError("horizon must be >= 1")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = root.spawn(count)
-    out: list[AgingTrajectory] = []
-    for i in range(count):
-        rng = np.random.default_rng(streams[i])
-        start = starts[i % len(starts)]
-        h = horizons[i % len(starts)]
-        for attempt in range(retry_cap + 1):
-            try:
-                out.append(rollout(policy, dynamics, start, h, rng))
-                break
-            except NumericError:
-                if attempt == retry_cap:
-                    raise
-    return out
+    start_obs = np.stack([s.observation for s in starts])
+    start_ages = np.array([s.age for s in starts], dtype=np.int64)
+    which = np.arange(count) % len(starts)
+    for lo in range(0, count, ROLL_BLOCK):
+        rows = which[lo:lo + ROLL_BLOCK]
+        lengths = horizons[rows]
+        uniforms = np.zeros((rows.size, int(lengths.max())))
+        for i, h in enumerate(lengths.tolist()):
+            uniforms[i, :h] = np.random.default_rng(streams[lo + i]).random(h)
+        yield _roll(policy, dynamics, start_obs[rows], start_ages[rows], lengths, uniforms)
+
+
+def rollout(policy: PolicyNet, dynamics: Dynamics, start: State, horizon: int,
+            rng: np.random.Generator) -> AgingTrajectory:
+    """Roll one trajectory by stochastically sampling actions from the policy."""
+    batch = _roll(policy, dynamics, start.observation[None, :], np.array([start.age]),
+                  np.array([horizon], dtype=np.int64), rng.random((1, horizon)))
+    return batch.trajectories()[0]
+
+
+def sample_path_batch(policy: PolicyNet, dynamics: Dynamics,
+                      starts: Sequence[State], horizon: int | Sequence[int],
+                      m: int | None = None, seed: int = 0) -> PathBatch:
+    """Sample m trajectories, cycling over start states, as one batch.
+
+    Each trajectory gets its own RNG stream spawned from `seed` (index order),
+    so the sampled actions are bit-reproducible and independent of how the
+    rows are split into lockstep blocks.
+    """
+    return PathBatch.concat(list(_roll_blocks(policy, dynamics, starts, horizon, m, seed)))
+
+
+def sample_trajectories(policy: PolicyNet, dynamics: Dynamics,
+                        starts: Sequence[State], horizon: int | Sequence[int],
+                        m: int | None = None, seed: int = 0) -> list[AgingTrajectory]:
+    """`sample_path_batch` as a list of trajectories."""
+    return sample_path_batch(policy, dynamics, starts, horizon, m, seed).trajectories()
 
 
 # ---------------------------------------------------------------------------
 # The importance-sampled cost objective
 # ---------------------------------------------------------------------------
 
-def irl_loss_and_grad(cost: CostNet, demos: Sequence[AgingTrajectory],
-                      samples: Sequence[AgingTrajectory],
+def irl_loss_and_grad(cost: CostNet, demos: Sequence[AgingTrajectory] | PathBatch,
+                      samples: Sequence[AgingTrajectory] | PathBatch,
                       sample_log_q: Sequence[float]
                       ) -> tuple[float, list[np.ndarray]]:
     """Importance-sampled trajectory log-likelihood and its exact gradient.
 
     L = -mean(E over demos) - [logsumexp(-E_j - log q_j) - log N] over samples.
     The gradient is -mean(dE/dΓ over demos) plus the self-normalized
-    weighted mean of dE/dΓ over samples, weights w_j ∝ exp(-E_j)/q_j.
+    weighted mean of dE/dΓ over samples, weights w_j ∝ exp(-E_j)/q_j.  Both
+    are one forward and one backward pass over every (row, step) pair, with
+    upstream -1/|demos| on demo rows and w_j on sample rows.
     """
-    if not demos or not samples:
+    if len(demos) == 0 or len(samples) == 0:
         raise ValidationError("demo and sample batches must be non-empty")
     if len(sample_log_q) != len(samples):
         raise ShapeError("one log proposal density per sample is required")
+    if not isinstance(demos, PathBatch):
+        demos = PathBatch.from_trajectories(demos, cost.n_actions)
+    if not isinstance(samples, PathBatch):
+        samples = PathBatch.from_trajectories(samples, cost.n_actions)
 
-    demo_results = [sequence_energy_and_grad(t, cost) for t in demos]
-    sample_results = [sequence_energy_and_grad(t, cost) for t in samples]
-    demo_e = np.array([e for e, _ in demo_results])
-    sample_e = np.array([e for e, _ in sample_results])
+    demo_rows, demo_steps = demos.pairs()
+    sample_rows, sample_steps = samples.pairs()
+    feats = np.concatenate([_cost_features(cost, demos, demo_rows, demo_steps),
+                            _cost_features(cost, samples, sample_rows, sample_steps)])
+    values = net_forward(cost.net, feats)[:, 0]
+    split = demo_rows.size
+    demo_e = np.bincount(demo_rows, weights=values[:split], minlength=len(demos))
+    sample_e = np.bincount(sample_rows, weights=values[split:], minlength=len(samples))
     log_q = np.asarray(sample_log_q, dtype=np.float64)
 
     log_w = -sample_e - log_q
@@ -397,24 +554,43 @@ def irl_loss_and_grad(cost: CostNet, demos: Sequence[AgingTrajectory],
     loss = float(-demo_e.mean() - (log_norm - math.log(len(samples))))
     weights = np.exp(log_w - log_norm)
 
-    grads = [np.zeros_like(a) for _, a in cost.parameters()]
-    dm = -1.0 / len(demos)
-    for (_, g) in demo_results:
-        for acc, gi in zip(grads, g):
-            acc += dm * gi
-    for w, (_, g) in zip(weights, sample_results):
-        for acc, gi in zip(grads, g):
-            acc += w * gi
+    upstream = np.concatenate([np.full(split, -1.0 / len(demos)), weights[sample_rows]])
+    grads, _ = net_backward(cost.net, feats, upstream[:, None])
     return loss, grads
+
+
+def partition_log_weights(cost, policy: PolicyNet, dynamics: Dynamics, start: State,
+                          horizon: int, n: int, seed: int = 0) -> np.ndarray:
+    """Log importance weights -E - log q of `n` policy rollouts from `start`.
+
+    The rollouts are rolled and scored one ROLL_BLOCK block at a time.
+    """
+    return np.concatenate([-path_energies(cost, block) - block.log_q
+                           for block in _roll_blocks(policy, dynamics, [start], horizon,
+                                                     n, seed)])
 
 
 def estimate_log_partition(cost, policy: PolicyNet, dynamics: Dynamics, start: State,
                            horizon: int, n: int, seed: int = 0) -> float:
     """Importance-sampling estimate of log Z from `n` policy rollouts."""
-    trajs = sample_trajectories(policy, dynamics, [start], horizon, m=n, seed=seed)
-    log_w = np.array([-sequence_energy(t, cost) - traj_log_proposal_density(t, policy)
-                      for t in trajs])
-    return _logsumexp(log_w) - math.log(n)
+    return log_mean_exp(partition_log_weights(cost, policy, dynamics, start, horizon,
+                                              n, seed))
+
+
+def log_mean_exp(log_w: np.ndarray) -> float:
+    """log of the mean importance weight: the log-partition estimate."""
+    return _logsumexp(log_w) - math.log(len(log_w))
+
+
+def weight_diagnostics(log_w: np.ndarray) -> tuple[float, float]:
+    """Kish effective sample size (Σw)²/Σw² and the largest normalized weight.
+
+    The ESS is n for equal weights and near 1 when one path dominates, where
+    self-normalized importance sampling degrades without warning.
+    """
+    w = np.exp(log_w - np.max(log_w))
+    total = float(w.sum())
+    return total * total / float((w * w).sum()), float(w.max()) / total
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +601,9 @@ def policy_objective(policy: PolicyNet, cost, dynamics: Dynamics,
                      starts: Sequence[State], horizons: Sequence[int],
                      n_rollouts: int, seed: int) -> float:
     """Monte-Carlo estimate of E_q[E(ζ)] - H(q) from fresh rollouts."""
-    trajs = sample_trajectories(policy, dynamics, list(starts), list(horizons),
-                                m=n_rollouts, seed=seed)
-    vals = [sequence_energy(t, cost) + traj_log_proposal_density(t, policy)
-            for t in trajs]
-    return float(np.mean(vals))
+    batch = sample_path_batch(policy, dynamics, list(starts), list(horizons),
+                              m=n_rollouts, seed=seed)
+    return float(np.mean(path_energies(cost, batch) + batch.log_q))
 
 
 def policy_update(policy: PolicyNet, cost, dynamics: Dynamics,
@@ -439,41 +613,35 @@ def policy_update(policy: PolicyNet, cost, dynamics: Dynamics,
     """Entropy-regularized policy-gradient refinement against a fixed cost.
 
     Minimizes E_q[E(ζ)] - H(q) with a score-function estimator: per rollout
-    the return is energy plus trajectory log-probability, and the batch-mean
-    return is subtracted as the baseline.
+    the return is energy plus trajectory log-probability (the log q the
+    rollout accumulated), and the batch-mean return is subtracted as the
+    baseline.
     """
     names = [n for n, _ in policy.parameters()]
     arrays = [a for _, a in policy.parameters()]
     streams = np.random.SeedSequence(seed).spawn(n_steps)
-    info: dict = {"collapse_warning": False}
-    last_batch: list[AgingTrajectory] = []
+    # states the entropy is reported on: the last batch's, or the starts
+    visited = (np.stack([s.observation for s in starts]),
+               np.array([s.age for s in starts], dtype=np.int64))
     for step in range(n_steps):
-        trajs = sample_trajectories(policy, dynamics, list(starts), list(horizons),
-                                    m=n_rollouts, seed=streams[step])
-        returns = np.array([sequence_energy(t, cost) + traj_log_proposal_density(t, policy)
-                            for t in trajs])
+        batch = sample_path_batch(policy, dynamics, list(starts), list(horizons),
+                                  m=n_rollouts, seed=streams[step])
+        returns = path_energies(cost, batch) + batch.log_q
         adv = returns - returns.mean()
-        feats, chosen, coeffs = [], [], []
-        for traj, a_i in zip(trajs, adv):
-            for t, a in enumerate(traj.actions):
-                feats.append(policy.features(traj.states[t]))
-                chosen.append(a)
-                coeffs.append(a_i / n_rollouts)
-        fmat = np.stack(feats)
-        logits = net_forward(policy.net, fmat)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        upstream = -probs * np.asarray(coeffs)[:, None]
-        upstream[np.arange(len(chosen)), chosen] += np.asarray(coeffs)
-        grads, _ = net_backward(policy.net, fmat, upstream)
+        rows, steps = batch.pairs()
+        visited = (batch.observations[rows, steps], batch.ages[rows, steps])
+        feats = _policy_features(policy, *visited)
+        probs, _ = _action_distribution(policy, feats)
+        coeffs = adv[rows] / n_rollouts
+        upstream = -probs * coeffs[:, None]
+        upstream[np.arange(rows.size), batch.actions[rows, steps]] += coeffs
+        grads, _ = net_backward(policy.net, feats, upstream)
         optimizer.step(arrays, grads, names)
-        last_batch = trajs
-    states = [s for t in last_batch for s in t.states[:-1]] or list(starts)
-    pmat = np.stack([policy.probs(s) for s in states])
-    info["entropy"] = float(-(pmat * np.log(np.maximum(pmat, 1e-300))).sum(axis=1).mean())
-    info["collapse_warning"] = bool(np.any(pmat.max(axis=0) < collapse_eps))
-    return info
+    pmat, _ = _action_distribution(policy, _policy_features(policy, *visited))
+    return {
+        "entropy": float(-(pmat * np.log(np.maximum(pmat, 1e-300))).sum(axis=1).mean()),
+        "collapse_warning": bool(np.any(pmat.max(axis=0) < collapse_eps)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +674,15 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
     the synthesis transitions, runs `inner_iters` gradient ascent steps on
     the importance-sampled log-likelihood over mixed demo/sample batches
     (demo members get their proposal density under the current policy), then
-    refines the policy against the updated cost.  All randomness is drawn
-    from `rng`, so checkpointing its state at an iteration boundary makes
-    the run resumable and bit-reproducible.
+    refines the policy against the updated cost.  The policy is frozen
+    during the inner steps, so every row's log q is computed once per outer
+    iteration.  All randomness is drawn from `rng`, so checkpointing its
+    state at an iteration boundary makes the run resumable and
+    bit-reproducible.
     """
     if not demos:
         raise ValidationError("need at least one demonstration")
-    for d in demos:
-        d.validate(cost.n_actions)
+    demo_paths = PathBatch.from_trajectories(list(demos), cost.n_actions)
     starts = [d.states[0] for d in demos]
     horizons = [max(1, d.horizon) for d in demos]
     names = [n for n, _ in cost.parameters()]
@@ -524,18 +693,19 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
         t0 = time.perf_counter()
         try:
             path_seed = int(rng.integers(0, 2**63 - 1))
-            samples = sample_trajectories(policy, dynamics, starts, horizons,
-                                          m=sample_paths, seed=path_seed)
+            samples = sample_path_batch(policy, dynamics, starts, horizons,
+                                        m=sample_paths, seed=path_seed)
+            demo_paths = dataclasses.replace(
+                demo_paths, log_q=path_log_proposals(policy, demo_paths))
+            pool = PathBatch.concat([demo_paths, samples])
             loglik_sum = 0.0
             for _ in range(inner_iters):
                 d_idx = rng.choice(len(demos), size=min(demo_batch, len(demos)),
                                    replace=False)
                 s_idx = rng.choice(len(samples), size=min(sample_batch, len(samples)),
                                    replace=False)
-                demo_sel = [demos[i] for i in d_idx]
-                mixed = demo_sel + [samples[i] for i in s_idx]
-                mixed_log_q = [traj_log_proposal_density(t, policy) for t in mixed]
-                loss, grads = irl_loss_and_grad(cost, demo_sel, mixed, mixed_log_q)
+                mixed = pool.take(np.concatenate([d_idx, len(demos) + s_idx]))
+                loss, grads = irl_loss_and_grad(cost, pool.take(d_idx), mixed, mixed.log_q)
                 loglik_sum += loss
                 cost_optimizer.step(arrays, [-g for g in grads], names)
             pol_seed = int(rng.integers(0, 2**63 - 1))
@@ -546,8 +716,8 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
             raise IrlIterationError(k, exc) from exc
         metrics = IterationMetrics(
             iteration=k,
-            demo_energy=float(np.mean([sequence_energy(t, cost) for t in demos])),
-            sample_energy=float(np.mean([sequence_energy(t, cost) for t in samples])),
+            demo_energy=float(np.mean(path_energies(cost, demo_paths))),
+            sample_energy=float(np.mean(path_energies(cost, samples))),
             loglik_estimate=loglik_sum / max(1, inner_iters),
             policy_entropy=pol_info["entropy"],
             wall_seconds=time.perf_counter() - t0,

@@ -23,14 +23,15 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         if len(row) != len(header):
             raise ValueError("row length does not match header")
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, data: dict) -> None:
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _atomic_write(path, text: str) -> None:
+def write_text_atomic(path, text: str) -> None:
+    """Write to a temp file beside `path`, then rename it over `path`."""
     tmp = str(path) + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -395,12 +395,16 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def start_state_from_inputs(ckpt: Checkpoint, model: AgingModel,
-                            inputs: list[tuple[np.ndarray, int]]) -> State:
+                            inputs: list[tuple[np.ndarray, int]],
+                            target: int | None = None) -> State:
+    """Fold the inputs into a start state; input ages and target must lie in the world."""
     world = ckpt.config.world
     for _, age in inputs:
         if not (world.age_min <= age <= world.age_max):
             raise ValidationError(
                 f"input age {age} outside world range [{world.age_min}, {world.age_max}]")
+    if target is not None and target > world.age_max:
+        raise ValidationError(f"target age {target} above world maximum {world.age_max}")
     return multi_input_init(inputs, model)
 
 
@@ -414,7 +418,7 @@ def run_plan(ckpt_path: str, inputs: list[tuple[np.ndarray, int]], target: int) 
     ckpt = load_checkpoint(ckpt_path)
     model = model_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
-    start = start_state_from_inputs(ckpt, model, inputs)
+    start = start_state_from_inputs(ckpt, model, inputs, target)
     actions, states = plan_rollout(policy, ModelDynamics(model), start, target)
     return {
         "start_age": start.age,
@@ -430,7 +434,7 @@ def run_synthesize(ckpt_path: str, inputs: list[tuple[np.ndarray, int]],
         raise ValidationError("exactly one of action or target is required")
     ckpt = load_checkpoint(ckpt_path)
     model = model_from_checkpoint(ckpt)
-    start = start_state_from_inputs(ckpt, model, inputs)
+    start = start_state_from_inputs(ckpt, model, inputs, target)
     if action is not None:
         if not (0 <= action < model.n_actions):
             raise ValidationError(f"action {action} out of range [0, {model.n_actions})")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .irl import AgingTrajectory, Dynamics, State
+from .metrics import write_text_atomic
 
 PREFERRED_STEP_FRACTIONS = (0.2, 0.4, 0.6)  # of the largest action index
 N_ARCHETYPE_CLASSES = 3
@@ -293,9 +294,9 @@ def trajectory_record(subject_id: int, traj: AgingTrajectory) -> str:
 
 
 def write_sequences(path, entries: list[tuple[int, AgingTrajectory]]) -> None:
+    """Write atomically (temp file + rename), one JSON record per line."""
     lines = [trajectory_record(sid, traj) for sid, traj in entries]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_sequences(path) -> list[tuple[int, AgingTrajectory]]:

@@ -361,3 +361,81 @@ def test_cli_train_irl_stop_after_and_resume(tmp_path, capsys):
     assert cli.main(["train-irl", "--config", str(cfg_path), "--resume",
                      str(tmp_path / "w" / "irl_latest.ckpt")]) == 0
     assert (tmp_path / "w" / "model.ckpt").read_bytes() == full
+
+
+# ---------------------------------------------------------------------------
+# Corrupt checkpoint sections and out-of-range targets through the CLI
+# ---------------------------------------------------------------------------
+
+def _sections(raw: bytes) -> list[tuple[bytes, bytes]]:
+    out, pos = [], 8
+    while pos < len(raw):
+        (n,) = struct.unpack_from("<I", raw, pos)
+        name = raw[pos + 4:pos + 4 + n]
+        (size,) = struct.unpack_from("<Q", raw, pos + 4 + n)
+        start = pos + 12 + n
+        out.append((name, raw[start:start + size]))
+        pos = start + size
+    return out
+
+
+def _rewritten_checkpoint(tmp_path, edit) -> str:
+    """Save the sample checkpoint, then rewrite its sections through `edit`."""
+    path = tmp_path / "edited.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    raw = path.read_bytes()
+    blob = [raw[:8]]
+    for name, payload in edit(_sections(raw)):
+        blob += [struct.pack("<I", len(name)), name, struct.pack("<Q", len(payload)),
+                 payload]
+    path.write_bytes(b"".join(blob))
+    return str(path)
+
+
+def _plan_exit_code(ckpt_path: str) -> int:
+    return cli.main(["plan", "--checkpoint", ckpt_path, "--age", "18", "--target", "50"])
+
+
+def test_cli_checkpoint_missing_optmeta_exits_2(tmp_path, capsys):
+    path = _rewritten_checkpoint(
+        tmp_path, lambda secs: [s for s in secs if s[0] != b"optmeta/group_a"])
+    assert _plan_exit_code(path) == 2
+    assert "optmeta/group_a" in capsys.readouterr().err
+
+
+def test_cli_checkpoint_non_utf8_section_name_exits_2(tmp_path, capsys):
+    path = _rewritten_checkpoint(
+        tmp_path, lambda secs: [(b"params/\xff\xfe" if n == b"params/group_b" else n, p)
+                                for n, p in secs])
+    assert _plan_exit_code(path) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", [b"config", b"meta", b"rng", b"optmeta/group_a"])
+def test_cli_checkpoint_malformed_json_exits_2(tmp_path, capsys, section):
+    path = _rewritten_checkpoint(
+        tmp_path, lambda secs: [(n, b'{"truncated": ' if n == section else p)
+                                for n, p in secs])
+    assert _plan_exit_code(path) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_target_above_age_max_rejected(tiny_run, capsys):
+    ck = str(tiny_run["out"] / "model.ckpt")
+    too_old = tiny_run["cfg"].world.age_max + 1
+    with pytest.raises(ValidationError, match="target"):
+        run_plan(ck, _subject_inputs(tiny_run, 20), target=too_old)
+    with pytest.raises(ValidationError, match="target"):
+        run_synthesize(ck, _subject_inputs(tiny_run, 20), target=too_old)
+    assert cli.main(["plan", "--checkpoint", ck, "--age", "20", "--target",
+                     str(too_old)]) == 1
+    assert cli.main(["synthesize", "--checkpoint", ck, "--age", "20", "--target",
+                     str(too_old)]) == 1
+    assert "target age" in capsys.readouterr().err
+
+
+def test_evaluation_reports_partition_weight_diagnostics(tiny_run):
+    energy = json.loads((tiny_run["out"] / "evaluation.json").read_text())["energy"]
+    n = energy["partition_samples"]
+    assert 1.0 <= energy["partition_ess"] <= n
+    assert 1.0 / n <= energy["partition_max_weight"] <= 1.0

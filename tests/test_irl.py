@@ -16,25 +16,32 @@ from flowpath.irl import (
     AgingTrajectory,
     FunctionDynamics,
     ModelDynamics,
+    ROLL_BLOCK,
     State,
     enumerate_energies,
     estimate_log_partition,
     exact_sequence_prob,
     irl_loss_and_grad,
     learn_aging_policy,
+    log_mean_exp,
     make_cost_net,
     make_policy_net,
     multi_input_init,
+    partition_log_weights,
+    path_energies,
+    path_log_proposals,
     plan_path,
     plan_rollout,
     policy_objective,
     policy_update,
     rollout,
+    sample_path_batch,
     sample_trajectories,
     sequence_energy,
     split_age_gap,
     traj_log_proposal_density,
     traj_proposal_density,
+    weight_diagnostics,
 )
 from flowpath.nets import Adam, DenseLayer, DenseNet, finite_diff_grad
 from flowpath.transform import make_aging_model
@@ -533,3 +540,95 @@ def test_learn_wraps_inner_errors_with_iteration_index():
             cost_optimizer=Adam([a for _, a in cost.parameters()]),
             policy_optimizer=Adam([a for _, a in policy.parameters()]),
             rng=np.random.default_rng(1))
+
+
+# ---------------------------------------------------------------------------
+# The lockstep engine against a row-by-row reference
+# ---------------------------------------------------------------------------
+
+def reference_paths(policy, dyn, cost, starts, horizons, m, seed):
+    """Roll and score each path alone: policy.probs, rng.choice, dynamics.step."""
+    streams = np.random.SeedSequence(seed).spawn(m)
+    out = []
+    for i in range(m):
+        rng = np.random.default_rng(streams[i])
+        states, actions, log_q = [starts[i % len(starts)]], [], 0.0
+        for _ in range(horizons[i % len(starts)]):
+            p = policy.probs(states[-1])
+            a = int(rng.choice(policy.n_actions, p=p))
+            log_q += math.log(p[a])
+            actions.append(a)
+            states.append(dyn.step(states[-1], a))
+        energy = sum(cost(s, a) for s, a in zip(states, actions))
+        out.append((actions, states, -energy - log_q))
+    return out
+
+
+def engine_world(kind: str):
+    rng = np.random.default_rng(21)
+    if kind == "model":
+        dim, dyn = 5, ModelDynamics(multi_model(seed=22, dim=5))
+    else:
+        dim, dyn = 3, FunctionDynamics(16, lambda s, a: State(
+            np.tanh(s.observation + 0.05 * a), s.age + a))
+    policy = make_policy_net(rng, dim=dim, n_actions=16, age_low=0, age_high=100,
+                             uniform_init=False)
+    cost = make_cost_net(rng, dim=dim, n_actions=16, age_low=0, age_high=100, hidden=8)
+    starts = [State(rng.standard_normal(dim), age) for age in (12, 30, 47)]
+    return policy, dyn, cost, starts
+
+
+def assert_matches_reference(batch, reference, log_w):
+    trajs = batch.trajectories()
+    assert len(trajs) == len(reference)
+    for traj, (actions, states, ref_log_w), lw in zip(trajs, reference, log_w):
+        assert traj.actions == actions
+        assert [s.age for s in traj.states] == [s.age for s in states]
+        for s, r in zip(traj.states, states):
+            assert np.abs(s.observation - r.observation).max() < 1e-12
+        assert abs(lw - ref_log_w) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["model", "function"])
+def test_engine_matches_row_by_row_reference_mixed_horizons(kind):
+    policy, dyn, cost, starts = engine_world(kind)
+    horizons = [1, 4, 2]
+    batch = sample_path_batch(policy, dyn, starts, horizons, m=11, seed=5)
+    log_w = -path_energies(cost, batch) - batch.log_q
+    reference = reference_paths(policy, dyn, cost, starts, horizons, 11, 5)
+    assert_matches_reference(batch, reference, log_w)
+    assert sorted(set(batch.lengths.tolist())) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("kind", ["model", "function"])
+def test_engine_crosses_block_boundary(kind):
+    policy, dyn, cost, starts = engine_world(kind)
+    n = 300
+    assert n > ROLL_BLOCK
+    batch = sample_path_batch(policy, dyn, starts[:1], 3, m=n, seed=8)
+    log_w = partition_log_weights(cost, policy, dyn, starts[0], 3, n=n, seed=8)
+    reference = reference_paths(policy, dyn, cost, starts[:1], [3], n, 8)
+    assert_matches_reference(batch, reference, log_w)
+    head = partition_log_weights(cost, policy, dyn, starts[0], 3, n=100, seed=8)
+    assert np.abs(log_w[:100] - head).max() < 1e-12
+    assert abs(estimate_log_partition(cost, policy, dyn, starts[0], 3, n=n, seed=8)
+               - log_mean_exp(log_w)) == 0.0
+
+
+def test_engine_log_q_matches_rescoring():
+    policy, dyn, cost, starts = engine_world("function")
+    batch = sample_path_batch(policy, dyn, starts, [3, 1, 2], m=9, seed=3)
+    rescored = [traj_log_proposal_density(t, policy) for t in batch.trajectories()]
+    assert np.abs(batch.log_q - rescored).max() < 1e-12
+    assert np.abs(path_log_proposals(policy, batch) - rescored).max() < 1e-12
+
+
+def test_weight_diagnostics_equal_and_dominant():
+    ess, max_w = weight_diagnostics(np.full(50, -3.7))
+    assert ess == 50.0
+    assert abs(max_w - 1 / 50) < 1e-15
+    dominant = np.full(50, -60.0)
+    dominant[7] = 0.0
+    ess, max_w = weight_diagnostics(dominant)
+    assert abs(ess - 1.0) < 1e-12
+    assert abs(max_w - 1.0) < 1e-12

@@ -218,6 +218,20 @@ def test_sequence_file_roundtrip(tmp_path):
             assert np.array_equal(sa.observation, sb.observation)
 
 
+def test_write_sequences_is_atomic(tmp_path):
+    entries = [(i, generate_subject(CFG, i)[1]) for i in range(2)]
+    path = tmp_path / "seqs.jsonl"
+    path.write_text("stale\n")
+    write_sequences(path, entries)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seqs.jsonl"]
+    loaded = read_sequences(path)
+    assert [sid for sid, _ in loaded] == [0, 1]
+    for (_, ta), (_, tb) in zip(entries, loaded):
+        assert [s.age for s in ta.states] == [s.age for s in tb.states]
+        for sa, sb in zip(ta.states, tb.states):
+            assert np.array_equal(sa.observation, sb.observation)
+
+
 def test_world_config_validation():
     with pytest.raises(ValidationError):
         WorldConfig(dim=1)
