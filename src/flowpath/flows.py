@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .nets import DenseNet, dense_net, _forward_cached
+from .nets import DenseNet, dense_net, net_backward, _forward_cached
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -184,43 +184,15 @@ def flow_inverse(flow: BijectionStack, z: np.ndarray) -> np.ndarray:
 def _unit_backward(u: CouplingUnit, cache, dy: np.ndarray, dlogdet: np.ndarray):
     """Gradients through one unit given upstream dL/dy and dL/dlogdet."""
     xk, xt, s_raw, s, es, s_caches, t_caches = cache
-    dyt = dy[:, u.trans]
+    dyt = dy[:, u.trans]  # also dL/dt
     ds = dyt * xt * es + dlogdet[:, None]
-    dt = dyt
-    dxt = dyt * es
     ds_raw = ds * u.clamp * (1.0 - np.tanh(s_raw) ** 2)
-    s_grads, dxk_s = _net_backward_cached(u.scale_net, s_caches, ds_raw)
-    t_grads, dxk_t = _net_backward_cached(u.translate_net, t_caches, dt)
+    s_grads, dxk_s = net_backward(u.scale_net, xk, ds_raw, s_caches)
+    t_grads, dxk_t = net_backward(u.translate_net, xk, dyt, t_caches)
     dx = np.empty_like(dy)
     dx[:, u.kept] = dy[:, u.kept] + dxk_s + dxk_t
-    dx[:, u.trans] = dxt
+    dx[:, u.trans] = dyt * es
     return s_grads + t_grads, dx
-
-
-def _net_backward_cached(net: DenseNet, caches, upstream: np.ndarray):
-    """net_backward reusing forward caches (avoids recomputing the forward)."""
-    grads: list[np.ndarray] = []
-    delta = upstream
-    for k in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[k]
-        h_in, pre, out = caches[k]
-        act = layer.activation
-        if act == "relu":
-            dpre = delta * (pre > 0.0)
-        elif act == "tanh":
-            dpre = delta * (1.0 - out * out)
-        elif act == "identity":
-            dpre = delta
-        else:
-            inner = (delta * out).sum(axis=-1, keepdims=True)
-            dpre = out * (delta - inner)
-        if not np.all(np.isfinite(dpre)):
-            raise NumericError(f"non-finite gradient at layer {k}")
-        grads.append(dpre.sum(axis=0))
-        grads.append(dpre.T @ h_in)
-        delta = dpre @ layer.weight
-    grads.reverse()
-    return grads, delta
 
 
 def flow_forward_cached(flow: BijectionStack, x: np.ndarray):
@@ -239,15 +211,12 @@ def flow_backward(flow: BijectionStack, caches, dz: np.ndarray, dlogdet: np.ndar
 
     Returns gradients aligned with ``flow.parameters()`` plus dL/dx.
     """
-    unit_grads: list[list[np.ndarray]] = [None] * len(flow.units)  # type: ignore
+    grads: list[np.ndarray] = []
     delta = dz
-    for i in range(len(flow.units) - 1, -1, -1):
-        grads, delta = _unit_backward(flow.units[i], caches[i], delta, dlogdet)
-        unit_grads[i] = grads
-    flat: list[np.ndarray] = []
-    for grads in unit_grads:
-        flat.extend(grads)
-    return flat, delta
+    for u, cache in zip(flow.units[::-1], caches[::-1]):
+        unit_grads, delta = _unit_backward(u, cache, delta, dlogdet)
+        grads[:0] = unit_grads
+    return grads, delta
 
 
 def gaussian_loglik(z: np.ndarray, mean: np.ndarray | float,
@@ -298,9 +267,7 @@ def flow_nll(flow: BijectionStack, xs: np.ndarray) -> tuple[float, list[np.ndarr
 
 
 def flow_nll_value(flow: BijectionStack, xs: np.ndarray) -> float:
-    xs = np.asarray(xs, dtype=np.float64)
-    z, total = flow_forward(flow, xs)
-    return float(-(standard_normal_loglik(z) + total).mean())
+    return float(-np.mean(flow_log_density(flow, xs)))
 
 
 def sample_flow(flow: BijectionStack, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ workers is safe; `Adam.step` mutates in place and needs exclusive access.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -118,16 +119,19 @@ def _activate(name: str, pre: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: DenseNet, x: np.ndarray):
-    """Forward pass keeping per-layer inputs, pre-activations and outputs."""
+    """Forward pass keeping per-layer inputs, pre-activations and outputs.
+
+    Finiteness is checked once, at the output, which any NaN upstream reaches.
+    """
     caches = []
     h = x
-    for k, layer in enumerate(net.layers):
+    for layer in net.layers:
         pre = h @ layer.weight.T + layer.bias
         out = _activate(layer.activation, pre)
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite output at layer {k}")
         caches.append((h, pre, out))
         h = out
+    if not np.all(np.isfinite(h)):
+        raise NumericError("non-finite net output")
     return h, caches
 
 
@@ -141,13 +145,15 @@ def net_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
 
 
 def net_backward(
-    net: DenseNet, x: np.ndarray, upstream: np.ndarray
+    net: DenseNet, x: np.ndarray, upstream: np.ndarray, caches: list | None = None
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact reverse-mode gradients for the scalar loss implied by `upstream`.
 
     Returns (param_grads, input_grad) where param_grads follows the order of
     ``net.parameters()`` (w then b per layer).  For batched inputs the
-    parameter gradients are summed over the batch.
+    parameter gradients are summed over the batch.  `caches` are the
+    per-layer caches of a `_forward_cached` pass on `x`; without them the
+    forward pass is recomputed.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -157,7 +163,8 @@ def net_backward(
         raise ShapeError(
             f"upstream shape {upstream.shape} does not match output shape"
         )
-    _, caches = _forward_cached(net, x)
+    if caches is None:
+        _, caches = _forward_cached(net, x)
 
     grads: list[np.ndarray] = []
     delta = upstream
@@ -174,16 +181,9 @@ def net_backward(
         else:  # softmax
             inner = (delta * out).sum(axis=-1, keepdims=True)
             dpre = out * (delta - inner)
-        if not np.all(np.isfinite(dpre)):
-            raise NumericError(f"non-finite gradient at layer {k}")
-        if h_in.ndim == 1:
-            dw = np.outer(dpre, h_in)
-            db = dpre.copy()
-        else:
-            dw = dpre.reshape(-1, dpre.shape[-1]).T @ h_in.reshape(-1, h_in.shape[-1])
-            db = dpre.reshape(-1, dpre.shape[-1]).sum(axis=0)
-        grads.append(db)
-        grads.append(dw)
+        rows = dpre.reshape(-1, dpre.shape[-1])  # a single input is one row
+        grads.append(rows.sum(axis=0))
+        grads.append(rows.T @ h_in.reshape(-1, h_in.shape[-1]))
         delta = dpre @ layer.weight
     grads.reverse()
     return grads, delta
@@ -222,7 +222,13 @@ def finite_diff_grad(
 
 
 class Adam:
-    """Adaptive first-order optimizer with bias-corrected moments."""
+    """Adaptive first-order optimizer with bias-corrected moments.
+
+    The moments are flat float64 vectors, one slot per parameter array, and
+    a step is a few in-place ufuncs over them, the concatenated gradient and
+    one scratch vector.  Each element sees the per-array textbook
+    arithmetic, bit for bit.  State dicts hold per-array moments.
+    """
 
     def __init__(
         self,
@@ -239,8 +245,17 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self._set_slots([np.shape(p) for p in params])
+
+    def _set_slots(self, shapes: Sequence[tuple[int, ...]]) -> None:
+        """Lay out one flat slot per array shape, with zero moments."""
+        self.shapes = [tuple(s) for s in shapes]
+        self.offsets = np.cumsum([0] + [math.prod(s) for s in self.shapes])
+        self._m, self._v = np.zeros((2, int(self.offsets[-1])))
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        return [flat[a:b].reshape(s) for a, b, s in
+                zip(self.offsets, self.offsets[1:], self.shapes)]
 
     def step(
         self,
@@ -249,22 +264,34 @@ class Adam:
         names: Sequence[str] | None = None,
     ) -> None:
         """Apply one in-place update.  Deterministic given inputs."""
-        if len(params) != len(self.m) or len(grads) != len(params):
+        if len(params) != len(self.shapes) or len(grads) != len(params):
             raise ShapeError("parameter/gradient count does not match optimizer slots")
-        for i, (p, g) in enumerate(zip(params, grads)):
-            label = names[i] if names is not None else f"param[{i}]"
-            if p.shape != g.shape or p.shape != self.m[i].shape:
-                raise ShapeError(f"shape mismatch for {label}: {p.shape} vs {g.shape}")
-            if not np.all(np.isfinite(g)):
-                raise NumericError(f"non-finite gradient for {label}")
+        label = (lambda i: names[i]) if names is not None else (lambda i: f"param[{i}]")
+        for i, (p, g, shape) in enumerate(zip(params, grads, self.shapes)):
+            if p.shape != g.shape or p.shape != shape:
+                raise ShapeError(f"shape mismatch for {label(i)}: {p.shape} vs {g.shape}")
+        g = np.concatenate(grads, axis=None, dtype=np.float64) if grads else np.zeros(0)
+        s = np.empty_like(g)
+        finite = np.isfinite(g)
+        if not finite.all():
+            slot = np.searchsorted(self.offsets, np.argmin(finite), side="right") - 1
+            raise NumericError(f"non-finite gradient for {label(int(slot))}")
         self.step_count += 1
         t = self.step_count
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**t)
-            v_hat = self.v[i] / (1.0 - self.beta2**t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        # m = beta1*m + (1-beta1)*g ; v = beta2*v + ((1-beta2)*g)*g
+        self._m *= self.beta1
+        self._m += np.multiply(g, 1.0 - self.beta1, out=s)
+        self._v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=s)
+        self._v += np.multiply(s, g, out=s)
+        # g <- (lr*m_hat) / (sqrt(v_hat)+eps)
+        np.sqrt(np.divide(self._v, 1.0 - self.beta2**t, out=s), out=s)
+        s += self.eps
+        np.divide(self._m, 1.0 - self.beta1**t, out=g)
+        g *= self.learning_rate
+        g /= s
+        for p, update in zip(params, self._views(g)):
+            p -= update
 
     def state_dict(self) -> dict:
         return {
@@ -273,18 +300,21 @@ class Adam:
             "beta2": self.beta2,
             "eps": self.eps,
             "step_count": self.step_count,
-            "m": [a.copy() for a in self.m],
-            "v": [a.copy() for a in self.v],
+            "m": [a.copy() for a in self._views(self._m)],
+            "v": [a.copy() for a in self._views(self._v)],
         }
 
     def load_state_dict(self, state: dict) -> None:
+        m, v = state["m"], state["v"]
         self.learning_rate = float(state["learning_rate"])
         self.beta1 = float(state["beta1"])
         self.beta2 = float(state["beta2"])
         self.eps = float(state["eps"])
         self.step_count = int(state["step_count"])
-        self.m = [np.asarray(a, dtype=np.float64).copy() for a in state["m"]]
-        self.v = [np.asarray(a, dtype=np.float64).copy() for a in state["v"]]
+        self._set_slots([np.shape(a) for a in m])
+        if m:
+            np.concatenate(m, axis=None, out=self._m)
+            np.concatenate(v, axis=None, out=self._v)
 
 
 def optimizer_step(

@@ -97,11 +97,18 @@ def stage_gen_data(cfg: RunConfig) -> Path:
 
 def _load_data(cfg: RunConfig):
     out = Path(cfg.out_dir)
-    for name in (TRAIN_FILE, HELDOUT_FILE, POOL_FILE):
+    names = (TRAIN_FILE, HELDOUT_FILE, POOL_FILE)
+    for name in names:
         if not (out / name).exists():
             raise ValidationError(f"missing {name} under {out}; run gen-data first")
-    return (read_sequences(out / TRAIN_FILE), read_sequences(out / HELDOUT_FILE),
-            read_sequences(out / POOL_FILE))
+    data = tuple(read_sequences(out / name) for name in names)
+    for name, entries in zip(names, data):
+        for sid, traj in entries:
+            length = traj.states[0].observation.size
+            if length != cfg.world.dim:
+                raise ValidationError(f"{name}: subject {sid} has observations of length "
+                                      f"{length}, not the configured dim {cfg.world.dim}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +200,26 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def build_pairs(trajs: list[AgingTrajectory], n_actions: int):
-    """All (earlier, later) state pairs with an age gap inside the action range."""
-    xp, xt, acts = [], [], []
+    """All (earlier, later) state pairs with an age gap inside the action range.
+
+    Pairs come in (trajectory, i, j >= i) row-major order.  Row indices are
+    gathered first, so each output array is allocated once.
+    """
+    states = [s for traj in trajs for s in traj.states]
+    ages = np.array([s.age for s in states], dtype=np.int64)
+    firsts, seconds, start = [], [], 0
     for traj in trajs:
-        ages = [s.age for s in traj.states]
-        for i in range(len(ages)):
-            for j in range(i, len(ages)):
-                gap = ages[j] - ages[i]
-                if 0 <= gap < n_actions:
-                    xp.append(traj.states[i].observation)
-                    xt.append(traj.states[j].observation)
-                    acts.append(gap)
-    if not xp:
+        i, j = np.triu_indices(len(traj.states))
+        gap = ages[start + j] - ages[start + i]
+        keep = (gap >= 0) & (gap < n_actions)
+        firsts.append(start + i[keep])
+        seconds.append(start + j[keep])
+        start += len(traj.states)
+    if not sum(i.size for i in firsts):
         raise ValidationError("no usable pairs in the dataset")
-    return np.stack(xp), np.stack(xt), np.array(acts, dtype=np.int64)
+    obs = np.stack([s.observation for s in states])
+    i, j = np.concatenate(firsts), np.concatenate(seconds)
+    return obs[i], obs[j], ages[j] - ages[i]
 
 
 def stage_train_pairs(cfg: RunConfig) -> Path:

@@ -299,21 +299,39 @@ def write_sequences(path, entries: list[tuple[int, AgingTrajectory]]) -> None:
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+SEQUENCE_KEYS = ("subject_id", "ages", "observations")
+
+
+def _parse_record(line: str, where: str) -> tuple[int, AgingTrajectory]:
+    """One sequence record; any defect raises ValidationError naming `where`."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+    if not isinstance(rec, dict) or any(k not in rec for k in SEQUENCE_KEYS):
+        raise ValidationError(f"{where}: a record needs the keys {', '.join(SEQUENCE_KEYS)}")
+    if not isinstance(rec["ages"], list) or not isinstance(rec["observations"], list):
+        raise ValidationError(f"{where}: ages and observations must be lists")
+    sid, ages = rec["subject_id"], rec["ages"]
+    if not all(type(v) is int for v in [sid, *ages]):
+        raise ValidationError(f"{where}: subject_id and ages must be integers")
+    try:
+        obs = np.array(rec["observations"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: malformed sequence record ({exc})") from exc
+    if len(ages) != len(obs) or not ages:
+        raise ValidationError(f"{where}: malformed sequence record")
+    if obs.ndim != 2:
+        raise ValidationError(f"{where}: observations must be equal-length 1-d lists")
+    if not np.all(np.isfinite(obs)):
+        raise ValidationError(f"{where}: observations must be finite")
+    actions = [ages[i + 1] - ages[i] for i in range(len(ages) - 1)]
+    if any(a < 0 for a in actions):
+        raise ValidationError(f"{where}: sequence ages must be non-decreasing")
+    return sid, AgingTrajectory([State(o, a) for o, a in zip(obs, ages)], actions)
+
+
 def read_sequences(path) -> list[tuple[int, AgingTrajectory]]:
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            ages = [int(a) for a in rec["ages"]]
-            obs = [np.asarray(o, dtype=np.float64) for o in rec["observations"]]
-            if len(ages) != len(obs) or not ages:
-                raise ValidationError("malformed sequence record")
-            states = [State(o, a) for o, a in zip(obs, ages)]
-            actions = [ages[i + 1] - ages[i] for i in range(len(ages) - 1)]
-            if any(a < 0 for a in actions):
-                raise ValidationError("sequence ages must be non-decreasing")
-            out.append((int(rec["subject_id"]), AgingTrajectory(states, actions)))
-    return out
+        return [_parse_record(line, f"{path} line {n}")
+                for n, line in enumerate(fh, start=1) if line.strip()]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flowpath.errors import ShapeError
+from flowpath.errors import NumericError, ShapeError
 from flowpath.flows import (
     BijectionStack,
     CouplingUnit,
@@ -264,3 +264,14 @@ def test_flow_rejects_bad_input_rank_and_length():
         flow_forward(flow, np.zeros(5))
     with pytest.raises(ShapeError):
         flow_inverse(flow, np.zeros(3))
+
+
+@pytest.mark.parametrize("which", ["weight", "bias"])
+def test_nan_in_hidden_layer_raises_from_flow_forward_and_nll(which):
+    flow = perturbed_flow(31, dim=4, units=3)
+    xs = np.random.default_rng(32).standard_normal((5, 4))
+    getattr(flow.units[1].translate_net.layers[1], which)[0] = np.nan
+    with pytest.raises(NumericError):
+        flow_forward(flow, xs)
+    with pytest.raises(NumericError):
+        flow_nll(flow, xs)

@@ -15,9 +15,12 @@ from flowpath.checkpoint import (
 )
 from flowpath.config import RunConfig, load_config
 from flowpath.errors import CheckpointError, ValidationError
+from flowpath.irl import AgingTrajectory, State
 from flowpath.metrics import read_csv_without_columns, write_csv
+from flowpath.world import WorldConfig, generate_pool_sequence, generate_subject
 from flowpath.pipeline import (
     IRL_METRICS_HEADER,
+    build_pairs,
     run_plan,
     run_synthesize,
     stage_evaluate,
@@ -439,3 +442,66 @@ def test_evaluation_reports_partition_weight_diagnostics(tiny_run):
     n = energy["partition_samples"]
     assert 1.0 <= energy["partition_ess"] <= n
     assert 1.0 / n <= energy["partition_max_weight"] <= 1.0
+
+
+def build_pairs_reference(trajs, n_actions):
+    """Row-by-row pair enumeration, the oracle for the vectorized build_pairs."""
+    xp, xt, acts = [], [], []
+    for traj in trajs:
+        ages = [s.age for s in traj.states]
+        for i in range(len(ages)):
+            for j in range(i, len(ages)):
+                gap = ages[j] - ages[i]
+                if 0 <= gap < n_actions:
+                    xp.append(traj.states[i].observation)
+                    xt.append(traj.states[j].observation)
+                    acts.append(gap)
+    return np.stack(xp), np.stack(xt), np.array(acts, dtype=np.int64)
+
+
+def test_build_pairs_matches_row_by_row_reference():
+    rng = np.random.default_rng(41)
+    world = WorldConfig(dim=5, n_actions=7)
+    seeds = rng.integers(0, 10**6, size=6).tolist()
+    trajs = [generate_subject(world, s)[1] for s in seeds[:4]]
+    trajs += [generate_pool_sequence(world, s, stride=int(rng.integers(1, 4)))
+              for s in seeds[4:]]
+    trajs.append(AgingTrajectory([State(rng.standard_normal(5), 30)], []))
+    got = build_pairs(trajs, world.n_actions)
+    want = build_pairs_reference(trajs, world.n_actions)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_build_pairs_without_pairs_raises():
+    # every state pairs with itself at gap 0, so only an empty action range
+    # or no trajectories leave nothing
+    traj = AgingTrajectory([State(np.zeros(2), 20), State(np.zeros(2), 40)], [20])
+    with pytest.raises(ValidationError, match="no usable pairs"):
+        build_pairs([traj], n_actions=0)
+    with pytest.raises(ValidationError, match="no usable pairs"):
+        build_pairs([], n_actions=4)
+
+
+def test_cli_ragged_sequence_file_exits_1(tmp_path, capsys):
+    cfg = tiny_config(str(tmp_path / "run"))
+    stage_gen_data(cfg)
+    train = tmp_path / "run" / "train_sequences.jsonl"
+    lines = train.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["observations"][2] = rec["observations"][2][:-1]
+    lines[1] = json.dumps(rec)
+    train.write_text("\n".join(lines) + "\n")
+    assert cli.main(["pretrain-flow", "--seed", "3", "--out", str(tmp_path / "run")]) == 1
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_sequence_dim_must_match_config(tmp_path, capsys):
+    cfg = tiny_config(str(tmp_path / "run"))
+    stage_gen_data(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    wider = json.loads(cfg.to_json())
+    wider["world"]["dim"] = cfg.world.dim + 1
+    cfg_path.write_text(json.dumps(wider))
+    assert cli.main(["pretrain-flow", "--config", str(cfg_path)]) == 1
+    assert "not the configured dim" in capsys.readouterr().err

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from flowpath.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from flowpath.config import RunConfig
 from flowpath.errors import NumericError, ShapeError
 from flowpath.nets import (
     Adam,
@@ -200,6 +202,120 @@ def test_adam_state_roundtrip():
     opt.step([p1], [g])
     clone.step([p2], [g])
     assert np.array_equal(p1, p2)
+
+
+class ReferenceAdam:
+    """Per-array Adam in the textbook order, the oracle for the flat one."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        for i, (p, g) in enumerate(zip(params, grads)):
+            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
+            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
+            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
+            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def mixed_arrays(rng):
+    return [rng.standard_normal((4, 3)), rng.standard_normal(5),
+            rng.standard_normal(1), rng.standard_normal((2, 1))]
+
+
+def test_flat_adam_matches_per_array_reference_bitwise():
+    rng = np.random.default_rng(21)
+    params = mixed_arrays(rng)
+    ref_params = [p.copy() for p in params]
+    opt = Adam(params, learning_rate=0.03)
+    ref = ReferenceAdam(ref_params, lr=0.03)
+    for _ in range(50):
+        grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                 for p in params]
+        opt.step(params, grads)
+        ref.step(ref_params, grads)
+        for p, q in zip(params, ref_params):
+            assert np.array_equal(p, q)
+    state = opt.state_dict()
+    for a, b in zip(state["m"] + state["v"], ref.m + ref.v):
+        assert np.array_equal(a, b)
+
+
+def test_flat_adam_names_the_first_nonfinite_array():
+    rng = np.random.default_rng(22)
+    params = mixed_arrays(rng)
+    opt = Adam(params)
+    grads = [np.zeros(p.shape) for p in params]
+    grads[2][0] = np.inf
+    grads[3][1, 0] = np.nan
+    with pytest.raises(NumericError, match="third"):
+        opt.step(params, grads, names=["first", "second", "third", "fourth"])
+    with pytest.raises(NumericError, match=r"param\[2\]"):
+        opt.step(params, grads)
+    assert opt.step_count == 0
+
+
+@pytest.mark.parametrize("slot", range(4))
+def test_flat_adam_shape_mismatch_in_any_slot(slot):
+    rng = np.random.default_rng(23)
+    params = mixed_arrays(rng)
+    opt = Adam(params)
+    grads = [np.zeros(p.shape) for p in params]
+    grads[slot] = np.zeros(grads[slot].size + 1)
+    with pytest.raises(ShapeError):
+        opt.step(params, grads)
+    params[slot] = np.zeros(params[slot].size + 1)
+    with pytest.raises(ShapeError):
+        opt.step(params, [np.zeros(p.shape) for p in params])
+
+
+def test_flat_adam_state_keeps_per_array_shapes():
+    rng = np.random.default_rng(24)
+    params = mixed_arrays(rng)
+    opt = Adam(params)
+    opt.step(params, mixed_arrays(rng))
+    state = opt.state_dict()
+    assert [a.shape for a in state["m"]] == [p.shape for p in params]
+    assert [a.shape for a in state["v"]] == [p.shape for p in params]
+    state["m"][0][0, 0] = 123.0  # the state dict is a copy
+    assert opt.state_dict()["m"][0][0, 0] != 123.0
+
+
+def test_flat_adam_resumes_bitwise_through_a_checkpoint(tmp_path):
+    rng = np.random.default_rng(25)
+    params = mixed_arrays(rng)
+    grads = [mixed_arrays(rng) for _ in range(10)]
+    opt = Adam(params, learning_rate=0.01)
+    for g in grads[:5]:
+        opt.step(params, g)
+    path = tmp_path / "opt.ckpt"
+    save_checkpoint(path, Checkpoint(
+        config=RunConfig(), params={"p": [(f"a{i}", p) for i, p in enumerate(params)]},
+        opt_states={"p": opt.state_dict()}))
+    loaded = load_checkpoint(path)
+    resumed_params = [a.copy() for _, a in loaded.params["p"]]
+    resumed = Adam([np.zeros(1)], learning_rate=1.0)
+    resumed.load_state_dict(loaded.opt_states["p"])
+    for g in grads[5:]:
+        opt.step(params, g)
+        resumed.step(resumed_params, g)
+    for p, q in zip(params, resumed_params):
+        assert np.array_equal(p, q)
+    assert resumed.step_count == opt.step_count == 10
+
+
+@pytest.mark.parametrize("which", ["weight", "bias"])
+def test_nan_in_hidden_layer_raises_from_net_forward(which):
+    rng = np.random.default_rng(26)
+    net = dense_net(rng, (3, 6, 6, 2), hidden_activation="relu")
+    getattr(net.layers[1], which)[0] = np.nan
+    with pytest.raises(NumericError):
+        net_forward(net, rng.standard_normal((4, 3)))
 
 
 def test_glorot_bounds():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flowpath.errors import InsufficientDataError, ValidationError
+from flowpath.errors import InsufficientDataError, NumericError, ValidationError
 from flowpath.checks import full_3way_contraction
 from flowpath.flows import BijectionStack, CouplingUnit, flow_forward, gaussian_loglik
 from flowpath.nets import Adam, finite_diff_grad
@@ -233,6 +233,19 @@ def test_train_pair_step_applies_update():
     assert np.isfinite(loss)
     assert any(not np.array_equal(a, b) for a, b in zip(arrays, before))
     assert opt.step_count == 1
+
+
+@pytest.mark.parametrize("which", ["weight", "bias"])
+def test_nan_in_hidden_layer_raises_from_train_pair_step(which):
+    model = small_model(19)
+    rng = np.random.default_rng(20)
+    getattr(model.source_flow.units[0].scale_net.layers[0], which)[0] = np.nan
+    arrays = [a for _, a in model.parameters()]
+    opt = Adam(arrays, 1e-3)
+    with pytest.raises(NumericError):
+        train_pair_step(model, opt, rng.standard_normal((4, 4)),
+                        rng.standard_normal((4, 4)), rng.integers(0, 5, size=4), 0.001)
+    assert opt.step_count == 0
 
 
 def test_synthesize_zero_model_returns_zero():

@@ -1,5 +1,7 @@
 """Synthetic world: determinism, cost structure, and the two path oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,48 @@ def test_write_sequences_is_atomic(tmp_path):
         assert [s.age for s in ta.states] == [s.age for s in tb.states]
         for sa, sb in zip(ta.states, tb.states):
             assert np.array_equal(sa.observation, sb.observation)
+
+
+GOOD_RECORD = {"subject_id": 1, "ages": [20, 23], "observations": [[0.5, 1.0], [0.25, 2.0]]}
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"ages": None}, "lists"),
+    ({"observations": "0.5"}, "lists"),
+    ({"observations": [[0.5, 1.0], [0.25]]}, "malformed"),
+    ({"observations": [0.5, 0.25]}, "equal-length 1-d"),
+    ({"observations": [[[0.5], [1.0]], [[0.25], [2.0]]]}, "equal-length 1-d"),
+    ({"observations": [[0.5, float("nan")], [0.25, 2.0]]}, "finite"),
+    ({"observations": [[0.5, float("inf")], [0.25, 2.0]]}, "finite"),
+    ({"ages": [20, "x"]}, "integers"),
+    ({"ages": [20, 22.5]}, "integers"),
+    ({"ages": [20, True]}, "integers"),
+    ({"subject_id": "1"}, "integers"),
+    ({"ages": [20]}, "malformed"),
+    ({"ages": [23, 20]}, "non-decreasing"),
+])
+def test_read_sequences_rejects_malformed_record(tmp_path, change, message):
+    path = tmp_path / "seqs.jsonl"
+    path.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(dict(GOOD_RECORD, **change)) + "\n")
+    with pytest.raises(ValidationError, match=f"line 2.*{message}"):
+        read_sequences(path)
+
+
+@pytest.mark.parametrize("key", ["subject_id", "ages", "observations"])
+def test_read_sequences_rejects_missing_key(tmp_path, key):
+    path = tmp_path / "seqs.jsonl"
+    record = {k: v for k, v in GOOD_RECORD.items() if k != key}
+    path.write_text("\n" + json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ValidationError, match=f"line 3.*{key}"):
+        read_sequences(path)
+
+
+def test_read_sequences_rejects_invalid_json_and_non_objects(tmp_path):
+    path = tmp_path / "seqs.jsonl"
+    for text in ("{not json", "[1, 2]"):
+        path.write_text(text + "\n")
+        with pytest.raises(ValidationError, match="line 1"):
+            read_sequences(path)
 
 
 def test_world_config_validation():
