@@ -11,7 +11,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .nets import Adam, DenseLayer, DenseNet, dense_net, finite_diff_grad, net_backward, net_forward, optimizer_step
+from .nets import Adam, DenseLayer, DenseNet, dense_net, finite_diff_grad, net_backward, net_forward
 from .flows import (
     BijectionStack,
     CouplingUnit,

@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .irl import IrlIterationError
+from .world import check_sequence_fields
 from . import pipeline
 
 SEED_ENV_VAR = "FLOWPATH_SEED"
@@ -104,11 +105,10 @@ def _load_inputs(args, cfg_from_ckpt) -> list[tuple[np.ndarray, int]]:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        ages = [int(a) for a in data["ages"]]
-        obs = [np.asarray(o, dtype=np.float64) for o in data["observations"]]
-        if len(ages) != len(obs) or not ages:
-            raise ValidationError("input file needs matching ages and observations")
-        return list(zip(obs, ages))
+        if not isinstance(data, dict) or any(k not in data for k in ("ages", "observations")):
+            raise ValidationError(f"{args.input}: needs the keys ages and observations")
+        obs = check_sequence_fields(data["ages"], data["observations"], args.input)
+        return list(zip(obs, data["ages"]))
     return pipeline.default_subject_inputs(cfg_from_ckpt, args.subject_seed, args.age)
 
 

@@ -316,10 +316,3 @@ class Adam:
             np.concatenate(m, axis=None, out=self._m)
             np.concatenate(v, axis=None, out=self._v)
 
-
-def optimizer_step(
-    params: Sequence[np.ndarray], grads: Sequence[np.ndarray], state: Adam
-) -> tuple[Sequence[np.ndarray], Adam]:
-    """Functional-style wrapper around `Adam.step` (updates happen in place)."""
-    state.step(params, grads)
-    return params, state

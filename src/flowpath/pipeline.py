@@ -7,7 +7,8 @@ directory:
     train_sequences.jsonl / heldout_sequences.jsonl   demo sequences
     pool_sequences.jsonl                              dense per-subject pool
     flow.ckpt / pairs.ckpt / model.ckpt               stage checkpoints
-    irl_latest.ckpt                                   resume point (per outer iter)
+    irl_latest.ckpt                                   resume point (per outer iter);
+                                                      model.ckpt is the final one
     pretrain_metrics.csv / pair_metrics.csv           stage training curves
     metrics.csv / summary.json                        IRL per-iteration metrics
     evaluation.json                                   held-out reports
@@ -21,7 +22,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, group_from_model, load_checkpoint, restore_group, save_checkpoint
 from .config import RunConfig
-from .errors import ValidationError
+from .errors import CheckpointError, ValidationError
 from .evaluate import (
     energy_separation_report,
     evaluate_age_fidelity,
@@ -95,20 +96,18 @@ def stage_gen_data(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_data(cfg: RunConfig):
-    out = Path(cfg.out_dir)
-    names = (TRAIN_FILE, HELDOUT_FILE, POOL_FILE)
-    for name in names:
-        if not (out / name).exists():
-            raise ValidationError(f"missing {name} under {out}; run gen-data first")
-    data = tuple(read_sequences(out / name) for name in names)
-    for name, entries in zip(names, data):
-        for sid, traj in entries:
-            length = traj.states[0].observation.size
-            if length != cfg.world.dim:
-                raise ValidationError(f"{name}: subject {sid} has observations of length "
-                                      f"{length}, not the configured dim {cfg.world.dim}")
-    return data
+def _load_sequences(cfg: RunConfig, name: str) -> list[tuple[int, AgingTrajectory]]:
+    """One sequence file of the run, with observations checked against world.dim."""
+    path = Path(cfg.out_dir) / name
+    if not path.exists():
+        raise ValidationError(f"missing {name} under {path.parent}; run gen-data first")
+    entries = read_sequences(path)
+    for sid, traj in entries:
+        length = traj.states[0].observation.size
+        if length != cfg.world.dim:
+            raise ValidationError(f"{name}: subject {sid} has observations of length "
+                                  f"{length}, not the configured dim {cfg.world.dim}")
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -122,41 +121,36 @@ def build_model(cfg: RunConfig, rng: np.random.Generator) -> AgingModel:
         factors=cfg.transform.factors)
 
 
+MODEL_GROUPS = ("source_flow", "target_flow", "transform")  # AgingModel attributes
+
+
 def _model_groups(model: AgingModel) -> dict:
-    return {
-        "source_flow": group_from_model(model.source_flow.parameters()),
-        "target_flow": group_from_model(model.target_flow.parameters()),
-        "transform": group_from_model(model.transform.parameters()),
-    }
-
-
-def _restore_model(model: AgingModel, ckpt: Checkpoint) -> None:
-    restore_group(model.source_flow.parameters(), ckpt.params["source_flow"])
-    restore_group(model.target_flow.parameters(), ckpt.params["target_flow"])
-    restore_group(model.transform.parameters(), ckpt.params["transform"])
+    return {name: group_from_model(getattr(model, name).parameters()) for name in MODEL_GROUPS}
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> AgingModel:
     model = build_model(ckpt.config, np.random.default_rng(0))
-    _restore_model(model, ckpt)
+    for name in MODEL_GROUPS:
+        restore_group(getattr(model, name).parameters(), ckpt.params[name])
     return model
+
+
+def _make_irl_net(make, cfg: RunConfig, rng: np.random.Generator):
+    world = cfg.world
+    return make(rng, world.dim, world.n_actions, world.age_min, world.age_max)
 
 
 def cost_from_checkpoint(ckpt: Checkpoint) -> CostNet | None:
     if "cost" not in ckpt.params:
         return None
-    cfg = ckpt.config
-    cost = make_cost_net(np.random.default_rng(0), cfg.world.dim, cfg.world.n_actions,
-                         cfg.world.age_min, cfg.world.age_max)
+    cost = _make_irl_net(make_cost_net, ckpt.config, np.random.default_rng(0))
     restore_group(cost.parameters(), ckpt.params["cost"])
     return cost
 
 
 def policy_from_checkpoint(ckpt: Checkpoint) -> PolicyNet:
     """Stored policy, or a fresh uniform policy when the stage has not run."""
-    cfg = ckpt.config
-    policy = make_policy_net(np.random.default_rng(0), cfg.world.dim,
-                             cfg.world.n_actions, cfg.world.age_min, cfg.world.age_max)
+    policy = _make_irl_net(make_policy_net, ckpt.config, np.random.default_rng(0))
     if "policy" in ckpt.params:
         restore_group(policy.parameters(), ckpt.params["policy"])
     return policy
@@ -166,14 +160,11 @@ def policy_from_checkpoint(ckpt: Checkpoint) -> PolicyNet:
 # Stage: pretrain-flow
 # ---------------------------------------------------------------------------
 
-def _all_observations(trajs: list[AgingTrajectory]) -> np.ndarray:
-    return np.stack([s.observation for t in trajs for s in t.states])
-
-
 def stage_pretrain_flow(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    train, _, pool = _load_data(cfg)
-    data = _all_observations([t for _, t in pool] + [t for _, t in train])
+    train = _load_sequences(cfg, TRAIN_FILE)
+    pool = _load_sequences(cfg, POOL_FILE)
+    data = np.stack([s.observation for _, t in pool + train for s in t.states])
     rng = _stage_rng(cfg, STAGE_FLOW)
     model = build_model(cfg, rng)
     rows = []
@@ -224,7 +215,8 @@ def build_pairs(trajs: list[AgingTrajectory], n_actions: int):
 
 def stage_train_pairs(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    train, heldout, pool = _load_data(cfg)
+    train, heldout, pool = (_load_sequences(cfg, name)
+                            for name in (TRAIN_FILE, HELDOUT_FILE, POOL_FILE))
     ckpt = load_checkpoint(out / "flow.ckpt")
     model = model_from_checkpoint(ckpt)
     rng = _stage_rng(cfg, STAGE_PAIRS)
@@ -256,111 +248,75 @@ def stage_train_pairs(cfg: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def _metrics_rows(history: list[IterationMetrics]) -> list[list]:
-    return [[m.iteration, m.demo_energy, m.sample_energy, m.loglik_estimate,
-             m.policy_entropy, m.wall_seconds] for m in history]
-
-
-def _meta_rows(history: list[IterationMetrics]) -> list[list]:
     """Checkpoint form: wall clock excluded so checkpoints stay reproducible."""
     return [[m.iteration, m.demo_energy, m.sample_energy, m.loglik_estimate,
              m.policy_entropy] for m in history]
 
 
-def _history_from_meta(meta: dict) -> list[IterationMetrics]:
-    return [IterationMetrics(int(r[0]), *map(float, r[1:]), wall_seconds=0.0)
-            for r in meta.get("metrics", [])]
-
-
 def stage_train_irl(cfg: RunConfig, resume: str | None = None,
                     stop_after: int | None = None) -> Path | None:
+    """Fresh runs start from pairs.ckpt; `resume` continues a boundary checkpoint."""
     out = Path(cfg.out_dir)
-    train, _, _ = _load_data(cfg)
-    demos = [t for _, t in train]
-
+    demos = [t for _, t in _load_sequences(cfg, TRAIN_FILE)]
     init_rng = _stage_rng(cfg, STAGE_IRL, 0)
     loop_rng = _stage_rng(cfg, STAGE_IRL, 1)
-
+    ckpt = load_checkpoint(out / "pairs.ckpt" if resume is None else resume)
     if resume is not None:
-        ckpt = load_checkpoint(resume)
+        if ckpt.meta.get("stage") != "train-irl":
+            raise CheckpointError(f"{resume} is not a train-irl boundary checkpoint")
         cfg = ckpt.config
-        model = model_from_checkpoint(ckpt)
-        cost = make_cost_net(init_rng, cfg.world.dim, cfg.world.n_actions,
-                             cfg.world.age_min, cfg.world.age_max)
-        policy = make_policy_net(init_rng, cfg.world.dim, cfg.world.n_actions,
-                                 cfg.world.age_min, cfg.world.age_max)
-        restore_group(cost.parameters(), ckpt.params["cost"])
-        restore_group(policy.parameters(), ckpt.params["policy"])
-        cost_opt = Adam([a for _, a in cost.parameters()], cfg.irl.cost_learning_rate,
-                        cfg.optimizer.beta1, cfg.optimizer.beta2)
-        policy_opt = Adam([a for _, a in policy.parameters()],
-                          cfg.irl.policy_learning_rate, cfg.optimizer.beta1,
-                          cfg.optimizer.beta2)
-        cost_opt.load_state_dict(ckpt.opt_states["cost"])
-        policy_opt.load_state_dict(ckpt.opt_states["policy"])
+
+    model = model_from_checkpoint(ckpt)
+    nets = {name: _make_irl_net(make, cfg, init_rng)
+            for name, make in (("cost", make_cost_net), ("policy", make_policy_net))}
+    rates = {"cost": cfg.irl.cost_learning_rate, "policy": cfg.irl.policy_learning_rate}
+    opts = {name: Adam([a for _, a in net.parameters()], rates[name],
+                       cfg.optimizer.beta1, cfg.optimizer.beta2)
+            for name, net in nets.items()}
+    start_iteration, history = 0, []
+    if resume is not None:
+        for name, net in nets.items():
+            restore_group(net.parameters(), ckpt.params[name])
+            opts[name].load_state_dict(ckpt.opt_states[name])
         loop_rng.bit_generator.state = ckpt.rng_state
         start_iteration = int(ckpt.meta["next_iteration"])
-        history = _history_from_meta(ckpt.meta)
-    else:
-        pairs_ckpt = load_checkpoint(out / "pairs.ckpt")
-        model = model_from_checkpoint(pairs_ckpt)
-        cost = make_cost_net(init_rng, cfg.world.dim, cfg.world.n_actions,
-                             cfg.world.age_min, cfg.world.age_max)
-        policy = make_policy_net(init_rng, cfg.world.dim, cfg.world.n_actions,
-                                 cfg.world.age_min, cfg.world.age_max)
-        cost_opt = Adam([a for _, a in cost.parameters()], cfg.irl.cost_learning_rate,
-                        cfg.optimizer.beta1, cfg.optimizer.beta2)
-        policy_opt = Adam([a for _, a in policy.parameters()],
-                          cfg.irl.policy_learning_rate, cfg.optimizer.beta1,
-                          cfg.optimizer.beta2)
-        start_iteration = 0
-        history = []
+        history = [IterationMetrics(int(r[0]), *map(float, r[1:]), wall_seconds=0.0)
+                   for r in ckpt.meta.get("metrics", [])]
 
-    dynamics = ModelDynamics(model)
-
-    def boundary_checkpoint(next_iteration: int, rows: list[IterationMetrics]) -> None:
-        params = dict(_model_groups(model))
-        params["cost"] = group_from_model(cost.parameters())
-        params["policy"] = group_from_model(policy.parameters())
-        save_checkpoint(out / "irl_latest.ckpt", Checkpoint(
+    def save_state(path: Path, next_iteration: int) -> None:
+        """Save the IRL state to `path`; metrics.csv follows so aborted runs show progress."""
+        rows = _metrics_rows(history)
+        params = _model_groups(model) | {name: group_from_model(net.parameters())
+                                         for name, net in nets.items()}
+        save_checkpoint(path, Checkpoint(
             config=cfg, params=params,
-            opt_states={"cost": cost_opt.state_dict(), "policy": policy_opt.state_dict()},
+            opt_states={name: opt.state_dict() for name, opt in opts.items()},
             rng_state=loop_rng.bit_generator.state,
-            meta={"stage": "train-irl", "next_iteration": next_iteration,
-                  "metrics": _meta_rows(rows)}))
-
-    boundary_checkpoint(start_iteration, history)
+            meta={"stage": "train-irl", "next_iteration": next_iteration, "metrics": rows}))
+        write_csv(out / "metrics.csv", IRL_METRICS_HEADER,
+                  [row + [m.wall_seconds] for row, m in zip(rows, history)])
 
     def on_iteration(k: int, metrics: IterationMetrics) -> None:
         history.append(metrics)
-        boundary_checkpoint(k + 1, history)
-        # keep the metrics file current so aborted runs still show progress
-        write_csv(out / "metrics.csv", IRL_METRICS_HEADER, _metrics_rows(history))
+        save_state(out / "irl_latest.ckpt", k + 1)
 
+    save_state(out / "irl_latest.ckpt", start_iteration)
     target_iters = cfg.irl.outer_iters if stop_after is None \
         else min(cfg.irl.outer_iters, stop_after)
     learn_aging_policy(
-        demos, cost, policy, dynamics,
+        demos, nets["cost"], nets["policy"], ModelDynamics(model),
         outer_iters=target_iters, inner_iters=cfg.irl.inner_iters,
         sample_paths=cfg.irl.sample_paths, demo_batch=cfg.irl.demo_batch,
         sample_batch=cfg.irl.sample_batch, policy_rollouts=cfg.irl.policy_rollouts,
-        policy_steps=cfg.irl.policy_steps, cost_optimizer=cost_opt,
-        policy_optimizer=policy_opt, rng=loop_rng,
+        policy_steps=cfg.irl.policy_steps, cost_optimizer=opts["cost"],
+        policy_optimizer=opts["policy"], rng=loop_rng,
         start_iteration=start_iteration, on_iteration=on_iteration)
 
-    if stop_after is not None and stop_after < cfg.irl.outer_iters:
+    if target_iters < cfg.irl.outer_iters:
         return None
 
-    params = dict(_model_groups(model))
-    params["cost"] = group_from_model(cost.parameters())
-    params["policy"] = group_from_model(policy.parameters())
     path = out / "model.ckpt"
-    save_checkpoint(path, Checkpoint(
-        config=cfg, params=params,
-        opt_states={"cost": cost_opt.state_dict(), "policy": policy_opt.state_dict()},
-        rng_state=loop_rng.bit_generator.state,
-        meta={"stage": "train-irl", "next_iteration": cfg.irl.outer_iters,
-              "metrics": _meta_rows(history)}))
-    write_csv(out / "metrics.csv", IRL_METRICS_HEADER, _metrics_rows(history))
+    save_state(path, cfg.irl.outer_iters)
     summary = {
         "iterations": len(history),
         "final_demo_energy": history[-1].demo_energy if history else None,
@@ -381,7 +337,8 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
     ckpt = load_checkpoint(checkpoint_path or out / "model.ckpt")
     cfg = ckpt.config
     out = Path(cfg.out_dir) if checkpoint_path is None else out
-    train, heldout, _ = _load_data(cfg)
+    train = _load_sequences(cfg, TRAIN_FILE)
+    heldout = _load_sequences(cfg, HELDOUT_FILE)
     model = model_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
     cost = cost_from_checkpoint(ckpt)

@@ -302,6 +302,27 @@ def write_sequences(path, entries: list[tuple[int, AgingTrajectory]]) -> None:
 SEQUENCE_KEYS = ("subject_id", "ages", "observations")
 
 
+def check_sequence_fields(ages, observations, where: str) -> np.ndarray:
+    """(len(ages), dim) observations of a sequence record or input file, checked:
+    lists, integer ages, equal counts, equal-length finite 1-d observations."""
+    if not isinstance(ages, list) or not isinstance(observations, list):
+        raise ValidationError(f"{where}: ages and observations must be lists")
+    if not all(type(a) is int for a in ages):
+        raise ValidationError(f"{where}: ages must be integers")
+    try:
+        obs = np.array(observations, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: malformed record ({exc})") from exc
+    if len(ages) != len(obs) or not ages:
+        raise ValidationError(f"{where}: malformed record (ages and observations "
+                              "must be nonempty and of equal count)")
+    if obs.ndim != 2:
+        raise ValidationError(f"{where}: observations must be equal-length 1-d lists")
+    if not np.all(np.isfinite(obs)):
+        raise ValidationError(f"{where}: observations must be finite")
+    return obs
+
+
 def _parse_record(line: str, where: str) -> tuple[int, AgingTrajectory]:
     """One sequence record; any defect raises ValidationError naming `where`."""
     try:
@@ -310,21 +331,10 @@ def _parse_record(line: str, where: str) -> tuple[int, AgingTrajectory]:
         raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
     if not isinstance(rec, dict) or any(k not in rec for k in SEQUENCE_KEYS):
         raise ValidationError(f"{where}: a record needs the keys {', '.join(SEQUENCE_KEYS)}")
-    if not isinstance(rec["ages"], list) or not isinstance(rec["observations"], list):
-        raise ValidationError(f"{where}: ages and observations must be lists")
     sid, ages = rec["subject_id"], rec["ages"]
-    if not all(type(v) is int for v in [sid, *ages]):
+    if type(sid) is not int:
         raise ValidationError(f"{where}: subject_id and ages must be integers")
-    try:
-        obs = np.array(rec["observations"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: malformed sequence record ({exc})") from exc
-    if len(ages) != len(obs) or not ages:
-        raise ValidationError(f"{where}: malformed sequence record")
-    if obs.ndim != 2:
-        raise ValidationError(f"{where}: observations must be equal-length 1-d lists")
-    if not np.all(np.isfinite(obs)):
-        raise ValidationError(f"{where}: observations must be finite")
+    obs = check_sequence_fields(ages, rec["observations"], where)
     actions = [ages[i + 1] - ages[i] for i in range(len(ages) - 1)]
     if any(a < 0 for a in actions):
         raise ValidationError(f"{where}: sequence ages must be non-decreasing")

@@ -1,6 +1,7 @@
 """Harness: config round trip, binary checkpoints, metrics, CLI, pipelines."""
 
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -21,6 +22,8 @@ from flowpath.world import WorldConfig, generate_pool_sequence, generate_subject
 from flowpath.pipeline import (
     IRL_METRICS_HEADER,
     build_pairs,
+    cost_from_checkpoint,
+    policy_from_checkpoint,
     run_plan,
     run_synthesize,
     stage_evaluate,
@@ -505,3 +508,98 @@ def test_sequence_dim_must_match_config(tmp_path, capsys):
     cfg_path.write_text(json.dumps(wider))
     assert cli.main(["pretrain-flow", "--config", str(cfg_path)]) == 1
     assert "not the configured dim" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# train-irl: one set-up path, one checkpoint writer
+# ---------------------------------------------------------------------------
+
+def test_model_checkpoint_is_final_boundary_checkpoint(tiny_run):
+    out = tiny_run["out"]
+    assert (out / "model.ckpt").read_bytes() == (out / "irl_latest.ckpt").read_bytes()
+    latest = load_checkpoint(out / "irl_latest.ckpt")
+    assert latest.meta["next_iteration"] == tiny_run["cfg"].irl.outer_iters
+
+
+def test_resume_from_final_boundary_rewrites_same_model(tiny_run, tmp_path):
+    # the copy lacks the held-out and pool files: train-irl reads only the train file
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("train_sequences.jsonl", "irl_latest.ckpt"):
+        shutil.copy(tiny_run["out"] / name, run / name)
+    stage_train_irl(tiny_config(str(run)), resume=str(run / "irl_latest.ckpt"))
+    assert (run / "model.ckpt").read_bytes() == (tiny_run["out"] / "model.ckpt").read_bytes()
+    assert (run / "irl_latest.ckpt").read_bytes() == (run / "model.ckpt").read_bytes()
+    metrics = read_csv_without_columns(run / "metrics.csv", {"wall_seconds"})
+    assert metrics == read_csv_without_columns(tiny_run["out"] / "metrics.csv",
+                                               {"wall_seconds"})
+
+
+def test_cli_resume_from_non_irl_checkpoint_exits_2(tiny_run, capsys):
+    out = tiny_run["out"]
+    assert cli.main(["train-irl", "--seed", "3", "--out", str(out),
+                     "--resume", str(out / "pairs.ckpt")]) == 2
+    assert "not a train-irl boundary checkpoint" in capsys.readouterr().err
+
+
+def test_pairs_checkpoint_implies_exactly_uniform_policy(tiny_run):
+    ckpt = load_checkpoint(tiny_run["out"] / "pairs.ckpt")
+    assert cost_from_checkpoint(ckpt) is None
+    policy = policy_from_checkpoint(ckpt)
+    n = ckpt.config.world.n_actions
+    for age in (10, 33, 60):
+        (obs, _), = _subject_inputs(tiny_run, age)
+        assert np.array_equal(policy.probs(State(obs, age)), np.full(n, 1.0 / n))
+
+
+def test_stages_name_the_missing_sequence_file(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert cli.main(["train-irl", "--seed", "3", "--out", str(run)]) == 1
+    assert "missing train_sequences.jsonl" in capsys.readouterr().err
+    stage_gen_data(tiny_config(str(run)))
+    (run / "pool_sequences.jsonl").unlink()
+    assert cli.main(["pretrain-flow", "--seed", "3", "--out", str(run)]) == 1
+    assert "missing pool_sequences.jsonl" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# plan / synthesize --input files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("payload,message", [
+    ({"observations": [[0.1] * 16]}, "keys ages and observations"),
+    ({"ages": [20]}, "keys ages and observations"),
+    ([20], "keys ages and observations"),
+    ({"ages": [20], "observations": [[float("nan")] * 16]}, "finite"),
+    ({"ages": "20", "observations": [[0.1] * 16, [0.2] * 16]}, "lists"),
+    ({"ages": [20.0], "observations": [[0.1] * 16]}, "integers"),
+    ({"ages": [20, 28], "observations": [[0.1] * 16]}, "equal count"),
+    ({"ages": [20, 28], "observations": [[0.1] * 16, [0.2] * 15]}, "malformed"),
+])
+def test_cli_rejects_invalid_input_file(tiny_run, tmp_path, capsys, payload, message):
+    inp = tmp_path / "inputs.json"
+    inp.write_text(json.dumps(payload))
+    ckpt = str(tiny_run["out"] / "model.ckpt")
+    for argv in (["plan", "--checkpoint", ckpt, "--age", "28", "--target", "40"],
+                 ["synthesize", "--checkpoint", ckpt, "--age", "28", "--action", "3"]):
+        assert cli.main(argv + ["--input", str(inp)]) == 1
+        err = capsys.readouterr().err
+        assert str(inp) in err and message in err
+
+
+def test_cli_input_file_ages_may_come_in_any_order(tiny_run, tmp_path, capsys):
+    from flowpath.world import make_archetype, observe
+
+    cfg = tiny_run["cfg"]
+    arch = make_archetype(cfg.world, 5)
+    results = []
+    for ages in ([20, 28], [28, 20]):
+        inp = tmp_path / f"inputs_{ages[0]}.json"
+        inp.write_text(json.dumps({
+            "ages": ages,
+            "observations": [[float(v) for v in observe(cfg.world, arch, a)] for a in ages]}))
+        assert cli.main(["plan", "--checkpoint", str(tiny_run["out"] / "model.ckpt"),
+                         "--age", "28", "--target", "40", "--input", str(inp)]) == 0
+        results.append(json.loads(capsys.readouterr().out))
+    assert results[0] == results[1]
+    assert results[0]["start_age"] == 28

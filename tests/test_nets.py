@@ -17,7 +17,6 @@ from flowpath.nets import (
     glorot_uniform,
     net_backward,
     net_forward,
-    optimizer_step,
 )
 
 from conftest import assert_close
@@ -149,7 +148,7 @@ def test_finite_diff_rejects_bad_epsilon():
 def test_adam_zero_gradient_leaves_params():
     p = np.array([1.0, -2.0])
     opt = Adam([p], learning_rate=0.1)
-    optimizer_step([p], [np.zeros(2)], opt)
+    opt.step([p], [np.zeros(2)])
     assert np.array_equal(p, [1.0, -2.0])
     assert opt.step_count == 1
 
