@@ -57,13 +57,11 @@ from .irl import (
     make_cost_net,
     make_policy_net,
     multi_input_init,
-    plan_path,
     plan_rollout,
     policy_update,
     sample_path_batch,
     sample_trajectories,
     sequence_energy,
-    traj_proposal_density,
 )
 from .world import (
     SubjectArchetype,

@@ -19,8 +19,7 @@ from .irl import (
     irl_loss_and_grad,
     make_cost_net,
     make_policy_net,
-    sample_trajectories,
-    traj_log_proposal_density,
+    sample_path_batch,
 )
 from .nets import finite_diff_grad
 from .transform import make_aging_model, pair_objective_and_grads, transform_apply
@@ -96,14 +95,13 @@ def _toy_demo_world(seed: int):
 
 def check_irl_objective_grad(seed: int = 2):
     cost, policy, dyn, start = _toy_demo_world(seed)
-    demos = sample_trajectories(policy, dyn, [start], 3, m=4, seed=seed)
-    samples = sample_trajectories(policy, dyn, [start], 3, m=6, seed=seed + 1)
-    log_q = [traj_log_proposal_density(t, policy) for t in samples]
-    _, grads = irl_loss_and_grad(cost, demos, samples, log_q)
+    demos = sample_path_batch(policy, dyn, [start], 3, m=4, seed=seed)
+    samples = sample_path_batch(policy, dyn, [start], 3, m=6, seed=seed + 1)
+    _, grads = irl_loss_and_grad(cost, demos, samples)
     arrays = [a for _, a in cost.parameters()]
 
     def loss() -> float:
-        val, _ = irl_loss_and_grad(cost, demos, samples, log_q)
+        val, _ = irl_loss_and_grad(cost, demos, samples)
         return val
 
     numeric = finite_diff_grad(loss, arrays, 1e-5)

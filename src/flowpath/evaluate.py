@@ -134,7 +134,9 @@ def energy_separation_report(model: AgingModel, cost, demos: list[AgingTrajector
     """Mean learned energy of demos vs uniform-policy rollouts from demo starts,
     plus an importance-sampled log-partition estimate under the learned policy
     with the Kish effective sample size and largest normalized weight of its
-    importance weights."""
+    importance weights.  The estimate uses the first demo's start and horizon
+    only, so it depends on the order of `demos` (train_sequences.jsonl in a run).
+    """
     dyn = ModelDynamics(model)
     uniform = make_policy_net(np.random.default_rng(0), model.dim, model.n_actions,
                               age_low=cost.age_low, age_high=cost.age_high)

@@ -172,7 +172,7 @@ class ModelDynamics:
         self.n_actions = model.n_actions
 
     def step(self, state: State, action: int) -> State:
-        obs = synthesize_step(self.model, state.observation, action, 0.0)
+        obs = synthesize_step(self.model, state.observation, action)
         return State(obs, state.age + action)
 
 
@@ -191,7 +191,7 @@ def _transition(dynamics: Dynamics, obs: np.ndarray, ages: np.ndarray,
                 actions: np.ndarray) -> np.ndarray:
     """Next observations of a batch of rows: one synthesis call for the model."""
     if isinstance(dynamics, ModelDynamics):
-        return synthesize_step(dynamics.model, obs, actions, 0.0)
+        return synthesize_step(dynamics.model, obs, actions)
     return np.stack([dynamics.step(State(o, age), a).observation
                      for o, age, a in zip(obs, ages.tolist(), actions.tolist())])
 
@@ -412,11 +412,6 @@ def traj_log_proposal_density(traj: AgingTrajectory, policy: PolicyNet) -> float
     return float(path_log_proposals(policy, batch)[0])
 
 
-def traj_proposal_density(traj: AgingTrajectory, policy: PolicyNet) -> float:
-    """Product of per-step policy probabilities, exp(log q(traj))."""
-    return math.exp(traj_log_proposal_density(traj, policy))
-
-
 # ---------------------------------------------------------------------------
 # Sampling: the lockstep engine
 # ---------------------------------------------------------------------------
@@ -514,27 +509,19 @@ def sample_trajectories(policy: PolicyNet, dynamics: Dynamics,
 # The importance-sampled cost objective
 # ---------------------------------------------------------------------------
 
-def irl_loss_and_grad(cost: CostNet, demos: Sequence[AgingTrajectory] | PathBatch,
-                      samples: Sequence[AgingTrajectory] | PathBatch,
-                      sample_log_q: Sequence[float]
+def irl_loss_and_grad(cost: CostNet, demos: PathBatch, samples: PathBatch
                       ) -> tuple[float, list[np.ndarray]]:
     """Importance-sampled trajectory log-likelihood and its exact gradient.
 
-    L = -mean(E over demos) - [logsumexp(-E_j - log q_j) - log N] over samples.
-    The gradient is -mean(dE/dΓ over demos) plus the self-normalized
-    weighted mean of dE/dΓ over samples, weights w_j ∝ exp(-E_j)/q_j.  Both
-    are one forward and one backward pass over every (row, step) pair, with
-    upstream -1/|demos| on demo rows and w_j on sample rows.
+    L = -mean(E over demos) - [logsumexp(-E_j - log q_j) - log N] over samples,
+    with log q_j read from `samples.log_q`.  The gradient is -mean(dE/dΓ over
+    demos) plus the self-normalized weighted mean of dE/dΓ over samples,
+    weights w_j ∝ exp(-E_j)/q_j.  Both are one forward and one backward pass
+    over every (row, step) pair, with upstream -1/|demos| on demo rows and
+    w_j on sample rows.
     """
     if len(demos) == 0 or len(samples) == 0:
         raise ValidationError("demo and sample batches must be non-empty")
-    if len(sample_log_q) != len(samples):
-        raise ShapeError("one log proposal density per sample is required")
-    if not isinstance(demos, PathBatch):
-        demos = PathBatch.from_trajectories(demos, cost.n_actions)
-    if not isinstance(samples, PathBatch):
-        samples = PathBatch.from_trajectories(samples, cost.n_actions)
-
     demo_rows, demo_steps = demos.pairs()
     sample_rows, sample_steps = samples.pairs()
     feats = np.concatenate([_cost_features(cost, demos, demo_rows, demo_steps),
@@ -543,9 +530,8 @@ def irl_loss_and_grad(cost: CostNet, demos: Sequence[AgingTrajectory] | PathBatc
     split = demo_rows.size
     demo_e = np.bincount(demo_rows, weights=values[:split], minlength=len(demos))
     sample_e = np.bincount(sample_rows, weights=values[split:], minlength=len(samples))
-    log_q = np.asarray(sample_log_q, dtype=np.float64)
 
-    log_w = -sample_e - log_q
+    log_w = -sample_e - samples.log_q
     if np.any(np.isposinf(log_w)) or np.any(np.isnan(log_w)):
         raise DegenerateWeightsError("a sample has zero or invalid proposal density")
     if not np.any(np.isfinite(log_w)):
@@ -597,25 +583,16 @@ def weight_diagnostics(log_w: np.ndarray) -> tuple[float, float]:
 # Policy refinement
 # ---------------------------------------------------------------------------
 
-def policy_objective(policy: PolicyNet, cost, dynamics: Dynamics,
-                     starts: Sequence[State], horizons: Sequence[int],
-                     n_rollouts: int, seed: int) -> float:
-    """Monte-Carlo estimate of E_q[E(ζ)] - H(q) from fresh rollouts."""
-    batch = sample_path_batch(policy, dynamics, list(starts), list(horizons),
-                              m=n_rollouts, seed=seed)
-    return float(np.mean(path_energies(cost, batch) + batch.log_q))
-
-
 def policy_update(policy: PolicyNet, cost, dynamics: Dynamics,
                   starts: Sequence[State], horizons: Sequence[int],
                   optimizer: Adam, n_rollouts: int, n_steps: int,
-                  seed: int = 0, collapse_eps: float = 1e-8) -> dict:
+                  seed: int = 0) -> float:
     """Entropy-regularized policy-gradient refinement against a fixed cost.
 
     Minimizes E_q[E(ζ)] - H(q) with a score-function estimator: per rollout
     the return is energy plus trajectory log-probability (the log q the
     rollout accumulated), and the batch-mean return is subtracted as the
-    baseline.
+    baseline.  Returns the mean policy entropy over the last batch's states.
     """
     names = [n for n, _ in policy.parameters()]
     arrays = [a for _, a in policy.parameters()]
@@ -638,10 +615,7 @@ def policy_update(policy: PolicyNet, cost, dynamics: Dynamics,
         grads, _ = net_backward(policy.net, feats, upstream)
         optimizer.step(arrays, grads, names)
     pmat, _ = _action_distribution(policy, _policy_features(policy, *visited))
-    return {
-        "entropy": float(-(pmat * np.log(np.maximum(pmat, 1e-300))).sum(axis=1).mean()),
-        "collapse_warning": bool(np.any(pmat.max(axis=0) < collapse_eps)),
-    }
+    return float(-(pmat * np.log(np.maximum(pmat, 1e-300))).sum(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -705,13 +679,13 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
                 s_idx = rng.choice(len(samples), size=min(sample_batch, len(samples)),
                                    replace=False)
                 mixed = pool.take(np.concatenate([d_idx, len(demos) + s_idx]))
-                loss, grads = irl_loss_and_grad(cost, pool.take(d_idx), mixed, mixed.log_q)
+                loss, grads = irl_loss_and_grad(cost, pool.take(d_idx), mixed)
                 loglik_sum += loss
                 cost_optimizer.step(arrays, [-g for g in grads], names)
             pol_seed = int(rng.integers(0, 2**63 - 1))
-            pol_info = policy_update(policy, cost, dynamics, starts, horizons,
-                                     policy_optimizer, policy_rollouts, policy_steps,
-                                     seed=pol_seed)
+            entropy = policy_update(policy, cost, dynamics, starts, horizons,
+                                    policy_optimizer, policy_rollouts, policy_steps,
+                                    seed=pol_seed)
         except Exception as exc:
             raise IrlIterationError(k, exc) from exc
         metrics = IterationMetrics(
@@ -719,7 +693,7 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
             demo_energy=float(np.mean(path_energies(cost, demo_paths))),
             sample_energy=float(np.mean(path_energies(cost, samples))),
             loglik_estimate=loglik_sum / max(1, inner_iters),
-            policy_entropy=pol_info["entropy"],
+            policy_entropy=entropy,
             wall_seconds=time.perf_counter() - t0,
         )
         history.append(metrics)
@@ -764,12 +738,6 @@ def plan_rollout(policy: PolicyNet, dynamics: Dynamics, start: State,
         actions.append(a)
         states.append(dynamics.step(states[-1], a))
     return actions, states
-
-
-def plan_path(policy: PolicyNet, dynamics: Dynamics, start: State,
-              target_age: int) -> list[int]:
-    actions, _ = plan_rollout(policy, dynamics, start, target_age)
-    return actions
 
 
 def split_age_gap(gap: int, max_step: int) -> list[int]:

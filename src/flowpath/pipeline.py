@@ -333,10 +333,11 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
 # ---------------------------------------------------------------------------
 
 def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
+    """Sequence files and evaluation.json live under `cfg.out_dir`, not the checkpoint's."""
     out = Path(cfg.out_dir)
     ckpt = load_checkpoint(checkpoint_path or out / "model.ckpt")
     cfg = ckpt.config
-    out = Path(cfg.out_dir) if checkpoint_path is None else out
+    cfg.out_dir = str(out)
     train = _load_sequences(cfg, TRAIN_FILE)
     heldout = _load_sequences(cfg, HELDOUT_FILE)
     model = model_from_checkpoint(ckpt)
@@ -408,7 +409,7 @@ def run_synthesize(ckpt_path: str, inputs: list[tuple[np.ndarray, int]],
     if action is not None:
         if not (0 <= action < model.n_actions):
             raise ValidationError(f"action {action} out of range [0, {model.n_actions})")
-        obs = synthesize_step(model, start.observation, action, 0.0)
+        obs = synthesize_step(model, start.observation, action)
         states = [start, State(obs, start.age + action)]
     else:
         policy = policy_from_checkpoint(ckpt)

@@ -352,20 +352,11 @@ def train_pair_step(model: AgingModel, optimizer: Adam, x_prev: np.ndarray,
     return loss
 
 
-def synthesize_step(model: AgingModel, x_prev: np.ndarray, action,
-                    noise_scale: float = 0.0,
-                    rng: np.random.Generator | None = None) -> np.ndarray:
-    """Decode the transform prediction: x_t = target_flow⁻¹(pred + noise·ε).
+def synthesize_step(model: AgingModel, x_prev: np.ndarray, action) -> np.ndarray:
+    """Decode the transform prediction: x_t = target_flow⁻¹(pred).
 
-    noise_scale 0 gives the deterministic conditional mode and is
-    bit-reproducible across calls.
+    This is the deterministic conditional mode, bit-reproducible across calls.
     """
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be non-negative")
     z_prev, _ = flow_forward(model.source_flow, x_prev)
     pred = transform_apply(model.transform, z_prev, action)
-    if noise_scale > 0:
-        if rng is None:
-            raise ValueError("noise_scale > 0 requires an rng")
-        pred = pred + noise_scale * rng.standard_normal(pred.shape)
     return flow_inverse(model.target_flow, pred)

@@ -196,6 +196,16 @@ def test_evaluate_writes_report(tiny_run):
     assert 0.0 <= report["path_recovery"]["match_rate"] <= 1.0
 
 
+def test_evaluate_copied_run_directory(tiny_run, tmp_path):
+    stage_evaluate(tiny_run["cfg"])
+    copy = tmp_path / "copied_run"
+    shutil.copytree(tiny_run["out"], copy)
+    (copy / "evaluation.json").unlink()
+    assert cli.main(["evaluate", "--out", str(copy)]) == 0
+    assert ((copy / "evaluation.json").read_bytes()
+            == (tiny_run["out"] / "evaluation.json").read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------

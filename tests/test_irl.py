@@ -1,6 +1,7 @@
 """Sequence IRL: energies, enumeration, sampling, the importance-sampled
 objective, policy refinement, the learning loop, planning, multi-input init."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from flowpath.irl import (
     AgingTrajectory,
     FunctionDynamics,
     ModelDynamics,
+    PathBatch,
     ROLL_BLOCK,
     State,
     enumerate_energies,
@@ -30,9 +32,7 @@ from flowpath.irl import (
     partition_log_weights,
     path_energies,
     path_log_proposals,
-    plan_path,
     plan_rollout,
-    policy_objective,
     policy_update,
     rollout,
     sample_path_batch,
@@ -40,7 +40,6 @@ from flowpath.irl import (
     sequence_energy,
     split_age_gap,
     traj_log_proposal_density,
-    traj_proposal_density,
     weight_diagnostics,
 )
 from flowpath.nets import Adam, DenseLayer, DenseNet, finite_diff_grad
@@ -59,6 +58,17 @@ def chain_traj(dyn, start: State, actions) -> AgingTrajectory:
     for a in actions:
         states.append(dyn.step(states[-1], a))
     return AgingTrajectory(states, list(actions))
+
+
+def with_log_q(trajs, log_q) -> PathBatch:
+    """Trajectories as a batch carrying hand-set log proposal densities."""
+    return dataclasses.replace(PathBatch.from_trajectories(trajs),
+                               log_q=np.asarray(log_q, dtype=np.float64))
+
+
+def proposal_density(traj: AgingTrajectory, policy) -> float:
+    """exp of the batch log q of a single trajectory."""
+    return math.exp(path_log_proposals(policy, PathBatch.from_trajectories([traj]))[0])
 
 
 def biased_policy(dim: int, n_actions: int, favored: int, second: int | None = None,
@@ -173,9 +183,9 @@ def test_proposal_density_uniform_and_empty():
     dyn = line_dynamics(n_actions=16)
     start = State(np.zeros(3), 0)
     traj = chain_traj(dyn, start, [3, 5, 2])
-    assert abs(traj_proposal_density(traj, policy) - (1 / 16) ** 3) < 1e-15
+    assert abs(proposal_density(traj, policy) - (1 / 16) ** 3) < 1e-15
     single = AgingTrajectory([start], [])
-    assert traj_proposal_density(single, policy) == 1.0
+    assert proposal_density(single, policy) == 1.0
 
 
 def test_proposal_density_sums_to_one_over_enumeration():
@@ -188,8 +198,7 @@ def test_proposal_density_sums_to_one_over_enumeration():
     for a1 in range(3):
         for a2 in range(3):
             for a3 in range(3):
-                total += traj_proposal_density(chain_traj(dyn, start, [a1, a2, a3]),
-                                               policy)
+                total += proposal_density(chain_traj(dyn, start, [a1, a2, a3]), policy)
     assert abs(total - 1.0) < 1e-10
 
 
@@ -240,10 +249,10 @@ def test_irl_gradient_zero_net_closed_form():
     cost = zeroed_cost()
     dyn = line_dynamics()
     start = State(np.zeros(3), 0)
-    demos = [chain_traj(dyn, start, [1, 2]) for _ in range(3)]
-    samples = [chain_traj(dyn, start, [a, 3 - a]) for a in range(4)]
-    log_q = [math.log(1 / 16)] * len(samples)
-    loss, grads = irl_loss_and_grad(cost, demos, samples, log_q)
+    demos = PathBatch.from_trajectories([chain_traj(dyn, start, [1, 2]) for _ in range(3)])
+    samples = with_log_q([chain_traj(dyn, start, [a, 3 - a]) for a in range(4)],
+                         [math.log(1 / 16)] * 4)
+    loss, grads = irl_loss_and_grad(cost, demos, samples)
     # with E == 0 all weights are equal; dE/dΓ has only the final bias term,
     # which equals the horizon for every trajectory, so the terms cancel
     names = [n for n, _ in cost.parameters()]
@@ -261,13 +270,12 @@ def test_irl_gradient_matches_finite_differences():
     start = State(rng.standard_normal(3), 4)
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60,
                              uniform_init=False)
-    demos = sample_trajectories(policy, dyn, [start], 3, m=4, seed=11)
-    samples = sample_trajectories(policy, dyn, [start], 3, m=7, seed=12)
-    log_q = [traj_log_proposal_density(t, policy) for t in samples]
-    _, grads = irl_loss_and_grad(cost, demos, samples, log_q)
+    demos = sample_path_batch(policy, dyn, [start], 3, m=4, seed=11)
+    samples = sample_path_batch(policy, dyn, [start], 3, m=7, seed=12)
+    _, grads = irl_loss_and_grad(cost, demos, samples)
     arrays = [a for _, a in cost.parameters()]
     numeric = finite_diff_grad(
-        lambda: irl_loss_and_grad(cost, demos, samples, log_q)[0], arrays, 1e-5)
+        lambda: irl_loss_and_grad(cost, demos, samples)[0], arrays, 1e-5)
     assert_close(grads, numeric, label="irl objective")
 
 
@@ -275,12 +283,12 @@ def test_irl_degenerate_weights_error():
     cost = zeroed_cost()
     dyn = line_dynamics()
     start = State(np.zeros(3), 0)
-    demos = [chain_traj(dyn, start, [1])]
+    demos = PathBatch.from_trajectories([chain_traj(dyn, start, [1])])
     samples = [chain_traj(dyn, start, [2])]
     with pytest.raises(DegenerateWeightsError):
-        irl_loss_and_grad(cost, demos, samples, [math.inf])  # q density above 1
+        irl_loss_and_grad(cost, demos, with_log_q(samples, [math.inf]))  # q density above 1
     with pytest.raises(DegenerateWeightsError):
-        irl_loss_and_grad(cost, demos, samples, [-math.inf])
+        irl_loss_and_grad(cost, demos, with_log_q(samples, [-math.inf]))
 
 
 def test_partition_estimate_consistency_20_seeds():
@@ -351,6 +359,12 @@ def test_policy_update_zero_cost_drives_to_uniform():
     assert entropies[-1] > entropies[0]
 
 
+def policy_objective(policy, cost, dyn, start, seed):
+    """Monte-Carlo E_q[E(ζ)] - H(q) over 512 one-step rollouts from `start`."""
+    batch = sample_path_batch(policy, dyn, [start], [1], m=512, seed=seed)
+    return float(np.mean(path_energies(cost, batch) + batch.log_q))
+
+
 def test_policy_update_objective_decreases_in_most_trials():
     dyn, start, cost, _ = bandit_setup()
     improved = 0
@@ -359,12 +373,10 @@ def test_policy_update_objective_decreases_in_most_trials():
                                  n_actions=4, age_low=0, age_high=10,
                                  uniform_init=False)
         opt = Adam([a for _, a in policy.parameters()], 0.05)
-        before = policy_objective(policy, cost, dyn, [start], [1], n_rollouts=512,
-                                  seed=trial)
+        before = policy_objective(policy, cost, dyn, start, seed=trial)
         policy_update(policy, cost, dyn, [start], [1], opt, n_rollouts=128,
                       n_steps=5, seed=50 + trial)
-        after = policy_objective(policy, cost, dyn, [start], [1], n_rollouts=512,
-                                 seed=900 + trial)
+        after = policy_objective(policy, cost, dyn, start, seed=900 + trial)
         improved += after <= before
     assert improved >= 9
 
@@ -421,20 +433,20 @@ def test_learn_separates_demo_energy_on_toy_world():
 def test_plan_path_target_equals_start():
     policy = biased_policy(3, 16, favored=5)
     dyn = line_dynamics(n_actions=16)
-    assert plan_path(policy, dyn, State(np.zeros(3), 30), 30) == []
+    assert plan_rollout(policy, dyn, State(np.zeros(3), 30), 30)[0] == []
 
 
 def test_plan_path_one_maximal_step():
     policy = biased_policy(3, 16, favored=15)
     dyn = line_dynamics(n_actions=16)
-    assert plan_path(policy, dyn, State(np.zeros(3), 10), 25) == [15]
+    assert plan_rollout(policy, dyn, State(np.zeros(3), 10), 25)[0] == [15]
 
 
 def test_plan_path_masks_zero_action():
     policy = biased_policy(3, 16, favored=0, second=1)
     dyn = line_dynamics(n_actions=16)
     start = State(np.zeros(3), 20)
-    actions = plan_path(policy, dyn, start, 26)
+    actions = plan_rollout(policy, dyn, start, 26)[0]
     assert actions == [1] * 6
     assert len(actions) <= 26 - 20
 
@@ -456,7 +468,7 @@ def test_plan_path_rejects_deaging():
     policy = biased_policy(3, 16, favored=3)
     dyn = line_dynamics(n_actions=16)
     with pytest.raises(ValidationError):
-        plan_path(policy, dyn, State(np.zeros(3), 30), 20)
+        plan_rollout(policy, dyn, State(np.zeros(3), 30), 20)
 
 
 def test_split_age_gap():

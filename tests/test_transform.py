@@ -252,22 +252,20 @@ def test_synthesize_zero_model_returns_zero():
     model = small_model(18, perturb=0.0)
     for _, arr in model.transform.parameters():
         arr[...] = 0.0
-    out = synthesize_step(model, np.random.default_rng(0).standard_normal(4), 3, 0.0)
+    out = synthesize_step(model, np.random.default_rng(0).standard_normal(4), 3)
     assert np.allclose(out, 0.0)
 
 
 def test_synthesize_deterministic_and_latent_roundtrip():
     model = small_model(19)
     x = np.random.default_rng(20).standard_normal(4)
-    a = synthesize_step(model, x, 2, 0.0)
-    b = synthesize_step(model, x, 2, 0.0)
+    a = synthesize_step(model, x, 2)
+    b = synthesize_step(model, x, 2)
     assert np.array_equal(a, b)
     z, _ = flow_forward(model.target_flow, a)
     z_prev, _ = flow_forward(model.source_flow, x)
     pred = transform_apply(model.transform, z_prev, 2)
     assert np.abs(z - pred).max() < 1e-9
-    with pytest.raises(ValueError):
-        synthesize_step(model, x, 2, 0.5)  # noise needs an rng
 
 
 def test_moments_passthrough_and_transpose_identity():
@@ -321,8 +319,8 @@ def test_trained_synthesis_action_zero_changes_less_than_fifteen(small_pair_mode
     d0, d15 = [], []
     for traj in small_pair_model["train"]:
         x = traj.states[0].observation
-        d0.append(float(np.mean((synthesize_step(model, x, 0, 0.0) - x) ** 2)))
-        d15.append(float(np.mean((synthesize_step(model, x, 15, 0.0) - x) ** 2)))
+        d0.append(float(np.mean((synthesize_step(model, x, 0) - x) ** 2)))
+        d15.append(float(np.mean((synthesize_step(model, x, 15) - x) ** 2)))
     assert np.mean(d0) < np.mean(d15)
 
 
