@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the result JSON here instead of stdout")
 
     p = sub.add_parser("evaluate", help="held-out path recovery and age fidelity")
-    add_common(p)
+    p.add_argument("--out", help="run directory (the checkpoint's config supplies the rest)")
     p.add_argument("--checkpoint")
 
     for name in ("gradcheck", "oracle-check"):
@@ -158,7 +158,7 @@ def dispatch(args) -> int:
             print(text)
         return 0
     if cmd == "evaluate":
-        cfg = resolve_config(args)
+        cfg = RunConfig(out_dir=args.out) if args.out else RunConfig()
         report = pipeline.stage_evaluate(cfg, checkpoint_path=args.checkpoint)
         print(json.dumps({k: v for k, v in report.items() if k != "subjects"},
                          indent=2, sort_keys=True))

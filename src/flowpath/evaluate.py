@@ -30,7 +30,7 @@ from .transform import AgingModel
 from .world import (
     WorldConfig,
     WorldDynamics,
-    brute_force_optimal_path,
+    dp_optimal_path,
     ground_truth_cost,
     make_archetype,
 )
@@ -109,9 +109,8 @@ def path_recovery_report(model: AgingModel, policy: PolicyNet, config: WorldConf
         def cost(state: State, action: int, _arch=arch) -> float:
             return ground_truth_cost(state, action, _arch, config)
 
-        optimal = brute_force_optimal_path(
-            world_dyn, cost, world_dyn.state_at(start.age), target,
-            horizon_cap=config.horizon - 1)
+        optimal = dp_optimal_path(world_dyn, cost, world_dyn.state_at(start.age), target,
+                                  horizon_cap=config.horizon - 1)
         ok = planned == optimal.actions
         matches += ok
         per_class_actions.setdefault(arch.class_id, []).extend(planned)

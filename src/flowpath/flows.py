@@ -5,6 +5,11 @@ elementwise affine map to the rest, conditioned on the kept half.  The
 Jacobian is triangular, so the log-determinant is just the sum of the log
 scales, and composition of units keeps both directions exact.
 
+A unit stacks its scale and translate nets (leading axis 2), so both run
+as one batched matmul chain.  A `FlowPair` stacks unit i of two flows once
+more, (2 flows, 2 nets), and the passes below take inputs with the owner's
+leading flow axes, `lead`, in front of (N, dim).
+
 A stack is immutable during inference and safe for concurrent read-only
 evaluation; training mutates parameters under exclusive access.
 """
@@ -17,13 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .nets import DenseNet, dense_net, net_backward, _forward_cached
+from .nets import DenseNet, bind_members, dense_net, net_backward, stack_nets, _forward_cached
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 class CouplingUnit:
     """One invertible coupling layer over a fixed binary mask (1 = kept)."""
+
+    lead: tuple[int, ...] = ()
 
     def __init__(self, mask: np.ndarray, scale_net: DenseNet, translate_net: DenseNet,
                  clamp: float = 2.0):
@@ -34,32 +41,50 @@ class CouplingUnit:
             raise ValueError("mask entries must be 0 or 1")
         if mask.sum() == 0 or mask.sum() == mask.size:
             raise ValueError("mask needs at least one kept and one transformed dim")
-        self.mask = mask
-        self.kept = np.flatnonzero(mask == 1)
-        self.trans = np.flatnonzero(mask == 0)
+        self.mask, self.dim = mask, mask.size
+        self.kept, self.trans = np.flatnonzero(mask == 1), np.flatnonzero(mask == 0)
         if scale_net.in_dim != self.kept.size or scale_net.out_dim != self.trans.size:
             raise ShapeError("scale net dims do not match the mask partition")
-        if translate_net.in_dim != self.kept.size or translate_net.out_dim != self.trans.size:
-            raise ShapeError("translate net dims do not match the mask partition")
-        self.scale_net = scale_net
-        self.translate_net = translate_net
         if clamp <= 0:
             raise ValueError("clamp must be positive")
         self.clamp = float(clamp)
-
-    @property
-    def dim(self) -> int:
-        return self.mask.size
+        self.scale_net, self.translate_net = scale_net, translate_net
+        self.net = stack_nets([scale_net, translate_net])
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return self.scale_net.parameters(prefix + "scale.") + \
             self.translate_net.parameters(prefix + "translate.")
 
+    def align(self, grads: list[np.ndarray]) -> list[np.ndarray]:
+        """Gradients of the stacked net, as views in `parameters()` order."""
+        return [g[k] for k in (0, 1) for g in grads]
+
+
+class UnitPair(CouplingUnit):
+    """Unit i of two flows: their shared mask, and all four subnets stacked as
+    (2 flows, 2 nets, ...).  `parameters()` yields the stacked arrays."""
+
+    lead = (2,)
+
+    def __init__(self, a: CouplingUnit, b: CouplingUnit):
+        if not np.array_equal(a.mask, b.mask):
+            raise ShapeError("paired units must share their mask")
+        self.mask, self.dim, self.kept, self.trans = a.mask, a.dim, a.kept, a.trans
+        self.clamp = np.array([a.clamp, b.clamp])[:, None, None]
+        self.net = stack_nets([a.net, b.net])
+        for u in (a, b):
+            bind_members(u.net, [u.scale_net, u.translate_net])
+
+    def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
+        return self.net.parameters(prefix)
+
+    def align(self, grads: list[np.ndarray]) -> list[np.ndarray]:
+        return grads
+
 
 def alternating_mask(dim: int, parity: int) -> np.ndarray:
     """Keep even indices when parity is 0, odd indices when parity is 1."""
-    idx = np.arange(dim)
-    return ((idx % 2) == (parity % 2)).astype(np.int8)
+    return ((np.arange(dim) % 2) == (parity % 2)).astype(np.int8)
 
 
 def make_coupling_unit(rng: np.random.Generator, mask: np.ndarray, hidden: int = 32,
@@ -69,12 +94,9 @@ def make_coupling_unit(rng: np.random.Generator, mask: np.ndarray, hidden: int =
     Zero final layers make a fresh stack the identity map with zero logdet.
     """
     mask = np.asarray(mask, dtype=np.int8)
-    n_kept = int(mask.sum())
-    n_trans = int(mask.size - n_kept)
-    dims = (n_kept, hidden, hidden, n_trans)
-    s = dense_net(rng, dims, zero_final=True)
-    t = dense_net(rng, dims, zero_final=True)
-    return CouplingUnit(mask, s, t, clamp=clamp)
+    dims = (int(mask.sum()), hidden, hidden, int(mask.size - mask.sum()))
+    scale = dense_net(rng, dims, zero_final=True)
+    return CouplingUnit(mask, scale, dense_net(rng, dims, zero_final=True), clamp=clamp)
 
 
 class BijectionStack:
@@ -84,77 +106,81 @@ class BijectionStack:
     coupling mask cannot split the single dimension).
     """
 
+    lead: tuple[int, ...] = ()
+
     def __init__(self, dim: int, units: Sequence[CouplingUnit]):
-        units = list(units)
-        for u in units:
+        self.dim, self.units = dim, list(units)
+        for u in self.units:
             if u.dim != dim:
                 raise ShapeError(f"unit dim {u.dim} != stack dim {dim}")
-        self.dim = dim
-        self.units = units
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, u in enumerate(self.units):
-            out.extend(u.parameters(f"{prefix}u{i:02d}."))
-        return out
+        return [p for i, u in enumerate(self.units) for p in u.parameters(f"{prefix}u{i:02d}.")]
+
+
+class FlowPair(BijectionStack):
+    """Two flows whose unit i share a mask, run in lockstep on inputs with a
+    leading axis of 2.  Each flow keeps working alone, on views of the stacks."""
+
+    lead = (2,)
+
+    def __init__(self, first: BijectionStack, second: BijectionStack):
+        if len(first.units) != len(second.units):
+            raise ShapeError("paired flows need the same number of units")
+        super().__init__(first.dim, [UnitPair(a, b) for a, b in
+                                     zip(first.units, second.units)])
 
 
 def make_flow(rng: np.random.Generator, dim: int, n_units: int = 10, hidden: int = 32,
               clamp: float = 2.0) -> BijectionStack:
     """Stack of coupling units with alternating even/odd masks."""
-    units = [make_coupling_unit(rng, alternating_mask(dim, i), hidden, clamp)
-             for i in range(n_units)]
-    return BijectionStack(dim, units)
+    return BijectionStack(dim, [make_coupling_unit(rng, alternating_mask(dim, i), hidden, clamp)
+                                for i in range(n_units)])
 
 
 def _unit_forward_cached(u: CouplingUnit, x: np.ndarray):
-    """Forward through one unit on a 2-d batch, keeping what backward needs."""
-    xk = x[:, u.kept]
-    xt = x[:, u.trans]
-    s_raw, s_caches = _forward_cached(u.scale_net, xk)
-    t, t_caches = _forward_cached(u.translate_net, xk)
+    """Forward through one unit on a batch (*lead, N, dim), keeping what backward needs."""
+    xk, xt = x[..., u.kept], x[..., u.trans]
+    st, caches = _forward_cached(u.net, xk[..., None, :, :])
+    s_raw = st[..., 0, :, :]
     s = u.clamp * np.tanh(s_raw)
     es = np.exp(s)
     y = np.empty_like(x)
-    y[:, u.kept] = xk
-    y[:, u.trans] = xt * es + t
+    y[..., u.kept] = xk
+    y[..., u.trans] = xt * es + st[..., 1, :, :]
     if not np.all(np.isfinite(y)):
         raise NumericError("non-finite coupling output (scale overflow)")
-    logdet = s.sum(axis=1)
-    cache = (xk, xt, s_raw, s, es, s_caches, t_caches)
-    return y, logdet, cache
+    return y, s.sum(axis=-1), (xk, xt, s_raw, es, caches)
 
 
-def _as_batch(x: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, owner) -> tuple[np.ndarray, bool]:
+    """x as a (*lead, N, dim) batch, and whether it was one lone-flow vector."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != dim:
-        raise ShapeError(f"input length {x.shape[-1]} != flow dim {dim}")
-    if x.ndim == 1:
+    if x.shape[-1] != owner.dim:
+        raise ShapeError(f"input length {x.shape[-1]} != flow dim {owner.dim}")
+    if x.ndim == 1 and not owner.lead:
         return x[None, :], True
-    if x.ndim == 2:
+    if x.ndim == 2 + len(owner.lead) and x.shape[:-2] == owner.lead:
         return x, False
     raise ShapeError("expected a vector or a batch of vectors")
 
 
 def unit_forward(u: CouplingUnit, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """y copies kept dims; transformed dims get x*exp(s) + t.  logdet = sum(s)."""
-    xb, single = _as_batch(x, u.dim)
+    xb, single = _as_batch(x, u)
     y, logdet, _ = _unit_forward_cached(u, xb)
-    if single:
-        return y[0], float(logdet[0])
-    return y, logdet
+    return (y[0], float(logdet[0])) if single else (y, logdet)
 
 
 def unit_inverse(u: CouplingUnit, y: np.ndarray) -> np.ndarray:
     """Exact inverse: x = (y - t(y_kept)) * exp(-s(y_kept)) on transformed dims."""
-    yb, single = _as_batch(y, u.dim)
-    yk = yb[:, u.kept]
-    s_raw, _ = _forward_cached(u.scale_net, yk)
-    t, _ = _forward_cached(u.translate_net, yk)
-    s = u.clamp * np.tanh(s_raw)
+    yb, single = _as_batch(y, u)
+    yk = yb[..., u.kept]
+    st, _ = _forward_cached(u.net, yk[..., None, :, :])
+    s = u.clamp * np.tanh(st[..., 0, :, :])
     x = np.empty_like(yb)
-    x[:, u.kept] = yk
-    x[:, u.trans] = (yb[:, u.trans] - t) * np.exp(-s)
+    x[..., u.kept] = yk
+    x[..., u.trans] = (yb[..., u.trans] - st[..., 1, :, :]) * np.exp(-s)
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite coupling inverse")
     return x[0] if single else x
@@ -162,20 +188,16 @@ def unit_inverse(u: CouplingUnit, y: np.ndarray) -> np.ndarray:
 
 def flow_forward(flow: BijectionStack, x: np.ndarray):
     """Compose units in order; total logdet is the exact sum of unit logdets."""
-    xb, single = _as_batch(x, flow.dim)
-    total = np.zeros(xb.shape[0])
-    h = xb
+    h, single = _as_batch(x, flow)
+    total = np.zeros(h.shape[:-1])
     for u in flow.units:
         h, logdet, _ = _unit_forward_cached(u, h)
         total = total + logdet
-    if single:
-        return h[0], float(total[0])
-    return h, total
+    return (h[0], float(total[0])) if single else (h, total)
 
 
 def flow_inverse(flow: BijectionStack, z: np.ndarray) -> np.ndarray:
-    zb, single = _as_batch(z, flow.dim)
-    h = zb
+    h, single = _as_batch(z, flow)
     for u in reversed(flow.units):
         h = unit_inverse(u, h)
     return h[0] if single else h
@@ -183,22 +205,20 @@ def flow_inverse(flow: BijectionStack, z: np.ndarray) -> np.ndarray:
 
 def _unit_backward(u: CouplingUnit, cache, dy: np.ndarray, dlogdet: np.ndarray):
     """Gradients through one unit given upstream dL/dy and dL/dlogdet."""
-    xk, xt, s_raw, s, es, s_caches, t_caches = cache
-    dyt = dy[:, u.trans]  # also dL/dt
-    ds = dyt * xt * es + dlogdet[:, None]
+    xk, xt, s_raw, es, caches = cache
+    dyt = dy[..., u.trans]  # also dL/dt
+    ds = dyt * xt * es + dlogdet[..., None]
     ds_raw = ds * u.clamp * (1.0 - np.tanh(s_raw) ** 2)
-    s_grads, dxk_s = net_backward(u.scale_net, xk, ds_raw, s_caches)
-    t_grads, dxk_t = net_backward(u.translate_net, xk, dyt, t_caches)
+    grads, dxk = net_backward(u.net, xk[..., None, :, :], np.stack([ds_raw, dyt], axis=-3),
+                              caches)
     dx = np.empty_like(dy)
-    dx[:, u.kept] = dy[:, u.kept] + dxk_s + dxk_t
-    dx[:, u.trans] = dyt * es
-    return s_grads + t_grads, dx
+    dx[..., u.kept] = dy[..., u.kept] + dxk[..., 0, :, :] + dxk[..., 1, :, :]
+    dx[..., u.trans] = dyt * es
+    return u.align(grads), dx
 
 
 def flow_forward_cached(flow: BijectionStack, x: np.ndarray):
-    caches = []
-    total = np.zeros(x.shape[0])
-    h = x
+    caches, total, h = [], np.zeros(x.shape[:-1]), x
     for u in flow.units:
         h, logdet, cache = _unit_forward_cached(u, h)
         caches.append(cache)
@@ -208,19 +228,15 @@ def flow_forward_cached(flow: BijectionStack, x: np.ndarray):
 
 def flow_backward(flow: BijectionStack, caches, dz: np.ndarray, dlogdet: np.ndarray):
     """Backprop through a stack given dL/dz and dL/dtotal_logdet per sample.
-
-    Returns gradients aligned with ``flow.parameters()`` plus dL/dx.
-    """
-    grads: list[np.ndarray] = []
-    delta = dz
+    Returns gradients aligned with ``flow.parameters()`` plus dL/dx."""
+    grads, delta = [], dz
     for u, cache in zip(flow.units[::-1], caches[::-1]):
         unit_grads, delta = _unit_backward(u, cache, delta, dlogdet)
         grads[:0] = unit_grads
     return grads, delta
 
 
-def gaussian_loglik(z: np.ndarray, mean: np.ndarray | float,
-                    diag_variance: np.ndarray | float):
+def gaussian_loglik(z: np.ndarray, mean: np.ndarray | float, diag_variance: np.ndarray | float):
     """Exact log-density of a diagonal Gaussian; batched over leading axis."""
     z = np.asarray(z, dtype=np.float64)
     mean = np.broadcast_to(np.asarray(mean, dtype=np.float64), z.shape[-1:])
@@ -247,23 +263,23 @@ def flow_log_density(flow: BijectionStack, x: np.ndarray):
     return standard_normal_loglik(z) + logdet
 
 
-def flow_nll(flow: BijectionStack, xs: np.ndarray) -> tuple[float, list[np.ndarray]]:
+def flow_nll(flow: BijectionStack, xs: np.ndarray):
     """Mean negative log-likelihood over a batch, with exact gradients.
 
-    Gradients are aligned with ``flow.parameters()`` and include the
-    change-of-variables path through the log-determinant.
+    A `FlowPair` takes xs of shape (2, N, D), one batch per flow, and returns
+    the two losses as an array.  Gradients are aligned with
+    ``flow.parameters()`` and include the change-of-variables path through
+    the log-determinant.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] == 0:
-        raise ShapeError("expected a non-empty batch of shape (N, D)")
-    n = xs.shape[0]
+    if xs.ndim != 2 + len(flow.lead) or xs.shape[:-2] != flow.lead or xs.shape[-2] == 0:
+        raise ShapeError(f"expected a non-empty batch of shape {flow.lead + ('N', 'D')}")
+    n = xs.shape[-2]
     z, total, caches = flow_forward_cached(flow, xs)
-    loss = float(-(standard_normal_loglik(z) + total).mean())
+    loss = -(standard_normal_loglik(z) + total).mean(axis=-1)
     # d loss / dz = z / N  (standard-normal prior), d loss / dlogdet = -1/N
-    dz = z / n
-    dlogdet = np.full(n, -1.0 / n)
-    grads, _ = flow_backward(flow, caches, dz, dlogdet)
-    return loss, grads
+    grads, _ = flow_backward(flow, caches, z / n, np.full(total.shape, -1.0 / n))
+    return (float(loss) if loss.ndim == 0 else loss), grads
 
 
 def flow_nll_value(flow: BijectionStack, xs: np.ndarray) -> float:
@@ -272,5 +288,4 @@ def flow_nll_value(flow: BijectionStack, xs: np.ndarray) -> float:
 
 def sample_flow(flow: BijectionStack, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n samples by pushing standard-normal latents through the inverse."""
-    z = rng.standard_normal((n, flow.dim))
-    return flow_inverse(flow, z)
+    return flow_inverse(flow, rng.standard_normal((n, flow.dim)))

@@ -30,35 +30,30 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 
 @dataclass
 class DenseLayer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray  # (out,)
+    weight: np.ndarray  # (..., out, in); leading axes stack same-shape members
+    bias: np.ndarray  # (..., out)
     activation: str
 
     def __post_init__(self):
         self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.ndim != 1:
-            raise ShapeError("dense layer expects a 2-d weight and 1-d bias")
-        if self.weight.shape[0] != self.bias.shape[0]:
-            raise ShapeError(
-                f"weight rows {self.weight.shape[0]} != bias length {self.bias.shape[0]}"
-            )
+        if self.weight.ndim < 2 or self.bias.shape != self.weight.shape[:-1]:
+            raise ShapeError(f"weight {self.weight.shape} and bias {self.bias.shape} "
+                             "are not (..., out, in) and (..., out)")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
 class DenseNet:
-    """An ordered stack of dense layers whose dimensions chain."""
+    """An ordered stack of dense layers whose dimensions chain (see `stack_nets`)."""
 
     def __init__(self, layers: Sequence[DenseLayer]):
         layers = list(layers)
         if not layers:
             raise ShapeError("a DenseNet needs at least one layer")
         for a, b in zip(layers, layers[1:]):
-            if a.weight.shape[0] != b.weight.shape[1]:
-                raise ShapeError(
-                    f"layer dims do not chain: out {a.weight.shape[0]} -> in {b.weight.shape[1]}"
-                )
+            if a.weight.shape[:-1] != b.weight.shape[:-2] + b.weight.shape[-1:]:
+                raise ShapeError(f"layer dims do not chain: {a.weight.shape} -> {b.weight.shape}")
         for layer in layers[:-1]:
             if layer.activation == "softmax":
                 raise ValueError("softmax is only allowed as the final activation")
@@ -66,28 +61,41 @@ class DenseNet:
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].weight.shape[1]
+        return self.layers[0].weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].weight.shape[0]
+        return self.layers[-1].weight.shape[-2]
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         """Live (name, array) pairs in a stable order: w then b per layer."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.append((f"{prefix}l{i}.w", layer.weight))
-            out.append((f"{prefix}l{i}.b", layer.bias))
-        return out
+        return [pair for i, layer in enumerate(self.layers) for pair in
+                ((f"{prefix}l{i}.w", layer.weight), (f"{prefix}l{i}.b", layer.bias))]
 
 
-def dense_net(
-    rng: np.random.Generator,
-    dims: Sequence[int],
-    hidden_activation: str = "relu",
-    final_activation: str = "identity",
-    zero_final: bool = False,
-) -> DenseNet:
+def stack_nets(nets: Sequence[DenseNet]) -> DenseNet:
+    """One net whose layers stack the members' (copied in) on a new leading axis,
+    so they run as one batched matmul chain.  Each member layer is rebound to
+    its slice of the stack: a write through either side shows in both."""
+    shapes = [[(layer.weight.shape, layer.activation) for layer in n.layers] for n in nets]
+    if any(s != shapes[0] for s in shapes):
+        raise ShapeError("stacked nets must share layer shapes and activations")
+    stacked = DenseNet([DenseLayer(np.array([n.layers[i].weight for n in nets]),
+                                   np.array([n.layers[i].bias for n in nets]), layer.activation)
+                        for i, layer in enumerate(nets[0].layers)])
+    bind_members(stacked, nets)
+    return stacked
+
+
+def bind_members(stacked: DenseNet, nets: Sequence[DenseNet]) -> None:
+    """Rebind member k's layer arrays to slice k of the stacked net's arrays."""
+    for k, net in enumerate(nets):
+        for layer, whole in zip(net.layers, stacked.layers):
+            layer.weight, layer.bias = whole.weight[k], whole.bias[k]
+
+
+def dense_net(rng: np.random.Generator, dims: Sequence[int], hidden_activation: str = "relu",
+              final_activation: str = "identity", zero_final: bool = False) -> DenseNet:
     """Build a net with the given layer widths, e.g. dims=(4, 32, 32, 2)."""
     if len(dims) < 2:
         raise ShapeError("need at least an input and an output dimension")
@@ -95,10 +103,10 @@ def dense_net(
     for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
         last = i == len(dims) - 2
         w = glorot_uniform(rng, d_out, d_in)
-        b = np.zeros(d_out)
         if last and zero_final:
             w = np.zeros((d_out, d_in))
-        layers.append(DenseLayer(w, b, final_activation if last else hidden_activation))
+        layers.append(DenseLayer(w, np.zeros(d_out),
+                                 final_activation if last else hidden_activation))
     return DenseNet(layers)
 
 
@@ -109,26 +117,27 @@ def _softmax(pre: np.ndarray) -> np.ndarray:
 
 
 def _activate(name: str, pre: np.ndarray) -> np.ndarray:
+    """The activation of `pre`, computed in place where it can be."""
     if name == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=pre)
     if name == "tanh":
-        return np.tanh(pre)
+        return np.tanh(pre, out=pre)
     if name == "identity":
         return pre
     return _softmax(pre)
 
 
 def _forward_cached(net: DenseNet, x: np.ndarray):
-    """Forward pass keeping per-layer inputs, pre-activations and outputs.
-
-    Finiteness is checked once, at the output, which any NaN upstream reaches.
-    """
+    """Forward pass keeping each layer's input and output.  A stacked net
+    broadcasts x of shape (..., N, in) against its leading axes.  Finiteness
+    is checked once, at the output, which any NaN upstream reaches."""
     caches = []
     h = x
     for layer in net.layers:
-        pre = h @ layer.weight.T + layer.bias
+        pre = h @ layer.weight.swapaxes(-1, -2)
+        pre += layer.bias if layer.bias.ndim == 1 else layer.bias[..., None, :]
         out = _activate(layer.activation, pre)
-        caches.append((h, pre, out))
+        caches.append((h, out))
         h = out
     if not np.all(np.isfinite(h)):
         raise NumericError("non-finite net output")
@@ -144,36 +153,32 @@ def net_forward(net: DenseNet, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def net_backward(
-    net: DenseNet, x: np.ndarray, upstream: np.ndarray, caches: list | None = None
-) -> tuple[list[np.ndarray], np.ndarray]:
+def net_backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, caches: list | None = None
+                 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact reverse-mode gradients for the scalar loss implied by `upstream`.
 
     Returns (param_grads, input_grad) where param_grads follows the order of
-    ``net.parameters()`` (w then b per layer).  For batched inputs the
-    parameter gradients are summed over the batch.  `caches` are the
-    per-layer caches of a `_forward_cached` pass on `x`; without them the
-    forward pass is recomputed.
+    ``net.parameters()`` (w then b per layer), summed over the batch rows of
+    each stacked member.  `caches` are those of a `_forward_cached` pass on
+    `x`; without them the forward pass is recomputed.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     if x.shape[-1] != net.in_dim:
         raise ShapeError(f"input length {x.shape[-1]} != net in_dim {net.in_dim}")
-    if upstream.shape != x.shape[:-1] + (net.out_dim,):
-        raise ShapeError(
-            f"upstream shape {upstream.shape} does not match output shape"
-        )
     if caches is None:
         _, caches = _forward_cached(net, x)
-
+    if upstream.shape != caches[-1][1].shape:
+        raise ShapeError(f"upstream shape {upstream.shape} does not match output shape")
     grads: list[np.ndarray] = []
     delta = upstream
+    lead = net.layers[0].weight.ndim - 2
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
-        h_in, pre, out = caches[k]
+        h_in, out = caches[k]
         act = layer.activation
         if act == "relu":
-            dpre = delta * (pre > 0.0)
+            dpre = delta * (out > 0.0)
         elif act == "tanh":
             dpre = delta * (1.0 - out * out)
         elif act == "identity":
@@ -181,19 +186,17 @@ def net_backward(
         else:  # softmax
             inner = (delta * out).sum(axis=-1, keepdims=True)
             dpre = out * (delta - inner)
-        rows = dpre.reshape(-1, dpre.shape[-1])  # a single input is one row
-        grads.append(rows.sum(axis=0))
-        grads.append(rows.T @ h_in.reshape(-1, h_in.shape[-1]))
+        rows = dpre.reshape(dpre.shape[:lead] + (-1, dpre.shape[-1]))  # per member
+        grads.append(rows.sum(axis=-2))
+        grads.append(rows.swapaxes(-1, -2)
+                     @ h_in.reshape(h_in.shape[:lead] + (-1, h_in.shape[-1])))
         delta = dpre @ layer.weight
     grads.reverse()
     return grads, delta
 
 
-def finite_diff_grad(
-    loss_fn: Callable[[], float],
-    params: Sequence[np.ndarray],
-    epsilon: float = 1e-6,
-) -> list[np.ndarray]:
+def finite_diff_grad(loss_fn: Callable[[], float], params: Sequence[np.ndarray],
+                     epsilon: float = 1e-6) -> list[np.ndarray]:
     """Central-difference gradient of `loss_fn` w.r.t. arrays mutated in place.
 
     `loss_fn` must be deterministic and must read the live arrays in `params`.
@@ -205,8 +208,7 @@ def finite_diff_grad(
     grads = []
     for p in params:
         g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
+        flat_p, flat_g = p.reshape(-1), g.reshape(-1)
         for i in range(flat_p.size):
             orig = flat_p[i]
             flat_p[i] = orig + epsilon
@@ -230,14 +232,8 @@ class Adam:
     arithmetic, bit for bit.  State dicts hold per-array moments.
     """
 
-    def __init__(
-        self,
-        params: Sequence[np.ndarray],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[np.ndarray], learning_rate: float = 1e-3,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if learning_rate <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1):
             raise ValueError("learning rate and decay coefficients must be positive")
         self.learning_rate = learning_rate
@@ -257,12 +253,8 @@ class Adam:
         return [flat[a:b].reshape(s) for a, b, s in
                 zip(self.offsets, self.offsets[1:], self.shapes)]
 
-    def step(
-        self,
-        params: Sequence[np.ndarray],
-        grads: Sequence[np.ndarray],
-        names: Sequence[str] | None = None,
-    ) -> None:
+    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
+             names: Sequence[str] | None = None) -> None:
         """Apply one in-place update.  Deterministic given inputs."""
         if len(params) != len(self.shapes) or len(grads) != len(params):
             raise ShapeError("parameter/gradient count does not match optimizer slots")
@@ -294,22 +286,15 @@ class Adam:
             p -= update
 
     def state_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "step_count": self.step_count,
-            "m": [a.copy() for a in self._views(self._m)],
-            "v": [a.copy() for a in self._views(self._v)],
-        }
+        return {"learning_rate": self.learning_rate, "beta1": self.beta1, "beta2": self.beta2,
+                "eps": self.eps, "step_count": self.step_count,
+                "m": [a.copy() for a in self._views(self._m)],
+                "v": [a.copy() for a in self._views(self._v)]}
 
     def load_state_dict(self, state: dict) -> None:
         m, v = state["m"], state["v"]
-        self.learning_rate = float(state["learning_rate"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
+        self.learning_rate, self.beta1, self.beta2, self.eps = (
+            float(state[k]) for k in ("learning_rate", "beta1", "beta2", "eps"))
         self.step_count = int(state["step_count"])
         self._set_slots([np.shape(a) for a in m])
         if m:

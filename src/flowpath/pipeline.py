@@ -167,18 +167,22 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
     data = np.stack([s.observation for _, t in pool + train for s in t.states])
     rng = _stage_rng(cfg, STAGE_FLOW)
     model = build_model(cfg, rng)
-    rows = []
-    for name, flow in (("source", model.source_flow), ("target", model.target_flow)):
-        arrays = [a for _, a in flow.parameters()]
-        names = [n for n, _ in flow.parameters()]
-        opt = Adam(arrays, cfg.optimizer.learning_rate, cfg.optimizer.beta1,
-                   cfg.optimizer.beta2)
-        for step in range(cfg.flow.pretrain_steps):
-            idx = rng.integers(0, data.shape[0], size=cfg.flow.batch_size)
-            loss, grads = flow_nll(flow, data[idx])
-            opt.step(arrays, grads, names)
-            if step % 100 == 0 or step == cfg.flow.pretrain_steps - 1:
-                rows.append([name, step, loss])
+    steps, size = cfg.flow.pretrain_steps, cfg.flow.batch_size
+    # drawn in the sequential loop's order (all source batches, then all target
+    # batches), so each flow trains on the same batches as before
+    idx = np.array([rng.integers(0, data.shape[0], size=size)
+                    for _ in range(2 * steps)]).reshape(2, steps, size)
+    arrays = [a for _, a in model.flows.parameters()]
+    names = [n for n, _ in model.flows.parameters()]
+    opt = Adam(arrays, cfg.optimizer.learning_rate, cfg.optimizer.beta1,
+               cfg.optimizer.beta2)
+    losses = np.empty((2, steps))
+    for step in range(steps):
+        losses[:, step], grads = flow_nll(model.flows, data[idx[:, step]])
+        opt.step(arrays, grads, names)
+    rows = [[name, step, float(losses[f, step])]
+            for f, name in enumerate(("source", "target")) for step in range(steps)
+            if step % 100 == 0 or step == steps - 1]
     write_csv(out / "pretrain_metrics.csv", ["flow", "step", "nll"], rows)
     path = out / "flow.ckpt"
     save_checkpoint(path, Checkpoint(config=cfg, params=_model_groups(model),

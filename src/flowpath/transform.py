@@ -10,8 +10,9 @@ A pair model bundles two independent coupling stacks (source and target
 encoders) with one transform; the conditional likelihood of a target
 observation given a source observation and an action is the standard-normal
 density of the latent residual plus the target encoder's change-of-variables
-term.  Inference paths are read-only on parameters; training steps need
-exclusive access.
+term.  The two stacks are also held as one `FlowPair`, so training runs both
+encoders in one pass.  Inference paths are read-only on parameters;
+training steps need exclusive access.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import InsufficientDataError, NumericError, ShapeError, ValidationError
 from .flows import (
     BijectionStack,
+    FlowPair,
     flow_backward,
     flow_forward,
     flow_forward_cached,
@@ -218,6 +220,7 @@ class AgingModel:
         self.source_flow = source_flow
         self.target_flow = target_flow
         self.transform = transform
+        self.flows = FlowPair(source_flow, target_flow)
 
     @property
     def dim(self) -> int:
@@ -228,9 +231,11 @@ class AgingModel:
         return self.transform.n_actions
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        return (self.source_flow.parameters("source_flow.")
-                + self.target_flow.parameters("target_flow.")
-                + self.transform.parameters("transform."))
+        """What an optimizer steps: the flows' stacked arrays, then the transform's.
+
+        Checkpoints store each attribute's own `parameters()` instead.
+        """
+        return self.flows.parameters("flows.") + self.transform.parameters("transform.")
 
 
 def make_aging_model(rng: np.random.Generator, dim: int,
@@ -316,29 +321,26 @@ def pair_objective_and_grads(model: AgingModel, x_prev: np.ndarray, x_t: np.ndar
     if idx.size != n:
         raise ShapeError("one action per observation pair is required")
 
-    z_prev, _, prev_caches = flow_forward_cached(model.source_flow, xp)
-    z_t, logdet, t_caches = flow_forward_cached(model.target_flow, xt)
+    z, logdet, caches = flow_forward_cached(model.flows, np.stack([xp, xt]))
+    z_prev, z_t = z
     pred = transform_apply(model.transform, z_prev, idx)
     r = z_t - pred
-    loglik = standard_normal_loglik(r) + logdet
+    loglik = standard_normal_loglik(r) + logdet[1]
     bad = np.flatnonzero(~np.isfinite(loglik))
     if bad.size:
         raise NumericError(f"non-finite pair log-likelihood at sample {bad[0]}")
     loss = float(-loglik.mean())
 
     # d loss / d z_t = r / n ; d loss / d logdet = -1/n ; d loss / d pred = -r/n
-    dz_t = r / n
-    dlogdet = np.full(n, -1.0 / n)
-    target_grads, _ = flow_backward(model.target_flow, t_caches, dz_t, dlogdet)
     tr_grads, dz_prev = transform_backward(model.transform, z_prev, idx, -r / n)
-    source_grads, _ = flow_backward(model.source_flow, prev_caches, dz_prev,
-                                    np.zeros(n))
+    flow_grads, _ = flow_backward(model.flows, caches, np.stack([dz_prev, r / n]),
+                                  np.stack([np.zeros(n), np.full(n, -1.0 / n)]))
 
     if constraint_weight != 0.0:
         pen, dw_act = _penalty_and_grad(model.transform.w_act, idx, var_floor)
         loss -= constraint_weight * pen
         tr_grads[2] = tr_grads[2] - constraint_weight * dw_act
-    return loss, source_grads + target_grads + tr_grads
+    return loss, flow_grads + tr_grads
 
 
 def train_pair_step(model: AgingModel, optimizer: Adam, x_prev: np.ndarray,
@@ -346,9 +348,8 @@ def train_pair_step(model: AgingModel, optimizer: Adam, x_prev: np.ndarray,
     """One optimizer step on the pair objective; returns the loss before it."""
     loss, grads = pair_objective_and_grads(model, x_prev, x_t, actions,
                                            constraint_weight)
-    names = [n for n, _ in model.parameters()]
-    arrays = [a for _, a in model.parameters()]
-    optimizer.step(arrays, grads, names)
+    params = model.parameters()
+    optimizer.step([a for _, a in params], grads, [n for n, _ in params])
     return loss
 
 

@@ -191,10 +191,12 @@ def brute_force_optimal_path(dynamics: Dynamics, cost, start: State, target_age:
 
 def dp_optimal_path(dynamics: WorldDynamics, cost, start: State, target_age: int,
                     horizon_cap: int) -> AgingTrajectory:
-    """Independent shortest-path oracle on the (age x steps-left) DAG.
+    """Shortest-path oracle on the (age x steps-left) DAG.
 
-    Valid because the world's observation depends only on age.  Values are
-    (cost, action-suffix) pairs so the lexicographic tie-break matches the
+    It generates the demos and scores path recovery; `oracle-check` and the
+    tests compare it against `brute_force_optimal_path`.  Valid because the
+    world's observation depends only on age.  Values are (cost,
+    action-suffix) pairs so the lexicographic tie-break matches the
     brute-force enumeration exactly.
     """
     INF = (math.inf, ())
@@ -232,10 +234,10 @@ def generate_subject(config: WorldConfig, seed: int
                      ) -> tuple[SubjectArchetype, AgingTrajectory]:
     """One subject's archetype and its demonstration sequence.
 
-    The demo follows the ground-truth-optimal path from a random start age
-    over a span that is a multiple of the archetype's preferred step, with
-    observation noise added on top of the noise-free curve.  Reproducible
-    from (config, seed).
+    The demo follows the ground-truth-optimal path (`dp_optimal_path`) from
+    a random start age over a span that is a multiple of the archetype's
+    preferred step, with observation noise added on top of the noise-free
+    curve.  Reproducible from (config, seed).
     """
     rng = np.random.default_rng(seed)
     arch = make_archetype(config, seed)
@@ -255,8 +257,8 @@ def generate_subject(config: WorldConfig, seed: int
     def cost(state: State, action: int) -> float:
         return ground_truth_cost(state, action, arch, config)
 
-    optimal = brute_force_optimal_path(dyn, cost, dyn.state_at(start_age),
-                                       start_age + span, horizon_cap=max_steps)
+    optimal = dp_optimal_path(dyn, cost, dyn.state_at(start_age), start_age + span,
+                              horizon_cap=max_steps)
     states = []
     for s in optimal.states:
         obs = s.observation + config.noise * rng.standard_normal(config.dim)

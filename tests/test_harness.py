@@ -206,6 +206,14 @@ def test_evaluate_copied_run_directory(tiny_run, tmp_path):
             == (tiny_run["out"] / "evaluation.json").read_bytes())
 
 
+@pytest.mark.parametrize("option", [["--seed", "9"], ["--config", "run.json"]])
+def test_evaluate_rejects_seed_and_config(tmp_path, option, capsys):
+    # evaluate takes its config from the checkpoint, so these would be ignored
+    assert cli.main(["evaluate", "--out", str(tmp_path)] + option) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "evaluation.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
