@@ -57,6 +57,7 @@ from .irl import (
     make_cost_net,
     make_policy_net,
     multi_input_init,
+    plan_path_batch,
     plan_rollout,
     policy_update,
     sample_path_batch,

@@ -22,7 +22,7 @@ from .irl import (
     make_policy_net,
     partition_log_weights,
     path_energies,
-    plan_rollout,
+    plan_path_batch,
     sample_path_batch,
     weight_diagnostics,
 )
@@ -59,14 +59,19 @@ def regressor_mae(coeff: np.ndarray, states: list[State]) -> float:
 
 def synthesize_progressions(model: AgingModel, policy: PolicyNet,
                             trajs: list[AgingTrajectory]) -> list[State]:
-    """Progress each trajectory's first state to every later demo age."""
-    dyn = ModelDynamics(model)
+    """Progress each trajectory's first state to every later demo age.
+
+    Each trajectory is planned once, to its last demo age, in one lockstep
+    batch.  A greedy plan to an earlier age is a prefix of that path, so its
+    state is the first one on the path whose age reaches that age.
+    """
+    paths = plan_path_batch(policy, ModelDynamics(model), [t.states[0] for t in trajs],
+                            [t.states[-1].age for t in trajs])
     out: list[State] = []
-    for traj in trajs:
-        start = traj.states[0]
-        for target in [s.age for s in traj.states[1:]]:
-            _, states = plan_rollout(policy, dyn, start, target)
-            out.append(states[-1])
+    for i, traj in enumerate(trajs):
+        ages = paths.ages[i, :paths.lengths[i] + 1]
+        for t in np.searchsorted(ages, [s.age for s in traj.states[1:]]):
+            out.append(State(paths.observations[i, t], ages[t]))
     return out
 
 
@@ -94,16 +99,18 @@ def evaluate_age_fidelity(model: AgingModel, policy: PolicyNet,
 
 def path_recovery_report(model: AgingModel, policy: PolicyNet, config: WorldConfig,
                          heldout: list[tuple[int, AgingTrajectory]]) -> dict:
-    """Compare planned paths against the ground-truth-optimal oracle paths."""
-    dyn_model = ModelDynamics(model)
+    """Compare planned paths, all subjects in one lockstep batch, against the
+    ground-truth-optimal oracle paths."""
+    paths = plan_path_batch(policy, ModelDynamics(model), [t.states[0] for _, t in heldout],
+                            [t.states[-1].age for _, t in heldout])
     matches = 0
     per_class_actions: dict[int, list[int]] = {}
     details = []
-    for sid, traj in heldout:
+    for i, (sid, traj) in enumerate(heldout):
         arch = make_archetype(config, sid)
         start = traj.states[0]
         target = traj.states[-1].age
-        planned, _ = plan_rollout(policy, dyn_model, start, target)
+        planned = paths.actions[i, :paths.lengths[i]].tolist()
         world_dyn = WorldDynamics(config, arch)
 
         def cost(state: State, action: int, _arch=arch) -> float:

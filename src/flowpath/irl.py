@@ -17,8 +17,9 @@ from a single seed in index order), and makes one batched transition.
 Actions therefore do not depend on how the paths are split into batches or
 blocks; observations do only up to float rounding, because batched matrix
 products may round differently.  Energies, proposal densities and the cost
-gradient are each one net pass over all (row, step) pairs.  Cost and policy
-parameter updates require exclusive access.
+gradient are each one net pass over all (row, step) pairs.  Greedy planning
+also fills a `PathBatch` in lockstep.  Cost and policy parameter updates
+require exclusive access.
 """
 
 from __future__ import annotations
@@ -249,16 +250,11 @@ class PolicyNet:
             [state.observation, [_age_unit(state.age, self.age_low, self.age_high)]]
         )
 
-    def logits(self, feats: np.ndarray) -> np.ndarray:
-        return net_forward(self.net, feats)
-
     def probs(self, state: State) -> np.ndarray:
-        return _softmax_1d(self.logits(self.features(state)))
+        return _action_distribution(self, self.features(state)[None, :])[0][0]
 
     def log_probs(self, state: State) -> np.ndarray:
-        logit = self.logits(self.features(state))
-        shifted = logit - logit.max()
-        return shifted - math.log(np.exp(shifted).sum())
+        return _action_distribution(self, self.features(state)[None, :])[1][0]
 
     def entropy(self, state: State) -> float:
         logp = self.log_probs(state)
@@ -266,12 +262,6 @@ class PolicyNet:
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return self.net.parameters(prefix)
-
-
-def _softmax_1d(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def _policy_features(policy: PolicyNet, obs: np.ndarray, ages: np.ndarray) -> np.ndarray:
@@ -715,29 +705,52 @@ class IrlIterationError(RuntimeError):
 # Planning and multi-input initialization
 # ---------------------------------------------------------------------------
 
+def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[State],
+                    targets: Sequence[int]) -> PathBatch:
+    """Greedy argmax paths from every start until its age reaches its target.
+
+    Rows step in lockstep, with one policy pass and one batched transition
+    per step.  A row takes its most probable action, ties toward the smaller
+    index, with the same-age action 0 masked, so it overshoots its target by
+    less than the action count.  The choice depends on the state alone, so
+    the path to a target runs through the state every earlier target reaches.
+    """
+    if not starts:
+        raise ValidationError("need at least one start state")
+    targets = np.array([int(t) for t in targets], dtype=np.int64)
+    if targets.size != len(starts):
+        raise ShapeError("one target age per start state is required")
+    start_ages = np.array([s.age for s in starts], dtype=np.int64)
+    if np.any(targets < start_ages):
+        raise ValidationError("target age below start age (de-aging unsupported)")
+    m = len(starts)
+    # every planned action is at least 1: it bounds the steps and counts a row's length
+    width = int((targets - start_ages).max())
+    obs = np.zeros((m, width + 1, starts[0].observation.size))
+    ages = np.zeros((m, width + 1), dtype=np.int64)
+    actions = np.zeros((m, width), dtype=np.int64)
+    obs[:, 0] = np.stack([s.observation for s in starts])
+    ages[:, 0] = start_ages
+    live = np.flatnonzero(start_ages < targets)
+    x, age, t = obs[live, 0], start_ages[live], 0
+    while live.size:
+        probs, _ = _action_distribution(policy, _policy_features(policy, x, age))
+        chosen = probs[:, 1:].argmax(axis=1) + 1
+        x, age = _transition(dynamics, x, age, chosen), age + chosen
+        actions[live, t] = chosen
+        t += 1
+        obs[live, t], ages[live, t] = x, age
+        ahead = age < targets[live]
+        live, x, age = live[ahead], x[ahead], age[ahead]
+    return PathBatch(obs[:, :t + 1], ages[:, :t + 1], actions[:, :t],
+                     np.count_nonzero(actions[:, :t], axis=1), np.zeros(m))
+
+
 def plan_rollout(policy: PolicyNet, dynamics: Dynamics, start: State,
                  target_age: int) -> tuple[list[int], list[State]]:
-    """Greedy argmax rollout until the age reaches the target.
-
-    Ties break toward the smaller action index.  If the argmax is the
-    same-age action while the target is still ahead, it is masked and the
-    next-highest action is taken, which guarantees progress and termination
-    with overshoot strictly below the action count.
-    """
-    if target_age < start.age:
-        raise ValidationError("target age below start age (de-aging unsupported)")
-    states = [start]
-    actions: list[int] = []
-    while states[-1].age < target_age:
-        p = policy.probs(states[-1])
-        a = int(np.argmax(p))
-        if a == 0:
-            masked = p.copy()
-            masked[0] = -np.inf
-            a = int(np.argmax(masked))
-        actions.append(a)
-        states.append(dynamics.step(states[-1], a))
-    return actions, states
+    """`plan_path_batch` for one start: the greedy actions and visited states."""
+    path = plan_path_batch(policy, dynamics, [start], [target_age]).trajectories()[0]
+    return path.actions, path.states
 
 
 def split_age_gap(gap: int, max_step: int) -> list[int]:

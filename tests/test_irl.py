@@ -10,8 +10,10 @@ import pytest
 from flowpath.errors import (
     BudgetError,
     DegenerateWeightsError,
+    ShapeError,
     ValidationError,
 )
+from flowpath.evaluate import synthesize_progressions
 from flowpath.flows import flow_forward, flow_inverse
 from flowpath.irl import (
     AgingTrajectory,
@@ -32,6 +34,7 @@ from flowpath.irl import (
     partition_log_weights,
     path_energies,
     path_log_proposals,
+    plan_path_batch,
     plan_rollout,
     policy_update,
     rollout,
@@ -469,6 +472,78 @@ def test_plan_path_rejects_deaging():
     dyn = line_dynamics(n_actions=16)
     with pytest.raises(ValidationError):
         plan_rollout(policy, dyn, State(np.zeros(3), 30), 20)
+
+
+def reference_plan(policy, dyn, start, target):
+    """Plan one path alone: policy.probs, argmax with action 0 masked, dynamics.step."""
+    states, actions = [start], []
+    while states[-1].age < target:
+        p = policy.probs(states[-1])
+        a = int(np.argmax(p))
+        if a == 0:
+            masked = p.copy()
+            masked[0] = -np.inf
+            a = int(np.argmax(masked))
+        actions.append(a)
+        states.append(dyn.step(states[-1], a))
+    return actions, states
+
+
+@pytest.mark.parametrize("kind", ["model", "function"])
+def test_plan_path_batch_matches_row_by_row_reference(kind):
+    policy, dyn, _, base = engine_world(kind)
+    rows = [(0, 12), (0, 13), (0, 40), (0, 75), (1, 30), (1, 61), (2, 90)]
+    starts = [base[i] for i, _ in rows]
+    targets = [t for _, t in rows]
+    batch = plan_path_batch(policy, dyn, starts, targets)
+    assert len(batch) == len(rows)
+    assert batch.actions.shape[1] == batch.lengths.max()
+    assert batch.lengths[0] == 0
+    assert len(set(batch.lengths.tolist()) - {0}) >= 3
+    for i, (start, target) in enumerate(zip(starts, targets)):
+        actions, states = reference_plan(policy, dyn, start, target)
+        n = int(batch.lengths[i])
+        assert batch.actions[i, :n].tolist() == actions
+        assert batch.ages[i, :n + 1].tolist() == [s.age for s in states]
+        ref_obs = np.stack([s.observation for s in states])
+        assert np.abs(batch.observations[i, :n + 1] - ref_obs).max() < 1e-12
+        single = plan_path_batch(policy, dyn, [start], [target]).trajectories()[0]
+        planned, visited = plan_rollout(policy, dyn, start, target)
+        assert planned == single.actions == actions
+        assert [s.age for s in visited] == [s.age for s in single.states]
+        assert all(np.array_equal(a.observation, b.observation)
+                   for a, b in zip(visited, single.states))
+
+
+def test_plan_path_batch_rejects_bad_input():
+    policy = biased_policy(3, 16, favored=3)
+    dyn = line_dynamics(n_actions=16)
+    start = State(np.zeros(3), 30)
+    with pytest.raises(ValidationError):
+        plan_path_batch(policy, dyn, [], [])
+    with pytest.raises(ShapeError):
+        plan_path_batch(policy, dyn, [start, start], [40])
+    with pytest.raises(ValidationError, match="de-aging"):
+        plan_path_batch(policy, dyn, [start, start], [40, 20])
+
+
+def test_synthesize_progressions_reads_every_age_off_one_path():
+    model = multi_model(seed=41)
+    dyn = ModelDynamics(model)
+    rng = np.random.default_rng(42)
+    policy = make_policy_net(rng, dim=5, n_actions=16, age_low=0, age_high=100,
+                             uniform_init=False)
+    ages_per_traj = [[12, 12, 20, 33], [30], [47, 50, 50, 70], [20, 21]]
+    trajs = [AgingTrajectory([State(rng.standard_normal(5), a) for a in ages],
+                             [b - a for a, b in zip(ages, ages[1:])])
+             for ages in ages_per_traj]
+    synthesized = synthesize_progressions(model, policy, trajs)
+    reference = [reference_plan(policy, dyn, traj.states[0], s.age)[1][-1]
+                 for traj in trajs for s in traj.states[1:]]
+    assert len(synthesized) == len(reference) == 7
+    for got, ref in zip(synthesized, reference):
+        assert got.age == ref.age
+        assert np.abs(got.observation - ref.observation).max() < 1e-12
 
 
 def test_split_age_gap():

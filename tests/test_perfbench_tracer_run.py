@@ -2,6 +2,7 @@
 (for example `flow_nll`'s `xs`), so a traced fit cycle must still run."""
 
 import importlib.util
+import shutil
 import time
 from pathlib import Path
 
@@ -34,3 +35,23 @@ def test_traced_fit_stages_run_and_count_their_calls(tmp_path):
     assert metrics["flows.flow_nll.calls"] > 0
     assert metrics["transform.pair_objective_and_grads.calls"] > 0
     assert metrics["pipeline.stage_train_pairs.calls"] == 1
+
+
+def test_traced_evaluate_plans_in_one_batch(tiny_run, tmp_path):
+    """Evaluate plans every held-out subject in one `plan_path_batch`, so the
+    one traced `plan_rollout` is the `run_plan` request's."""
+    out = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], out)
+    cfg = tiny_config(str(out))
+    tracer = _load_tracer().Tracer(time.perf_counter)
+    with tracer:
+        tracer.begin_op()
+        pipeline.stage_evaluate(cfg)
+        tracer.begin_op()
+        response = pipeline.run_plan(str(out / "model.ckpt"),
+                                     pipeline.default_subject_inputs(cfg, 5, 18), 50)
+    metrics = tracer.layer_metrics()
+    assert metrics["irl.rollout.failed"] == 0
+    assert metrics["pipeline.stage_evaluate.calls"] == 1
+    assert metrics["irl.plan_rollout.calls"] == 1
+    assert metrics["irl.plan_rollout.steps"] == len(response["actions"]) > 0
