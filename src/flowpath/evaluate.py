@@ -67,12 +67,9 @@ def synthesize_progressions(model: AgingModel, policy: PolicyNet,
     """
     paths = plan_path_batch(policy, ModelDynamics(model), [t.states[0] for t in trajs],
                             [t.states[-1].age for t in trajs])
-    out: list[State] = []
-    for i, traj in enumerate(trajs):
-        ages = paths.ages[i, :paths.lengths[i] + 1]
-        for t in np.searchsorted(ages, [s.age for s in traj.states[1:]]):
-            out.append(State(paths.observations[i, t], ages[t]))
-    return out
+    return [State(paths.observations[i, t], paths.ages[i, t]) for i, traj in enumerate(trajs)
+            for t in np.searchsorted(paths.ages[i, :paths.lengths[i] + 1],
+                                     [s.age for s in traj.states[1:]])]
 
 
 def evaluate_age_fidelity(model: AgingModel, policy: PolicyNet,
@@ -108,15 +105,10 @@ def path_recovery_report(model: AgingModel, policy: PolicyNet, config: WorldConf
     details = []
     for i, (sid, traj) in enumerate(heldout):
         arch = make_archetype(config, sid)
-        start = traj.states[0]
-        target = traj.states[-1].age
         planned = paths.actions[i, :paths.lengths[i]].tolist()
         world_dyn = WorldDynamics(config, arch)
-
-        def cost(state: State, action: int, _arch=arch) -> float:
-            return ground_truth_cost(state, action, _arch, config)
-
-        optimal = dp_optimal_path(world_dyn, cost, world_dyn.state_at(start.age), target,
+        optimal = dp_optimal_path(world_dyn, lambda s, a: ground_truth_cost(s, a, arch, config),
+                                  world_dyn.state_at(traj.states[0].age), traj.states[-1].age,
                                   horizon_cap=config.horizon - 1)
         ok = planned == optimal.actions
         matches += ok

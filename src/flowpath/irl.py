@@ -250,11 +250,18 @@ class PolicyNet:
             [state.observation, [_age_unit(state.age, self.age_low, self.age_high)]]
         )
 
+    def logits(self, feats: np.ndarray) -> np.ndarray:
+        return net_forward(self.net, feats)
+
     def probs(self, state: State) -> np.ndarray:
-        return _action_distribution(self, self.features(state)[None, :])[0][0]
+        logit = self.logits(self.features(state))
+        e = np.exp(logit - logit.max())
+        return e / e.sum()
 
     def log_probs(self, state: State) -> np.ndarray:
-        return _action_distribution(self, self.features(state)[None, :])[1][0]
+        logit = self.logits(self.features(state))
+        shifted = logit - logit.max()
+        return shifted - math.log(np.exp(shifted).sum())
 
     def entropy(self, state: State) -> float:
         logp = self.log_probs(state)
@@ -709,11 +716,11 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[Stat
                     targets: Sequence[int]) -> PathBatch:
     """Greedy argmax paths from every start until its age reaches its target.
 
-    Rows step in lockstep, with one policy pass and one batched transition
-    per step.  A row takes its most probable action, ties toward the smaller
-    index, with the same-age action 0 masked, so it overshoots its target by
-    less than the action count.  The choice depends on the state alone, so
-    the path to a target runs through the state every earlier target reaches.
+    Rows step in lockstep: one policy pass and one batched transition per
+    step.  A row takes its most probable action (ties to the smaller index)
+    with the same-age action 0 masked, so it overshoots by less than the
+    action count.  The choice depends on the state alone, so the path to a
+    target runs through the state each earlier target reaches.
     """
     if not starts:
         raise ValidationError("need at least one start state")
@@ -734,14 +741,15 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[Stat
     live = np.flatnonzero(start_ages < targets)
     x, age, t = obs[live, 0], start_ages[live], 0
     while live.size:
+        rows = slice(None) if live.size == m else live  # basic indexing while all are live
         probs, _ = _action_distribution(policy, _policy_features(policy, x, age))
         chosen = probs[:, 1:].argmax(axis=1) + 1
         x, age = _transition(dynamics, x, age, chosen), age + chosen
-        actions[live, t] = chosen
         t += 1
-        obs[live, t], ages[live, t] = x, age
-        ahead = age < targets[live]
-        live, x, age = live[ahead], x[ahead], age[ahead]
+        actions[rows, t - 1], obs[rows, t], ages[rows, t] = chosen, x, age
+        ahead = age < targets[rows]
+        if not ahead.all():
+            live, x, age = live[ahead], x[ahead], age[ahead]
     return PathBatch(obs[:, :t + 1], ages[:, :t + 1], actions[:, :t],
                      np.count_nonzero(actions[:, :t], axis=1), np.zeros(m))
 
