@@ -67,9 +67,12 @@ def synthesize_progressions(model: AgingModel, policy: PolicyNet,
     """
     paths = plan_path_batch(policy, ModelDynamics(model), [t.states[0] for t in trajs],
                             [t.states[-1].age for t in trajs])
-    return [State(paths.observations[i, t], paths.ages[i, t]) for i, traj in enumerate(trajs)
-            for t in np.searchsorted(paths.ages[i, :paths.lengths[i] + 1],
-                                     [s.age for s in traj.states[1:]])]
+    out: list[State] = []
+    for i, traj in enumerate(trajs):
+        ages = paths.ages[i, :paths.lengths[i] + 1]
+        for t in np.searchsorted(ages, [s.age for s in traj.states[1:]]):
+            out.append(State(paths.observations[i, t], ages[t]))
+    return out
 
 
 def evaluate_age_fidelity(model: AgingModel, policy: PolicyNet,
