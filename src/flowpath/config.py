@@ -85,26 +85,39 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """A config from parsed JSON; a section that is not an object, or a value
+        whose type does not match its field, raises ValidationError naming it."""
+        if not isinstance(data, dict):
+            raise ValidationError("a config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         extra = set(data) - known
         if extra:
             raise ValidationError(f"unknown config sections: {sorted(extra)}")
 
-        def build(tp, section):
-            fields = {f.name for f in dataclasses.fields(tp)}
-            extra = set(section) - fields
+        def check(where, value, kind):
+            types = {"int": int, "float": (int, float), "str": str}[kind]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValidationError(f"config {where} must be {kind}, not {value!r}")
+            return value
+
+        def build(tp, name):
+            section = data.get(name, {})
+            if not isinstance(section, dict):
+                raise ValidationError(f"config section {name} must be a JSON object")
+            kinds = {f.name: f.type for f in dataclasses.fields(tp)}
+            extra = set(section) - set(kinds)
             if extra:
                 raise ValidationError(f"unknown config keys: {sorted(extra)}")
-            return tp(**section)
+            return tp(**{k: check(f"{name}.{k}", v, kinds[k]) for k, v in section.items()})
 
         return cls(
-            world=build(WorldConfig, data.get("world", {})),
-            flow=build(FlowSettings, data.get("flow", {})),
-            transform=build(TransformSettings, data.get("transform", {})),
-            irl=build(IrlSettings, data.get("irl", {})),
-            optimizer=build(OptimizerSettings, data.get("optimizer", {})),
-            seed=int(data.get("seed", 0)),
-            out_dir=str(data.get("out_dir", "runs/default")),
+            world=build(WorldConfig, "world"),
+            flow=build(FlowSettings, "flow"),
+            transform=build(TransformSettings, "transform"),
+            irl=build(IrlSettings, "irl"),
+            optimizer=build(OptimizerSettings, "optimizer"),
+            seed=check("seed", data.get("seed", 0), "int"),
+            out_dir=check("out_dir", data.get("out_dir", "runs/default"), "str"),
         )
 
     @classmethod

@@ -1,6 +1,8 @@
 """Held-out evaluation: path recovery, energy separation, and age fidelity.
 
-The age-fidelity report mirrors an age-estimation experiment: a simple
+Path recovery and age fidelity both read one `PathBatch` that the caller
+plans: each held-out subject greedily from its first state to its last demo
+age.  The age-fidelity report mirrors an age-estimation experiment: a simple
 regressor is fit on real observations only, then scored on real held-out
 states and on states synthesized at matching target ages.  The gap between
 the two MAEs measures whether synthesized observations are perceived to be
@@ -22,7 +24,6 @@ from .irl import (
     make_policy_net,
     partition_log_weights,
     path_energies,
-    plan_path_batch,
     sample_path_batch,
     weight_diagnostics,
 )
@@ -36,73 +37,67 @@ from .world import (
 )
 
 
-def _age_features(state: State) -> np.ndarray:
-    obs = state.observation
-    return np.concatenate([obs, obs * obs, [1.0]])
+def _stack(states: list[State]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([s.observation for s in states]), np.array([s.age for s in states], float)
 
 
-def fit_age_regressor(states: list[State]) -> np.ndarray:
-    """Least-squares readout from (obs, obs²) features to age."""
-    if len(states) < 2:
+def _age_features(obs: np.ndarray) -> np.ndarray:
+    return np.hstack([obs, obs * obs, np.ones((len(obs), 1))])
+
+
+def fit_age_regressor(obs: np.ndarray, ages: np.ndarray) -> np.ndarray:
+    """Least-squares readout from (obs, obs²) features of (N, D) observations to age."""
+    if len(ages) < 2:
         raise InsufficientDataError("age regressor needs at least 2 states")
-    feats = np.stack([_age_features(s) for s in states])
-    ages = np.array([float(s.age) for s in states])
-    coeff, *_ = np.linalg.lstsq(feats, ages, rcond=None)
+    coeff, *_ = np.linalg.lstsq(_age_features(obs), ages, rcond=None)
     return coeff
 
 
-def regressor_mae(coeff: np.ndarray, states: list[State]) -> float:
-    feats = np.stack([_age_features(s) for s in states])
-    ages = np.array([float(s.age) for s in states])
-    return float(np.abs(feats @ coeff - ages).mean())
+def regressor_mae(coeff: np.ndarray, obs: np.ndarray, ages: np.ndarray) -> float:
+    if len(ages) == 0:
+        raise InsufficientDataError("no states to score the age regressor on")
+    return float(np.abs(_age_features(obs) @ coeff - ages).mean())
 
 
-def synthesize_progressions(model: AgingModel, policy: PolicyNet,
-                            trajs: list[AgingTrajectory]) -> list[State]:
-    """Progress each trajectory's first state to every later demo age.
+def synthesize_progressions(paths: PathBatch, trajs: list[AgingTrajectory]
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """(K, D) observations and (K,) ages synthesized at every later demo age.
 
-    Each trajectory is planned once, to its last demo age, in one lockstep
-    batch.  A greedy plan to an earlier age is a prefix of that path, so its
-    state is the first one on the path whose age reaches that age.
-    """
-    paths = plan_path_batch(policy, ModelDynamics(model), [t.states[0] for t in trajs],
-                            [t.states[-1].age for t in trajs])
-    out: list[State] = []
+    Row i of `paths` plans trajs[i] to its last demo age.  A greedy plan to an
+    earlier age is a prefix of it, so it ends at the first state that reaches that age."""
+    rows, steps = [], []
     for i, traj in enumerate(trajs):
         ages = paths.ages[i, :paths.lengths[i] + 1]
-        for t in np.searchsorted(ages, [s.age for s in traj.states[1:]]):
-            out.append(State(paths.observations[i, t], ages[t]))
-    return out
+        later = np.searchsorted(ages, [s.age for s in traj.states[1:]]).tolist()
+        rows += [i] * len(later)
+        steps += later
+    return paths.observations[rows, steps], paths.ages[rows, steps].astype(float)
 
 
-def evaluate_age_fidelity(model: AgingModel, policy: PolicyNet,
-                          config: WorldConfig, train_states: list[State],
+def evaluate_age_fidelity(paths: PathBatch, config: WorldConfig, train_states: list[State],
                           heldout_trajs: list[AgingTrajectory]) -> dict:
-    """MAE of an age regressor on real vs synthesized held-out states."""
-    heldout_states = [s for t in heldout_trajs for s in t.states]
-    if not heldout_states:
-        raise InsufficientDataError("no held-out states to evaluate")
-    coeff = fit_age_regressor(train_states)
-    synth_states = synthesize_progressions(model, policy, heldout_trajs)
-    mae_train = regressor_mae(coeff, train_states)
-    mae_real = regressor_mae(coeff, heldout_states)
-    mae_synth = regressor_mae(coeff, synth_states)
+    """MAE of an age regressor on real vs synthesized held-out states; row i of
+    `paths` plans heldout_trajs[i] to its last demo age."""
+    train_obs, train_ages = _stack(train_states)
+    coeff = fit_age_regressor(train_obs, train_ages)
+    synth_obs, synth_ages = synthesize_progressions(paths, heldout_trajs)
+    mae_train = regressor_mae(coeff, train_obs, train_ages)
+    mae_real = regressor_mae(coeff, *_stack([s for t in heldout_trajs for s in t.states]))
+    mae_synth = regressor_mae(coeff, synth_obs, synth_ages)
     return {
         "mae_train": mae_train,
         "mae_real_heldout": mae_real,
         "mae_synth_heldout": mae_synth,
         "gap": mae_synth - mae_real,
         "normalized_gap": (mae_synth - mae_real) / config.age_span,
-        "n_synth_states": len(synth_states),
+        "n_synth_states": len(synth_ages),
     }
 
 
-def path_recovery_report(model: AgingModel, policy: PolicyNet, config: WorldConfig,
+def path_recovery_report(paths: PathBatch, config: WorldConfig,
                          heldout: list[tuple[int, AgingTrajectory]]) -> dict:
-    """Compare planned paths, all subjects in one lockstep batch, against the
-    ground-truth-optimal oracle paths."""
-    paths = plan_path_batch(policy, ModelDynamics(model), [t.states[0] for _, t in heldout],
-                            [t.states[-1].age for _, t in heldout])
+    """Compare planned paths with the ground-truth-optimal oracle paths; row i
+    of `paths` plans heldout[i] to its last demo age."""
     matches = 0
     per_class_actions: dict[int, list[int]] = {}
     details = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, group_from_model, load_checkpoint, restore_group, save_checkpoint
 from .config import RunConfig
-from .errors import CheckpointError, ValidationError
+from .errors import CheckpointError, InsufficientDataError, ValidationError
 from .evaluate import (
     energy_separation_report,
     evaluate_age_fidelity,
@@ -40,6 +40,7 @@ from .irl import (
     make_cost_net,
     make_policy_net,
     multi_input_init,
+    plan_path_batch,
     plan_rollout,
 )
 from .metrics import write_csv, write_json
@@ -337,21 +338,25 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
 # ---------------------------------------------------------------------------
 
 def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
-    """Sequence files and evaluation.json live under `cfg.out_dir`, not the checkpoint's."""
+    """Both held-out reports read one greedy plan of each held-out subject to its last demo
+    age.  Sequence files and evaluation.json live under `cfg.out_dir`, not the checkpoint's."""
     out = Path(cfg.out_dir)
     ckpt = load_checkpoint(checkpoint_path or out / "model.ckpt")
     cfg = ckpt.config
     cfg.out_dir = str(out)
     train = _load_sequences(cfg, TRAIN_FILE)
     heldout = _load_sequences(cfg, HELDOUT_FILE)
+    if not heldout:
+        raise InsufficientDataError("no held-out states to evaluate")
     model = model_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
     cost = cost_from_checkpoint(ckpt)
 
-    train_states = [s for _, t in train for s in t.states]
-    fidelity = evaluate_age_fidelity(model, policy, cfg.world, train_states,
+    paths = plan_path_batch(policy, ModelDynamics(model), [t.states[0] for _, t in heldout],
+                            [t.states[-1].age for _, t in heldout])
+    fidelity = evaluate_age_fidelity(paths, cfg.world, [s for _, t in train for s in t.states],
                                      [t for _, t in heldout])
-    recovery = path_recovery_report(model, policy, cfg.world, heldout)
+    recovery = path_recovery_report(paths, cfg.world, heldout)
     report = {"fidelity": fidelity,
               "path_recovery": {k: v for k, v in recovery.items() if k != "subjects"},
               "subjects": recovery["subjects"]}

@@ -48,6 +48,8 @@ class WorldConfig:
             raise ValidationError("noise level must be >= 0")
         if self.n_actions < 2:
             raise ValidationError("need at least 2 actions")
+        if self.train_subjects < 1 or self.heldout_subjects < 1:
+            raise ValidationError("train_subjects and heldout_subjects must be >= 1")
 
     @property
     def age_span(self) -> int:

@@ -311,6 +311,7 @@ def test_cli_gradcheck_and_oracle_check(capsys):
 def test_age_fidelity_needs_heldout_data(tiny_run):
     from flowpath.evaluate import evaluate_age_fidelity
     from flowpath.errors import InsufficientDataError
+    from flowpath.irl import ModelDynamics, plan_path_batch
     from flowpath.pipeline import model_from_checkpoint, policy_from_checkpoint
 
     ckpt = load_checkpoint(tiny_run["out"] / "model.ckpt")
@@ -320,8 +321,40 @@ def test_age_fidelity_needs_heldout_data(tiny_run):
 
     train = read_sequences(tiny_run["out"] / "train_sequences.jsonl")
     train_states = [s for _, t in train for s in t.states]
+    first = train[0][1]
+    paths = plan_path_batch(policy, ModelDynamics(model), [first.states[0]],
+                            [first.states[-1].age])
     with pytest.raises(InsufficientDataError):
-        evaluate_age_fidelity(model, policy, ckpt.config.world, train_states, [])
+        evaluate_age_fidelity(paths, ckpt.config.world, train_states, [])
+
+
+def test_evaluate_plans_heldout_once(tiny_run, monkeypatch):
+    import sys
+    from flowpath import irl
+
+    original, calls = irl.plan_path_batch, []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flowpath") and getattr(module, "plan_path_batch", None) is original:
+            monkeypatch.setattr(module, "plan_path_batch", counting)
+    stage_evaluate(tiny_run["cfg"])
+    assert calls == [tiny_run["cfg"].world.heldout_subjects]
+
+
+def test_evaluate_empty_heldout_file_exits_1(tiny_run, tmp_path, capsys):
+    copy = tmp_path / "copied_run"
+    shutil.copytree(tiny_run["out"], copy)
+    (copy / "heldout_sequences.jsonl").write_text("")
+    (copy / "evaluation.json").unlink(missing_ok=True)
+    assert cli.main(["evaluate", "--out", str(copy)]) == 1
+    err = capsys.readouterr().err
+    assert "no held-out states" in err and "start state" not in err
+    assert "Traceback" not in err
+    assert not (copy / "evaluation.json").exists()
 
 
 def test_aborted_irl_leaves_resumable_checkpoint_and_metrics(tmp_path):
@@ -348,6 +381,30 @@ def test_aborted_irl_leaves_resumable_checkpoint_and_metrics(tmp_path):
 def test_config_rejects_unknown_sections():
     with pytest.raises(ValidationError, match="sections"):
         RunConfig.from_dict({"wrold": {"dim": 4}})
+
+
+@pytest.mark.parametrize("text, key", [
+    ('[]', "JSON object"),
+    ('{"world": 5}', "world"),
+    ('{"world": {"dim": "x"}}', "world.dim"),
+    ('{"world": {"dim": 4.5}}', "world.dim"),
+    ('{"seed": 1.7}', "seed"),
+    ('{"flow": {"units": true}}', "flow.units"),
+    ('{"out_dir": 3}', "out_dir"),
+    ('{"world": {"train_subjects": 0}}', "train_subjects"),
+    ('{"world": {"heldout_subjects": 0}}', "heldout_subjects"),
+])
+def test_cli_malformed_config_exits_1(tmp_path, capsys, text, key):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["gen-data", "--config", str(path), "--out", str(tmp_path / "w")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "w").exists()
+
+
+def test_config_float_field_takes_an_integer():
+    assert RunConfig.from_dict({"flow": {"clamp": 2}}).flow.clamp == 2
 
 
 def test_restore_group_errors(tmp_path):
@@ -433,6 +490,14 @@ def test_cli_checkpoint_non_utf8_section_name_exits_2(tmp_path, capsys):
                                 for n, p in secs])
     assert _plan_exit_code(path) == 2
     assert "UTF-8" in capsys.readouterr().err
+
+
+def test_cli_checkpoint_mistyped_config_exits_2(tmp_path, capsys):
+    path = _rewritten_checkpoint(
+        tmp_path, lambda secs: [(n, b'{"world": {"dim": "x"}}' if n == b"config" else p)
+                                for n, p in secs])
+    assert _plan_exit_code(path) == 2
+    assert "world.dim" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", [b"config", b"meta", b"rng", b"optmeta/group_a"])

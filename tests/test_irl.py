@@ -537,13 +537,15 @@ def test_synthesize_progressions_reads_every_age_off_one_path():
     trajs = [AgingTrajectory([State(rng.standard_normal(5), a) for a in ages],
                              [b - a for a, b in zip(ages, ages[1:])])
              for ages in ages_per_traj]
-    synthesized = synthesize_progressions(model, policy, trajs)
+    paths = plan_path_batch(policy, dyn, [t.states[0] for t in trajs],
+                            [t.states[-1].age for t in trajs])
+    obs, ages = synthesize_progressions(paths, trajs)
     reference = [reference_plan(policy, dyn, traj.states[0], s.age)[1][-1]
                  for traj in trajs for s in traj.states[1:]]
-    assert len(synthesized) == len(reference) == 7
-    for got, ref in zip(synthesized, reference):
-        assert got.age == ref.age
-        assert np.abs(got.observation - ref.observation).max() < 1e-12
+    assert len(ages) == len(obs) == len(reference) == 7
+    for got_obs, got_age, ref in zip(obs, ages, reference):
+        assert got_age == ref.age
+        assert np.abs(got_obs - ref.observation).max() < 1e-12
 
 
 def test_split_age_gap():
