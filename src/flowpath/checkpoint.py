@@ -8,6 +8,7 @@ be rebuilt byte-for-byte: loading then saving produces identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -87,8 +88,11 @@ def _unpack_arrays(payload: bytes) -> list[tuple[str, np.ndarray]]:
         name = _text(r.take(r.u32()), "array name")
         ndim = r.u32()
         shape = tuple(r.u64() for _ in range(ndim))
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(8 * n), dtype="<f8").reshape(shape).copy()
+        data = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            arr = data.reshape(shape).copy()
+        except ValueError as exc:
+            raise CheckpointError(f"array {name} has a corrupt shape {shape}") from exc
         out.append((name, arr))
     if not r.exhausted:
         raise CheckpointError("trailing bytes in a parameter section")

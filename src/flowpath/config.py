@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -86,7 +87,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """A config from parsed JSON; a section that is not an object, or a value
-        whose type does not match its field, raises ValidationError naming it."""
+        whose type does not match its field or that is not finite, raises
+        ValidationError naming it."""
         if not isinstance(data, dict):
             raise ValidationError("a config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
@@ -98,6 +100,8 @@ class RunConfig:
             types = {"int": int, "float": (int, float), "str": str}[kind]
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ValidationError(f"config {where} must be {kind}, not {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"config {where} must be finite, not {value!r}")
             return value
 
         def build(tp, name):

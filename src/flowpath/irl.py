@@ -591,8 +591,6 @@ def policy_update(policy: PolicyNet, cost, dynamics: Dynamics,
     rollout accumulated), and the batch-mean return is subtracted as the
     baseline.  Returns the mean policy entropy over the last batch's states.
     """
-    names = [n for n, _ in policy.parameters()]
-    arrays = [a for _, a in policy.parameters()]
     streams = np.random.SeedSequence(seed).spawn(n_steps)
     # states the entropy is reported on: the last batch's, or the starts
     visited = (np.stack([s.observation for s in starts]),
@@ -610,7 +608,7 @@ def policy_update(policy: PolicyNet, cost, dynamics: Dynamics,
         upstream = -probs * coeffs[:, None]
         upstream[np.arange(rows.size), batch.actions[rows, steps]] += coeffs
         grads, _ = net_backward(policy.net, feats, upstream)
-        optimizer.step(arrays, grads, names)
+        optimizer.step(grads)
     pmat, _ = _action_distribution(policy, _policy_features(policy, *visited))
     return float(-(pmat * np.log(np.maximum(pmat, 1e-300))).sum(axis=1).mean())
 
@@ -656,8 +654,6 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
     demo_paths = PathBatch.from_trajectories(list(demos), cost.n_actions)
     starts = [d.states[0] for d in demos]
     horizons = [max(1, d.horizon) for d in demos]
-    names = [n for n, _ in cost.parameters()]
-    arrays = [a for _, a in cost.parameters()]
     history: list[IterationMetrics] = []
 
     for k in range(start_iteration, outer_iters):
@@ -678,7 +674,7 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
                 mixed = pool.take(np.concatenate([d_idx, len(demos) + s_idx]))
                 loss, grads = irl_loss_and_grad(cost, pool.take(d_idx), mixed)
                 loglik_sum += loss
-                cost_optimizer.step(arrays, [-g for g in grads], names)
+                cost_optimizer.step([-g for g in grads])
             pol_seed = int(rng.integers(0, 2**63 - 1))
             entropy = policy_update(policy, cost, dynamics, starts, horizons,
                                     policy_optimizer, policy_rollouts, policy_steps,

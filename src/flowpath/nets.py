@@ -11,13 +11,12 @@ workers is safe; `Adam.step` mutates in place and needs exclusive access.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import CheckpointError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh", "identity", "softmax")
 
@@ -226,13 +225,14 @@ def finite_diff_grad(loss_fn: Callable[[], float], params: Sequence[np.ndarray],
 class Adam:
     """Adaptive first-order optimizer with bias-corrected moments.
 
-    The moments are flat float64 vectors, one slot per parameter array, and
-    a step is a few in-place ufuncs over them, the concatenated gradient and
-    one scratch vector.  Each element sees the per-array textbook
-    arithmetic, bit for bit.  State dicts hold per-array moments.
+    It binds once to the (name, array) pairs of a `parameters()` call, and
+    `step(grads)` updates those arrays in place: a few in-place ufuncs over
+    the flat float64 moments, the concatenated gradient and one scratch
+    vector, bit for bit the per-array textbook arithmetic.  State dicts hold
+    per-array moments and load only into arrays of the bound shapes.
     """
 
-    def __init__(self, params: Sequence[np.ndarray], learning_rate: float = 1e-3,
+    def __init__(self, parameters: Sequence[tuple[str, np.ndarray]], learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if learning_rate <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1):
             raise ValueError("learning rate and decay coefficients must be positive")
@@ -241,33 +241,32 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._set_slots([np.shape(p) for p in params])
-
-    def _set_slots(self, shapes: Sequence[tuple[int, ...]]) -> None:
-        """Lay out one flat slot per array shape, with zero moments."""
-        self.shapes = [tuple(s) for s in shapes]
-        self.offsets = np.cumsum([0] + [math.prod(s) for s in self.shapes])
+        self.names = [name for name, _ in parameters]
+        self.params = [arr for _, arr in parameters]
+        self.offsets = np.cumsum([0] + [p.size for p in self.params])
         self._m, self._v = np.zeros((2, int(self.offsets[-1])))
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        return [flat[a:b].reshape(s) for a, b, s in
-                zip(self.offsets, self.offsets[1:], self.shapes)]
+        return [flat[a:b].reshape(p.shape) for a, b, p in
+                zip(self.offsets, self.offsets[1:], self.params)]
 
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray],
-             names: Sequence[str] | None = None) -> None:
+    def _check_fit(self, arrays: Sequence[np.ndarray], what: str, error: type) -> None:
+        """Raise `error` unless `arrays` match the bound shapes, naming the first misfit."""
+        if len(arrays) != len(self.params):
+            raise error(f"{len(arrays)} {what}s for {len(self.params)} parameters")
+        for name, p, a in zip(self.names, self.params, arrays):
+            if a.shape != p.shape:
+                raise error(f"{what} for {name} has shape {a.shape}, not {p.shape}")
+
+    def step(self, grads: Sequence[np.ndarray]) -> None:
         """Apply one in-place update.  Deterministic given inputs."""
-        if len(params) != len(self.shapes) or len(grads) != len(params):
-            raise ShapeError("parameter/gradient count does not match optimizer slots")
-        label = (lambda i: names[i]) if names is not None else (lambda i: f"param[{i}]")
-        for i, (p, g, shape) in enumerate(zip(params, grads, self.shapes)):
-            if p.shape != g.shape or p.shape != shape:
-                raise ShapeError(f"shape mismatch for {label(i)}: {p.shape} vs {g.shape}")
+        self._check_fit(grads, "gradient", ShapeError)
         g = np.concatenate(grads, axis=None, dtype=np.float64) if grads else np.zeros(0)
         s = np.empty_like(g)
         finite = np.isfinite(g)
         if not finite.all():
             slot = np.searchsorted(self.offsets, np.argmin(finite), side="right") - 1
-            raise NumericError(f"non-finite gradient for {label(int(slot))}")
+            raise NumericError(f"non-finite gradient for {self.names[slot]}")
         self.step_count += 1
         t = self.step_count
         # m = beta1*m + (1-beta1)*g ; v = beta2*v + ((1-beta2)*g)*g
@@ -282,7 +281,7 @@ class Adam:
         np.divide(self._m, 1.0 - self.beta1**t, out=g)
         g *= self.learning_rate
         g /= s
-        for p, update in zip(params, self._views(g)):
+        for p, update in zip(self.params, self._views(g)):
             p -= update
 
     def state_dict(self) -> dict:
@@ -292,12 +291,11 @@ class Adam:
                 "v": [a.copy() for a in self._views(self._v)]}
 
     def load_state_dict(self, state: dict) -> None:
-        m, v = state["m"], state["v"]
+        for key in ("m", "v"):
+            self._check_fit(state[key], f"stored {key} moment", CheckpointError)
         self.learning_rate, self.beta1, self.beta2, self.eps = (
             float(state[k]) for k in ("learning_rate", "beta1", "beta2", "eps"))
         self.step_count = int(state["step_count"])
-        self._set_slots([np.shape(a) for a in m])
-        if m:
-            np.concatenate(m, axis=None, out=self._m)
-            np.concatenate(v, axis=None, out=self._v)
-
+        if self.params:
+            np.concatenate(state["m"], axis=None, out=self._m)
+            np.concatenate(state["v"], axis=None, out=self._v)

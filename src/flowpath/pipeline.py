@@ -173,14 +173,12 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
     # batches), so each flow trains on the same batches as before
     idx = np.array([rng.integers(0, data.shape[0], size=size)
                     for _ in range(2 * steps)]).reshape(2, steps, size)
-    arrays = [a for _, a in model.flows.parameters()]
-    names = [n for n, _ in model.flows.parameters()]
-    opt = Adam(arrays, cfg.optimizer.learning_rate, cfg.optimizer.beta1,
+    opt = Adam(model.flows.parameters(), cfg.optimizer.learning_rate, cfg.optimizer.beta1,
                cfg.optimizer.beta2)
     losses = np.empty((2, steps))
     for step in range(steps):
         losses[:, step], grads = flow_nll(model.flows, data[idx[:, step]])
-        opt.step(arrays, grads, names)
+        opt.step(grads)
     rows = [[name, step, float(losses[f, step])]
             for f, name in enumerate(("source", "target")) for step in range(steps)
             if step % 100 == 0 or step == steps - 1]
@@ -230,8 +228,7 @@ def stage_train_pairs(cfg: RunConfig) -> Path:
                                cfg.world.n_actions)
     hxp, hxt, hacts = build_pairs([t for _, t in heldout], cfg.world.n_actions)
 
-    arrays = [a for _, a in model.parameters()]
-    opt = Adam(arrays, cfg.optimizer.learning_rate, cfg.optimizer.beta1,
+    opt = Adam(model.parameters(), cfg.optimizer.learning_rate, cfg.optimizer.beta1,
                cfg.optimizer.beta2)
     rows = []
     for step in range(cfg.transform.train_steps):
@@ -275,7 +272,7 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
     nets = {name: _make_irl_net(make, cfg, init_rng)
             for name, make in (("cost", make_cost_net), ("policy", make_policy_net))}
     rates = {"cost": cfg.irl.cost_learning_rate, "policy": cfg.irl.policy_learning_rate}
-    opts = {name: Adam([a for _, a in net.parameters()], rates[name],
+    opts = {name: Adam(net.parameters(f"{name}."), rates[name],
                        cfg.optimizer.beta1, cfg.optimizer.beta2)
             for name, net in nets.items()}
     start_iteration, history = 0, []

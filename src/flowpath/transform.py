@@ -348,8 +348,7 @@ def train_pair_step(model: AgingModel, optimizer: Adam, x_prev: np.ndarray,
     """One optimizer step on the pair objective; returns the loss before it."""
     loss, grads = pair_objective_and_grads(model, x_prev, x_t, actions,
                                            constraint_weight)
-    params = model.parameters()
-    optimizer.step([a for _, a in params], grads, [n for n, _ in params])
+    optimizer.step(grads)
     return loss
 
 

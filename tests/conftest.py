@@ -49,16 +49,14 @@ def trained_bimodal_flow():
     flow = make_flow(rng, dim=2, n_units=6, hidden=16)
     data = bimodal_samples(rng, 4096)
     heldout = bimodal_samples(rng, 1024)
-    arrays = [a for _, a in flow.parameters()]
-    names = [n for n, _ in flow.parameters()]
-    opt = Adam(arrays, 1e-3)
+    opt = Adam(flow.parameters(), 1e-3)
     from flowpath.flows import flow_nll_value
 
     initial = flow_nll_value(flow, heldout)
     for _ in range(2000):
         idx = rng.integers(0, data.shape[0], size=64)
         _, grads = flow_nll(flow, data[idx])
-        opt.step(arrays, grads, names)
+        opt.step(grads)
     return flow, heldout, initial
 
 
@@ -79,21 +77,18 @@ def small_pair_model():
     model = make_aging_model(rng, dim=cfg.dim, n_actions=cfg.n_actions,
                              flow_units=6, hidden=24, factors=16)
     for flow in (model.source_flow, model.target_flow):
-        arrays = [a for _, a in flow.parameters()]
-        names = [n for n, _ in flow.parameters()]
-        opt = Adam(arrays, 1e-3)
+        opt = Adam(flow.parameters(), 1e-3)
         for _ in range(800):
             idx = rng.integers(0, data.shape[0], size=64)
             _, grads = flow_nll(flow, data[idx])
-            opt.step(arrays, grads, names)
+            opt.step(grads)
 
     xp, xt, acts = build_pairs(pool + train, cfg.n_actions)
     hxp, hxt, hacts = build_pairs(heldout, cfg.n_actions)
     from flowpath.transform import pair_loglik
 
     initial_heldout_nll = float(-np.mean(pair_loglik(model, hxp, hxt, hacts)))
-    arrays = [a for _, a in model.parameters()]
-    opt = Adam(arrays, 1e-3)
+    opt = Adam(model.parameters(), 1e-3)
     for _ in range(3000):
         idx = rng.integers(0, xp.shape[0], size=64)
         train_pair_step(model, opt, xp[idx], xt[idx], acts[idx], 0.001)

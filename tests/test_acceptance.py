@@ -168,7 +168,7 @@ def test_c06_max_entropy_bandit_recovery():
     table = np.array([1.0, 0.0, 1.0, 1.0])
     policy = make_policy_net(np.random.default_rng(42), dim=3, n_actions=4,
                              age_low=0, age_high=10, uniform_init=False)
-    opt = Adam([a for _, a in policy.parameters()], 0.05)
+    opt = Adam(policy.parameters(), 0.05)
     for it in range(50):
         policy_update(policy, lambda s, a: float(table[a]), dyn, [start], [1],
                       opt, n_rollouts=128, n_steps=5, seed=1000 + it)
@@ -184,7 +184,7 @@ def test_c06_max_entropy_bandit_recovery():
                                age_low=0, age_high=10, uniform_init=False)
     for _, arr in policy16.parameters():
         arr += 0.3 * np.random.default_rng(6).standard_normal(arr.shape)
-    opt16 = Adam([a for _, a in policy16.parameters()], 0.05)
+    opt16 = Adam(policy16.parameters(), 0.05)
     for it in range(60):
         policy_update(policy16, lambda s, a: 0.0, dyn16, [start], [1], opt16,
                       n_rollouts=256, n_steps=2, seed=2000 + it)

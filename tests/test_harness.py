@@ -393,6 +393,10 @@ def test_config_rejects_unknown_sections():
     ('{"out_dir": 3}', "out_dir"),
     ('{"world": {"train_subjects": 0}}', "train_subjects"),
     ('{"world": {"heldout_subjects": 0}}', "heldout_subjects"),
+    ('{"world": {"noise": NaN}}', "world.noise"),
+    ('{"irl": {"cost_learning_rate": Infinity}}', "irl.cost_learning_rate"),
+    ('{"flow": {"clamp": Infinity}}', "flow.clamp"),
+    ('{"optimizer": {"beta1": -Infinity}}', "optimizer.beta1"),
 ])
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text, key):
     path = tmp_path / "bad.json"
@@ -498,6 +502,19 @@ def test_cli_checkpoint_mistyped_config_exits_2(tmp_path, capsys):
                                 for n, p in secs])
     assert _plan_exit_code(path) == 2
     assert "world.dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [(2**62, 2**62), (0, 2**63)])
+def test_checkpoint_corrupt_array_shape_exits_2(tmp_path, capsys, shape):
+    header = struct.pack("<II", 1, 1) + b"v" + struct.pack("<I", len(shape)) + \
+        struct.pack(f"<{len(shape)}Q", *shape)
+    path = _rewritten_checkpoint(
+        tmp_path, lambda secs: [(n, header if n == b"params/group_b" else p)
+                                for n, p in secs])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert _plan_exit_code(path) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", [b"config", b"meta", b"rng", b"optmeta/group_a"])
@@ -616,6 +633,24 @@ def test_resume_from_final_boundary_rewrites_same_model(tiny_run, tmp_path):
     metrics = read_csv_without_columns(run / "metrics.csv", {"wall_seconds"})
     assert metrics == read_csv_without_columns(tiny_run["out"] / "metrics.csv",
                                                {"wall_seconds"})
+
+
+def test_cli_resume_rejects_misshaped_optimizer_moments(tiny_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("train_sequences.jsonl", "model.ckpt"):
+        shutil.copy(tiny_run["out"] / name, run / name)
+    ckpt = load_checkpoint(run / "model.ckpt")
+    for key in ("m", "v"):
+        moments = ckpt.opt_states["cost"][key]
+        moments[0] = moments[0].reshape(-1)
+    save_checkpoint(run / "reshaped.ckpt", ckpt)
+    before = sorted(p.name for p in run.iterdir())
+    assert cli.main(["train-irl", "--seed", "3", "--out", str(run),
+                     "--resume", str(run / "reshaped.ckpt")]) == 2
+    assert "cost.l0.w" in capsys.readouterr().err
+    assert (run / "model.ckpt").read_bytes() == (tiny_run["out"] / "model.ckpt").read_bytes()
+    assert sorted(p.name for p in run.iterdir()) == before
 
 
 def test_cli_resume_from_non_irl_checkpoint_exits_2(tiny_run, capsys):

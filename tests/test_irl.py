@@ -331,7 +331,7 @@ def test_policy_update_recovers_gibbs_on_bandit():
     dyn, start, cost, table = bandit_setup()
     policy = make_policy_net(np.random.default_rng(42), dim=3, n_actions=4,
                              age_low=0, age_high=10, uniform_init=False)
-    opt = Adam([a for _, a in policy.parameters()], 0.05)
+    opt = Adam(policy.parameters(), 0.05)
     for it in range(50):
         policy_update(policy, cost, dyn, [start], [1], opt, n_rollouts=128,
                       n_steps=5, seed=1000 + it)
@@ -349,7 +349,7 @@ def test_policy_update_zero_cost_drives_to_uniform():
                              uniform_init=False)
     for _, arr in policy.parameters():
         arr += 0.3 * np.random.default_rng(6).standard_normal(arr.shape)
-    opt = Adam([a for _, a in policy.parameters()], 0.05)
+    opt = Adam(policy.parameters(), 0.05)
     entropies = [policy.entropy(start)]
     for it in range(60):
         policy_update(policy, lambda s, a: 0.0, dyn, [start], [1], opt,
@@ -375,7 +375,7 @@ def test_policy_update_objective_decreases_in_most_trials():
         policy = make_policy_net(np.random.default_rng(100 + trial), dim=3,
                                  n_actions=4, age_low=0, age_high=10,
                                  uniform_init=False)
-        opt = Adam([a for _, a in policy.parameters()], 0.05)
+        opt = Adam(policy.parameters(), 0.05)
         before = policy_objective(policy, cost, dyn, start, seed=trial)
         policy_update(policy, cost, dyn, [start], [1], opt, n_rollouts=128,
                       n_steps=5, seed=50 + trial)
@@ -395,8 +395,8 @@ def test_learn_zero_iterations_is_noop():
     history = learn_aging_policy(
         demos, cost, policy, dyn, outer_iters=0, inner_iters=3, sample_paths=4,
         demo_batch=1, sample_batch=2, policy_rollouts=4, policy_steps=2,
-        cost_optimizer=Adam([a for _, a in cost.parameters()]),
-        policy_optimizer=Adam([a for _, a in policy.parameters()]),
+        cost_optimizer=Adam(cost.parameters()),
+        policy_optimizer=Adam(policy.parameters()),
         rng=np.random.default_rng(1))
     assert history == []
     for before, (_, after) in zip(cost_before, cost.parameters()):
@@ -418,8 +418,8 @@ def test_learn_separates_demo_energy_on_toy_world():
     history = learn_aging_policy(
         demos, cost, policy, dyn, outer_iters=8, inner_iters=15, sample_paths=12,
         demo_batch=6, sample_batch=10, policy_rollouts=32, policy_steps=5,
-        cost_optimizer=Adam([a for _, a in cost.parameters()], 2e-3),
-        policy_optimizer=Adam([a for _, a in policy.parameters()], 0.05),
+        cost_optimizer=Adam(cost.parameters(), 2e-3),
+        policy_optimizer=Adam(policy.parameters(), 0.05),
         rng=np.random.default_rng(3))
     assert len(history) == 8
     uniform = make_policy_net(np.random.default_rng(0), dim=3, n_actions=4,
@@ -626,8 +626,8 @@ def test_learn_wraps_inner_errors_with_iteration_index():
             sample_paths=2, demo_batch=1, sample_batch=1,
             policy_rollouts=0,  # invalid: rollout sampling raises inside iter 0
             policy_steps=1,
-            cost_optimizer=Adam([a for _, a in cost.parameters()]),
-            policy_optimizer=Adam([a for _, a in policy.parameters()]),
+            cost_optimizer=Adam(cost.parameters()),
+            policy_optimizer=Adam(policy.parameters()),
             rng=np.random.default_rng(1))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from flowpath.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowpath.config import RunConfig
-from flowpath.errors import NumericError, ShapeError
+from flowpath.errors import CheckpointError, NumericError, ShapeError
 from flowpath.nets import (
     Adam,
     DenseLayer,
@@ -147,18 +147,18 @@ def test_finite_diff_rejects_bad_epsilon():
 
 def test_adam_zero_gradient_leaves_params():
     p = np.array([1.0, -2.0])
-    opt = Adam([p], learning_rate=0.1)
-    opt.step([p], [np.zeros(2)])
+    opt = Adam([("p", p)], learning_rate=0.1)
+    opt.step([np.zeros(2)])
     assert np.array_equal(p, [1.0, -2.0])
     assert opt.step_count == 1
 
 
 def test_adam_constant_gradient_monotone():
     p = np.array([0.0])
-    opt = Adam([p], learning_rate=0.01)
+    opt = Adam([("p", p)], learning_rate=0.01)
     prev = 0.0
     for _ in range(50):
-        opt.step([p], [np.array([1.0])])
+        opt.step([np.array([1.0])])
         assert p[0] < prev  # moves against the gradient sign every step
         prev = p[0]
 
@@ -167,40 +167,39 @@ def test_adam_converges_on_quadratic():
     rng = np.random.default_rng(5)
     p = rng.standard_normal(4)
     initial = float((p**2).sum())
-    opt = Adam([p], learning_rate=0.05)
+    opt = Adam([("p", p)], learning_rate=0.05)
     for _ in range(500):
-        opt.step([p], [2.0 * p])
+        opt.step([2.0 * p])
     assert float((p**2).sum()) < 1e-3 * initial
 
 
 def test_adam_rejects_nonfinite_gradient():
     p = np.zeros(2)
-    opt = Adam([p], learning_rate=0.1)
+    opt = Adam([("weights", p)], learning_rate=0.1)
     with pytest.raises(NumericError, match="weights"):
-        opt.step([p], [np.array([np.nan, 0.0])], names=["weights"])
+        opt.step([np.array([np.nan, 0.0])])
 
 
 def test_adam_shape_mismatch():
     p = np.zeros(2)
-    opt = Adam([p])
+    opt = Adam([("p", p)])
     with pytest.raises(ShapeError):
-        opt.step([p], [np.zeros(3)])
+        opt.step([np.zeros(3)])
 
 
 def test_adam_state_roundtrip():
     rng = np.random.default_rng(11)
     p = rng.standard_normal(3)
-    opt = Adam([p], learning_rate=0.02)
+    opt = Adam([("p", p)], learning_rate=0.02)
     for _ in range(5):
-        opt.step([p], [rng.standard_normal(3)])
-    state = opt.state_dict()
-    clone = Adam([p], learning_rate=1.0)
-    clone.load_state_dict(state)
-    p1, p2 = p.copy(), p.copy()
+        opt.step([rng.standard_normal(3)])
+    q = p.copy()
+    clone = Adam([("p", q)], learning_rate=1.0)
+    clone.load_state_dict(opt.state_dict())
     g = rng.standard_normal(3)
-    opt.step([p1], [g])
-    clone.step([p2], [g])
-    assert np.array_equal(p1, p2)
+    opt.step([g])
+    clone.step([g])
+    assert np.array_equal(p, q)
 
 
 class ReferenceAdam:
@@ -227,16 +226,20 @@ def mixed_arrays(rng):
             rng.standard_normal(1), rng.standard_normal((2, 1))]
 
 
+def named(arrays):
+    return [(f"a{i}", a) for i, a in enumerate(arrays)]
+
+
 def test_flat_adam_matches_per_array_reference_bitwise():
     rng = np.random.default_rng(21)
     params = mixed_arrays(rng)
     ref_params = [p.copy() for p in params]
-    opt = Adam(params, learning_rate=0.03)
+    opt = Adam(named(params), learning_rate=0.03)
     ref = ReferenceAdam(ref_params, lr=0.03)
     for _ in range(50):
         grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
                  for p in params]
-        opt.step(params, grads)
+        opt.step(grads)
         ref.step(ref_params, grads)
         for p, q in zip(params, ref_params):
             assert np.array_equal(p, q)
@@ -248,14 +251,12 @@ def test_flat_adam_matches_per_array_reference_bitwise():
 def test_flat_adam_names_the_first_nonfinite_array():
     rng = np.random.default_rng(22)
     params = mixed_arrays(rng)
-    opt = Adam(params)
+    opt = Adam(list(zip(["first", "second", "third", "fourth"], params)))
     grads = [np.zeros(p.shape) for p in params]
     grads[2][0] = np.inf
     grads[3][1, 0] = np.nan
     with pytest.raises(NumericError, match="third"):
-        opt.step(params, grads, names=["first", "second", "third", "fourth"])
-    with pytest.raises(NumericError, match=r"param\[2\]"):
-        opt.step(params, grads)
+        opt.step(grads)
     assert opt.step_count == 0
 
 
@@ -263,21 +264,20 @@ def test_flat_adam_names_the_first_nonfinite_array():
 def test_flat_adam_shape_mismatch_in_any_slot(slot):
     rng = np.random.default_rng(23)
     params = mixed_arrays(rng)
-    opt = Adam(params)
+    opt = Adam(named(params))
     grads = [np.zeros(p.shape) for p in params]
     grads[slot] = np.zeros(grads[slot].size + 1)
+    with pytest.raises(ShapeError, match=f"a{slot}"):
+        opt.step(grads)
     with pytest.raises(ShapeError):
-        opt.step(params, grads)
-    params[slot] = np.zeros(params[slot].size + 1)
-    with pytest.raises(ShapeError):
-        opt.step(params, [np.zeros(p.shape) for p in params])
+        opt.step(grads[:-1])
 
 
 def test_flat_adam_state_keeps_per_array_shapes():
     rng = np.random.default_rng(24)
     params = mixed_arrays(rng)
-    opt = Adam(params)
-    opt.step(params, mixed_arrays(rng))
+    opt = Adam(named(params))
+    opt.step(mixed_arrays(rng))
     state = opt.state_dict()
     assert [a.shape for a in state["m"]] == [p.shape for p in params]
     assert [a.shape for a in state["v"]] == [p.shape for p in params]
@@ -289,23 +289,43 @@ def test_flat_adam_resumes_bitwise_through_a_checkpoint(tmp_path):
     rng = np.random.default_rng(25)
     params = mixed_arrays(rng)
     grads = [mixed_arrays(rng) for _ in range(10)]
-    opt = Adam(params, learning_rate=0.01)
+    opt = Adam(named(params), learning_rate=0.01)
     for g in grads[:5]:
-        opt.step(params, g)
+        opt.step(g)
     path = tmp_path / "opt.ckpt"
     save_checkpoint(path, Checkpoint(
-        config=RunConfig(), params={"p": [(f"a{i}", p) for i, p in enumerate(params)]},
+        config=RunConfig(), params={"p": named(params)},
         opt_states={"p": opt.state_dict()}))
     loaded = load_checkpoint(path)
-    resumed_params = [a.copy() for _, a in loaded.params["p"]]
-    resumed = Adam([np.zeros(1)], learning_rate=1.0)
+    resumed = Adam([(n, a.copy()) for n, a in loaded.params["p"]], learning_rate=1.0)
     resumed.load_state_dict(loaded.opt_states["p"])
     for g in grads[5:]:
-        opt.step(params, g)
-        resumed.step(resumed_params, g)
-    for p, q in zip(params, resumed_params):
+        opt.step(g)
+        resumed.step(g)
+    for p, q in zip(params, resumed.params):
         assert np.array_equal(p, q)
     assert resumed.step_count == opt.step_count == 10
+
+
+@pytest.mark.parametrize("key, slot", [("m", 0), ("v", 3)])
+def test_flat_adam_load_rejects_moments_that_misfit_the_bound_arrays(key, slot):
+    rng = np.random.default_rng(26)
+    params = mixed_arrays(rng)
+    source = Adam(named([p.copy() for p in params]))
+    source.step(mixed_arrays(rng))
+    state = source.state_dict()
+    opt = Adam(named(params), learning_rate=0.5)
+    before = opt.state_dict()
+    state[key][slot] = state[key][slot].reshape(-1)
+    with pytest.raises(CheckpointError, match=f"a{slot}"):
+        opt.load_state_dict(state)
+    state[key] = state[key][:-1]
+    with pytest.raises(CheckpointError, match=f"3 stored {key}"):
+        opt.load_state_dict(state)
+    after = opt.state_dict()
+    assert after["learning_rate"] == 0.5 and after["step_count"] == 0
+    for a, b in zip(before["m"] + before["v"], after["m"] + after["v"]):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("which", ["weight", "bias"])

@@ -6,6 +6,8 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
+
 from flowpath import pipeline
 
 from conftest import tiny_config
@@ -35,6 +37,12 @@ def test_traced_fit_stages_run_and_count_their_calls(tmp_path):
     assert metrics["flows.flow_nll.calls"] > 0
     assert metrics["transform.pair_objective_and_grads.calls"] > 0
     assert metrics["pipeline.stage_train_pairs.calls"] == 1
+    # the tracer counts the arrays of `Adam.step`'s first argument, `grads`
+    model = pipeline.build_model(cfg, np.random.default_rng(0))
+    assert metrics["nets.Adam.step.calls"] == 6
+    assert metrics["nets.Adam.step.arrays"] == (
+        cfg.flow.pretrain_steps * len(model.flows.parameters())
+        + cfg.transform.train_steps * len(model.parameters()))
 
 
 def test_traced_evaluate_plans_in_one_batch(tiny_run, tmp_path):

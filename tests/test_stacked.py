@@ -90,18 +90,16 @@ def test_lockstep_pretraining_matches_two_sequential_flows():
 
     seq_losses = np.empty((2, 20))
     for f, flow in enumerate((sequential.source_flow, sequential.target_flow)):
-        arrays = [a for _, a in flow.parameters()]
-        opt = Adam(arrays, 1e-2)
+        opt = Adam(flow.parameters(), 1e-2)
         for step in range(20):
             seq_losses[f, step], grads = flow_nll(flow, data[idx[f, step]])
-            opt.step(arrays, grads)
+            opt.step(grads)
 
-    arrays = [a for _, a in lockstep.flows.parameters()]
-    opt = Adam(arrays, 1e-2)
+    opt = Adam(lockstep.flows.parameters(), 1e-2)
     lock_losses = np.empty((2, 20))
     for step in range(20):
         lock_losses[:, step], grads = flow_nll(lockstep.flows, data[idx[:, step]])
-        opt.step(arrays, grads)
+        opt.step(grads)
 
     # both paths sum each member's bias gradient in the same row order
     assert np.array_equal(lock_losses, seq_losses)
@@ -195,12 +193,11 @@ def test_stacked_pair_objective_matches_per_net_reference():
 def test_adam_names_the_unit_position_and_layer():
     model = perturbed_model(9)
     params = model.parameters()
-    arrays = [a for _, a in params]
-    grads = [np.zeros_like(a) for a in arrays]
+    grads = [np.zeros_like(a) for _, a in params]
     bad = [n for n, _ in params].index("flows.u01.l2.b")
     grads[bad][1, 0, 0] = np.nan
     with pytest.raises(NumericError, match=r"flows\.u01\.l2\.b"):
-        Adam(arrays).step(arrays, grads, [n for n, _ in params])
+        Adam(params).step(grads)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,7 @@ def test_train_pair_step_applies_update():
     rng = np.random.default_rng(17)
     arrays = [a for _, a in model.parameters()]
     before = [a.copy() for a in arrays]
-    opt = Adam(arrays, 1e-3)
+    opt = Adam(model.parameters(), 1e-3)
     loss = train_pair_step(model, opt, rng.standard_normal((4, 4)),
                            rng.standard_normal((4, 4)),
                            rng.integers(0, 5, size=4), 0.001)
@@ -240,8 +240,7 @@ def test_nan_in_hidden_layer_raises_from_train_pair_step(which):
     model = small_model(19)
     rng = np.random.default_rng(20)
     getattr(model.source_flow.units[0].scale_net.layers[0], which)[0] = np.nan
-    arrays = [a for _, a in model.parameters()]
-    opt = Adam(arrays, 1e-3)
+    opt = Adam(model.parameters(), 1e-3)
     with pytest.raises(NumericError):
         train_pair_step(model, opt, rng.standard_normal((4, 4)),
                         rng.standard_normal((4, 4)), rng.integers(0, 5, size=4), 0.001)
