@@ -182,6 +182,8 @@ def load_checkpoint(path) -> Checkpoint:
         if name.startswith("opt/"):
             group = name.split("/", 1)[1]
             scalars = _json_section(sections, f"optmeta/{group}")
+            if not isinstance(scalars, dict):
+                raise CheckpointError(f"section optmeta/{group} is not a JSON object")
             ckpt.opt_states[group] = _opt_from_arrays(_unpack_arrays(payload), scalars)
     return ckpt
 
@@ -192,13 +194,31 @@ def group_from_model(parameters: list[tuple[str, np.ndarray]]
 
 
 def restore_group(parameters: list[tuple[str, np.ndarray]],
-                  stored: list[tuple[str, np.ndarray]]) -> None:
-    """Copy stored values into live model arrays, matching by name."""
+                  stored: list[tuple[str, np.ndarray]], group: str = "") -> None:
+    """Copy stored values into live model arrays, matching by name.
+
+    Every stored array is checked before any is copied: a missing, extra or
+    duplicate name, a wrong shape or a non-finite value raises CheckpointError
+    naming `group.parameter`.
+    """
+    label = f"{group}." if group else ""
     by_name = dict(stored)
+    if len(by_name) != len(stored):
+        names = [n for n, _ in stored]
+        dup = next(n for i, n in enumerate(names) if n in names[:i])
+        raise CheckpointError(f"duplicate parameter {label}{dup}")
     for name, arr in parameters:
         if name not in by_name:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        src = by_name[name]
-        if src.shape != arr.shape:
-            raise CheckpointError(f"shape mismatch for {name}: {src.shape} vs {arr.shape}")
-        arr[...] = src
+            raise CheckpointError(f"checkpoint missing parameter {label}{name}")
+        if by_name[name].shape != arr.shape:
+            raise CheckpointError(f"shape mismatch for {label}{name}: "
+                                  f"{by_name[name].shape} vs {arr.shape}")
+    if len(by_name) != len(parameters):
+        live = {name for name, _ in parameters}
+        extra = next(n for n, _ in stored if n not in live)
+        raise CheckpointError(f"unexpected parameter {label}{extra}")
+    if stored and not np.isfinite(np.concatenate([a for _, a in stored], axis=None)).all():
+        bad = next(n for n, a in stored if not np.isfinite(a).all())
+        raise CheckpointError(f"non-finite values in {label}{bad}")
+    for name, arr in parameters:
+        arr[...] = by_name[name]

@@ -6,9 +6,12 @@ Jacobian is triangular, so the log-determinant is just the sum of the log
 scales, and composition of units keeps both directions exact.
 
 A unit stacks its scale and translate nets (leading axis 2), so both run
-as one batched matmul chain.  A `FlowPair` stacks unit i of two flows once
-more, (2 flows, 2 nets), and the passes below take inputs with the owner's
-leading flow axes, `lead`, in front of (N, dim).
+as one batched matmul chain; its `scale_net` and `translate_net` are views
+of slices 0 and 1.  A `FlowPair` stacks unit i of two flows once more,
+(2 flows, 2 nets), and the passes below take inputs with the owner's leading
+flow axes, `lead`, in front of (N, dim).  The pair's stacks are views into
+its owner's flat parameter store (see `AgingModel`), and its two lone flows
+are views of slices of the stacks, so no level holds a copy.
 
 A stack is immutable during inference and safe for concurrent read-only
 evaluation; training mutates parameters under exclusive access.
@@ -22,9 +25,22 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .nets import DenseNet, bind_members, dense_net, net_backward, stack_nets, _forward_cached
+from .nets import DenseNet, dense_net, member_net, net_backward, stack_nets, _forward_cached
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _partition(mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A validated binary mask (1 = kept) and its kept and transformed indices."""
+    mask = np.asarray(mask, dtype=np.int8)
+    if mask.ndim != 1:
+        raise ShapeError("mask must be a 1-d binary vector")
+    kept, trans = np.flatnonzero(mask == 1), np.flatnonzero(mask == 0)
+    if kept.size + trans.size != mask.size:
+        raise ValueError("mask entries must be 0 or 1")
+    if kept.size == 0 or trans.size == 0:
+        raise ValueError("mask needs at least one kept and one transformed dim")
+    return mask, kept, trans
 
 
 class CouplingUnit:
@@ -34,26 +50,27 @@ class CouplingUnit:
 
     def __init__(self, mask: np.ndarray, scale_net: DenseNet, translate_net: DenseNet,
                  clamp: float = 2.0):
-        mask = np.asarray(mask, dtype=np.int8)
-        if mask.ndim != 1:
-            raise ShapeError("mask must be a 1-d binary vector")
-        if not np.all((mask == 0) | (mask == 1)):
-            raise ValueError("mask entries must be 0 or 1")
-        if mask.sum() == 0 or mask.sum() == mask.size:
-            raise ValueError("mask needs at least one kept and one transformed dim")
-        self.mask, self.dim = mask, mask.size
-        self.kept, self.trans = np.flatnonzero(mask == 1), np.flatnonzero(mask == 0)
+        self.mask, self.kept, self.trans = _partition(mask)
+        self.dim = self.mask.size
         if scale_net.in_dim != self.kept.size or scale_net.out_dim != self.trans.size:
             raise ShapeError("scale net dims do not match the mask partition")
         if clamp <= 0:
             raise ValueError("clamp must be positive")
         self.clamp = float(clamp)
-        self.scale_net, self.translate_net = scale_net, translate_net
         self.net = stack_nets([scale_net, translate_net])
 
+    @property
+    def scale_net(self) -> DenseNet:
+        return member_net(self.net, 0)
+
+    @property
+    def translate_net(self) -> DenseNet:
+        return member_net(self.net, 1)
+
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        return self.scale_net.parameters(prefix + "scale.") + \
-            self.translate_net.parameters(prefix + "translate.")
+        """Per-net names and views: all of the scale net's, then the translate net's."""
+        return [(f"{prefix}{role}.{name}", arr[k]) for k, role in enumerate(("scale", "translate"))
+                for name, arr in self.net.parameters()]
 
     def align(self, grads: list[np.ndarray]) -> list[np.ndarray]:
         """Gradients of the stacked net, as views in `parameters()` order."""
@@ -61,19 +78,26 @@ class CouplingUnit:
 
 
 class UnitPair(CouplingUnit):
-    """Unit i of two flows: their shared mask, and all four subnets stacked as
-    (2 flows, 2 nets, ...).  `parameters()` yields the stacked arrays."""
+    """Unit i of two flows: their shared mask, a net whose layers are stacked as
+    (2 flows, 2 nets, ...), and one clamp per flow.  `parameters()` yields the
+    stacked arrays."""
 
     lead = (2,)
 
-    def __init__(self, a: CouplingUnit, b: CouplingUnit):
-        if not np.array_equal(a.mask, b.mask):
-            raise ShapeError("paired units must share their mask")
-        self.mask, self.dim, self.kept, self.trans = a.mask, a.dim, a.kept, a.trans
-        self.clamp = np.array([a.clamp, b.clamp])[:, None, None]
-        self.net = stack_nets([a.net, b.net])
-        for u in (a, b):
-            bind_members(u.net, [u.scale_net, u.translate_net])
+    def __init__(self, mask: np.ndarray, net: DenseNet, clamps: tuple[float, float]):
+        self.mask, self.kept, self.trans = _partition(mask)
+        self.dim = self.mask.size
+        self.clamp = np.array(clamps, dtype=np.float64)[:, None, None]
+        if not np.all(self.clamp > 0):
+            raise ValueError("clamp must be positive")
+        self.net = net
+
+    def member(self, f: int) -> CouplingUnit:
+        """Flow f's unit, on views of slice f of the stacks."""
+        unit = CouplingUnit.__new__(CouplingUnit)
+        unit.mask, unit.dim, unit.kept, unit.trans = self.mask, self.dim, self.kept, self.trans
+        unit.clamp, unit.net = float(self.clamp[f, 0, 0]), member_net(self.net, f)
+        return unit
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return self.net.parameters(prefix)
@@ -87,6 +111,12 @@ def alternating_mask(dim: int, parity: int) -> np.ndarray:
     return ((np.arange(dim) % 2) == (parity % 2)).astype(np.int8)
 
 
+def subnet_dims(mask: np.ndarray, hidden: int) -> tuple[int, int, int, int]:
+    """Widths of a coupling subnet with two hidden layers: kept -> hidden -> hidden -> trans."""
+    kept = int(np.count_nonzero(mask))
+    return kept, hidden, hidden, mask.size - kept
+
+
 def make_coupling_unit(rng: np.random.Generator, mask: np.ndarray, hidden: int = 32,
                        clamp: float = 2.0) -> CouplingUnit:
     """Coupling unit with 2-hidden-layer subnets, final layers at exactly zero.
@@ -94,7 +124,7 @@ def make_coupling_unit(rng: np.random.Generator, mask: np.ndarray, hidden: int =
     Zero final layers make a fresh stack the identity map with zero logdet.
     """
     mask = np.asarray(mask, dtype=np.int8)
-    dims = (int(mask.sum()), hidden, hidden, int(mask.size - mask.sum()))
+    dims = subnet_dims(mask, hidden)
     scale = dense_net(rng, dims, zero_final=True)
     return CouplingUnit(mask, scale, dense_net(rng, dims, zero_final=True), clamp=clamp)
 
@@ -120,15 +150,15 @@ class BijectionStack:
 
 class FlowPair(BijectionStack):
     """Two flows whose unit i share a mask, run in lockstep on inputs with a
-    leading axis of 2.  Each flow keeps working alone, on views of the stacks."""
+    leading axis of 2.  `first` and `second` are the two flows alone, as
+    units on views of the stacks."""
 
     lead = (2,)
 
-    def __init__(self, first: BijectionStack, second: BijectionStack):
-        if len(first.units) != len(second.units):
-            raise ShapeError("paired flows need the same number of units")
-        super().__init__(first.dim, [UnitPair(a, b) for a, b in
-                                     zip(first.units, second.units)])
+    def __init__(self, dim: int, units: Sequence[UnitPair]):
+        super().__init__(dim, units)
+        self.first, self.second = (BijectionStack(dim, [u.member(f) for u in self.units])
+                                   for f in (0, 1))
 
 
 def make_flow(rng: np.random.Generator, dim: int, n_units: int = 10, hidden: int = 32,

@@ -5,12 +5,16 @@ net, a policy net), so gradients are written out per layer instead of going
 through a general tape.  Everything is float64; the finite-difference oracle
 in this module is the reference every analytic gradient is checked against.
 
-Parameter containers are plain numpy arrays.  Read-only sharing across
-workers is safe; `Adam.step` mutates in place and needs exclusive access.
+A net built by `dense_net` keeps all its parameters in one flat float64
+store, and each layer's weight and bias is a view into it (`carve`).  An
+`Adam` bound to arrays that tile such a store back to back steps the whole
+store with one subtraction.  Read-only sharing across workers is safe;
+`Adam.step` mutates in place and needs exclusive access.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,6 +29,47 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
     """Uniform init in [-s, s] with s = sqrt(6 / (fan_in + fan_out))."""
     s = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-s, s, size=(fan_out, fan_in))
+
+
+def glorot_fill(rng: np.random.Generator, weights: Sequence[np.ndarray],
+                zero_final: bool = False) -> None:
+    """Draw Glorot values into each (out, in) weight in order.  With `zero_final`
+    the last draw is still made, keeping the stream, but the last weight is left
+    as it is (zero in a fresh store)."""
+    for i, w in enumerate(weights):
+        drawn = glorot_uniform(rng, *w.shape)
+        if not (zero_final and i == len(weights) - 1):
+            w[...] = drawn
+
+
+def carve(store: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views of the flat `store`, one per shape, filling it exactly."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(store[start:stop].reshape(shape))
+        start = stop
+    if start != store.size:
+        raise ShapeError(f"shapes hold {start} values, the store {store.size}")
+    return views
+
+
+def flat_store(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The flat float64 vector that `arrays` tile back to back, in order, as one
+    view of their common base; None when they do not."""
+    if not arrays:
+        return None
+    root = arrays[0] if arrays[0].base is None else arrays[0].base
+    if not (isinstance(root, np.ndarray) and root.ndim == 1 and root.dtype == np.float64
+            and root.flags.writeable):
+        return None
+    start = stop = (arrays[0].ctypes.data - root.ctypes.data) // root.itemsize
+    for a in arrays:
+        if (a if a.base is None else a.base) is not root or not a.flags.c_contiguous \
+                or a.ctypes.data != root.ctypes.data + stop * root.itemsize:
+            return None
+        stop += a.size
+    return root[start:stop]
 
 
 @dataclass
@@ -73,40 +118,43 @@ class DenseNet:
 
 
 def stack_nets(nets: Sequence[DenseNet]) -> DenseNet:
-    """One net whose layers stack the members' (copied in) on a new leading axis,
-    so they run as one batched matmul chain.  Each member layer is rebound to
-    its slice of the stack: a write through either side shows in both."""
+    """One net whose layers stack independent members (copied in) on a new
+    leading axis, so they run as one batched matmul chain.  Each member layer is
+    rebound to its slice of the stack: a write through either side shows in both.
+    Nets laid out in a store are stacked already; `member_net` views a slice."""
     shapes = [[(layer.weight.shape, layer.activation) for layer in n.layers] for n in nets]
     if any(s != shapes[0] for s in shapes):
         raise ShapeError("stacked nets must share layer shapes and activations")
     stacked = DenseNet([DenseLayer(np.array([n.layers[i].weight for n in nets]),
                                    np.array([n.layers[i].bias for n in nets]), layer.activation)
                         for i, layer in enumerate(nets[0].layers)])
-    bind_members(stacked, nets)
-    return stacked
-
-
-def bind_members(stacked: DenseNet, nets: Sequence[DenseNet]) -> None:
-    """Rebind member k's layer arrays to slice k of the stacked net's arrays."""
     for k, net in enumerate(nets):
         for layer, whole in zip(net.layers, stacked.layers):
             layer.weight, layer.bias = whole.weight[k], whole.bias[k]
+    return stacked
 
 
-def dense_net(rng: np.random.Generator, dims: Sequence[int], hidden_activation: str = "relu",
-              final_activation: str = "identity", zero_final: bool = False) -> DenseNet:
-    """Build a net with the given layer widths, e.g. dims=(4, 32, 32, 2)."""
+def member_net(stacked: DenseNet, k: int) -> DenseNet:
+    """Member k of a stacked net, as layers viewing slice k of its arrays."""
+    return DenseNet([DenseLayer(layer.weight[k], layer.bias[k], layer.activation)
+                     for layer in stacked.layers])
+
+
+def dense_net(rng: np.random.Generator | None, dims: Sequence[int],
+              hidden_activation: str = "relu", final_activation: str = "identity",
+              zero_final: bool = False) -> DenseNet:
+    """Build a net with the given layer widths, e.g. dims=(4, 32, 32, 2), on one
+    flat store holding w then b per layer.  Weights are Glorot draws and biases
+    zero; with `rng` None every value is zero, the layout a checkpoint fills."""
     if len(dims) < 2:
         raise ShapeError("need at least an input and an output dimension")
-    layers = []
-    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-        last = i == len(dims) - 2
-        w = glorot_uniform(rng, d_out, d_in)
-        if last and zero_final:
-            w = np.zeros((d_out, d_in))
-        layers.append(DenseLayer(w, np.zeros(d_out),
-                                 final_activation if last else hidden_activation))
-    return DenseNet(layers)
+    shapes = [s for d_in, d_out in zip(dims, dims[1:]) for s in ((d_out, d_in), (d_out,))]
+    arrays = carve(np.zeros(sum(map(math.prod, shapes))), shapes)
+    if rng is not None:
+        glorot_fill(rng, arrays[::2], zero_final)
+    activations = [hidden_activation] * (len(dims) - 2) + [final_activation]
+    return DenseNet([DenseLayer(w, b, act)
+                     for w, b, act in zip(arrays[::2], arrays[1::2], activations)])
 
 
 def _softmax(pre: np.ndarray) -> np.ndarray:
@@ -226,25 +274,35 @@ class Adam:
     """Adaptive first-order optimizer with bias-corrected moments.
 
     It binds once to the (name, array) pairs of a `parameters()` call, and
-    `step(grads)` updates those arrays in place: a few in-place ufuncs over
-    the flat float64 moments, the concatenated gradient and one scratch
-    vector, bit for bit the per-array textbook arithmetic.  State dicts hold
-    per-array moments and load only into arrays of the bound shapes.
+    `step(grads)` updates those arrays in place: the gradients are
+    concatenated into one preallocated flat buffer, and a few in-place ufuncs
+    over it, the flat float64 moments and one scratch vector give the update,
+    bit for bit the per-array textbook arithmetic.  When the arrays tile one
+    flat store back to back (`flat_store`), as a model's `parameters()` do,
+    the step ends in one subtraction from that store; other arrays are updated
+    one by one.  State dicts hold per-array moments and load only into arrays
+    of the bound shapes.
     """
 
     def __init__(self, parameters: Sequence[tuple[str, np.ndarray]], learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if learning_rate <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1):
-            raise ValueError("learning rate and decay coefficients must be positive")
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.step_count = 0
+        self._set_scalars(learning_rate, beta1, beta2, eps, 0, ValueError)
         self.names = [name for name, _ in parameters]
         self.params = [arr for _, arr in parameters]
+        self.store = flat_store(self.params)
         self.offsets = np.cumsum([0] + [p.size for p in self.params])
-        self._m, self._v = np.zeros((2, int(self.offsets[-1])))
+        self._m, self._v, self._g = np.zeros((3, int(self.offsets[-1])))
+
+    def _set_scalars(self, learning_rate, beta1, beta2, eps, step_count, error: type) -> None:
+        """Set the hyperparameters and step count, or raise `error` for any out of range."""
+        if not (0 < learning_rate < math.inf and 0 < beta1 < 1 and 0 < beta2 < 1
+                and 0 < eps < math.inf):
+            raise error("learning rate and eps must be positive and finite, and the decay "
+                        "coefficients in (0, 1)")
+        if not isinstance(step_count, int) or isinstance(step_count, bool) or step_count < 0:
+            raise error(f"step count must be a non-negative integer, not {step_count!r}")
+        self.learning_rate, self.beta1, self.beta2, self.eps = learning_rate, beta1, beta2, eps
+        self.step_count = step_count
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         return [flat[a:b].reshape(p.shape) for a, b, p in
@@ -261,7 +319,9 @@ class Adam:
     def step(self, grads: Sequence[np.ndarray]) -> None:
         """Apply one in-place update.  Deterministic given inputs."""
         self._check_fit(grads, "gradient", ShapeError)
-        g = np.concatenate(grads, axis=None, dtype=np.float64) if grads else np.zeros(0)
+        g = self._g
+        if grads:
+            np.concatenate(grads, axis=None, out=g)
         s = np.empty_like(g)
         finite = np.isfinite(g)
         if not finite.all():
@@ -281,8 +341,11 @@ class Adam:
         np.divide(self._m, 1.0 - self.beta1**t, out=g)
         g *= self.learning_rate
         g /= s
-        for p, update in zip(self.params, self._views(g)):
-            p -= update
+        if self.store is not None:
+            self.store -= g
+        else:
+            for p, update in zip(self.params, self._views(g)):
+                p -= update
 
     def state_dict(self) -> dict:
         return {"learning_rate": self.learning_rate, "beta1": self.beta1, "beta2": self.beta2,
@@ -291,11 +354,15 @@ class Adam:
                 "v": [a.copy() for a in self._views(self._v)]}
 
     def load_state_dict(self, state: dict) -> None:
-        for key in ("m", "v"):
-            self._check_fit(state[key], f"stored {key} moment", CheckpointError)
-        self.learning_rate, self.beta1, self.beta2, self.eps = (
-            float(state[k]) for k in ("learning_rate", "beta1", "beta2", "eps"))
-        self.step_count = int(state["step_count"])
+        """Load a `state_dict`; any misfit moment, missing key or out-of-range scalar
+        raises CheckpointError before anything changes."""
+        try:
+            for key in ("m", "v"):
+                self._check_fit(state[key], f"stored {key} moment", CheckpointError)
+            scalars = [float(state[k]) for k in ("learning_rate", "beta1", "beta2", "eps")]
+            self._set_scalars(*scalars, state["step_count"], CheckpointError)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed optimizer state: {exc!r}") from exc
         if self.params:
             np.concatenate(state["m"], axis=None, out=self._m)
             np.concatenate(state["v"], axis=None, out=self._v)

@@ -115,7 +115,9 @@ def _load_sequences(cfg: RunConfig, name: str) -> list[tuple[int, AgingTrajector
 # Model construction and checkpoint plumbing
 # ---------------------------------------------------------------------------
 
-def build_model(cfg: RunConfig, rng: np.random.Generator) -> AgingModel:
+def build_model(cfg: RunConfig, rng: np.random.Generator | None) -> AgingModel:
+    """A fresh model drawn from `rng`, or with `rng` None the all-zero layout a
+    checkpoint fills."""
     return make_aging_model(
         rng, dim=cfg.world.dim, n_actions=cfg.world.n_actions,
         flow_units=cfg.flow.units, hidden=cfg.flow.hidden, clamp=cfg.flow.clamp,
@@ -129,14 +131,23 @@ def _model_groups(model: AgingModel) -> dict:
     return {name: group_from_model(getattr(model, name).parameters()) for name in MODEL_GROUPS}
 
 
+def _fill(target, ckpt: Checkpoint, group: str):
+    """Copy a checkpoint's parameter group into `target`'s arrays; returns `target`."""
+    if group not in ckpt.params:
+        raise CheckpointError(f"checkpoint missing parameter group {group}")
+    restore_group(target.parameters(), ckpt.params[group], group)
+    return target
+
+
 def model_from_checkpoint(ckpt: Checkpoint) -> AgingModel:
-    model = build_model(ckpt.config, np.random.default_rng(0))
+    """The stored model, filled straight into a zero store: no random draws."""
+    model = build_model(ckpt.config, None)
     for name in MODEL_GROUPS:
-        restore_group(getattr(model, name).parameters(), ckpt.params[name])
+        _fill(getattr(model, name), ckpt, name)
     return model
 
 
-def _make_irl_net(make, cfg: RunConfig, rng: np.random.Generator):
+def _make_irl_net(make, cfg: RunConfig, rng: np.random.Generator | None):
     world = cfg.world
     return make(rng, world.dim, world.n_actions, world.age_min, world.age_max)
 
@@ -144,17 +155,13 @@ def _make_irl_net(make, cfg: RunConfig, rng: np.random.Generator):
 def cost_from_checkpoint(ckpt: Checkpoint) -> CostNet | None:
     if "cost" not in ckpt.params:
         return None
-    cost = _make_irl_net(make_cost_net, ckpt.config, np.random.default_rng(0))
-    restore_group(cost.parameters(), ckpt.params["cost"])
-    return cost
+    return _fill(_make_irl_net(make_cost_net, ckpt.config, None), ckpt, "cost")
 
 
 def policy_from_checkpoint(ckpt: Checkpoint) -> PolicyNet:
-    """Stored policy, or a fresh uniform policy when the stage has not run."""
-    policy = _make_irl_net(make_policy_net, ckpt.config, np.random.default_rng(0))
-    if "policy" in ckpt.params:
-        restore_group(policy.parameters(), ckpt.params["policy"])
-    return policy
+    """Stored policy, or an exactly uniform all-zero policy when the stage has not run."""
+    policy = _make_irl_net(make_policy_net, ckpt.config, None)
+    return _fill(policy, ckpt, "policy") if "policy" in ckpt.params else policy
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +285,9 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
     start_iteration, history = 0, []
     if resume is not None:
         for name, net in nets.items():
-            restore_group(net.parameters(), ckpt.params[name])
+            _fill(net, ckpt, name)
+            if name not in ckpt.opt_states:
+                raise CheckpointError(f"checkpoint missing optimizer state {name}")
             opts[name].load_state_dict(ckpt.opt_states[name])
         loop_rng.bit_generator.state = ckpt.rng_state
         start_iteration = int(ckpt.meta["next_iteration"])

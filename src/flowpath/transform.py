@@ -11,12 +11,15 @@ encoders) with one transform; the conditional likelihood of a target
 observation given a source observation and an action is the standard-normal
 density of the latent residual plus the target encoder's change-of-variables
 term.  The two stacks are also held as one `FlowPair`, so training runs both
-encoders in one pass.  Inference paths are read-only on parameters;
+encoders in one pass.  Every parameter of a pair model is a view into one
+flat float64 store, in `parameters()` order, which a fresh model draws into
+and a checkpoint fills.  Inference paths are read-only on parameters;
 training steps need exclusive access.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,8 @@ from .errors import InsufficientDataError, NumericError, ShapeError, ValidationE
 from .flows import (
     BijectionStack,
     FlowPair,
+    UnitPair,
+    alternating_mask,
     flow_backward,
     flow_forward,
     flow_forward_cached,
@@ -32,8 +37,9 @@ from .flows import (
     gaussian_loglik,
     make_flow,
     standard_normal_loglik,
+    subnet_dims,
 )
-from .nets import Adam, glorot_uniform
+from .nets import Adam, DenseLayer, DenseNet, carve, glorot_fill, glorot_uniform
 
 DEFAULT_NUM_ACTIONS = 16
 VAR_FLOOR = 1e-6
@@ -211,16 +217,56 @@ def propagate_moments(prev: GaussianMoments, action_moments: GaussianMoments,
 
 
 class AgingModel:
-    """Source/target coupling stacks plus the factored controller transform."""
+    """Source/target coupling stacks plus the factored controller transform.
+
+    All parameters live in one flat float64 `store`, laid out in
+    `parameters()` order: the flows' stacked arrays, then the transform's.
+    `flows`, `source_flow`, `target_flow` (with their scale and translate
+    nets) and `transform` hold views into it, never copies.
+    """
 
     def __init__(self, source_flow: BijectionStack, target_flow: BijectionStack,
                  transform: FactoredTransform):
+        """Lay out a store for these flows and transform and copy their values in."""
         if source_flow.dim != target_flow.dim or source_flow.dim != transform.dim:
             raise ShapeError("flows and transform must share the observation dim")
-        self.source_flow = source_flow
-        self.target_flow = target_flow
-        self.transform = transform
-        self.flows = FlowPair(source_flow, target_flow)
+        if len(source_flow.units) != len(target_flow.units):
+            raise ShapeError("paired flows need the same number of units")
+        units = []
+        for a, b in zip(source_flow.units, target_flow.units):
+            if not np.array_equal(a.mask, b.mask):
+                raise ShapeError("paired units must share their mask")
+            layers = [(layer.weight.shape[-2:], layer.activation) for layer in a.net.layers]
+            if layers != [(layer.weight.shape[-2:], layer.activation) for layer in b.net.layers]:
+                raise ShapeError("paired units must share layer shapes and activations")
+            units.append((a.mask, layers, (a.clamp, b.clamp)))
+        self._lay_out(transform.dim, units, transform.factors, transform.n_actions)
+        for (_, dst), (_, src) in zip(
+                self.source_flow.parameters() + self.target_flow.parameters()
+                + self.transform.parameters(),
+                source_flow.parameters() + target_flow.parameters() + transform.parameters()):
+            dst[...] = src
+
+    @classmethod
+    def zeros(cls, dim: int, units, factors: int, n_actions: int) -> "AgingModel":
+        """A model whose store is all zeros.  `units` gives, per unit position,
+        (mask, [((out, in), activation) per subnet layer], (source clamp, target clamp))."""
+        model = cls.__new__(cls)
+        model._lay_out(dim, units, factors, n_actions)
+        return model
+
+    def _lay_out(self, dim: int, units, factors: int, n_actions: int) -> None:
+        shapes = [(2, 2) + s for _, layers, _ in units for (out, inp), _ in layers
+                  for s in ((out, inp), (out,))]
+        shapes += [(dim, factors), (factors, dim), (factors, n_actions), (dim,)]
+        self.store = np.zeros(sum(map(math.prod, shapes)))
+        arrays = iter(carve(self.store, shapes))
+        self.flows = FlowPair(dim, [
+            UnitPair(mask, DenseNet([DenseLayer(next(arrays), next(arrays), act)
+                                     for _, act in layers]), clamps)
+            for mask, layers, clamps in units])
+        self.source_flow, self.target_flow = self.flows.first, self.flows.second
+        self.transform = FactoredTransform(*arrays)
 
     @property
     def dim(self) -> int:
@@ -231,22 +277,37 @@ class AgingModel:
         return self.transform.n_actions
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """What an optimizer steps: the flows' stacked arrays, then the transform's.
+        """What an optimizer steps: the flows' stacked arrays, then the transform's,
+        which tile the store in order.
 
         Checkpoints store each attribute's own `parameters()` instead.
         """
         return self.flows.parameters("flows.") + self.transform.parameters("transform.")
 
 
-def make_aging_model(rng: np.random.Generator, dim: int,
+def make_aging_model(rng: np.random.Generator | None, dim: int,
                      n_actions: int = DEFAULT_NUM_ACTIONS, flow_units: int = 10,
                      hidden: int = 32, clamp: float = 2.0, factors: int = 32
                      ) -> AgingModel:
-    return AgingModel(
-        make_flow(rng, dim, flow_units, hidden, clamp),
-        make_flow(rng, dim, flow_units, hidden, clamp),
-        make_transform(rng, dim, n_actions, factors),
-    )
+    """Two flows of alternating-mask units with 2-hidden-layer subnets, plus a
+    transform.  Glorot values are drawn straight into the store's views, in
+    the order of `make_flow` twice, then `make_transform`; final subnet layers
+    stay zero.  With `rng` None every value is zero, the layout a checkpoint fills."""
+    units = []
+    for i in range(flow_units):
+        mask = alternating_mask(dim, i)
+        widths = subnet_dims(mask, hidden)
+        layers = [((d_out, d_in), "relu") for d_in, d_out in zip(widths, widths[1:])]
+        layers[-1] = (layers[-1][0], "identity")
+        units.append((mask, layers, (clamp, clamp)))
+    model = AgingModel.zeros(dim, units, factors, n_actions)
+    if rng is not None:
+        for flow in (model.source_flow, model.target_flow):
+            for u in flow.units:
+                for k in (0, 1):
+                    glorot_fill(rng, [layer.weight[k] for layer in u.net.layers], zero_final=True)
+        glorot_fill(rng, [w for _, w in model.transform.parameters()[:3]])
+    return model
 
 
 def pair_loglik(model: AgingModel, x_prev: np.ndarray, x_t: np.ndarray, action):

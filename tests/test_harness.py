@@ -526,6 +526,16 @@ def test_cli_checkpoint_malformed_json_exits_2(tmp_path, capsys, section):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+def test_cli_checkpoint_optmeta_not_an_object_exits_2(tmp_path, capsys):
+    path = _rewritten_checkpoint(
+        tmp_path, lambda secs: [(n, b"[1, 2]" if n == b"optmeta/group_a" else p)
+                                for n, p in secs])
+    with pytest.raises(CheckpointError, match="optmeta/group_a"):
+        load_checkpoint(path)
+    assert _plan_exit_code(path) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_target_above_age_max_rejected(tiny_run, capsys):
     ck = str(tiny_run["out"] / "model.ckpt")
     too_old = tiny_run["cfg"].world.age_max + 1
@@ -651,6 +661,40 @@ def test_cli_resume_rejects_misshaped_optimizer_moments(tiny_run, tmp_path, caps
     assert "cost.l0.w" in capsys.readouterr().err
     assert (run / "model.ckpt").read_bytes() == (tiny_run["out"] / "model.ckpt").read_bytes()
     assert sorted(p.name for p in run.iterdir()) == before
+
+
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", -0.5), ("beta1", 2.0), ("beta2", 0.0), ("eps", float("nan")),
+    ("eps", 0.0), ("learning_rate", float("inf")), ("step_count", -1), ("step_count", 1.5),
+    ("step_count", None),
+])
+def test_cli_resume_rejects_bad_optimizer_scalars(tiny_run, tmp_path, capsys, key, value):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("train_sequences.jsonl", "model.ckpt"):
+        shutil.copy(tiny_run["out"] / name, run / name)
+    ckpt = load_checkpoint(run / "model.ckpt")
+    ckpt.opt_states["policy"][key] = value
+    save_checkpoint(run / "bad.ckpt", ckpt)
+    before = sorted(p.name for p in run.iterdir())
+    assert cli.main(["train-irl", "--seed", "3", "--out", str(run),
+                     "--resume", str(run / "bad.ckpt")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert (run / "model.ckpt").read_bytes() == (tiny_run["out"] / "model.ckpt").read_bytes()
+    assert sorted(p.name for p in run.iterdir()) == before
+
+
+def test_nonfinite_checkpoint_parameter_is_rejected(tiny_run, tmp_path, capsys):
+    ckpt = load_checkpoint(tiny_run["out"] / "model.ckpt")
+    dict(ckpt.params["transform"])["w_act"][:, 7] = np.nan
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, ckpt)
+    with pytest.raises(CheckpointError, match=r"transform\.w_act"):
+        run_synthesize(str(path), _subject_inputs(tiny_run, 20), action=3)
+    assert cli.main(["synthesize", "--checkpoint", str(path), "--age", "20",
+                     "--action", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "transform.w_act" in err and "Traceback" not in err
 
 
 def test_cli_resume_from_non_irl_checkpoint_exits_2(tiny_run, capsys):

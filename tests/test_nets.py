@@ -354,3 +354,32 @@ def test_dense_net_requires_chaining_dims():
         ])
     with pytest.raises(ShapeError):
         DenseNet([])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", 0.0), ("learning_rate", float("nan")), ("beta1", 1.0),
+    ("beta2", -0.1), ("eps", float("inf")), ("eps", -1e-8), ("step_count", -3),
+    ("step_count", 2.0), ("step_count", True), ("learning_rate", "fast"),
+])
+def test_adam_load_rejects_out_of_range_scalars(key, value):
+    rng = np.random.default_rng(25)
+    params = mixed_arrays(rng)
+    opt = Adam(named(params), learning_rate=0.1)
+    opt.step([np.ones(p.shape) for p in params])
+    state = opt.state_dict()
+    fresh = Adam(named([np.zeros(p.shape) for p in params]))
+    with pytest.raises(CheckpointError):
+        fresh.load_state_dict(dict(state, **{key: value}))
+    assert fresh.step_count == 0 and fresh.learning_rate == 1e-3
+    assert not fresh.state_dict()["m"][0].any()
+    missing = dict(state)
+    del missing[key]
+    with pytest.raises(CheckpointError):
+        fresh.load_state_dict(missing)
+
+
+@pytest.mark.parametrize("kwargs", [{"learning_rate": float("inf")}, {"eps": 0.0},
+                                    {"eps": float("nan")}, {"beta2": 1.0}])
+def test_adam_rejects_out_of_range_hyperparameters(kwargs):
+    with pytest.raises(ValueError):
+        Adam(named([np.zeros(2)]), **kwargs)
