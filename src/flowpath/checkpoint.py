@@ -173,6 +173,8 @@ def load_checkpoint(path) -> Checkpoint:
     except (ValueError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"invalid config section: {exc}") from exc
     ckpt = Checkpoint(config=config, meta=_json_section(sections, "meta"))
+    if not isinstance(ckpt.meta, dict):
+        raise CheckpointError("section meta is not a JSON object")
     if "rng" in sections:
         ckpt.rng_state = _json_section(sections, "rng")
     for name, payload in sections.items():

@@ -5,9 +5,11 @@ elementwise affine map to the rest, conditioned on the kept half.  The
 Jacobian is triangular, so the log-determinant is just the sum of the log
 scales, and composition of units keeps both directions exact.
 
-A unit stacks its scale and translate nets (leading axis 2), so both run
-as one batched matmul chain; its `scale_net` and `translate_net` are views
-of slices 0 and 1.  A `FlowPair` stacks unit i of two flows once more,
+A unit is built from one net whose layers stack its scale and translate
+subnets on an axis of 2, so both run as one batched matmul chain; its
+`scale_net` and `translate_net` are views of slices 0 and 1.  Nothing is
+copied in: `make_coupling_unit` carves the stacked layers from a store of
+the unit's own.  A `FlowPair` stacks unit i of two flows once more,
 (2 flows, 2 nets), and the passes below take inputs with the owner's leading
 flow axes, `lead`, in front of (N, dim).  The pair's stacks are views into
 its owner's flat parameter store (see `AgingModel`), and its two lone flows
@@ -19,45 +21,63 @@ evaluation; training mutates parameters under exclusive access.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericError, ShapeError
-from .nets import DenseNet, dense_net, member_net, net_backward, stack_nets, _forward_cached
+from .nets import DenseNet, carve, glorot_fill, member_net, net_backward, net_from, _forward_cached
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _partition(mask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A validated binary mask (1 = kept) and its kept and transformed indices."""
+    """A validated binary mask (1 = kept) and its kept and transformed indices,
+    as read-only arrays shared by every unit over the same mask."""
     mask = np.asarray(mask, dtype=np.int8)
     if mask.ndim != 1:
         raise ShapeError("mask must be a 1-d binary vector")
-    kept, trans = np.flatnonzero(mask == 1), np.flatnonzero(mask == 0)
-    if kept.size + trans.size != mask.size:
+    return _split(mask.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _split(mask: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    values = np.frombuffer(mask, dtype=np.int8)
+    kept, trans = np.flatnonzero(values == 1), np.flatnonzero(values == 0)
+    if kept.size + trans.size != values.size:
         raise ValueError("mask entries must be 0 or 1")
     if kept.size == 0 or trans.size == 0:
         raise ValueError("mask needs at least one kept and one transformed dim")
-    return mask, kept, trans
+    kept.flags.writeable = trans.flags.writeable = False
+    return values, kept, trans
 
 
 class CouplingUnit:
-    """One invertible coupling layer over a fixed binary mask (1 = kept)."""
+    """One invertible coupling layer over a fixed binary mask (1 = kept).
 
-    lead: tuple[int, ...] = ()
+    `net` holds the scale and translate subnets stacked on an axis of 2, just
+    before each layer's (out, in).  Any axes in front of that one are the
+    unit's `lead`: flows run in lockstep, one `clamp` each.
+    """
 
-    def __init__(self, mask: np.ndarray, scale_net: DenseNet, translate_net: DenseNet,
-                 clamp: float = 2.0):
+    def __init__(self, mask: np.ndarray, net: DenseNet, clamp: float | Sequence[float] = 2.0):
         self.mask, self.kept, self.trans = _partition(mask)
         self.dim = self.mask.size
-        if scale_net.in_dim != self.kept.size or scale_net.out_dim != self.trans.size:
-            raise ShapeError("scale net dims do not match the mask partition")
-        if clamp <= 0:
-            raise ValueError("clamp must be positive")
-        self.clamp = float(clamp)
-        self.net = stack_nets([scale_net, translate_net])
+        shape = net.layers[0].weight.shape
+        if len(shape) < 3 or shape[-3] != 2:
+            raise ShapeError("a coupling net stacks its scale and translate subnets on an "
+                             f"axis of 2 before (out, in), not as {shape}")
+        if net.in_dim != self.kept.size or net.out_dim != self.trans.size:
+            raise ShapeError(f"net maps {net.in_dim} -> {net.out_dim} dims, the mask keeps "
+                             f"{self.kept.size} and transforms {self.trans.size}")
+        self.lead = shape[:-3]
+        clamps = np.asarray(clamp, dtype=np.float64)
+        if clamps.shape != self.lead or not all(c > 0 for c in clamps.flat):
+            raise ValueError(f"clamp must be positive, one per flow of shape {self.lead}")
+        self.clamp = clamps[..., None, None] if self.lead else float(clamps)
+        self.net = net
 
     @property
     def scale_net(self) -> DenseNet:
@@ -82,22 +102,9 @@ class UnitPair(CouplingUnit):
     (2 flows, 2 nets, ...), and one clamp per flow.  `parameters()` yields the
     stacked arrays."""
 
-    lead = (2,)
-
-    def __init__(self, mask: np.ndarray, net: DenseNet, clamps: tuple[float, float]):
-        self.mask, self.kept, self.trans = _partition(mask)
-        self.dim = self.mask.size
-        self.clamp = np.array(clamps, dtype=np.float64)[:, None, None]
-        if not np.all(self.clamp > 0):
-            raise ValueError("clamp must be positive")
-        self.net = net
-
     def member(self, f: int) -> CouplingUnit:
         """Flow f's unit, on views of slice f of the stacks."""
-        unit = CouplingUnit.__new__(CouplingUnit)
-        unit.mask, unit.dim, unit.kept, unit.trans = self.mask, self.dim, self.kept, self.trans
-        unit.clamp, unit.net = float(self.clamp[f, 0, 0]), member_net(self.net, f)
-        return unit
+        return CouplingUnit(self.mask, member_net(self.net, f), float(self.clamp[f, 0, 0]))
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return self.net.parameters(prefix)
@@ -111,22 +118,35 @@ def alternating_mask(dim: int, parity: int) -> np.ndarray:
     return ((np.arange(dim) % 2) == (parity % 2)).astype(np.int8)
 
 
-def subnet_dims(mask: np.ndarray, hidden: int) -> tuple[int, int, int, int]:
-    """Widths of a coupling subnet with two hidden layers: kept -> hidden -> hidden -> trans."""
+def subnet_layers(mask: np.ndarray, hidden: int) -> list[tuple[tuple[int, int], str]]:
+    """The ((out, in), activation) layers of a coupling subnet with two hidden
+    layers: kept -> hidden -> hidden -> transformed, relu then identity."""
     kept = int(np.count_nonzero(mask))
-    return kept, hidden, hidden, mask.size - kept
+    dims = (kept, hidden, hidden, np.size(mask) - kept)
+    return [((d_out, d_in), act)
+            for d_in, d_out, act in zip(dims, dims[1:], ("relu", "relu", "identity"))]
+
+
+def glorot_subnets(rng: np.random.Generator, unit: CouplingUnit) -> None:
+    """Draw Glorot values into a lone unit's scale net, then its translate net, as
+    two `dense_net` builds would draw them; final layers are left as they are."""
+    for k in (0, 1):
+        glorot_fill(rng, [layer.weight[k] for layer in unit.net.layers], zero_final=True)
 
 
 def make_coupling_unit(rng: np.random.Generator, mask: np.ndarray, hidden: int = 32,
                        clamp: float = 2.0) -> CouplingUnit:
-    """Coupling unit with 2-hidden-layer subnets, final layers at exactly zero.
+    """Coupling unit with 2-hidden-layer subnets stacked on a store of its own,
+    final layers at exactly zero.
 
     Zero final layers make a fresh stack the identity map with zero logdet.
     """
-    mask = np.asarray(mask, dtype=np.int8)
-    dims = subnet_dims(mask, hidden)
-    scale = dense_net(rng, dims, zero_final=True)
-    return CouplingUnit(mask, scale, dense_net(rng, dims, zero_final=True), clamp=clamp)
+    layers = subnet_layers(mask, hidden)
+    shapes = [(2,) + s for (out, inp), _ in layers for s in ((out, inp), (out,))]
+    arrays = iter(carve(np.zeros(sum(map(math.prod, shapes))), shapes))
+    unit = CouplingUnit(mask, net_from(arrays, [act for _, act in layers]), clamp)
+    glorot_subnets(rng, unit)
+    return unit
 
 
 class BijectionStack:

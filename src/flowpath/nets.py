@@ -6,17 +6,20 @@ through a general tape.  Everything is float64; the finite-difference oracle
 in this module is the reference every analytic gradient is checked against.
 
 A net built by `dense_net` keeps all its parameters in one flat float64
-store, and each layer's weight and bias is a view into it (`carve`).  An
-`Adam` bound to arrays that tile such a store back to back steps the whole
-store with one subtraction.  Read-only sharing across workers is safe;
-`Adam.step` mutates in place and needs exclusive access.
+store, and each layer's weight and bias is a view into it (`carve`).  Layers
+may carry leading axes that stack same-shape member nets, run as one batched
+matmul chain; `net_from` builds such a net on views carved from a store, and
+`member_net` views one member.  An `Adam` bound to arrays that tile such a
+store back to back steps the whole store with one subtraction.  Read-only
+sharing across workers is safe; `Adam.step` mutates in place and needs
+exclusive access.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,7 +92,7 @@ class DenseLayer:
 
 
 class DenseNet:
-    """An ordered stack of dense layers whose dimensions chain (see `stack_nets`)."""
+    """An ordered stack of dense layers whose dimensions chain."""
 
     def __init__(self, layers: Sequence[DenseLayer]):
         layers = list(layers)
@@ -117,23 +120,6 @@ class DenseNet:
                 ((f"{prefix}l{i}.w", layer.weight), (f"{prefix}l{i}.b", layer.bias))]
 
 
-def stack_nets(nets: Sequence[DenseNet]) -> DenseNet:
-    """One net whose layers stack independent members (copied in) on a new
-    leading axis, so they run as one batched matmul chain.  Each member layer is
-    rebound to its slice of the stack: a write through either side shows in both.
-    Nets laid out in a store are stacked already; `member_net` views a slice."""
-    shapes = [[(layer.weight.shape, layer.activation) for layer in n.layers] for n in nets]
-    if any(s != shapes[0] for s in shapes):
-        raise ShapeError("stacked nets must share layer shapes and activations")
-    stacked = DenseNet([DenseLayer(np.array([n.layers[i].weight for n in nets]),
-                                   np.array([n.layers[i].bias for n in nets]), layer.activation)
-                        for i, layer in enumerate(nets[0].layers)])
-    for k, net in enumerate(nets):
-        for layer, whole in zip(net.layers, stacked.layers):
-            layer.weight, layer.bias = whole.weight[k], whole.bias[k]
-    return stacked
-
-
 def member_net(stacked: DenseNet, k: int) -> DenseNet:
     """Member k of a stacked net, as layers viewing slice k of its arrays."""
     return DenseNet([DenseLayer(layer.weight[k], layer.bias[k], layer.activation)
@@ -152,9 +138,12 @@ def dense_net(rng: np.random.Generator | None, dims: Sequence[int],
     arrays = carve(np.zeros(sum(map(math.prod, shapes))), shapes)
     if rng is not None:
         glorot_fill(rng, arrays[::2], zero_final)
-    activations = [hidden_activation] * (len(dims) - 2) + [final_activation]
-    return DenseNet([DenseLayer(w, b, act)
-                     for w, b, act in zip(arrays[::2], arrays[1::2], activations)])
+    return net_from(iter(arrays), [hidden_activation] * (len(dims) - 2) + [final_activation])
+
+
+def net_from(arrays: Iterator[np.ndarray], activations: Sequence[str]) -> DenseNet:
+    """A net whose layers take their weight, then their bias, from `arrays` in turn."""
+    return DenseNet([DenseLayer(next(arrays), next(arrays), act) for act in activations])
 
 
 def _softmax(pre: np.ndarray) -> np.ndarray:

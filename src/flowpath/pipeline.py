@@ -262,6 +262,28 @@ def _metrics_rows(history: list[IterationMetrics]) -> list[list]:
              m.policy_entropy] for m in history]
 
 
+def _resume_point(ckpt: Checkpoint, rng: np.random.Generator
+                  ) -> tuple[int, list[IterationMetrics]]:
+    """A boundary checkpoint's next iteration and metrics history, with `rng` set to
+    its stored state; a missing or malformed value raises CheckpointError."""
+    start, rows = ckpt.meta.get("next_iteration"), ckpt.meta.get("metrics")
+    last = ckpt.config.irl.outer_iters
+    if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= last:
+        raise CheckpointError(f"meta.next_iteration must be an integer in [0, {last}], "
+                              f"not {start!r}")
+    width = len(IRL_METRICS_HEADER) - 1
+    if not isinstance(rows, list) or len(rows) != start or any(
+            not isinstance(r, list) or len(r) != width for r in rows):
+        raise CheckpointError(f"meta.metrics must hold {start} rows of {width} values")
+    try:
+        history = [IterationMetrics(int(r[0]), *map(float, r[1:]), wall_seconds=0.0)
+                   for r in rows]
+        rng.bit_generator.state = ckpt.rng_state
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CheckpointError(f"malformed metrics or rng state: {exc!r}") from exc
+    return start, history
+
+
 def stage_train_irl(cfg: RunConfig, resume: str | None = None,
                     stop_after: int | None = None) -> Path | None:
     """Fresh runs start from pairs.ckpt; `resume` continues a boundary checkpoint."""
@@ -289,10 +311,7 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
             if name not in ckpt.opt_states:
                 raise CheckpointError(f"checkpoint missing optimizer state {name}")
             opts[name].load_state_dict(ckpt.opt_states[name])
-        loop_rng.bit_generator.state = ckpt.rng_state
-        start_iteration = int(ckpt.meta["next_iteration"])
-        history = [IterationMetrics(int(r[0]), *map(float, r[1:]), wall_seconds=0.0)
-                   for r in ckpt.meta.get("metrics", [])]
+        start_iteration, history = _resume_point(ckpt, loop_rng)
 
     def save_state(path: Path, next_iteration: int) -> None:
         """Save the IRL state to `path`; metrics.csv follows so aborted runs show progress."""

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InsufficientDataError, NumericError, ShapeError, ValidationError
 from .flows import (
-    BijectionStack,
     FlowPair,
     UnitPair,
     alternating_mask,
@@ -35,11 +34,11 @@ from .flows import (
     flow_forward_cached,
     flow_inverse,
     gaussian_loglik,
-    make_flow,
+    glorot_subnets,
     standard_normal_loglik,
-    subnet_dims,
+    subnet_layers,
 )
-from .nets import Adam, DenseLayer, DenseNet, carve, glorot_fill, glorot_uniform
+from .nets import Adam, carve, glorot_fill, glorot_uniform, net_from
 
 DEFAULT_NUM_ACTIONS = 16
 VAR_FLOOR = 1e-6
@@ -225,46 +224,17 @@ class AgingModel:
     nets) and `transform` hold views into it, never copies.
     """
 
-    def __init__(self, source_flow: BijectionStack, target_flow: BijectionStack,
-                 transform: FactoredTransform):
-        """Lay out a store for these flows and transform and copy their values in."""
-        if source_flow.dim != target_flow.dim or source_flow.dim != transform.dim:
-            raise ShapeError("flows and transform must share the observation dim")
-        if len(source_flow.units) != len(target_flow.units):
-            raise ShapeError("paired flows need the same number of units")
-        units = []
-        for a, b in zip(source_flow.units, target_flow.units):
-            if not np.array_equal(a.mask, b.mask):
-                raise ShapeError("paired units must share their mask")
-            layers = [(layer.weight.shape[-2:], layer.activation) for layer in a.net.layers]
-            if layers != [(layer.weight.shape[-2:], layer.activation) for layer in b.net.layers]:
-                raise ShapeError("paired units must share layer shapes and activations")
-            units.append((a.mask, layers, (a.clamp, b.clamp)))
-        self._lay_out(transform.dim, units, transform.factors, transform.n_actions)
-        for (_, dst), (_, src) in zip(
-                self.source_flow.parameters() + self.target_flow.parameters()
-                + self.transform.parameters(),
-                source_flow.parameters() + target_flow.parameters() + transform.parameters()):
-            dst[...] = src
-
-    @classmethod
-    def zeros(cls, dim: int, units, factors: int, n_actions: int) -> "AgingModel":
-        """A model whose store is all zeros.  `units` gives, per unit position,
-        (mask, [((out, in), activation) per subnet layer], (source clamp, target clamp))."""
-        model = cls.__new__(cls)
-        model._lay_out(dim, units, factors, n_actions)
-        return model
-
-    def _lay_out(self, dim: int, units, factors: int, n_actions: int) -> None:
+    def __init__(self, dim: int, units, factors: int, n_actions: int):
+        """An all-zero model, the layout a fresh model draws into and a checkpoint
+        fills.  `units` gives, per unit position, (mask, [((out, in), activation)
+        per subnet layer], (source clamp, target clamp))."""
         shapes = [(2, 2) + s for _, layers, _ in units for (out, inp), _ in layers
                   for s in ((out, inp), (out,))]
         shapes += [(dim, factors), (factors, dim), (factors, n_actions), (dim,)]
         self.store = np.zeros(sum(map(math.prod, shapes)))
         arrays = iter(carve(self.store, shapes))
-        self.flows = FlowPair(dim, [
-            UnitPair(mask, DenseNet([DenseLayer(next(arrays), next(arrays), act)
-                                     for _, act in layers]), clamps)
-            for mask, layers, clamps in units])
+        self.flows = FlowPair(dim, [UnitPair(mask, net_from(arrays, [act for _, act in layers]),
+                                             clamps) for mask, layers, clamps in units])
         self.source_flow, self.target_flow = self.flows.first, self.flows.second
         self.transform = FactoredTransform(*arrays)
 
@@ -293,19 +263,12 @@ def make_aging_model(rng: np.random.Generator | None, dim: int,
     transform.  Glorot values are drawn straight into the store's views, in
     the order of `make_flow` twice, then `make_transform`; final subnet layers
     stay zero.  With `rng` None every value is zero, the layout a checkpoint fills."""
-    units = []
-    for i in range(flow_units):
-        mask = alternating_mask(dim, i)
-        widths = subnet_dims(mask, hidden)
-        layers = [((d_out, d_in), "relu") for d_in, d_out in zip(widths, widths[1:])]
-        layers[-1] = (layers[-1][0], "identity")
-        units.append((mask, layers, (clamp, clamp)))
-    model = AgingModel.zeros(dim, units, factors, n_actions)
+    masks = [alternating_mask(dim, i) for i in range(flow_units)]
+    model = AgingModel(dim, [(mask, subnet_layers(mask, hidden), (clamp, clamp)) for mask in masks],
+                       factors, n_actions)
     if rng is not None:
-        for flow in (model.source_flow, model.target_flow):
-            for u in flow.units:
-                for k in (0, 1):
-                    glorot_fill(rng, [layer.weight[k] for layer in u.net.layers], zero_final=True)
+        for u in model.source_flow.units + model.target_flow.units:
+            glorot_subnets(rng, u)
         glorot_fill(rng, [w for _, w in model.transform.parameters()[:3]])
     return model
 
@@ -331,19 +294,18 @@ def pair_loglik(model: AgingModel, x_prev: np.ndarray, x_t: np.ndarray, action):
     return standard_normal_loglik(r) + logdet
 
 
-def controller_gaussian_penalty(w_act: np.ndarray, actions, var_floor: float = VAR_FLOOR
-                                ) -> float:
+def controller_gaussian_penalty(w_act: np.ndarray, actions) -> float:
     """Mean Gaussian log-likelihood of the batch's controller latents.
 
     Moments are the batch mean and population variance of z_a = W_act·a,
-    with a variance floor for degenerate single-action batches.  The value
+    with a variance floor (`VAR_FLOOR`) for degenerate single-action batches.  The value
     is maximized by the training objective.
     """
-    val, _ = _penalty_and_grad(np.asarray(w_act, dtype=np.float64), actions, var_floor)
+    val, _ = _penalty_and_grad(np.asarray(w_act, dtype=np.float64), actions)
     return val
 
 
-def _penalty_and_grad(w_act: np.ndarray, actions, var_floor: float):
+def _penalty_and_grad(w_act: np.ndarray, actions):
     idx = _action_indices(actions, w_act.shape[1])
     n = idx.size
     if n < 2:
@@ -352,7 +314,7 @@ def _penalty_and_grad(w_act: np.ndarray, actions, var_floor: float):
     mu = za.mean(axis=0)
     centered = za - mu
     raw_var = (centered * centered).mean(axis=0)
-    var = np.maximum(raw_var, var_floor)
+    var = np.maximum(raw_var, VAR_FLOOR)
     # value = mean_i log N(za_i; mu, diag(var)) = sum_d [-0.5 log(2 pi var_d)
     #         - raw_var_d / (2 var_d)]
     val = float(gaussian_loglik(za, mu, var).mean())
@@ -365,8 +327,7 @@ def _penalty_and_grad(w_act: np.ndarray, actions, var_floor: float):
 
 
 def pair_objective_and_grads(model: AgingModel, x_prev: np.ndarray, x_t: np.ndarray,
-                             actions, constraint_weight: float = 0.001,
-                             var_floor: float = VAR_FLOOR):
+                             actions, constraint_weight: float = 0.001):
     """Loss = -mean pair_loglik - weight * controller penalty, with gradients.
 
     Gradients are aligned with ``model.parameters()``.  A zero constraint
@@ -398,7 +359,7 @@ def pair_objective_and_grads(model: AgingModel, x_prev: np.ndarray, x_t: np.ndar
                                   np.stack([np.zeros(n), np.full(n, -1.0 / n)]))
 
     if constraint_weight != 0.0:
-        pen, dw_act = _penalty_and_grad(model.transform.w_act, idx, var_floor)
+        pen, dw_act = _penalty_and_grad(model.transform.w_act, idx)
         loss -= constraint_weight * pen
         tr_grads[2] = tr_grads[2] - constraint_weight * dw_act
     return loss, flow_grads + tr_grads

@@ -27,11 +27,6 @@ from flowpath.nets import DenseLayer, DenseNet, finite_diff_grad
 from conftest import assert_close
 
 
-def constant_net(in_dim: int, out_dim: int, value: float) -> DenseNet:
-    return DenseNet([DenseLayer(np.zeros((out_dim, in_dim)),
-                                np.full(out_dim, value), "identity")])
-
-
 def perturbed_flow(seed: int, dim: int, units: int, scale: float = 0.1,
                    hidden: int = 8):
     rng = np.random.default_rng(seed)
@@ -52,8 +47,8 @@ def test_zero_initialized_unit_is_identity():
 
 def test_pure_translation_unit():
     # S == 0, T == 1 on the transformed half; mask keeps dim 0
-    unit = CouplingUnit(np.array([1, 0]), constant_net(1, 1, 0.0),
-                        constant_net(1, 1, 1.0))
+    net = DenseNet([DenseLayer(np.zeros((2, 1, 1)), np.array([[0.0], [1.0]]), "identity")])
+    unit = CouplingUnit(np.array([1, 0]), net)
     y, logdet = unit_forward(unit, np.array([2.0, 3.0]))
     assert np.allclose(y, [2.0, 4.0])
     assert logdet == 0.0
@@ -95,6 +90,13 @@ def test_mask_validation():
         make_coupling_unit(rng, np.array([1, 1, 1]))
     with pytest.raises(ValueError):
         make_coupling_unit(rng, np.array([0, 0]))
+
+
+def test_clamp_validation():
+    rng = np.random.default_rng(0)
+    for clamp in (0.0, -1.0, math.nan, (2.0, 2.0)):  # a lone unit runs one flow
+        with pytest.raises(ValueError):
+            make_coupling_unit(rng, alternating_mask(4, 0), clamp=clamp)
 
 
 def test_zero_initialized_stack_is_identity():

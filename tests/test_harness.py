@@ -684,6 +684,35 @@ def test_cli_resume_rejects_bad_optimizer_scalars(tiny_run, tmp_path, capsys, ke
     assert sorted(p.name for p in run.iterdir()) == before
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.meta.pop("next_iteration"), "meta.next_iteration"),
+    (lambda c: c.meta.__setitem__("next_iteration", "3"), "meta.next_iteration"),
+    (lambda c: c.meta.__setitem__("next_iteration", 1.5), "meta.next_iteration"),
+    (lambda c: c.meta.__setitem__("next_iteration", 4), "meta.next_iteration"),
+    (lambda c: c.meta["metrics"][1].pop(), "meta.metrics"),
+    (lambda c: c.meta["metrics"].pop(), "meta.metrics"),
+    (lambda c: c.meta["metrics"][0].__setitem__(2, "x"), "malformed metrics"),
+    (lambda c: setattr(c, "rng_state", None), "rng state"),
+    (lambda c: c.rng_state.__setitem__("bit_generator", "MT19937"), "rng state"),
+    (lambda c: setattr(c, "meta", [1]), "meta is not a JSON object"),
+], ids=["no-next", "text-next", "float-next", "next-past-end", "short-row", "missing-row",
+        "text-value", "no-rng", "other-generator", "meta-list"])
+def test_cli_resume_rejects_bad_meta_and_rng(tiny_run, tmp_path, capsys, edit, message):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("train_sequences.jsonl", "irl_latest.ckpt"):
+        shutil.copy(tiny_run["out"] / name, run / name)
+    ckpt = load_checkpoint(run / "irl_latest.ckpt")
+    edit(ckpt)
+    save_checkpoint(run / "bad.ckpt", ckpt)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert cli.main(["train-irl", "--seed", "3", "--out", str(run),
+                     "--resume", str(run / "bad.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
 def test_nonfinite_checkpoint_parameter_is_rejected(tiny_run, tmp_path, capsys):
     ckpt = load_checkpoint(tiny_run["out"] / "model.ckpt")
     dict(ckpt.params["transform"])["w_act"][:, 7] = np.nan

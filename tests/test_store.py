@@ -19,7 +19,7 @@ from flowpath.pipeline import (
     model_from_checkpoint,
     policy_from_checkpoint,
 )
-from flowpath.transform import AgingModel, make_aging_model, make_transform
+from flowpath.transform import AgingModel, make_aging_model
 
 from test_nets import ReferenceAdam
 
@@ -94,18 +94,19 @@ def test_fresh_model_draws_in_per_net_order(seed, dim):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
-def test_constructor_copies_given_objects_into_a_store():
-    rng = np.random.default_rng(2)
-    source, target = make_flow(rng, 4, n_units=2, hidden=5), make_flow(rng, 4, n_units=2, hidden=5)
-    for flow in (source, target):
-        for _, arr in flow.parameters():
-            arr += rng.standard_normal(arr.shape)
-    g = make_transform(rng, 4, 3, 2)
-    model = AgingModel(source, target, g)
-    for name, given in (("source_flow", source), ("target_flow", target), ("transform", g)):
-        for (na, a), (nb, b) in zip(getattr(model, name).parameters(), given.parameters()):
-            assert na == nb and np.array_equal(a, b)
-            assert np.shares_memory(a, model.store) and not np.shares_memory(b, model.store)
+@pytest.mark.parametrize("seed, dim", [(0, 5), (7, 4)])
+def test_fresh_flow_draws_in_per_net_order(seed, dim):
+    flow = make_flow(np.random.default_rng(seed), dim, n_units=3, hidden=7)
+    names = [name for name, _ in flow.parameters()]
+    assert names[:12] == [f"u00.{role}.l{i}.{kind}" for role in ("scale", "translate")
+                          for i in range(3) for kind in "wb"]
+    live = [a for _, a in flow.parameters()]
+    ref = reference_aging_model(seed, dim, 6, 3, 7, 4)[:len(live)]  # a model's source flow
+    assert len(live) == 3 * 2 * 3 * 2
+    for a, b in zip(live, ref):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    for u in flow.units:
+        assert flat_store([a for _, a in u.net.parameters()]) is not None
 
 
 def checkpoint_of(cfg: RunConfig, seed: int) -> Checkpoint:
