@@ -34,7 +34,6 @@ from .transform import (
     controller_gaussian_penalty,
     make_aging_model,
     make_transform,
-    one_hot,
     pair_loglik,
     pair_objective_and_grads,
     propagate_moments,

@@ -22,6 +22,9 @@ class FlowSettings:
     def __post_init__(self):
         if self.units < 0 or self.hidden < 1 or self.clamp <= 0:
             raise ValidationError("flow settings must be positive")
+        for key, low in (("pretrain_steps", 0), ("batch_size", 1)):
+            if getattr(self, key) < low:
+                raise ValidationError(f"config flow.{key} must be >= {low}")
 
 
 @dataclass
@@ -34,6 +37,9 @@ class TransformSettings:
     def __post_init__(self):
         if self.factors < 1 or self.constraint_weight < 0:
             raise ValidationError("transform settings must be positive")
+        for key, low in (("train_steps", 0), ("batch_size", 1)):
+            if getattr(self, key) < low:
+                raise ValidationError(f"config transform.{key} must be >= {low}")
 
 
 @dataclass

@@ -237,7 +237,8 @@ def unit_inverse(u: CouplingUnit, y: np.ndarray) -> np.ndarray:
 
 
 def flow_forward(flow: BijectionStack, x: np.ndarray):
-    """Compose units in order; total logdet is the exact sum of unit logdets."""
+    """Compose units in order; total logdet is the exact sum of unit logdets.  Each
+    unit's intermediates are freed as it goes (`flow_forward_cached` keeps them)."""
     h, single = _as_batch(x, flow)
     total = np.zeros(h.shape[:-1])
     for u in flow.units:

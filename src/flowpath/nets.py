@@ -2,8 +2,10 @@
 
 The model zoo in this package is small and fixed (coupling subnets, a cost
 net, a policy net), so gradients are written out per layer instead of going
-through a general tape.  Everything is float64; the finite-difference oracle
-in this module is the reference every analytic gradient is checked against.
+through a general tape.  Hidden layers are relu and outputs identity; the
+policy's softmax is applied outside its net.  Everything is float64; the
+finite-difference oracle in this module is the reference every analytic
+gradient is checked against.
 
 A net built by `dense_net` keeps all its parameters in one flat float64
 store, and each layer's weight and bias is a view into it (`carve`).  Layers
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import CheckpointError, NumericError, ShapeError
 
-ACTIVATIONS = ("relu", "tanh", "identity", "softmax")
+ACTIVATIONS = ("relu", "identity")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -101,9 +103,6 @@ class DenseNet:
         for a, b in zip(layers, layers[1:]):
             if a.weight.shape[:-1] != b.weight.shape[:-2] + b.weight.shape[-1:]:
                 raise ShapeError(f"layer dims do not chain: {a.weight.shape} -> {b.weight.shape}")
-        for layer in layers[:-1]:
-            if layer.activation == "softmax":
-                raise ValueError("softmax is only allowed as the final activation")
         self.layers = layers
 
     @property
@@ -127,40 +126,23 @@ def member_net(stacked: DenseNet, k: int) -> DenseNet:
 
 
 def dense_net(rng: np.random.Generator | None, dims: Sequence[int],
-              hidden_activation: str = "relu", final_activation: str = "identity",
               zero_final: bool = False) -> DenseNet:
-    """Build a net with the given layer widths, e.g. dims=(4, 32, 32, 2), on one
-    flat store holding w then b per layer.  Weights are Glorot draws and biases
-    zero; with `rng` None every value is zero, the layout a checkpoint fills."""
+    """Build a net with the given layer widths, e.g. dims=(4, 32, 32, 2): relu
+    hidden layers and an identity output, on one flat store holding w then b
+    per layer.  Weights are Glorot draws and biases zero; with `rng` None every
+    value is zero, the layout a checkpoint fills."""
     if len(dims) < 2:
         raise ShapeError("need at least an input and an output dimension")
     shapes = [s for d_in, d_out in zip(dims, dims[1:]) for s in ((d_out, d_in), (d_out,))]
     arrays = carve(np.zeros(sum(map(math.prod, shapes))), shapes)
     if rng is not None:
         glorot_fill(rng, arrays[::2], zero_final)
-    return net_from(iter(arrays), [hidden_activation] * (len(dims) - 2) + [final_activation])
+    return net_from(iter(arrays), ["relu"] * (len(dims) - 2) + ["identity"])
 
 
 def net_from(arrays: Iterator[np.ndarray], activations: Sequence[str]) -> DenseNet:
     """A net whose layers take their weight, then their bias, from `arrays` in turn."""
     return DenseNet([DenseLayer(next(arrays), next(arrays), act) for act in activations])
-
-
-def _softmax(pre: np.ndarray) -> np.ndarray:
-    shifted = pre - pre.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _activate(name: str, pre: np.ndarray) -> np.ndarray:
-    """The activation of `pre`, computed in place where it can be."""
-    if name == "relu":
-        return np.maximum(pre, 0.0, out=pre)
-    if name == "tanh":
-        return np.tanh(pre, out=pre)
-    if name == "identity":
-        return pre
-    return _softmax(pre)
 
 
 def _forward_cached(net: DenseNet, x: np.ndarray):
@@ -172,7 +154,7 @@ def _forward_cached(net: DenseNet, x: np.ndarray):
     for layer in net.layers:
         pre = h @ layer.weight.swapaxes(-1, -2)
         pre += layer.bias if layer.bias.ndim == 1 else layer.bias[..., None, :]
-        out = _activate(layer.activation, pre)
+        out = np.maximum(pre, 0.0, out=pre) if layer.activation == "relu" else pre
         caches.append((h, out))
         h = out
     if not np.all(np.isfinite(h)):
@@ -212,16 +194,7 @@ def net_backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, caches: lis
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         h_in, out = caches[k]
-        act = layer.activation
-        if act == "relu":
-            dpre = delta * (out > 0.0)
-        elif act == "tanh":
-            dpre = delta * (1.0 - out * out)
-        elif act == "identity":
-            dpre = delta
-        else:  # softmax
-            inner = (delta * out).sum(axis=-1, keepdims=True)
-            dpre = out * (delta - inner)
+        dpre = delta * (out > 0.0) if layer.activation == "relu" else delta
         rows = dpre.reshape(dpre.shape[:lead] + (-1, dpre.shape[-1]))  # per member
         grads.append(rows.sum(axis=-2))
         grads.append(rows.swapaxes(-1, -2)

@@ -1,10 +1,11 @@
 """Aging transformation with a factored 3-way controller interaction.
 
-The transform maps a source latent and a one-hot age action to a predicted
-target latent: pred = W_out (W_lat z ⊙ W_act a) + bias.  Because the action
-is one-hot, each action selects one column of W_act, i.e. its own gating of
-the factor space.  The full 3-way tensor this factorizes is only ever
-represented implicitly.
+The transform maps a source latent and an age action to a predicted target
+latent: pred = W_out (W_lat z ⊙ W_act a) + bias, with a the one-hot vector
+of the action.  Actions are integer step indices, so each selects one column
+of W_act, i.e. its own gating of the factor space, and no one-hot vector is
+ever built.  The full 3-way tensor this factorizes is only ever represented
+implicitly.
 
 A pair model bundles two independent coupling stacks (source and target
 encoders) with one transform; the conditional likelihood of a target
@@ -97,36 +98,27 @@ def make_transform(rng: np.random.Generator, dim: int,
 
 
 def _action_indices(actions, n_actions: int) -> np.ndarray:
-    """Accept ints, arrays of ints, or one-hot vectors; return index array."""
+    """An int or an integer array of action indices, as a 1-d int64 array; any
+    other dtype, or an index outside [0, n_actions), raises ValidationError."""
     a = np.asarray(actions)
-    if a.ndim >= 1 and a.shape[-1] == n_actions and a.dtype.kind == "f":
-        onehot = a.reshape(-1, n_actions)
-        if not np.all(np.isin(onehot, (0.0, 1.0))) or not np.all(onehot.sum(axis=1) == 1.0):
-            raise ValidationError("action vectors must be exactly one-hot")
-        idx = onehot.argmax(axis=1)
-        return idx if a.ndim == 2 else idx[:1]
+    if a.dtype.kind not in "iu":
+        raise ValidationError(f"actions must be integer indices, not {a.dtype} values")
     idx = np.atleast_1d(a).astype(np.int64)
     if np.any(idx < 0) or np.any(idx >= n_actions):
         raise ValidationError(f"action index out of range [0, {n_actions})")
     return idx
 
 
-def one_hot(index: int, n_actions: int = DEFAULT_NUM_ACTIONS) -> np.ndarray:
-    v = np.zeros(n_actions)
-    v[index] = 1.0
-    return v
-
-
 def transform_apply(g: FactoredTransform, z_prev: np.ndarray, action) -> np.ndarray:
-    """Predicted target latent.  Depends only on W_act's selected column."""
+    """Predicted target latent of z_prev (D,) or (N, D) under integer action
+    indices: one for every row, or one per row.  Depends only on W_act's
+    selected columns."""
     z = np.asarray(z_prev, dtype=np.float64)
     single = z.ndim == 1
     zb = z[None, :] if single else z
     if zb.shape[1] != g.dim:
         raise ShapeError(f"latent dim {zb.shape[1]} != transform dim {g.dim}")
     idx = _action_indices(action, g.n_actions)
-    if idx.size == 1 and zb.shape[0] > 1:
-        idx = np.repeat(idx, zb.shape[0])
     h = zb @ g.w_lat.T               # (N, f)
     za = g.w_act[:, idx].T           # (N, f)
     out = (h * za) @ g.w_out.T + g.bias
@@ -288,10 +280,8 @@ def pair_loglik(model: AgingModel, x_prev: np.ndarray, x_t: np.ndarray, action):
     z_prev, _ = flow_forward(model.source_flow, xp)
     z_t, logdet = flow_forward(model.target_flow, xt)
     pred = transform_apply(model.transform, z_prev, action)
-    r = z_t - pred
-    if single:
-        return float(gaussian_loglik(r, 0.0, 1.0) + logdet)
-    return standard_normal_loglik(r) + logdet
+    loglik = standard_normal_loglik(z_t - pred) + logdet
+    return float(loglik) if single else loglik
 
 
 def controller_gaussian_penalty(w_act: np.ndarray, actions) -> float:

@@ -397,6 +397,10 @@ def test_config_rejects_unknown_sections():
     ('{"irl": {"cost_learning_rate": Infinity}}', "irl.cost_learning_rate"),
     ('{"flow": {"clamp": Infinity}}', "flow.clamp"),
     ('{"optimizer": {"beta1": -Infinity}}', "optimizer.beta1"),
+    ('{"flow": {"pretrain_steps": -1}}', "flow.pretrain_steps"),
+    ('{"flow": {"batch_size": 0}}', "flow.batch_size"),
+    ('{"transform": {"train_steps": -1}}', "transform.train_steps"),
+    ('{"transform": {"batch_size": -2}}', "transform.batch_size"),
 ])
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text, key):
     path = tmp_path / "bad.json"

@@ -1,7 +1,5 @@
 """Numeric core: dense nets, hand-derived gradients, Adam, finite differences."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -35,13 +33,15 @@ def test_relu_clamps_negatives():
 
 
 def test_two_layer_hand_evaluation():
-    # independent scalar evaluation of the affine+activation chain
+    # independent scalar evaluation of the affine+activation chain; the second
+    # hidden pre-activation is negative, so the relu clamp is exercised
     net = DenseNet([
-        DenseLayer(np.array([[0.2], [-0.4]]), np.array([0.1, 0.3]), "tanh"),
+        DenseLayer(np.array([[0.2], [-0.8]]), np.array([0.1, 0.3]), "relu"),
         DenseLayer(np.array([[0.5, -0.25]]), np.array([0.05]), "identity"),
     ])
-    h1 = math.tanh(0.2 * 0.5 + 0.1)
-    h2 = math.tanh(-0.4 * 0.5 + 0.3)
+    h1 = max(0.2 * 0.5 + 0.1, 0.0)
+    h2 = max(-0.8 * 0.5 + 0.3, 0.0)
+    assert h1 > 0.0 and h2 == 0.0
     expected = 0.5 * h1 - 0.25 * h2 + 0.05
     out = net_forward(net, np.array([0.5]))
     assert abs(float(out[0]) - expected) < 1e-14
@@ -49,7 +49,7 @@ def test_two_layer_hand_evaluation():
 
 def test_forward_is_deterministic_and_pure():
     rng = np.random.default_rng(0)
-    net = dense_net(rng, (4, 8, 3), hidden_activation="tanh")
+    net = dense_net(rng, (4, 8, 3))
     x = rng.standard_normal(4)
     a = net_forward(net, x)
     b = net_forward(net, x)
@@ -62,23 +62,6 @@ def test_forward_shape_error():
         net_forward(net, np.zeros(5))
 
 
-def test_softmax_final_only():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        DenseNet([
-            DenseLayer(glorot_uniform(rng, 3, 2), np.zeros(3), "softmax"),
-            DenseLayer(glorot_uniform(rng, 2, 3), np.zeros(2), "identity"),
-        ])
-
-
-def test_softmax_positive_and_normalized():
-    rng = np.random.default_rng(1)
-    net = dense_net(rng, (5, 8, 6), final_activation="softmax")
-    out = net_forward(net, rng.standard_normal((32, 5)) * 5.0)
-    assert np.all(out > 0)
-    assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
-
-
 def test_linear_backward_product_rule():
     net = DenseNet([DenseLayer(np.array([[2.5]]), np.zeros(1), "identity")])
     grads, dx = net_backward(net, np.array([3.0]), np.array([1.0]))
@@ -89,19 +72,19 @@ def test_linear_backward_product_rule():
 
 def test_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(2)
-    net = dense_net(rng, (3, 6, 2), hidden_activation="relu")
+    net = dense_net(rng, (3, 6, 2))
     grads, dx = net_backward(net, rng.standard_normal(3), np.zeros(2))
     assert all(np.all(g == 0) for g in grads)
     assert np.all(dx == 0)
 
 
 @pytest.mark.parametrize("hidden_act,final_act", [
-    ("relu", "identity"), ("tanh", "identity"), ("tanh", "softmax"),
+    ("relu", "identity"),
 ])
 def test_backward_matches_finite_differences(hidden_act, final_act):
     rng = np.random.default_rng(7)
-    net = dense_net(rng, (4, 9, 5, 3), hidden_activation=hidden_act,
-                    final_activation=final_act)
+    net = dense_net(rng, (4, 9, 5, 3))
+    assert [layer.activation for layer in net.layers] == [hidden_act] * 2 + [final_act]
     x = rng.standard_normal(4)
     upstream = rng.standard_normal(3)
     grads, _ = net_backward(net, x, upstream)
@@ -113,7 +96,7 @@ def test_backward_matches_finite_differences(hidden_act, final_act):
 
 def test_backward_batch_sums_over_rows():
     rng = np.random.default_rng(8)
-    net = dense_net(rng, (3, 5, 2), hidden_activation="tanh")
+    net = dense_net(rng, (3, 5, 2))
     xs = rng.standard_normal((6, 3))
     ups = rng.standard_normal((6, 2))
     batch_grads, batch_dx = net_backward(net, xs, ups)
@@ -331,7 +314,7 @@ def test_flat_adam_load_rejects_moments_that_misfit_the_bound_arrays(key, slot):
 @pytest.mark.parametrize("which", ["weight", "bias"])
 def test_nan_in_hidden_layer_raises_from_net_forward(which):
     rng = np.random.default_rng(26)
-    net = dense_net(rng, (3, 6, 6, 2), hidden_activation="relu")
+    net = dense_net(rng, (3, 6, 6, 2))
     getattr(net.layers[1], which)[0] = np.nan
     with pytest.raises(NumericError):
         net_forward(net, rng.standard_normal((4, 3)))

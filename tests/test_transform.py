@@ -15,7 +15,6 @@ from flowpath.transform import (
     GaussianMoments,
     controller_gaussian_penalty,
     make_aging_model,
-    one_hot,
     pair_loglik,
     pair_objective_and_grads,
     propagate_moments,
@@ -77,17 +76,18 @@ def test_one_hot_exclusivity_bit_identical():
     assert np.array_equal(before, after)
 
 
-def test_one_hot_vector_and_index_agree():
-    rng = np.random.default_rng(22)
-    g = FactoredTransform(rng.standard_normal((3, 4)), rng.standard_normal((4, 3)),
-                          rng.standard_normal((4, 6)), rng.standard_normal(3))
-    z = rng.standard_normal(3)
-    assert np.array_equal(transform_apply(g, z, 4),
-                          transform_apply(g, z, one_hot(4, 6)))
-    with pytest.raises(ValidationError):
-        bad = one_hot(4, 6)
-        bad[1] = 1.0
-        transform_apply(g, z, bad)
+@pytest.mark.parametrize("actions", [np.array([2.0]), np.eye(5)[2]],
+                         ids=["float-index", "float-one-hot"])
+def test_actions_must_be_integer_indices(actions):
+    model = small_model(22)
+    rng = np.random.default_rng(23)
+    xp, xt = rng.standard_normal((2, 4))
+    with pytest.raises(ValidationError, match="integer"):
+        transform_apply(model.transform, xp, actions)
+    with pytest.raises(ValidationError, match="integer"):
+        pair_loglik(model, xp, xt, actions)
+    with pytest.raises(ValidationError, match="integer"):
+        pair_objective_and_grads(model, xp, xt, actions)
 
 
 def test_zero_initialized_pair_loglik_reduces_to_standard_normal():
