@@ -23,20 +23,15 @@ from .flows import (
     gaussian_loglik,
     make_coupling_unit,
     make_flow,
-    sample_flow,
-    unit_forward,
     unit_inverse,
 )
 from .transform import (
     AgingModel,
     FactoredTransform,
-    GaussianMoments,
     controller_gaussian_penalty,
     make_aging_model,
-    make_transform,
     pair_loglik,
     pair_objective_and_grads,
-    propagate_moments,
     synthesize_step,
     train_pair_step,
     transform_apply,

@@ -215,13 +215,6 @@ def _as_batch(x: np.ndarray, owner) -> tuple[np.ndarray, bool]:
     raise ShapeError("expected a vector or a batch of vectors")
 
 
-def unit_forward(u: CouplingUnit, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
-    """y copies kept dims; transformed dims get x*exp(s) + t.  logdet = sum(s)."""
-    xb, single = _as_batch(x, u)
-    y, logdet, _ = _unit_forward_cached(u, xb)
-    return (y[0], float(logdet[0])) if single else (y, logdet)
-
-
 def unit_inverse(u: CouplingUnit, y: np.ndarray) -> np.ndarray:
     """Exact inverse: x = (y - t(y_kept)) * exp(-s(y_kept)) on transformed dims."""
     yb, single = _as_batch(y, u)
@@ -336,7 +329,3 @@ def flow_nll(flow: BijectionStack, xs: np.ndarray):
 def flow_nll_value(flow: BijectionStack, xs: np.ndarray) -> float:
     return float(-np.mean(flow_log_density(flow, xs)))
 
-
-def sample_flow(flow: BijectionStack, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n samples by pushing standard-normal latents through the inverse."""
-    return flow_inverse(flow, rng.standard_normal((n, flow.dim)))

@@ -287,6 +287,8 @@ def _resume_point(ckpt: Checkpoint, rng: np.random.Generator
 def stage_train_irl(cfg: RunConfig, resume: str | None = None,
                     stop_after: int | None = None) -> Path | None:
     """Fresh runs start from pairs.ckpt; `resume` continues a boundary checkpoint."""
+    if stop_after is not None and stop_after < 0:
+        raise ValidationError(f"--stop-after must be >= 0, got {stop_after}")
     out = Path(cfg.out_dir)
     demos = [t for _, t in _load_sequences(cfg, TRAIN_FILE)]
     init_rng = _stage_rng(cfg, STAGE_IRL, 0)

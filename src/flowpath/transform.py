@@ -21,7 +21,6 @@ training steps need exclusive access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .flows import (
     standard_normal_loglik,
     subnet_layers,
 )
-from .nets import Adam, carve, glorot_fill, glorot_uniform, net_from
+from .nets import Adam, carve, glorot_fill, net_from
 
 DEFAULT_NUM_ACTIONS = 16
 VAR_FLOOR = 1e-6
@@ -84,17 +83,6 @@ class FactoredTransform:
             (prefix + "w_act", self.w_act),
             (prefix + "bias", self.bias),
         ]
-
-
-def make_transform(rng: np.random.Generator, dim: int,
-                   n_actions: int = DEFAULT_NUM_ACTIONS, factors: int = 32
-                   ) -> FactoredTransform:
-    return FactoredTransform(
-        glorot_uniform(rng, dim, factors),
-        glorot_uniform(rng, factors, dim),
-        glorot_uniform(rng, factors, n_actions),
-        np.zeros(dim),
-    )
 
 
 def _action_indices(actions, n_actions: int) -> np.ndarray:
@@ -142,71 +130,6 @@ def transform_backward(g: FactoredTransform, z_prev: np.ndarray, idx: np.ndarray
     return [dw_out, dw_lat, dw_act, dbias], dz_prev
 
 
-@dataclass
-class GaussianMoments:
-    """First and second moments, plus the optional lagged cross-covariance.
-
-    Construction enforces symmetry only; `validate()` additionally requires a
-    non-negative diagonal.  The distinction matters because the truncated
-    covariance recursion in `propagate_moments` can legitimately leave the
-    PSD cone, while moments used as actual Gaussian parameters must not.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    cross: np.ndarray | None = None  # Cov(current, previous)
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.covariance = np.asarray(self.covariance, dtype=np.float64)
-        if self.covariance.shape != (self.mean.size, self.mean.size):
-            raise ShapeError("covariance shape does not match mean length")
-        if not np.allclose(self.covariance, self.covariance.T):
-            raise ValidationError("covariance must be symmetric")
-
-    def validate(self) -> None:
-        if np.any(np.diag(self.covariance) < 0):
-            raise ValidationError("covariance diagonal must be non-negative")
-
-    @property
-    def cross_rev(self) -> np.ndarray | None:
-        """Cov(previous, current): exactly the transpose of `cross`."""
-        return None if self.cross is None else self.cross.T
-
-
-def propagate_moments(prev: GaussianMoments, action_moments: GaussianMoments,
-                      residual_mean: np.ndarray, g: FactoredTransform
-                      ) -> GaussianMoments:
-    """Push latent moments through the factored transform, formulas as written.
-
-    mean' = W_out (W_lat mean ⊙ mean_a) + bias + residual_mean
-    cov'  = W_out [W_lat cov W_latᵀ ⊙ cov_a
-                   - (W_lat mean)(W_lat mean)ᵀ ⊙ mean_a mean_aᵀ] W_outᵀ
-    cross = W_out (W_lat cov ⊙ mean_a 1ᵀ)
-
-    The covariance recursion drops the cross terms of an exact Hadamard
-    product of independent Gaussians and the additive residual covariance;
-    only the mean is exact (checked against Monte Carlo).
-    """
-    d, f = g.w_out.shape
-    if prev.mean.size != d:
-        raise ShapeError(f"previous moments have dim {prev.mean.size}, expected {d}")
-    if action_moments.mean.size != f:
-        raise ShapeError(f"controller moments have dim {action_moments.mean.size}, expected {f}")
-    residual_mean = np.asarray(residual_mean, dtype=np.float64)
-    if residual_mean.shape != (d,):
-        raise ShapeError("residual mean must have the latent dimension")
-    mu_a = action_moments.mean
-    wl_mu = g.w_lat @ prev.mean
-    mean = g.w_out @ (wl_mu * mu_a) + g.bias + residual_mean
-    inner = (g.w_lat @ prev.covariance @ g.w_lat.T) * action_moments.covariance \
-        - np.outer(wl_mu, wl_mu) * np.outer(mu_a, mu_a)
-    cov = g.w_out @ inner @ g.w_out.T
-    cov = 0.5 * (cov + cov.T)
-    cross = g.w_out @ ((g.w_lat @ prev.covariance) * mu_a[:, None])
-    return GaussianMoments(mean, cov, cross)
-
-
 class AgingModel:
     """Source/target coupling stacks plus the factored controller transform.
 
@@ -252,9 +175,9 @@ def make_aging_model(rng: np.random.Generator | None, dim: int,
                      hidden: int = 32, clamp: float = 2.0, factors: int = 32
                      ) -> AgingModel:
     """Two flows of alternating-mask units with 2-hidden-layer subnets, plus a
-    transform.  Glorot values are drawn straight into the store's views, in
-    the order of `make_flow` twice, then `make_transform`; final subnet layers
-    stay zero.  With `rng` None every value is zero, the layout a checkpoint fills."""
+    transform.  Glorot values go straight into the store's views, as `make_flow`
+    draws them twice, then into `w_out`, `w_lat`, `w_act` in that order; final subnet
+    layers stay zero.  With `rng` None every value is zero, the layout a checkpoint fills."""
     masks = [alternating_mask(dim, i) for i in range(flow_units)]
     model = AgingModel(dim, [(mask, subnet_layers(mask, hidden), (clamp, clamp)) for mask in masks],
                        factors, n_actions)
@@ -284,18 +207,15 @@ def pair_loglik(model: AgingModel, x_prev: np.ndarray, x_t: np.ndarray, action):
     return float(loglik) if single else loglik
 
 
-def controller_gaussian_penalty(w_act: np.ndarray, actions) -> float:
-    """Mean Gaussian log-likelihood of the batch's controller latents.
+def controller_gaussian_penalty(w_act: np.ndarray, actions) -> tuple[float, np.ndarray]:
+    """Mean Gaussian log-likelihood of the batch's controller latents, and its
+    gradient with respect to `w_act`, as (value, dw_act).
 
     Moments are the batch mean and population variance of z_a = W_act·a,
     with a variance floor (`VAR_FLOOR`) for degenerate single-action batches.  The value
     is maximized by the training objective.
     """
-    val, _ = _penalty_and_grad(np.asarray(w_act, dtype=np.float64), actions)
-    return val
-
-
-def _penalty_and_grad(w_act: np.ndarray, actions):
+    w_act = np.asarray(w_act, dtype=np.float64)
     idx = _action_indices(actions, w_act.shape[1])
     n = idx.size
     if n < 2:
@@ -349,7 +269,7 @@ def pair_objective_and_grads(model: AgingModel, x_prev: np.ndarray, x_t: np.ndar
                                   np.stack([np.zeros(n), np.full(n, -1.0 / n)]))
 
     if constraint_weight != 0.0:
-        pen, dw_act = _penalty_and_grad(model.transform.w_act, idx)
+        pen, dw_act = controller_gaussian_penalty(model.transform.w_act, idx)
         loss -= constraint_weight * pen
         tr_grads[2] = tr_grads[2] - constraint_weight * dw_act
     return loss, flow_grads + tr_grads

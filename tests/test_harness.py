@@ -452,6 +452,19 @@ def test_cli_train_irl_stop_after_and_resume(tmp_path, capsys):
     assert (tmp_path / "w" / "model.ckpt").read_bytes() == full
 
 
+def test_cli_train_irl_rejects_negative_stop_after(tiny_run, tmp_path, capsys):
+    copy = tmp_path / "copied_run"
+    shutil.copytree(tiny_run["out"], copy)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config(str(copy)).to_json())
+    kept = {name: (copy / name).read_bytes() for name in ("irl_latest.ckpt", "metrics.csv")}
+    assert cli.main(["train-irl", "--config", str(cfg_path), "--stop-after", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "--stop-after" in captured.err and "resume" not in captured.out
+    for name, raw in kept.items():
+        assert (copy / name).read_bytes() == raw, name
+
+
 # ---------------------------------------------------------------------------
 # Corrupt checkpoint sections and out-of-range targets through the CLI
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from flowpath.flows import (
 from flowpath.nets import Adam, DenseLayer, DenseNet, net_backward, net_forward
 from flowpath.transform import (
     AgingModel,
-    _penalty_and_grad,
+    controller_gaussian_penalty,
     make_aging_model,
     pair_objective_and_grads,
     transform_apply,
@@ -153,7 +153,7 @@ def reference_pair_objective(model: AgingModel, xp, xt, acts, weight):
     tr_grads, dz_prev = transform_backward(model.transform, z_prev, acts, -r / n)
     source, _ = reference_flow_backward(model.source_flow, prev_caches, dz_prev,
                                         np.zeros(n))
-    pen, dw_act = _penalty_and_grad(model.transform.w_act, acts)
+    pen, dw_act = controller_gaussian_penalty(model.transform.w_act, acts)
     loss -= weight * pen
     tr_grads[2] = tr_grads[2] - weight * dw_act
     grads = {}

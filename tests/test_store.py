@@ -5,7 +5,7 @@ vector, fresh models draw into it, checkpoints fill it without drawing, and
 import numpy as np
 import pytest
 
-from flowpath import nets, transform
+from flowpath import nets
 from flowpath.checkpoint import Checkpoint, group_from_model, restore_group
 from flowpath.config import RunConfig
 from flowpath.errors import CheckpointError
@@ -130,7 +130,6 @@ def test_loading_makes_no_glorot_draw(monkeypatch):
         raise AssertionError("a load drew Glorot values")
 
     monkeypatch.setattr(nets, "glorot_uniform", refuse)
-    monkeypatch.setattr(transform, "glorot_uniform", refuse)
     model = model_from_checkpoint(ckpt)
     cost = cost_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)

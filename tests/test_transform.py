@@ -1,4 +1,4 @@
-"""Controller transform: factorization, pair likelihood, moments, synthesis."""
+"""Controller transform: factorization, pair likelihood, synthesis."""
 
 import math
 
@@ -12,12 +12,10 @@ from flowpath.nets import Adam, finite_diff_grad
 from flowpath.transform import (
     AgingModel,
     FactoredTransform,
-    GaussianMoments,
     controller_gaussian_penalty,
     make_aging_model,
     pair_loglik,
     pair_objective_and_grads,
-    propagate_moments,
     synthesize_step,
     train_pair_step,
     transform_apply,
@@ -151,15 +149,15 @@ def test_pair_loglik_invariant_under_coordinate_permutation():
 
 def test_penalty_hand_value_and_symmetry():
     w_act = np.array([[-1.0, 1.0]])  # 1-d factor; actions select -1 / +1
-    pen = controller_gaussian_penalty(w_act, np.array([0, 1]))
+    pen = controller_gaussian_penalty(w_act, np.array([0, 1]))[0]
     assert abs(pen - (-0.5 * math.log(2 * math.pi) - 0.5)) < 1e-12
-    shuffled = controller_gaussian_penalty(w_act, np.array([1, 0]))
+    shuffled = controller_gaussian_penalty(w_act, np.array([1, 0]))[0]
     assert pen == shuffled
 
 
 def test_penalty_degenerate_batch_uses_floor():
     w_act = np.array([[0.7, 0.1], [0.2, -0.3]])
-    pen = controller_gaussian_penalty(w_act, np.array([1, 1, 1]))
+    pen = controller_gaussian_penalty(w_act, np.array([1, 1, 1]))[0]
     floor = 1e-6
     expected = 2 * (-0.5 * math.log(2 * math.pi * floor))  # quadratic term is 0
     assert abs(pen - expected) < 1e-9
@@ -174,11 +172,9 @@ def test_penalty_gradient_matches_finite_differences():
     rng = np.random.default_rng(12)
     w_act = rng.standard_normal((3, 4))
     acts = np.array([0, 1, 1, 3, 2, 0])
-    from flowpath.transform import _penalty_and_grad
-
-    _, grad = _penalty_and_grad(w_act, acts)
+    _, grad = controller_gaussian_penalty(w_act, acts)
     numeric = finite_diff_grad(
-        lambda: controller_gaussian_penalty(w_act, acts), [w_act], 1e-6)
+        lambda: controller_gaussian_penalty(w_act, acts)[0], [w_act], 1e-6)
     assert_close([grad], numeric, label="penalty")
 
 
@@ -190,7 +186,7 @@ def test_train_step_definition_and_decoupling():
     lam = 0.25
     loss, _ = pair_objective_and_grads(model, xp, xt, acts, lam)
     hand = float(-np.mean(pair_loglik(model, xp, xt, acts))) \
-        - lam * controller_gaussian_penalty(model.transform.w_act, acts)
+        - lam * controller_gaussian_penalty(model.transform.w_act, acts)[0]
     assert abs(loss - hand) <= 1e-12 * max(1.0, abs(hand))
 
     # singleton batch is legal when the penalty is disabled
@@ -255,47 +251,6 @@ def test_synthesize_deterministic_and_latent_roundtrip():
     z_prev, _ = flow_forward(model.source_flow, x)
     pred = transform_apply(model.transform, z_prev, 2)
     assert np.abs(z - pred).max() < 1e-9
-
-
-def test_moments_passthrough_and_transpose_identity():
-    g = FactoredTransform(np.eye(2), np.eye(2), np.ones((2, 3)), np.zeros(2))
-    prev = GaussianMoments(np.array([0.3, -0.7]), 0.5 * np.eye(2))
-    act = GaussianMoments(np.ones(2), np.zeros((2, 2)))
-    out = propagate_moments(prev, act, np.zeros(2), g)
-    assert np.allclose(out.mean, prev.mean)
-    assert np.array_equal(out.cross_rev, out.cross.T)
-    # the explicit formula for the reversed cross term is the exact transpose
-    explicit = (np.outer(np.ones(2), act.mean) * (prev.covariance @ g.w_lat.T)) @ g.w_out.T
-    assert np.allclose(explicit, out.cross.T, atol=1e-12)
-
-
-def test_moments_mean_matches_monte_carlo():
-    rng = np.random.default_rng(7)
-    d, f = 3, 4
-    g = FactoredTransform(rng.standard_normal((d, f)), rng.standard_normal((f, d)),
-                          rng.standard_normal((f, 5)), rng.standard_normal(d))
-    mu = rng.standard_normal(d)
-    a_mat = rng.standard_normal((d, d))
-    sig = 0.1 * a_mat @ a_mat.T
-    mu_a = rng.standard_normal(f)
-    b_mat = rng.standard_normal((f, f))
-    sig_a = 0.05 * b_mat @ b_mat.T
-    bar = rng.standard_normal(d)
-    out = propagate_moments(GaussianMoments(mu, sig), GaussianMoments(mu_a, sig_a),
-                            bar, g)
-    n = 100_000
-    z = mu + rng.standard_normal((n, d)) @ np.linalg.cholesky(sig).T
-    za = mu_a + rng.standard_normal((n, f)) @ np.linalg.cholesky(sig_a).T
-    draws = (z @ g.w_lat.T * za) @ g.w_out.T + g.bias + bar
-    se = draws.std(axis=0) / math.sqrt(n)
-    assert np.all(np.abs(draws.mean(axis=0) - out.mean) < 3.0 * se + 1e-9)
-
-
-def test_moments_dimension_validation():
-    g = FactoredTransform(np.eye(2), np.eye(2), np.ones((2, 3)), np.zeros(2))
-    with pytest.raises(Exception):
-        propagate_moments(GaussianMoments(np.zeros(3), np.eye(3)),
-                          GaussianMoments(np.zeros(2), np.eye(2)), np.zeros(2), g)
 
 
 def test_pair_training_improves_heldout_nll(small_pair_model):
