@@ -1,8 +1,17 @@
-"""Binary checkpoints: magic "FPCK", u32 version, length-prefixed sections.
+"""Binary checkpoints, format version 2: one checksummed blob per trained object.
 
-All multi-byte integers are little-endian.  Parameter groups are stored as
-(name, shape, flat float64 little-endian values) records so a checkpoint can
-be rebuilt byte-for-byte: loading then saving produces identical bytes.
+A 20-byte header, little-endian like every integer here, holds the magic
+"FPCK", the u32 version (2), the u64 body length and the `zlib.crc32` of the
+body.  The body is a run of sections, each a u32-length UTF-8 name, a u64
+payload length and the payload: JSON `config`, `meta` and optional `rng`,
+and per trained object `params/<group>`, with `opt/<group>` (Adam moments
+m0..mK then v0..vK) and JSON `optmeta/<group>` for its optimizer.  An array
+section is a u32-length JSON index ``[[name, [shape...]], ...]`` and then
+one float64 blob holding exactly what the index lists, decoded with one
+`np.frombuffer`.  The model is the `model` group, in `AgingModel.parameters()`
+order (its store's layout); the IRL nets are `cost` and `policy`.  Loading
+then saving produces identical bytes.  Version 1 files are refused: re-run
+the stage that wrote them.
 """
 
 from __future__ import annotations
@@ -11,6 +20,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +29,8 @@ from .config import RunConfig
 from .errors import CheckpointError
 
 MAGIC = b"FPCK"
-VERSION = 1
+VERSION = 2
+_HEADER = struct.Struct("<4sIQI")  # magic, version, body length, body CRC32
 
 
 @dataclass
@@ -31,22 +42,12 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(arr, dtype="<f8")
-    name_b = name.encode("utf-8")
-    out = [struct.pack("<I", len(name_b)), name_b,
-           struct.pack("<I", data.ndim)]
-    out.extend(struct.pack("<Q", int(d)) for d in data.shape)
-    out.append(data.tobytes())
-    return b"".join(out)
-
-
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointError("truncated checkpoint payload")
         out = self.data[self.pos:self.pos + n]
@@ -64,61 +65,74 @@ class _Reader:
         return self.pos == len(self.data)
 
 
-def _text(raw: bytes, what: str) -> str:
+def _text(raw, what: str) -> str:
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{what} is not valid UTF-8") from exc
 
 
-def _json_section(sections: dict[str, bytes], name: str):
+def _json(raw, what: str):
+    try:
+        return json.loads(_text(raw, what))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"malformed JSON in {what}: {exc}") from exc
+
+
+def _json_section(sections: dict[str, memoryview], name: str):
     if name not in sections:
         raise CheckpointError(f"checkpoint missing section {name}")
-    try:
-        return json.loads(_text(sections[name], f"section {name}"))
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"malformed JSON in section {name}: {exc}") from exc
-
-
-def _unpack_arrays(payload: bytes) -> list[tuple[str, np.ndarray]]:
-    r = _Reader(payload)
-    count = r.u32()
-    out = []
-    for _ in range(count):
-        name = _text(r.take(r.u32()), "array name")
-        ndim = r.u32()
-        shape = tuple(r.u64() for _ in range(ndim))
-        data = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
-        try:
-            arr = data.reshape(shape).copy()
-        except ValueError as exc:
-            raise CheckpointError(f"array {name} has a corrupt shape {shape}") from exc
-        out.append((name, arr))
-    if not r.exhausted:
-        raise CheckpointError("trailing bytes in a parameter section")
-    return out
+    return _json(sections[name], f"section {name}")
 
 
 def _pack_group(arrays: list[tuple[str, np.ndarray]]) -> bytes:
-    return struct.pack("<I", len(arrays)) + b"".join(
-        _pack_array(n, a) for n, a in arrays)
+    index = json.dumps([[name, list(np.shape(a))] for name, a in arrays],
+                       separators=(",", ":")).encode("utf-8")
+    return b"".join([struct.pack("<I", len(index)), index] +
+                    [np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in arrays])
+
+
+def _unpack_group(payload: memoryview, section: str) -> list[tuple[str, np.ndarray]]:
+    """The (name, array) pairs of an array section, as views of one decoded blob."""
+    r = _Reader(payload)
+    index = _json(r.take(r.u32()), f"the index of section {section}")
+    if not isinstance(index, list):
+        raise CheckpointError(f"section {section} has a malformed index")
+    ends = [0]
+    for entry in index:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list)):
+            raise CheckpointError(f"section {section} has a malformed index")
+        name, shape = entry
+        if not all(type(d) is int and d >= 0 for d in shape) or math.prod(shape) >= 2**63:
+            raise CheckpointError(f"array {name} has a corrupt shape {shape}")
+        ends.append(ends[-1] + math.prod(shape))
+    values = len(payload) - r.pos
+    if values != 8 * ends[-1]:
+        raise CheckpointError(f"section {section} holds {values} bytes of values, "
+                              f"its index lists {8 * ends[-1]}")
+    blob = np.frombuffer(payload, dtype="<f8", offset=r.pos)
+    out = []
+    for (name, shape), start, stop in zip(index, ends, ends[1:]):
+        try:
+            out.append((name, blob[start:stop].reshape(shape)))
+        except ValueError as exc:
+            raise CheckpointError(f"array {name} has a corrupt shape {shape}") from exc
+    return out
 
 
 def _opt_to_arrays(state: dict) -> tuple[list[tuple[str, np.ndarray]], dict]:
-    arrays = []
-    for i, a in enumerate(state["m"]):
-        arrays.append((f"m{i}", np.asarray(a)))
-    for i, a in enumerate(state["v"]):
-        arrays.append((f"v{i}", np.asarray(a)))
+    arrays = [(f"{key}{i}", np.asarray(a)) for key in "mv" for i, a in enumerate(state[key])]
     scalars = {k: state[k] for k in
                ("learning_rate", "beta1", "beta2", "eps", "step_count")}
     return arrays, scalars
 
 
-def _opt_from_arrays(arrays: list[tuple[str, np.ndarray]], scalars: dict) -> dict:
-    m = [a for n, a in arrays if n.startswith("m")]
-    v = [a for n, a in arrays if n.startswith("v")]
-    return dict(scalars, m=m, v=v)
+def _opt_from_arrays(arrays: list[tuple[str, np.ndarray]], scalars: dict, section: str) -> dict:
+    k = len(arrays) // 2
+    if [n for n, _ in arrays] != [f"{key}{i}" for key in "mv" for i in range(k)]:
+        raise CheckpointError(f"section {section} must hold arrays m0..mK then v0..vK")
+    return dict(scalars, m=[a for _, a in arrays[:k]], v=[a for _, a in arrays[k:]])
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -136,37 +150,55 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         sections.append(("rng", json.dumps(ckpt.rng_state, sort_keys=True).encode("utf-8")))
     sections.append(("meta", json.dumps(ckpt.meta, sort_keys=True).encode("utf-8")))
 
-    blob = [MAGIC, struct.pack("<I", VERSION)]
+    body = []
     for name, payload in sections:
         name_b = name.encode("utf-8")
-        blob.append(struct.pack("<I", len(name_b)))
-        blob.append(name_b)
-        blob.append(struct.pack("<Q", len(payload)))
-        blob.append(payload)
-    data = b"".join(blob)
+        body += [struct.pack("<I", len(name_b)), name_b, struct.pack("<Q", len(payload)),
+                 payload]
+    body = b"".join(body)
 
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.write(_HEADER.pack(MAGIC, VERSION, len(body), zlib.crc32(body)))
+        fh.write(body)
     os.replace(tmp, path)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any corrupt or missing content raises CheckpointError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8 or data[:4] != MAGIC:
+def _checked_body(data: memoryview) -> memoryview:
+    """The body of a whole checkpoint file, once its header has been checked."""
+    if data[:4] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
-    version = struct.unpack("<I", data[4:8])[0]
+    if len(data) < 8:
+        raise CheckpointError("truncated checkpoint header")
+    version = struct.unpack_from("<I", data, 4)[0]
     if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    r = _Reader(data)
-    r.pos = 8
-    sections: dict[str, bytes] = {}
+        hint = "; re-run the stage that wrote it" if version == 1 else ""
+        raise CheckpointError(f"unsupported checkpoint version {version}{hint}")
+    if len(data) < _HEADER.size:
+        raise CheckpointError("truncated checkpoint header")
+    _, _, length, crc = _HEADER.unpack_from(data)
+    body = data[_HEADER.size:]
+    if len(body) < length:
+        raise CheckpointError(f"truncated checkpoint: {len(body)} of {length} body bytes")
+    if len(body) > length:
+        raise CheckpointError(f"trailing bytes: {len(body) - length} after the checkpoint body")
+    if zlib.crc32(body) != crc:
+        raise CheckpointError("checksum mismatch: the checkpoint is corrupt")
+    return body
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any corrupt, missing, repeated or unknown content raises
+    CheckpointError.  Its arrays are writable views of the bytes read."""
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        r = _Reader(_checked_body(memoryview(data)[:fh.readinto(data)]))
+    sections: dict[str, memoryview] = {}
     while not r.exhausted:
         name = _text(r.take(r.u32()), "section name")
-        payload_len = r.u64()
-        sections[name] = r.take(payload_len)
+        if name in sections:
+            raise CheckpointError(f"duplicate section {name}")
+        sections[name] = r.take(r.u64())
 
     try:
         config = RunConfig.from_dict(_json_section(sections, "config"))
@@ -178,15 +210,20 @@ def load_checkpoint(path) -> Checkpoint:
     if "rng" in sections:
         ckpt.rng_state = _json_section(sections, "rng")
     for name, payload in sections.items():
-        if name.startswith("params/"):
-            ckpt.params[name.split("/", 1)[1]] = _unpack_arrays(payload)
-    for name, payload in sections.items():
-        if name.startswith("opt/"):
-            group = name.split("/", 1)[1]
+        kind, _, group = name.partition("/")
+        if kind == "params" and group:
+            ckpt.params[group] = _unpack_group(payload, name)
+        elif kind == "opt" and group:
             scalars = _json_section(sections, f"optmeta/{group}")
             if not isinstance(scalars, dict):
                 raise CheckpointError(f"section optmeta/{group} is not a JSON object")
-            ckpt.opt_states[group] = _opt_from_arrays(_unpack_arrays(payload), scalars)
+            ckpt.opt_states[group] = _opt_from_arrays(_unpack_group(payload, name),
+                                                      scalars, name)
+        elif kind == "optmeta" and group:
+            if f"opt/{group}" not in sections:
+                raise CheckpointError(f"section {name} has no opt/{group} section")
+        elif name not in ("config", "meta", "rng"):
+            raise CheckpointError(f"unknown section {name}")
     return ckpt
 
 

@@ -103,8 +103,12 @@ class UnitPair(CouplingUnit):
     stacked arrays."""
 
     def member(self, f: int) -> CouplingUnit:
-        """Flow f's unit, on views of slice f of the stacks."""
-        return CouplingUnit(self.mask, member_net(self.net, f), float(self.clamp[f, 0, 0]))
+        """Flow f's unit, on views of slice f of the stacks.  The pair passed the
+        mask, net and clamp checks, so the member skips them."""
+        unit = object.__new__(CouplingUnit)
+        vars(unit).update(vars(self), net=member_net(self.net, f), lead=(),
+                          clamp=float(self.clamp[f, 0, 0]))
+        return unit
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return self.net.parameters(prefix)

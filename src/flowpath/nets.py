@@ -120,9 +120,13 @@ class DenseNet:
 
 
 def member_net(stacked: DenseNet, k: int) -> DenseNet:
-    """Member k of a stacked net, as layers viewing slice k of its arrays."""
-    return DenseNet([DenseLayer(layer.weight[k], layer.bias[k], layer.activation)
-                     for layer in stacked.layers])
+    """Member k of a stacked net, as layers viewing slice k of its arrays.  The
+    stack's layers passed their shape and chain checks, so the views skip them."""
+    net = object.__new__(DenseNet)
+    net.layers = [object.__new__(DenseLayer) for _ in stacked.layers]
+    for view, layer in zip(net.layers, stacked.layers):
+        view.weight, view.bias, view.activation = layer.weight[k], layer.bias[k], layer.activation
+    return net
 
 
 def dense_net(rng: np.random.Generator | None, dims: Sequence[int],

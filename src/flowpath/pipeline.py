@@ -124,11 +124,9 @@ def build_model(cfg: RunConfig, rng: np.random.Generator | None) -> AgingModel:
         factors=cfg.transform.factors)
 
 
-MODEL_GROUPS = ("source_flow", "target_flow", "transform")  # AgingModel attributes
-
-
-def _model_groups(model: AgingModel) -> dict:
-    return {name: group_from_model(getattr(model, name).parameters()) for name in MODEL_GROUPS}
+def _model_group(model: AgingModel) -> dict:
+    """A checkpoint's `model` group: the model's store, in `parameters()` order."""
+    return {"model": group_from_model(model.parameters())}
 
 
 def _fill(target, ckpt: Checkpoint, group: str):
@@ -141,10 +139,7 @@ def _fill(target, ckpt: Checkpoint, group: str):
 
 def model_from_checkpoint(ckpt: Checkpoint) -> AgingModel:
     """The stored model, filled straight into a zero store: no random draws."""
-    model = build_model(ckpt.config, None)
-    for name in MODEL_GROUPS:
-        _fill(getattr(model, name), ckpt, name)
-    return model
+    return _fill(build_model(ckpt.config, None), ckpt, "model")
 
 
 def _make_irl_net(make, cfg: RunConfig, rng: np.random.Generator | None):
@@ -191,7 +186,7 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
             if step % 100 == 0 or step == steps - 1]
     write_csv(out / "pretrain_metrics.csv", ["flow", "step", "nll"], rows)
     path = out / "flow.ckpt"
-    save_checkpoint(path, Checkpoint(config=cfg, params=_model_groups(model),
+    save_checkpoint(path, Checkpoint(config=cfg, params=_model_group(model),
                                      meta={"stage": "pretrain-flow"}))
     return path
 
@@ -247,7 +242,7 @@ def stage_train_pairs(cfg: RunConfig) -> Path:
             rows.append([step, loss, heldout_nll])
     write_csv(out / "pair_metrics.csv", ["step", "loss", "heldout_nll"], rows)
     path = out / "pairs.ckpt"
-    save_checkpoint(path, Checkpoint(config=cfg, params=_model_groups(model),
+    save_checkpoint(path, Checkpoint(config=cfg, params=_model_group(model),
                                      meta={"stage": "train-pairs"}))
     return path
 
@@ -318,7 +313,7 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
     def save_state(path: Path, next_iteration: int) -> None:
         """Save the IRL state to `path`; metrics.csv follows so aborted runs show progress."""
         rows = _metrics_rows(history)
-        params = _model_groups(model) | {name: group_from_model(net.parameters())
+        params = _model_group(model) | {name: group_from_model(net.parameters())
                                          for name, net in nets.items()}
         save_checkpoint(path, Checkpoint(
             config=cfg, params=params,

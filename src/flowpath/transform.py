@@ -163,10 +163,7 @@ class AgingModel:
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """What an optimizer steps: the flows' stacked arrays, then the transform's,
-        which tile the store in order.
-
-        Checkpoints store each attribute's own `parameters()` instead.
-        """
+        which tile the store in order.  Checkpoints store them as the `model` group."""
         return self.flows.parameters("flows.") + self.transform.parameters("transform.")
 
 

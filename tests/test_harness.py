@@ -3,6 +3,7 @@
 import json
 import shutil
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_checkpoint_layout_magic_and_version(tmp_path):
     save_checkpoint(p, sample_checkpoint())
     raw = p.read_bytes()
     assert raw[:4] == MAGIC == b"FPCK"
-    assert struct.unpack("<I", raw[4:8])[0] == 1
+    assert struct.unpack("<I", raw[4:8])[0] == 2
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -368,7 +369,7 @@ def test_aborted_irl_leaves_resumable_checkpoint_and_metrics(tmp_path):
     stage_train_pairs(cfg)
     # poison the synthesis model so rollouts fail numerically inside iter 0
     pairs = load_checkpoint(tmp_path / "w" / "pairs.ckpt")
-    _, arr = pairs.params["transform"][0]
+    arr = dict(pairs.params["model"])["transform.w_out"]
     arr[...] = 1e300
     save_checkpoint(tmp_path / "w" / "pairs.ckpt", pairs)
     with np.errstate(all="ignore"), pytest.raises(IrlIterationError) as exc:
@@ -469,8 +470,11 @@ def test_cli_train_irl_rejects_negative_stop_after(tiny_run, tmp_path, capsys):
 # Corrupt checkpoint sections and out-of-range targets through the CLI
 # ---------------------------------------------------------------------------
 
+HEADER_SIZE = 20  # magic, u32 version, u64 body length, u32 body CRC32
+
+
 def _sections(raw: bytes) -> list[tuple[bytes, bytes]]:
-    out, pos = [], 8
+    out, pos = [], HEADER_SIZE
     while pos < len(raw):
         (n,) = struct.unpack_from("<I", raw, pos)
         name = raw[pos + 4:pos + 4 + n]
@@ -482,15 +486,13 @@ def _sections(raw: bytes) -> list[tuple[bytes, bytes]]:
 
 
 def _rewritten_checkpoint(tmp_path, edit) -> str:
-    """Save the sample checkpoint, then rewrite its sections through `edit`."""
+    """Save the sample checkpoint, then rewrite its sections through `edit`, under a
+    header with a matching length and CRC so each edit reaches the check it targets."""
     path = tmp_path / "edited.ckpt"
     save_checkpoint(path, sample_checkpoint())
-    raw = path.read_bytes()
-    blob = [raw[:8]]
-    for name, payload in edit(_sections(raw)):
-        blob += [struct.pack("<I", len(name)), name, struct.pack("<Q", len(payload)),
-                 payload]
-    path.write_bytes(b"".join(blob))
+    body = b"".join(struct.pack("<I", len(name)) + name + struct.pack("<Q", len(payload))
+                    + payload for name, payload in edit(_sections(path.read_bytes())))
+    path.write_bytes(MAGIC + struct.pack("<IQI", 2, len(body), zlib.crc32(body)) + body)
     return str(path)
 
 
@@ -523,8 +525,8 @@ def test_cli_checkpoint_mistyped_config_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("shape", [(2**62, 2**62), (0, 2**63)])
 def test_checkpoint_corrupt_array_shape_exits_2(tmp_path, capsys, shape):
-    header = struct.pack("<II", 1, 1) + b"v" + struct.pack("<I", len(shape)) + \
-        struct.pack(f"<{len(shape)}Q", *shape)
+    index = json.dumps([["v", list(shape)]]).encode("utf-8")
+    header = struct.pack("<I", len(index)) + index
     path = _rewritten_checkpoint(
         tmp_path, lambda secs: [(n, header if n == b"params/group_b" else p)
                                 for n, p in secs])
@@ -548,6 +550,78 @@ def test_cli_checkpoint_optmeta_not_an_object_exits_2(tmp_path, capsys):
         tmp_path, lambda secs: [(n, b"[1, 2]" if n == b"optmeta/group_a" else p)
                                 for n, p in secs])
     with pytest.raises(CheckpointError, match="optmeta/group_a"):
+        load_checkpoint(path)
+    assert _plan_exit_code(path) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_checkpoint_of_format_version_1_exits_2(tmp_path, capsys):
+    path = tmp_path / "v1.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    raw = path.read_bytes()
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + raw[HEADER_SIZE:])  # v1 framing
+    assert _plan_exit_code(str(path)) == 2
+    err = capsys.readouterr().err
+    assert "unsupported checkpoint version 1" in err and "re-run the stage" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw + b"\0", "trailing bytes"),
+    (lambda raw: raw[:-1], "truncated checkpoint"),
+    (lambda raw: raw[:HEADER_SIZE - 1], "truncated checkpoint"),
+    (lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]), "checksum mismatch"),
+    (lambda raw: raw[:16] + bytes([raw[16] ^ 0x80]) + raw[17:], "checksum mismatch"),
+])
+def test_cli_checkpoint_header_checks_exit_2(tmp_path, capsys, edit, message):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    assert _plan_exit_code(str(path)) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def _other_values(payload: bytes) -> bytes:
+    """An array section's payload with every stored value replaced."""
+    (n,) = struct.unpack_from("<I", payload)
+    values = np.frombuffer(payload, dtype="<f8", offset=4 + n)
+    return payload[:4 + n] + (values + 1.0).tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda secs: secs + [(n, _other_values(p)) for n, p in secs if n == b"params/group_b"],
+     "duplicate section params/group_b"),
+    (lambda secs: secs + [(n, p) for n, p in secs if n == b"meta"], "duplicate section meta"),
+    (lambda secs: secs + [(b"extra", b"{}")], "unknown section extra"),
+    (lambda secs: secs + [(b"params/", secs[1][1])], "unknown section params/"),
+    (lambda secs: secs + [(b"optmeta/group_b", p) for n, p in secs
+                          if n == b"optmeta/group_a"], "optmeta/group_b has no opt/group_b"),
+])
+def test_cli_checkpoint_repeated_unknown_or_orphan_section_exits_2(tmp_path, capsys, edit,
+                                                                    message):
+    path = _rewritten_checkpoint(tmp_path, edit)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+    assert _plan_exit_code(path) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def _opt_index(names: list[str]) -> bytes:
+    index = json.dumps([[name, [2]] for name in names]).encode("utf-8")
+    return struct.pack("<I", len(index)) + index + np.zeros(2 * len(names)).tobytes()
+
+
+@pytest.mark.parametrize("names", [["m0", "m1", "v0", "v1", "x0"], ["m0", "v0", "v1", "m1"],
+                                   ["m0", "m1", "v0"], ["mx", "m1", "v0", "v1"]])
+def test_cli_checkpoint_optimizer_index_out_of_order_exits_2(tmp_path, capsys, names):
+    path = _rewritten_checkpoint(
+        tmp_path, lambda secs: [(n, _opt_index(names) if n == b"opt/group_a" else p)
+                                for n, p in secs])
+    with pytest.raises(CheckpointError, match="opt/group_a must hold arrays m0..mK"):
         load_checkpoint(path)
     assert _plan_exit_code(path) == 2
     assert "Traceback" not in capsys.readouterr().err
@@ -732,7 +806,7 @@ def test_cli_resume_rejects_bad_meta_and_rng(tiny_run, tmp_path, capsys, edit, m
 
 def test_nonfinite_checkpoint_parameter_is_rejected(tiny_run, tmp_path, capsys):
     ckpt = load_checkpoint(tiny_run["out"] / "model.ckpt")
-    dict(ckpt.params["transform"])["w_act"][:, 7] = np.nan
+    dict(ckpt.params["model"])["transform.w_act"][:, 7] = np.nan
     path = tmp_path / "nan.ckpt"
     save_checkpoint(path, ckpt)
     with pytest.raises(CheckpointError, match=r"transform\.w_act"):

@@ -64,19 +64,26 @@ def test_writes_through_member_views_and_stacks_are_shared():
 def test_restore_group_round_trips_stacked_views_bit_for_bit(tmp_path):
     model = perturbed_model(3)
     path = tmp_path / "a.ckpt"
-    params = {name: group_from_model(getattr(model, name).parameters()) for name in GROUPS}
+    params = {"model": group_from_model(model.parameters())}
     save_checkpoint(path, Checkpoint(config=RunConfig(), params=params))
 
     fresh = perturbed_model(4)
     loaded = load_checkpoint(path)
-    for name in GROUPS:
-        restore_group(getattr(fresh, name).parameters(), loaded.params[name])
+    restore_group(fresh.parameters(), loaded.params["model"])
     for (na, a), (nb, b) in zip(model.parameters(), fresh.parameters()):
         assert na == nb and np.array_equal(a, b)
     again = tmp_path / "b.ckpt"
     save_checkpoint(again, Checkpoint(config=RunConfig(), params={
-        name: group_from_model(getattr(fresh, name).parameters()) for name in GROUPS}))
+        "model": group_from_model(fresh.parameters())}))
     assert again.read_bytes() == path.read_bytes()
+
+    # member views are strided, so each of their arrays is copied on its own
+    members = perturbed_model(5)
+    for name in GROUPS:
+        restore_group(getattr(members, name).parameters(),
+                      group_from_model(getattr(model, name).parameters()))
+    for (na, a), (nb, b) in zip(model.parameters(), members.parameters()):
+        assert na == nb and np.array_equal(a, b)
 
 
 def test_lockstep_pretraining_matches_two_sequential_flows():

@@ -13,7 +13,6 @@ from flowpath.flows import make_flow
 from flowpath.irl import make_cost_net, make_policy_net
 from flowpath.nets import Adam, flat_store, glorot_uniform
 from flowpath.pipeline import (
-    MODEL_GROUPS,
     build_model,
     cost_from_checkpoint,
     model_from_checkpoint,
@@ -22,6 +21,8 @@ from flowpath.pipeline import (
 from flowpath.transform import AgingModel, make_aging_model
 
 from test_nets import ReferenceAdam
+
+NET_OWNERS = ("source_flow", "target_flow", "transform")  # AgingModel attributes
 
 
 def small_config() -> RunConfig:
@@ -87,7 +88,7 @@ def reference_aging_model(seed: int, dim: int, n_actions: int, units: int, hidde
 def test_fresh_model_draws_in_per_net_order(seed, dim):
     model = make_aging_model(np.random.default_rng(seed), dim=dim, n_actions=6, flow_units=3,
                              hidden=7, factors=4)
-    live = [a for name in MODEL_GROUPS for _, a in getattr(model, name).parameters()]
+    live = [a for name in NET_OWNERS for _, a in getattr(model, name).parameters()]
     ref = reference_aging_model(seed, dim, 6, 3, 7, 4)
     assert len(live) == len(ref)
     for a, b in zip(live, ref):
@@ -116,8 +117,7 @@ def checkpoint_of(cfg: RunConfig, seed: int) -> Checkpoint:
     world = cfg.world
     cost = make_cost_net(rng, world.dim, world.n_actions, world.age_min, world.age_max)
     policy = make_policy_net(rng, world.dim, world.n_actions, world.age_min, world.age_max)
-    params = {name: group_from_model(getattr(model, name).parameters())
-              for name in MODEL_GROUPS}
+    params = {"model": group_from_model(model.parameters())}
     params["cost"] = group_from_model(cost.parameters())
     params["policy"] = group_from_model(policy.parameters())
     return Checkpoint(config=cfg, params=params)
@@ -133,9 +133,8 @@ def test_loading_makes_no_glorot_draw(monkeypatch):
     model = model_from_checkpoint(ckpt)
     cost = cost_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
-    for name in MODEL_GROUPS:
-        for (na, a), (nb, b) in zip(getattr(model, name).parameters(), ckpt.params[name]):
-            assert na == nb and np.array_equal(a, b)
+    for (na, a), (nb, b) in zip(model.parameters(), ckpt.params["model"]):
+        assert na == nb and np.array_equal(a, b)
     for net, group in ((cost, "cost"), (policy, "policy")):
         arrays = [a for _, a in net.parameters()]
         assert flat_store(arrays) is not None
@@ -211,14 +210,16 @@ def test_restore_group_takes_large_finite_values():
     assert np.all(live[0][1] == 1e300)
 
 
-@pytest.mark.parametrize("group, name", [
-    ("transform", "w_act"), ("source_flow", "u01.translate.l1.b"), ("cost", "l2.w"),
-    ("policy", "l0.b"),
+@pytest.mark.parametrize("group, name, where", [
+    pytest.param("model", "transform.w_act", (-1, -1), id="transform-w_act"),
+    # the source flow's (index 0) translate net (index 1) in unit 1's stacked bias
+    pytest.param("model", "flows.u01.l1.b", (0, 1, -1), id="source_flow-u01.translate.l1.b"),
+    pytest.param("cost", "l2.w", (-1, -1), id="cost-l2.w"),
+    pytest.param("policy", "l0.b", (-1,), id="policy-l0.b"),
 ])
-def test_load_rejects_a_nonfinite_parameter(group, name):
+def test_load_rejects_a_nonfinite_parameter(group, name, where):
     ckpt = checkpoint_of(small_config(), 8)
-    arr = dict(ckpt.params[group])[name]
-    arr.reshape(-1)[-1] = np.nan
+    dict(ckpt.params[group])[name][where] = np.nan
     load = {"cost": cost_from_checkpoint, "policy": policy_from_checkpoint}.get(
         group, model_from_checkpoint)
     with pytest.raises(CheckpointError, match=rf"{group}\.{name.replace('.', '[.]')}"):
@@ -227,8 +228,8 @@ def test_load_rejects_a_nonfinite_parameter(group, name):
 
 def test_load_rejects_a_missing_model_group():
     ckpt = checkpoint_of(small_config(), 9)
-    del ckpt.params["target_flow"]
-    with pytest.raises(CheckpointError, match="target_flow"):
+    del ckpt.params["model"]
+    with pytest.raises(CheckpointError, match="group model"):
         model_from_checkpoint(ckpt)
 
 
