@@ -142,13 +142,13 @@ def dispatch(args) -> int:
     if cmd == "plan":
         ckpt = load_checkpoint(args.checkpoint)
         inputs = _load_inputs(args, ckpt.config)
-        result = pipeline.run_plan(args.checkpoint, inputs, args.target)
+        result = pipeline.run_plan(ckpt, inputs, args.target)
         print(json.dumps(result))
         return 0
     if cmd == "synthesize":
         ckpt = load_checkpoint(args.checkpoint)
         inputs = _load_inputs(args, ckpt.config)
-        result = pipeline.run_synthesize(args.checkpoint, inputs,
+        result = pipeline.run_synthesize(ckpt, inputs,
                                          action=args.action, target=args.target)
         text = json.dumps(result)
         if args.out:

@@ -10,16 +10,18 @@ and demo start states are fixed, so proposal densities reduce to products of
 per-step action probabilities.
 
 Sampling and scoring work on a `PathBatch`, a struct-of-arrays batch of
-padded trajectories.  One lockstep engine rolls every path: at each time
-step it runs one policy forward pass over the rows still inside their
-horizon, draws one uniform per row from that row's own RNG stream (spawned
-from a single seed in index order), and makes one batched transition.
-Actions therefore do not depend on how the paths are split into batches or
-blocks; observations do only up to float rounding, because batched matrix
-products may round differently.  Energies, proposal densities and the cost
-gradient are each one net pass over all (row, step) pairs.  Greedy planning
-also fills a `PathBatch` in lockstep.  Cost and policy parameter updates
-require exclusive access.
+padded trajectories.  One lockstep engine rolls all of a call's paths
+together.  Transitions are deterministic, so rows that share a start index
+and an action prefix share every state along it: the engine keeps a node id
+per row, runs one policy forward pass per time step over the distinct live
+nodes, draws one uniform per row from that row's own RNG stream (spawned
+from a single seed in index order), and synthesizes each distinct child
+(node, action) once.  Actions therefore do not depend on how rows share
+nodes or how work is chunked; observations do only up to float rounding,
+because batched matrix products may round differently.  Energies, proposal
+densities and the cost gradient are each one net pass over all (row, step)
+pairs.  Greedy planning also fills a `PathBatch` in lockstep.  Cost and
+policy parameter updates require exclusive access.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -43,8 +45,9 @@ from .transform import DEFAULT_NUM_ACTIONS, AgingModel, synthesize_step, transfo
 from .flows import flow_forward, flow_inverse
 
 ENUMERATION_BUDGET = 1_000_000
-# Rows rolled in lockstep per block.  Every row owns its RNG stream, so the
-# block size changes speed and memory only, never the sampled actions.
+# Most rows one sampling call passes to one transition or one scoring pass.
+# All of a call's rows step together and every row owns its RNG stream, so
+# the cap changes speed and memory only, never the sampled actions.
 ROLL_BLOCK = 256
 
 
@@ -413,42 +416,72 @@ def traj_log_proposal_density(traj: AgingTrajectory, policy: PolicyNet) -> float
 # Sampling: the lockstep engine
 # ---------------------------------------------------------------------------
 
-def _roll(policy: PolicyNet, dynamics: Dynamics, obs0: np.ndarray, ages0: np.ndarray,
-          lengths: np.ndarray, uniforms: np.ndarray) -> PathBatch:
-    """Roll len(lengths) paths in lockstep; uniforms[i, t] picks row i's action t.
+def _expand(dynamics: Dynamics, obs: np.ndarray, ages: np.ndarray, parents: np.ndarray,
+            actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Children of (parent node, action) pairs, one transition per distinct child.
+
+    Returns the children's observations and ages and each pair's child index.
+    """
+    _, first, child = np.unique(parents * dynamics.n_actions + actions,
+                                return_index=True, return_inverse=True)
+    src, act = parents[first], actions[first]
+    chunks = [slice(lo, lo + ROLL_BLOCK) for lo in range(0, first.size, ROLL_BLOCK)]
+    nxt = np.concatenate([_transition(dynamics, obs[src[c]], ages[src[c]], act[c])
+                          for c in chunks])
+    return nxt, ages[src] + act, child
+
+
+def _roll(policy: PolicyNet, dynamics: Dynamics, node_obs: np.ndarray,
+          node_ages: np.ndarray, node: np.ndarray, lengths: np.ndarray,
+          uniforms: np.ndarray) -> PathBatch:
+    """Roll len(lengths) paths in lockstep; row i starts at node node[i] of
+    (node_obs, node_ages), which `node` then tracks in place, and
+    uniforms[i, t] picks its action t.
 
     The action is drawn by the CDF search `Generator.choice(n, p=p)` uses, so
     a row's actions equal those of `rng.choice` on the same uniforms.
     """
-    m, dim = obs0.shape
-    width = int(lengths.max())
-    obs = np.zeros((m, width + 1, dim))
+    m, width = lengths.size, int(lengths.max())
+    obs = np.zeros((m, width + 1, node_obs.shape[1]))
     ages = np.zeros((m, width + 1), dtype=np.int64)
     actions = np.zeros((m, width), dtype=np.int64)
     log_q = np.zeros(m)
-    obs[:, 0] = obs0
-    ages[:, 0] = ages0
+    obs[:, 0], ages[:, 0] = node_obs[node], node_ages[node]
     for t in range(width):
         live = np.flatnonzero(lengths > t)
+        needed, at = np.unique(node[live], return_inverse=True)
         probs, log_probs = _action_distribution(
-            policy, _policy_features(policy, obs[live, t], ages[live, t]))
+            policy, _policy_features(policy, node_obs[needed], node_ages[needed]))
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
-        chosen = (cdf <= uniforms[live, t][:, None]).sum(axis=1)
+        chosen = (cdf[at] <= uniforms[live, t][:, None]).sum(axis=1)
         actions[live, t] = chosen
-        log_q[live] += log_probs[np.arange(live.size), chosen]
-        ages[live, t + 1] = ages[live, t] + chosen
-        obs[live, t + 1] = _transition(dynamics, obs[live, t], ages[live, t], chosen)
+        log_q[live] += log_probs[at, chosen]
+        # the node table now holds this level's children
+        node_obs, node_ages, node[live] = _expand(dynamics, node_obs, node_ages,
+                                                  node[live], chosen)
+        obs[live, t + 1], ages[live, t + 1] = node_obs[node[live]], node_ages[node[live]]
     return PathBatch(obs, ages, actions, lengths, log_q)
 
 
-def _roll_blocks(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[State],
-                 horizon: int | Sequence[int], m: int | None,
-                 seed: int | np.random.SeedSequence) -> Iterator[PathBatch]:
-    """Roll m paths, cycling over start states, in blocks of ROLL_BLOCK rows.
+def rollout(policy: PolicyNet, dynamics: Dynamics, start: State, horizon: int,
+            rng: np.random.Generator) -> AgingTrajectory:
+    """Roll one trajectory by stochastically sampling actions from the policy."""
+    batch = _roll(policy, dynamics, start.observation[None, :], np.array([start.age]),
+                  np.zeros(1, dtype=np.int64), np.array([horizon], dtype=np.int64),
+                  rng.random((1, horizon)))
+    return batch.trajectories()[0]
+
+
+def sample_path_batch(policy: PolicyNet, dynamics: Dynamics,
+                      starts: Sequence[State], horizon: int | Sequence[int],
+                      m: int | None = None, seed: int | np.random.SeedSequence = 0
+                      ) -> PathBatch:
+    """Sample m trajectories, cycling over start states, in one lockstep pass.
 
     Path i gets the i-th child stream spawned from `seed` and draws one
-    uniform per step from it.
+    uniform per step from it, so the sampled actions are bit-reproducible and
+    independent of how rows share nodes or how work is chunked.
     """
     if not starts:
         raise ValidationError("need at least one start state")
@@ -462,37 +495,13 @@ def _roll_blocks(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[State],
     if horizons.min() < 1:
         raise ValidationError("horizon must be >= 1")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    streams = root.spawn(count)
-    start_obs = np.stack([s.observation for s in starts])
-    start_ages = np.array([s.age for s in starts], dtype=np.int64)
     which = np.arange(count) % len(starts)
-    for lo in range(0, count, ROLL_BLOCK):
-        rows = which[lo:lo + ROLL_BLOCK]
-        lengths = horizons[rows]
-        uniforms = np.zeros((rows.size, int(lengths.max())))
-        for i, h in enumerate(lengths.tolist()):
-            uniforms[i, :h] = np.random.default_rng(streams[lo + i]).random(h)
-        yield _roll(policy, dynamics, start_obs[rows], start_ages[rows], lengths, uniforms)
-
-
-def rollout(policy: PolicyNet, dynamics: Dynamics, start: State, horizon: int,
-            rng: np.random.Generator) -> AgingTrajectory:
-    """Roll one trajectory by stochastically sampling actions from the policy."""
-    batch = _roll(policy, dynamics, start.observation[None, :], np.array([start.age]),
-                  np.array([horizon], dtype=np.int64), rng.random((1, horizon)))
-    return batch.trajectories()[0]
-
-
-def sample_path_batch(policy: PolicyNet, dynamics: Dynamics,
-                      starts: Sequence[State], horizon: int | Sequence[int],
-                      m: int | None = None, seed: int = 0) -> PathBatch:
-    """Sample m trajectories, cycling over start states, as one batch.
-
-    Each trajectory gets its own RNG stream spawned from `seed` (index order),
-    so the sampled actions are bit-reproducible and independent of how the
-    rows are split into lockstep blocks.
-    """
-    return PathBatch.concat(list(_roll_blocks(policy, dynamics, starts, horizon, m, seed)))
+    lengths = horizons[which]
+    uniforms = np.zeros((count, int(lengths.max())))
+    for i, (stream, h) in enumerate(zip(root.spawn(count), lengths.tolist())):
+        uniforms[i, :h] = np.random.default_rng(stream).random(h)
+    return _roll(policy, dynamics, np.stack([s.observation for s in starts]),
+                 np.array([s.age for s in starts], dtype=np.int64), which, lengths, uniforms)
 
 
 def sample_trajectories(policy: PolicyNet, dynamics: Dynamics,
@@ -546,11 +555,11 @@ def partition_log_weights(cost, policy: PolicyNet, dynamics: Dynamics, start: St
                           horizon: int, n: int, seed: int = 0) -> np.ndarray:
     """Log importance weights -E - log q of `n` policy rollouts from `start`.
 
-    The rollouts are rolled and scored one ROLL_BLOCK block at a time.
+    The rollouts are rolled together and scored ROLL_BLOCK rows at a time.
     """
-    return np.concatenate([-path_energies(cost, block) - block.log_q
-                           for block in _roll_blocks(policy, dynamics, [start], horizon,
-                                                     n, seed)])
+    paths = sample_path_batch(policy, dynamics, [start], horizon, n, seed)
+    blocks = [paths.take(slice(lo, lo + ROLL_BLOCK)) for lo in range(0, n, ROLL_BLOCK)]
+    return np.concatenate([-path_energies(cost, b) - b.log_q for b in blocks])
 
 
 def estimate_log_partition(cost, policy: PolicyNet, dynamics: Dynamics, start: State,

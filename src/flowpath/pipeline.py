@@ -416,8 +416,10 @@ def default_subject_inputs(cfg: RunConfig, subject_seed: int, age: int
     return [(observe(cfg.world, arch, age), age)]
 
 
-def run_plan(ckpt_path: str, inputs: list[tuple[np.ndarray, int]], target: int) -> dict:
-    ckpt = load_checkpoint(ckpt_path)
+def run_plan(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
+             target: int) -> dict:
+    """Greedy plan to `target`; `ckpt_path` may also be a loaded `Checkpoint`."""
+    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path)
     model = model_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
     start = start_state_from_inputs(ckpt, model, inputs, target)
@@ -430,11 +432,12 @@ def run_plan(ckpt_path: str, inputs: list[tuple[np.ndarray, int]], target: int) 
     }
 
 
-def run_synthesize(ckpt_path: str, inputs: list[tuple[np.ndarray, int]],
+def run_synthesize(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
                    action: int | None = None, target: int | None = None) -> dict:
+    """One action step or a plan to `target`; `ckpt_path` may be a loaded `Checkpoint`."""
     if (action is None) == (target is None):
         raise ValidationError("exactly one of action or target is required")
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path)
     model = model_from_checkpoint(ckpt)
     start = start_state_from_inputs(ckpt, model, inputs, target)
     if action is not None:

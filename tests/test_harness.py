@@ -300,6 +300,27 @@ def test_cli_synthesize_to_file(tiny_run, tmp_path):
     assert data["ages"] == [20, 25]
 
 
+@pytest.mark.parametrize("request_args", [
+    ["plan", "--age", "18", "--target", "50"],
+    ["synthesize", "--age", "20", "--action", "5"],
+    ["synthesize", "--age", "20", "--target", "40"],
+])
+def test_cli_reads_the_checkpoint_once_per_request(tiny_run, monkeypatch, request_args):
+    from flowpath import pipeline
+
+    reads = []
+
+    def counting_load(path):
+        reads.append(path)
+        return load_checkpoint(path)
+
+    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
+    monkeypatch.setattr(pipeline, "load_checkpoint", counting_load)
+    ck = str(tiny_run["out"] / "model.ckpt")
+    assert cli.main(request_args[:1] + ["--checkpoint", ck] + request_args[1:]) == 0
+    assert reads == [ck]
+
+
 def test_cli_gradcheck_and_oracle_check(capsys):
     assert cli.main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out

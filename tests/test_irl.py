@@ -14,6 +14,7 @@ from flowpath.errors import (
     ValidationError,
 )
 from flowpath.evaluate import synthesize_progressions
+from flowpath import irl
 from flowpath.flows import flow_forward, flow_inverse
 from flowpath.irl import (
     AgingTrajectory,
@@ -702,6 +703,53 @@ def test_engine_crosses_block_boundary(kind):
     assert np.abs(log_w[:100] - head).max() < 1e-12
     assert abs(estimate_log_partition(cost, policy, dyn, starts[0], 3, n=n, seed=8)
                - log_mean_exp(log_w)) == 0.0
+
+
+def test_engine_transitions_each_distinct_child_once():
+    """Rows sharing a start index and an action prefix share one transition;
+    equal start states at different indices stay apart."""
+    rng = np.random.default_rng(31)
+    policy = make_policy_net(rng, dim=3, n_actions=16, age_low=0, age_high=100,
+                             uniform_init=False)
+    cost = make_cost_net(rng, dim=3, n_actions=16, age_low=0, age_high=100, hidden=8)
+    stepped = []
+
+    def step(s, a):
+        stepped.append(a)
+        return State(np.tanh(s.observation + 0.05 * a), s.age + a)
+
+    dyn = FunctionDynamics(16, step)
+    twin = rng.standard_normal(3)
+    starts = [State(twin, 20), State(rng.standard_normal(3), 35), State(twin.copy(), 20)]
+    horizons = [3, 1, 2]
+    n = 2 * ROLL_BLOCK + 13
+    batch = sample_path_batch(policy, dyn, starts, horizons, m=n, seed=9)
+    prefixes = {(i % len(starts), tuple(batch.actions[i, :t + 1].tolist()))
+                for i, length in enumerate(batch.lengths.tolist()) for t in range(length)}
+    assert len(stepped) == len(prefixes) < int(batch.lengths.sum())
+    log_w = -path_energies(cost, batch) - batch.log_q
+    assert_matches_reference(batch, reference_paths(policy, dyn, cost, starts, horizons, n, 9),
+                             log_w)
+
+
+@pytest.mark.parametrize("kind", ["model", "function"])
+def test_engine_chunk_size_changes_speed_only(kind, monkeypatch):
+    policy, dyn, cost, starts = engine_world(kind)
+    n = 300
+
+    def run():
+        return (sample_path_batch(policy, dyn, starts, [3, 1, 2], m=n, seed=4),
+                partition_log_weights(cost, policy, dyn, starts[0], 3, n=n, seed=6))
+
+    batch, log_w = run()
+    monkeypatch.setattr(irl, "ROLL_BLOCK", 7)
+    small_batch, small_log_w = run()
+    assert np.array_equal(small_batch.actions, batch.actions)
+    assert np.array_equal(small_batch.lengths, batch.lengths)
+    assert np.array_equal(small_batch.ages, batch.ages)
+    assert np.abs(small_batch.observations - batch.observations).max() < 1e-12
+    assert np.abs(small_batch.log_q - batch.log_q).max() < 1e-12
+    assert np.abs(small_log_w - log_w).max() < 1e-12
 
 
 def test_engine_log_q_matches_rescoring():
