@@ -90,12 +90,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_seed(value, source: str) -> int:
+    """A seed numpy accepts, a non-negative integer; else a ValidationError naming `source`."""
+    if not str(value).isdecimal():
+        raise ValidationError(f"{source} must be a non-negative integer, not {value!r}")
+    return int(value)
+
+
 def resolve_config(args) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    source = "config seed"
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg.seed, source = args.seed, "--seed"
     elif args.config is None and os.environ.get(SEED_ENV_VAR):
-        cfg.seed = int(os.environ[SEED_ENV_VAR])
+        cfg.seed, source = os.environ[SEED_ENV_VAR], SEED_ENV_VAR
+    cfg.seed = _check_seed(cfg.seed, source)
     if getattr(args, "out", None):
         cfg.out_dir = args.out
     return cfg
@@ -164,9 +173,9 @@ def dispatch(args) -> int:
                          indent=2, sort_keys=True))
         return 0
     if cmd == "gradcheck":
-        return _run_checks(run_gradcheck(args.seed))
+        return _run_checks(run_gradcheck(_check_seed(args.seed, "--seed")))
     if cmd == "oracle-check":
-        return _run_checks(run_oracle_check(args.seed))
+        return _run_checks(run_oracle_check(_check_seed(args.seed, "--seed")))
     raise UsageError(f"unknown command {cmd}")
 
 

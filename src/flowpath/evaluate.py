@@ -22,8 +22,8 @@ from .irl import (
     State,
     log_mean_exp,
     make_policy_net,
-    partition_log_weights,
     path_energies,
+    path_log_weights,
     sample_path_batch,
     weight_diagnostics,
 )
@@ -130,7 +130,8 @@ def energy_separation_report(model: AgingModel, cost, demos: list[AgingTrajector
     """Mean learned energy of demos vs uniform-policy rollouts from demo starts,
     plus an importance-sampled log-partition estimate under the learned policy
     with the Kish effective sample size and largest normalized weight of its
-    importance weights.  The estimate uses the first demo's start and horizon
+    importance weights and the number of distinct action sequences among its
+    rollouts.  The estimate uses the first demo's start and horizon
     only, so it depends on the order of `demos` (train_sequences.jsonl in a run).
     """
     dyn = ModelDynamics(model)
@@ -143,8 +144,8 @@ def energy_separation_report(model: AgingModel, cost, demos: list[AgingTrajector
     demo_paths = PathBatch.from_trajectories(demos, cost.n_actions)
     demo_e = float(np.mean(path_energies(cost, demo_paths)))
     roll_e = float(np.mean(path_energies(cost, rollouts)))
-    log_w = partition_log_weights(cost, policy, dyn, starts[0], horizons[0],
-                                  n=partition_samples, seed=seed + 1)
+    paths = sample_path_batch(policy, dyn, starts[:1], horizons[0], partition_samples, seed + 1)
+    log_w = path_log_weights(cost, paths)
     ess, max_weight = weight_diagnostics(log_w)
     return {
         "demo_energy": demo_e,
@@ -154,4 +155,5 @@ def energy_separation_report(model: AgingModel, cost, demos: list[AgingTrajector
         "partition_samples": partition_samples,
         "partition_ess": ess,
         "partition_max_weight": max_weight,
+        "partition_distinct_paths": len(np.unique(paths.actions, axis=0)),
     }

@@ -14,8 +14,8 @@ padded trajectories.  One lockstep engine rolls all of a call's paths
 together.  Transitions are deterministic, so rows that share a start index
 and an action prefix share every state along it: the engine keeps a node id
 per row, runs one policy forward pass per time step over the distinct live
-nodes, draws one uniform per row from that row's own RNG stream (spawned
-from a single seed in index order), and synthesizes each distinct child
+nodes, picks each row's action with one uniform from a single matrix the
+call draws up front (row i, step t), and synthesizes each distinct child
 (node, action) once.  Actions therefore do not depend on how rows share
 nodes or how work is chunked; observations do only up to float rounding,
 because batched matrix products may round differently.  Energies, proposal
@@ -46,8 +46,8 @@ from .flows import flow_forward, flow_inverse
 
 ENUMERATION_BUDGET = 1_000_000
 # Most rows one sampling call passes to one transition or one scoring pass.
-# All of a call's rows step together and every row owns its RNG stream, so
-# the cap changes speed and memory only, never the sampled actions.
+# All of a call's rows step together and read their uniforms from one matrix
+# drawn up front, so the cap changes speed and memory only, never the actions.
 ROLL_BLOCK = 256
 
 
@@ -479,9 +479,9 @@ def sample_path_batch(policy: PolicyNet, dynamics: Dynamics,
                       ) -> PathBatch:
     """Sample m trajectories, cycling over start states, in one lockstep pass.
 
-    Path i gets the i-th child stream spawned from `seed` and draws one
-    uniform per step from it, so the sampled actions are bit-reproducible and
-    independent of how rows share nodes or how work is chunked.
+    One (m, widest horizon) uniform matrix drawn from `seed` picks the actions,
+    path i reading row i, so they are bit-reproducible and do not depend on
+    how rows share nodes or how work is chunked.
     """
     if not starts:
         raise ValidationError("need at least one start state")
@@ -494,12 +494,9 @@ def sample_path_batch(policy: PolicyNet, dynamics: Dynamics,
         raise ShapeError("one horizon per start state is required")
     if horizons.min() < 1:
         raise ValidationError("horizon must be >= 1")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     which = np.arange(count) % len(starts)
     lengths = horizons[which]
-    uniforms = np.zeros((count, int(lengths.max())))
-    for i, (stream, h) in enumerate(zip(root.spawn(count), lengths.tolist())):
-        uniforms[i, :h] = np.random.default_rng(stream).random(h)
+    uniforms = np.random.default_rng(seed).random((count, int(lengths.max())))
     return _roll(policy, dynamics, np.stack([s.observation for s in starts]),
                  np.array([s.age for s in starts], dtype=np.int64), which, lengths, uniforms)
 
@@ -553,12 +550,13 @@ def irl_loss_and_grad(cost: CostNet, demos: PathBatch, samples: PathBatch
 
 def partition_log_weights(cost, policy: PolicyNet, dynamics: Dynamics, start: State,
                           horizon: int, n: int, seed: int = 0) -> np.ndarray:
-    """Log importance weights -E - log q of `n` policy rollouts from `start`.
+    """Log importance weights of `n` policy rollouts from `start`, rolled together."""
+    return path_log_weights(cost, sample_path_batch(policy, dynamics, [start], horizon, n, seed))
 
-    The rollouts are rolled together and scored ROLL_BLOCK rows at a time.
-    """
-    paths = sample_path_batch(policy, dynamics, [start], horizon, n, seed)
-    blocks = [paths.take(slice(lo, lo + ROLL_BLOCK)) for lo in range(0, n, ROLL_BLOCK)]
+
+def path_log_weights(cost, paths: PathBatch) -> np.ndarray:
+    """Log importance weights -E - log q of sampled paths, scored ROLL_BLOCK rows at a time."""
+    blocks = [paths.take(slice(lo, lo + ROLL_BLOCK)) for lo in range(0, len(paths), ROLL_BLOCK)]
     return np.concatenate([-path_energies(cost, b) - b.log_q for b in blocks])
 
 

@@ -248,6 +248,27 @@ def test_cli_gen_data_and_seed_env(tmp_path, monkeypatch, capsys):
     assert file_digest(tmp_path / "w3" / "train_sequences.jsonl") == first
 
 
+@pytest.mark.parametrize("argv, env, source", [
+    (["gen-data", "--seed", "-1"], None, "--seed"),
+    (["gen-data"], "-5", "FLOWPATH_SEED"),
+    (["gen-data"], "abc", "FLOWPATH_SEED"),
+    (["gen-data"], "1.5", "FLOWPATH_SEED"),
+    (["train-irl", "--seed", "-2"], None, "--seed"),
+    (["gradcheck", "--seed", "-1"], None, "--seed"),
+    (["oracle-check", "--seed", "-4"], None, "--seed"),
+], ids=["flag-negative", "env-negative", "env-word", "env-float", "train-irl-flag",
+        "gradcheck", "oracle-check"])
+def test_cli_rejects_bad_seed_by_source(tmp_path, monkeypatch, capsys, argv, env, source):
+    if env is not None:
+        monkeypatch.setenv("FLOWPATH_SEED", env)
+    out = ["--out", str(tmp_path / "w")] if argv[0] not in ("gradcheck", "oracle-check") else []
+    assert cli.main(argv + out) == 1
+    captured = capsys.readouterr()
+    assert f"{source} must be a non-negative integer" in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+    assert not (tmp_path / "w").exists()
+
+
 def test_cli_plan_and_truncated_checkpoint(tiny_run, tmp_path, capsys):
     ck = tiny_run["out"] / "model.ckpt"
     code = cli.main(["plan", "--checkpoint", str(ck), "--age", "18",
@@ -411,6 +432,7 @@ def test_config_rejects_unknown_sections():
     ('{"world": {"dim": "x"}}', "world.dim"),
     ('{"world": {"dim": 4.5}}', "world.dim"),
     ('{"seed": 1.7}', "seed"),
+    ('{"seed": -3}', "config seed"),
     ('{"flow": {"units": true}}', "flow.units"),
     ('{"out_dir": 3}', "out_dir"),
     ('{"world": {"train_subjects": 0}}', "train_subjects"),
@@ -667,6 +689,7 @@ def test_evaluation_reports_partition_weight_diagnostics(tiny_run):
     n = energy["partition_samples"]
     assert 1.0 <= energy["partition_ess"] <= n
     assert 1.0 / n <= energy["partition_max_weight"] <= 1.0
+    assert 1 <= energy["partition_distinct_paths"] <= n
 
 
 def build_pairs_reference(trajs, n_actions):

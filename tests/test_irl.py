@@ -637,15 +637,19 @@ def test_learn_wraps_inner_errors_with_iteration_index():
 # ---------------------------------------------------------------------------
 
 def reference_paths(policy, dyn, cost, starts, horizons, m, seed):
-    """Roll and score each path alone: policy.probs, rng.choice, dynamics.step."""
-    streams = np.random.SeedSequence(seed).spawn(m)
+    """Roll and score each path alone: policy.probs, a CDF search, dynamics.step.
+
+    Row i reads row i of one (m, widest horizon) uniform matrix drawn from `seed`.
+    """
+    uniforms = np.random.default_rng(seed).random(
+        (m, max(horizons[i % len(starts)] for i in range(m))))
     out = []
     for i in range(m):
-        rng = np.random.default_rng(streams[i])
         states, actions, log_q = [starts[i % len(starts)]], [], 0.0
-        for _ in range(horizons[i % len(starts)]):
+        for t in range(horizons[i % len(starts)]):
             p = policy.probs(states[-1])
-            a = int(rng.choice(policy.n_actions, p=p))
+            cdf = np.cumsum(p)
+            a = int(np.searchsorted(cdf / cdf[-1], uniforms[i, t], side="right"))
             log_q += math.log(p[a])
             actions.append(a)
             states.append(dyn.step(states[-1], a))
