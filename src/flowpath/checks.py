@@ -26,10 +26,10 @@ from .transform import make_aging_model, pair_objective_and_grads, transform_app
 from .world import (
     WorldConfig,
     WorldDynamics,
+    archetype_cost,
     brute_force_optimal_path,
     dp_optimal_path,
     generate_subject,
-    ground_truth_cost,
     make_archetype,
 )
 
@@ -88,7 +88,7 @@ def _toy_demo_world(seed: int):
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0.0, age_high=20.0,
                              hidden=6)
     base = rng.standard_normal(3)
-    dyn = FunctionDynamics(4, lambda s, a: State(s.observation + 0.1 * a, s.age + a))
+    dyn = FunctionDynamics(4, lambda obs, ages, actions: obs + 0.1 * actions[:, None])
     start = State(base, 0)
     return cost, policy, dyn, start
 
@@ -187,10 +187,7 @@ def check_path_oracles_agree(seed: int = 0):
         sid = seed * 1000 + i
         arch = make_archetype(cfg, sid)
         dyn = WorldDynamics(cfg, arch)
-
-        def cost(state, action, _arch=arch):
-            return ground_truth_cost(state, action, _arch, cfg)
-
+        cost = archetype_cost(cfg, arch)
         start = dyn.state_at(cfg.age_min + 2 + i)
         target = start.age + 12 + i
         bf = brute_force_optimal_path(dyn, cost, start, target, horizon_cap=4)
@@ -206,10 +203,7 @@ def check_gibbs_normalization(seed: int = 0):
     cfg = WorldConfig(n_actions=3)
     arch = make_archetype(cfg, seed)
     dyn = WorldDynamics(cfg, arch)
-
-    def cost(state, action):
-        return ground_truth_cost(state, action, arch, cfg)
-
+    cost = archetype_cost(cfg, arch)
     start = dyn.state_at(cfg.age_min)
     total = 0.0
     for idx in range(3**3):
@@ -220,7 +214,7 @@ def check_gibbs_normalization(seed: int = 0):
             v //= 3
         states = [start]
         for a in actions[::-1]:
-            states.append(dyn.step(states[-1], a))
+            states.append(dyn.state_at(states[-1].age + a))
         traj = AgingTrajectory(states, actions[::-1])
         total += exact_sequence_prob(traj, cost, dyn)
     err = abs(total - 1.0)
@@ -235,10 +229,7 @@ def check_demo_optimality(seed: int = 0):
         sid = seed * 777 + i
         arch, demo = generate_subject(cfg, sid)
         dyn = WorldDynamics(cfg, arch)
-
-        def cost(state, action, _arch=arch):
-            return ground_truth_cost(state, action, _arch, cfg)
-
+        cost = archetype_cost(cfg, arch)
         oracle = brute_force_optimal_path(dyn, cost, dyn.state_at(demo.states[0].age),
                                           demo.states[-1].age, cfg.horizon - 1)
         if demo.actions != oracle.actions:

@@ -102,7 +102,7 @@ def resolve_config(args) -> RunConfig:
     source = "config seed"
     if getattr(args, "seed", None) is not None:
         cfg.seed, source = args.seed, "--seed"
-    elif args.config is None and os.environ.get(SEED_ENV_VAR):
+    elif os.environ.get(SEED_ENV_VAR):
         cfg.seed, source = os.environ[SEED_ENV_VAR], SEED_ENV_VAR
     cfg.seed = _check_seed(cfg.seed, source)
     if getattr(args, "out", None):

@@ -28,13 +28,7 @@ from .irl import (
     weight_diagnostics,
 )
 from .transform import AgingModel
-from .world import (
-    WorldConfig,
-    WorldDynamics,
-    dp_optimal_path,
-    ground_truth_cost,
-    make_archetype,
-)
+from .world import WorldConfig, WorldDynamics, archetype_cost, dp_optimal_path, make_archetype
 
 
 def _stack(states: list[State]) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +99,7 @@ def path_recovery_report(paths: PathBatch, config: WorldConfig,
         arch = make_archetype(config, sid)
         planned = paths.actions[i, :paths.lengths[i]].tolist()
         world_dyn = WorldDynamics(config, arch)
-        optimal = dp_optimal_path(world_dyn, lambda s, a: ground_truth_cost(s, a, arch, config),
+        optimal = dp_optimal_path(world_dyn, archetype_cost(config, arch),
                                   world_dyn.state_at(traj.states[0].age), traj.states[-1].age,
                                   horizon_cap=config.horizon - 1)
         ok = planned == optimal.actions

@@ -6,10 +6,10 @@ Jacobian is triangular, so the log-determinant is just the sum of the log
 scales, and composition of units keeps both directions exact.
 
 A unit is built from one net whose layers stack its scale and translate
-subnets on an axis of 2, so both run as one batched matmul chain; its
-`scale_net` and `translate_net` are views of slices 0 and 1.  Nothing is
-copied in: `make_coupling_unit` carves the stacked layers from a store of
-the unit's own.  A `FlowPair` stacks unit i of two flows once more,
+subnets on an axis of 2, so both run as one batched matmul chain, and
+`member_net(unit.net, k)` views the scale (k = 0) or translate (k = 1) net.
+Nothing is copied in: `make_coupling_unit` carves the stacked layers from a
+store of the unit's own.  A `FlowPair` stacks unit i of two flows once more,
 (2 flows, 2 nets), and the passes below take inputs with the owner's leading
 flow axes, `lead`, in front of (N, dim).  The pair's stacks are views into
 its owner's flat parameter store (see `AgingModel`), and its two lone flows
@@ -78,14 +78,6 @@ class CouplingUnit:
             raise ValueError(f"clamp must be positive, one per flow of shape {self.lead}")
         self.clamp = clamps[..., None, None] if self.lead else float(clamps)
         self.net = net
-
-    @property
-    def scale_net(self) -> DenseNet:
-        return member_net(self.net, 0)
-
-    @property
-    def translate_net(self) -> DenseNet:
-        return member_net(self.net, 1)
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         """Per-net names and views: all of the scale net's, then the translate net's."""

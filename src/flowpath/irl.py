@@ -1,13 +1,20 @@
 """Maximum-entropy IRL over longitudinal aging trajectories.
 
-Trajectories alternate states (observation + integer age) and one-hot step
-actions.  A trajectory's probability is Gibbs in its summed step cost, the
-partition function is approximated by self-normalized importance sampling
-under the current policy (exact enumeration is available on small worlds),
-and the policy is refined against the learned cost by entropy-regularized
-policy gradient.  Transitions are deterministic (synthesis with zero noise)
-and demo start states are fixed, so proposal densities reduce to products of
-per-step action probabilities.
+Trajectories alternate states (observation + integer age) and integer step
+actions: action a moves the age by a.  A trajectory's probability is Gibbs
+in its summed step cost, the partition function is approximated by
+self-normalized importance sampling under the current policy (exact
+enumeration is available on small worlds), and the policy is refined
+against the learned cost by entropy-regularized policy gradient.
+Transitions are deterministic (synthesis with zero noise) and demo start
+states are fixed, so proposal densities reduce to products of per-step
+action probabilities.
+
+Dynamics and costs take batches only.  A dynamics has `n_actions` and
+`transition(obs (K, D), ages (K,), actions (K,)) -> (K, D)`, the next
+observations; the next ages are ages + actions.  A cost is a callable
+`cost(obs, ages, actions) -> (K,)`, one step cost per row.  `CostNet` is
+one, `ModelDynamics` and `FunctionDynamics` are dynamics.
 
 Sampling and scoring work on a `PathBatch`, a struct-of-arrays batch of
 padded trajectories.  One lockstep engine rolls all of a call's paths
@@ -20,8 +27,10 @@ call draws up front (row i, step t), and synthesizes each distinct child
 nodes or how work is chunked; observations do only up to float rounding,
 because batched matrix products may round differently.  Energies, proposal
 densities and the cost gradient are each one net pass over all (row, step)
-pairs.  Greedy planning also fills a `PathBatch` in lockstep.  Cost and
-policy parameter updates require exclusive access.
+pairs.  Greedy planning also fills a `PathBatch` in lockstep, and exact
+enumeration expands every action sequence level by level
+(`enumerate_levels`).  Cost and policy parameter updates require exclusive
+access.
 """
 
 from __future__ import annotations
@@ -161,11 +170,15 @@ class PathBatch:
 
 
 class Dynamics(Protocol):
-    """Deterministic transition model; step returns the state at age + action."""
+    """Deterministic transitions: the observations of K rows after each takes its action."""
 
     n_actions: int
 
-    def step(self, state: State, action: int) -> State: ...
+    def transition(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray
+                   ) -> np.ndarray: ...
+
+
+Cost = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 class ModelDynamics:
@@ -175,66 +188,57 @@ class ModelDynamics:
         self.model = model
         self.n_actions = model.n_actions
 
+    def transition(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return synthesize_step(self.model, obs, actions)
+
+    # Unused: kept because perfbench/tracer.py patches it by name; ROADMAP item 1 deletes it.
     def step(self, state: State, action: int) -> State:
         obs = synthesize_step(self.model, state.observation, action)
         return State(obs, state.age + action)
 
 
 class FunctionDynamics:
-    """Adapter wrapping a plain (state, action) -> state callable."""
+    """Dynamics from a plain batch (obs, ages, actions) -> next observations callable."""
 
-    def __init__(self, n_actions: int, fn: Callable[[State, int], State]):
+    def __init__(self, n_actions: int, fn: Callable[..., np.ndarray]):
         self.n_actions = n_actions
-        self.fn = fn
-
-    def step(self, state: State, action: int) -> State:
-        return self.fn(state, action)
+        self.transition = fn
 
 
-def _transition(dynamics: Dynamics, obs: np.ndarray, ages: np.ndarray,
-                actions: np.ndarray) -> np.ndarray:
-    """Next observations of a batch of rows: one synthesis call for the model."""
-    if isinstance(dynamics, ModelDynamics):
-        return synthesize_step(dynamics.model, obs, actions)
-    return np.stack([dynamics.step(State(o, age), a).observation
-                     for o, age, a in zip(obs, ages.tolist(), actions.tolist())])
-
-
-def _age_unit(age, age_low: float, age_high: float):
-    if age_high <= age_low:
-        raise ValueError("age_high must exceed age_low")
-    return (age - age_low) / (age_high - age_low)
-
-
-class CostNet:
-    """Per-step cost c(s, a): dense net on (observation ⊕ age ⊕ action one-hot)."""
+class _AgeNet:
+    """A dense net over rows of observation ⊕ age, the age mapped from
+    [age_low, age_high] onto [0, 1]."""
 
     def __init__(self, net: DenseNet, n_actions: int, age_low: float, age_high: float):
+        if age_high <= age_low:
+            raise ValidationError("age_high must exceed age_low")
         self.net = net
         self.n_actions = n_actions
         self.age_low = float(age_low)
         self.age_high = float(age_high)
-        self.dim = net.in_dim - 1 - n_actions
-        if self.dim < 1 or net.out_dim != 1:
-            raise ShapeError("cost net must map (obs ⊕ age ⊕ one-hot action) to a scalar")
 
-    def features(self, state: State, action: int) -> np.ndarray:
-        onehot = np.zeros(self.n_actions)
-        onehot[action] = 1.0
-        return np.concatenate(
-            [state.observation, [_age_unit(state.age, self.age_low, self.age_high)], onehot]
-        )
-
-    def cost(self, state: State, action: int) -> float:
-        return float(net_forward(self.net, self.features(state, action))[0])
-
-    __call__ = cost
+    def _inputs(self, obs: np.ndarray, ages: np.ndarray, *extra: np.ndarray) -> np.ndarray:
+        """Net input rows of (K, D) observations and (K,) ages, then any extra columns."""
+        unit = (ages - self.age_low) / (self.age_high - self.age_low)
+        return np.concatenate([obs, unit[:, None], *extra], axis=1)
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return self.net.parameters(prefix)
 
 
-class PolicyNet:
+class CostNet(_AgeNet):
+    """Per-step cost c(s, a): dense net on (observation ⊕ age ⊕ action one-hot)."""
+
+    def __init__(self, net: DenseNet, n_actions: int, age_low: float, age_high: float):
+        super().__init__(net, n_actions, age_low, age_high)
+        if net.in_dim - 1 - n_actions < 1 or net.out_dim != 1:
+            raise ShapeError("cost net must map (obs ⊕ age ⊕ one-hot action) to a scalar")
+
+    def __call__(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        return net_forward(self.net, _cost_inputs(self, obs, ages, actions))[:, 0]
+
+
+class PolicyNet(_AgeNet):
     """Step-size policy q(a | s): dense net to logits, softmax on top."""
 
     def __init__(self, net: DenseNet, n_actions: int, age_low: float, age_high: float):
@@ -242,42 +246,15 @@ class PolicyNet:
             raise ShapeError("policy net must emit one logit per action")
         if net.layers[-1].activation != "identity":
             raise ValueError("policy net must emit raw logits")
-        self.net = net
-        self.n_actions = n_actions
-        self.age_low = float(age_low)
-        self.age_high = float(age_high)
-        self.dim = net.in_dim - 1
-
-    def features(self, state: State) -> np.ndarray:
-        return np.concatenate(
-            [state.observation, [_age_unit(state.age, self.age_low, self.age_high)]]
-        )
-
-    def logits(self, feats: np.ndarray) -> np.ndarray:
-        return net_forward(self.net, feats)
-
-    def probs(self, state: State) -> np.ndarray:
-        logit = self.logits(self.features(state))
-        e = np.exp(logit - logit.max())
-        return e / e.sum()
-
-    def log_probs(self, state: State) -> np.ndarray:
-        logit = self.logits(self.features(state))
-        shifted = logit - logit.max()
-        return shifted - math.log(np.exp(shifted).sum())
-
-    def entropy(self, state: State) -> float:
-        logp = self.log_probs(state)
-        return float(-(np.exp(logp) * logp).sum())
-
-    def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        return self.net.parameters(prefix)
+        super().__init__(net, n_actions, age_low, age_high)
 
 
-def _policy_features(policy: PolicyNet, obs: np.ndarray, ages: np.ndarray) -> np.ndarray:
-    """Row-wise `PolicyNet.features` of (N, D) observations and (N,) ages."""
-    unit = _age_unit(ages, policy.age_low, policy.age_high)
-    return np.concatenate([obs, unit[:, None]], axis=1)
+def _cost_inputs(cost: CostNet, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray
+                 ) -> np.ndarray:
+    """Net input rows of a cost: observation ⊕ age ⊕ action one-hot."""
+    onehot = np.zeros((actions.size, cost.n_actions))
+    onehot[np.arange(actions.size), actions] = 1.0
+    return cost._inputs(obs, ages, onehot)
 
 
 def _action_distribution(policy: PolicyNet, feats: np.ndarray
@@ -311,28 +288,11 @@ def make_policy_net(rng: np.random.Generator, dim: int,
 # Energies and trajectory distributions
 # ---------------------------------------------------------------------------
 
-def _cost_features(cost: CostNet, batch: PathBatch, rows: np.ndarray,
-                   steps: np.ndarray) -> np.ndarray:
-    """Row-wise `CostNet.features` of the given (row, step) pairs."""
-    onehot = np.zeros((rows.size, cost.n_actions))
-    onehot[np.arange(rows.size), batch.actions[rows, steps]] = 1.0
-    unit = _age_unit(batch.ages[rows, steps], cost.age_low, cost.age_high)
-    return np.concatenate([batch.observations[rows, steps], unit[:, None], onehot], axis=1)
-
-
-def path_energies(cost: Callable[[State, int], float], batch: PathBatch) -> np.ndarray:
-    """Per-row summed step cost.
-
-    A `CostNet` scores all (row, step) pairs in one forward pass; any other
-    callable is called once per pair.
-    """
+def path_energies(cost: Cost, batch: PathBatch) -> np.ndarray:
+    """Per-row summed step cost, from one cost call over every (row, step) pair."""
     rows, steps = batch.pairs()
-    if isinstance(cost, CostNet):
-        values = net_forward(cost.net, _cost_features(cost, batch, rows, steps))[:, 0]
-    else:
-        values = np.array([float(cost(State(batch.observations[r, t], batch.ages[r, t]),
-                                      int(batch.actions[r, t])))
-                           for r, t in zip(rows.tolist(), steps.tolist())])
+    values = cost(batch.observations[rows, steps], batch.ages[rows, steps],
+                  batch.actions[rows, steps])
     return np.bincount(rows, weights=values, minlength=len(batch))
 
 
@@ -340,42 +300,57 @@ def path_log_proposals(policy: PolicyNet, batch: PathBatch) -> np.ndarray:
     """Per-row log q: summed action log-probabilities, one forward pass."""
     rows, steps = batch.pairs()
     _, log_probs = _action_distribution(
-        policy, _policy_features(policy, batch.observations[rows, steps],
-                                 batch.ages[rows, steps]))
+        policy, policy._inputs(batch.observations[rows, steps], batch.ages[rows, steps]))
     chosen = log_probs[np.arange(rows.size), batch.actions[rows, steps]]
     return np.bincount(rows, weights=chosen, minlength=len(batch))
 
 
-def sequence_energy(traj: AgingTrajectory, cost: Callable[[State, int], float]) -> float:
+def sequence_energy(traj: AgingTrajectory, cost: Cost) -> float:
     """Sum of per-step costs over the trajectory's (state, action) pairs."""
     return float(path_energies(cost, PathBatch.from_trajectories([traj]))[0])
 
 
-def enumerate_energies(start: State, horizon: int, cost, dynamics: Dynamics,
+def enumerate_levels(dynamics: Dynamics, cost: Cost, start: State, depth: int,
+                     stop_age: float = math.inf, budget: int = ENUMERATION_BUDGET):
+    """Every action sequence of at most `depth` steps from `start`, level by level.
+
+    Yields (energies, ages, live) for levels 0..depth.  Level 0 is `start`
+    alone; row j of level d+1 extends row live[j // n] of level d by action
+    j % n, so every level lists its sequences in lexicographic order, and
+    when nothing stops early row j's actions are the base-n digits of j
+    (first action most significant).  A row is live, and extended, while
+    d < depth and its age is below `stop_age`.  Energies sum the step costs
+    left to right.  A level makes one batched cost call over its rows and one
+    batched transition over its live rows.  BudgetError is raised before any
+    level would hold more than `budget` rows.
+    """
+    n = dynamics.n_actions
+    obs, ages, energies = start.observation[None, :], np.array([start.age]), np.zeros(1)
+    for d in range(depth + 1):
+        live = np.flatnonzero(ages < stop_age) if d < depth else np.zeros(0, dtype=np.int64)
+        yield energies, ages, live
+        if live.size * n > budget:
+            raise BudgetError(f"level {d + 1} of the enumeration would hold "
+                              f"{live.size * n} paths, over the budget {budget}")
+        if not live.size:
+            return
+        if d:
+            obs = dynamics.transition(parent_obs[live], parent_ages[live], actions[live])
+        parent_obs, parent_ages = np.repeat(obs, n, axis=0), np.repeat(ages[live], n)
+        actions = np.tile(np.arange(n), live.size)
+        energies = np.repeat(energies[live], n) + cost(parent_obs, parent_ages, actions)
+        ages = parent_ages + actions
+
+
+def enumerate_energies(start: State, horizon: int, cost: Cost, dynamics: Dynamics,
                        budget: int = ENUMERATION_BUDGET) -> np.ndarray:
     """Energies of every action sequence of the given length from `start`.
 
     Entry i corresponds to the base-n_actions digits of i (most significant
-    action first).  Deterministic transitions make this a full enumeration of
-    the trajectory space.
+    action first): the last level of `enumerate_levels`.  Deterministic
+    transitions make this a full enumeration of the trajectory space.
     """
-    n = dynamics.n_actions
-    total = n**horizon
-    if total > budget:
-        raise BudgetError(f"enumeration of {total} paths exceeds budget {budget}")
-    energies = np.zeros(total)
-
-    def recurse(state: State, depth: int, acc: float, base: int, stride: int):
-        if depth == horizon:
-            energies[base] = acc
-            return
-        for a in range(n):
-            nxt = dynamics.step(state, a)
-            recurse(nxt, depth + 1, acc + float(cost(state, a)), base + a * stride,
-                    stride // n)
-
-    recurse(start, 0, 0.0, 0, total // n if horizon > 0 else 1)
-    return energies
+    return list(enumerate_levels(dynamics, cost, start, horizon, budget=budget))[-1][0]
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -385,7 +360,7 @@ def _logsumexp(v: np.ndarray) -> float:
     return m + math.log(float(np.exp(v - m).sum()))
 
 
-def exact_sequence_prob(traj: AgingTrajectory, cost, dynamics: Dynamics,
+def exact_sequence_prob(traj: AgingTrajectory, cost: Cost, dynamics: Dynamics,
                         budget: int = ENUMERATION_BUDGET) -> float:
     """Exact Gibbs probability of the trajectory's action sequence.
 
@@ -426,7 +401,7 @@ def _expand(dynamics: Dynamics, obs: np.ndarray, ages: np.ndarray, parents: np.n
                                 return_index=True, return_inverse=True)
     src, act = parents[first], actions[first]
     chunks = [slice(lo, lo + ROLL_BLOCK) for lo in range(0, first.size, ROLL_BLOCK)]
-    nxt = np.concatenate([_transition(dynamics, obs[src[c]], ages[src[c]], act[c])
+    nxt = np.concatenate([dynamics.transition(obs[src[c]], ages[src[c]], act[c])
                           for c in chunks])
     return nxt, ages[src] + act, child
 
@@ -451,7 +426,7 @@ def _roll(policy: PolicyNet, dynamics: Dynamics, node_obs: np.ndarray,
         live = np.flatnonzero(lengths > t)
         needed, at = np.unique(node[live], return_inverse=True)
         probs, log_probs = _action_distribution(
-            policy, _policy_features(policy, node_obs[needed], node_ages[needed]))
+            policy, policy._inputs(node_obs[needed], node_ages[needed]))
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         chosen = (cdf[at] <= uniforms[live, t][:, None]).sum(axis=1)
@@ -527,8 +502,9 @@ def irl_loss_and_grad(cost: CostNet, demos: PathBatch, samples: PathBatch
         raise ValidationError("demo and sample batches must be non-empty")
     demo_rows, demo_steps = demos.pairs()
     sample_rows, sample_steps = samples.pairs()
-    feats = np.concatenate([_cost_features(cost, demos, demo_rows, demo_steps),
-                            _cost_features(cost, samples, sample_rows, sample_steps)])
+    feats = np.concatenate([
+        _cost_inputs(cost, b.observations[r, t], b.ages[r, t], b.actions[r, t])
+        for b, r, t in ((demos, demo_rows, demo_steps), (samples, sample_rows, sample_steps))])
     values = net_forward(cost.net, feats)[:, 0]
     split = demo_rows.size
     demo_e = np.bincount(demo_rows, weights=values[:split], minlength=len(demos))
@@ -548,19 +524,19 @@ def irl_loss_and_grad(cost: CostNet, demos: PathBatch, samples: PathBatch
     return loss, grads
 
 
-def partition_log_weights(cost, policy: PolicyNet, dynamics: Dynamics, start: State,
+def partition_log_weights(cost: Cost, policy: PolicyNet, dynamics: Dynamics, start: State,
                           horizon: int, n: int, seed: int = 0) -> np.ndarray:
     """Log importance weights of `n` policy rollouts from `start`, rolled together."""
     return path_log_weights(cost, sample_path_batch(policy, dynamics, [start], horizon, n, seed))
 
 
-def path_log_weights(cost, paths: PathBatch) -> np.ndarray:
+def path_log_weights(cost: Cost, paths: PathBatch) -> np.ndarray:
     """Log importance weights -E - log q of sampled paths, scored ROLL_BLOCK rows at a time."""
     blocks = [paths.take(slice(lo, lo + ROLL_BLOCK)) for lo in range(0, len(paths), ROLL_BLOCK)]
     return np.concatenate([-path_energies(cost, b) - b.log_q for b in blocks])
 
 
-def estimate_log_partition(cost, policy: PolicyNet, dynamics: Dynamics, start: State,
+def estimate_log_partition(cost: Cost, policy: PolicyNet, dynamics: Dynamics, start: State,
                            horizon: int, n: int, seed: int = 0) -> float:
     """Importance-sampling estimate of log Z from `n` policy rollouts."""
     return log_mean_exp(partition_log_weights(cost, policy, dynamics, start, horizon,
@@ -587,7 +563,7 @@ def weight_diagnostics(log_w: np.ndarray) -> tuple[float, float]:
 # Policy refinement
 # ---------------------------------------------------------------------------
 
-def policy_update(policy: PolicyNet, cost, dynamics: Dynamics,
+def policy_update(policy: PolicyNet, cost: Cost, dynamics: Dynamics,
                   starts: Sequence[State], horizons: Sequence[int],
                   optimizer: Adam, n_rollouts: int, n_steps: int,
                   seed: int = 0) -> float:
@@ -609,14 +585,14 @@ def policy_update(policy: PolicyNet, cost, dynamics: Dynamics,
         adv = returns - returns.mean()
         rows, steps = batch.pairs()
         visited = (batch.observations[rows, steps], batch.ages[rows, steps])
-        feats = _policy_features(policy, *visited)
+        feats = policy._inputs(*visited)
         probs, _ = _action_distribution(policy, feats)
         coeffs = adv[rows] / n_rollouts
         upstream = -probs * coeffs[:, None]
         upstream[np.arange(rows.size), batch.actions[rows, steps]] += coeffs
         grads, _ = net_backward(policy.net, feats, upstream)
         optimizer.step(grads)
-    pmat, _ = _action_distribution(policy, _policy_features(policy, *visited))
+    pmat, _ = _action_distribution(policy, policy._inputs(*visited))
     return float(-(pmat * np.log(np.maximum(pmat, 1e-300))).sum(axis=1).mean())
 
 
@@ -745,9 +721,9 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[Stat
     x, age, t = obs[live, 0], start_ages[live], 0
     while live.size:
         rows = slice(None) if live.size == m else live  # basic indexing while all are live
-        probs, _ = _action_distribution(policy, _policy_features(policy, x, age))
+        probs, _ = _action_distribution(policy, policy._inputs(x, age))
         chosen = probs[:, 1:].argmax(axis=1) + 1
-        x, age = _transition(dynamics, x, age, chosen), age + chosen
+        x, age = dynamics.transition(x, age, chosen), age + chosen
         t += 1
         actions[rows, t - 1], obs[rows, t], ages[rows, t] = chosen, x, age
         ahead = age < targets[rows]

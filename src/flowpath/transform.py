@@ -69,10 +69,6 @@ class FactoredTransform:
         return self.w_out.shape[0]
 
     @property
-    def factors(self) -> int:
-        return self.w_out.shape[1]
-
-    @property
     def n_actions(self) -> int:
         return self.w_act.shape[1]
 

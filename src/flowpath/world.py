@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .irl import AgingTrajectory, Dynamics, State
+from .irl import AgingTrajectory, Cost, Dynamics, State, enumerate_levels
 from .metrics import write_text_atomic
 
 PREFERRED_STEP_FRACTIONS = (0.2, 0.4, 0.6)  # of the largest action index
@@ -114,19 +114,24 @@ def observe(config: WorldConfig, arch: SubjectArchetype, age: int) -> np.ndarray
     return sig + arch.rate * (slope * u + wave)
 
 
-def ground_truth_cost(state: State, action: int, arch: SubjectArchetype,
-                      config: WorldConfig) -> float:
-    """Hidden per-step cost the IRL must recover.
+def ground_truth_cost(ages, actions, arch: SubjectArchetype, config: WorldConfig) -> np.ndarray:
+    """Hidden per-step cost the IRL must recover, elementwise over ages and actions.
 
     The archetype's preferred step is strictly cheapest at every state with
     a margin of at least 0.5; nonstationary archetypes add a mild age- and
     action-dependent tilt that never moves the argmin.
     """
-    base = float(abs(action - preferred_step(arch.class_id, config.n_actions)))
+    actions = np.asarray(actions)
+    base = np.abs(actions - preferred_step(arch.class_id, config.n_actions)).astype(np.float64)
     if arch.nonstationary:
-        u = (state.age - config.age_min) / config.age_span
-        base += 0.1 * u * (1.0 + action / max(1, config.n_actions - 1))
+        u = (np.asarray(ages) - config.age_min) / config.age_span
+        base += 0.1 * u * (1.0 + actions / max(1, config.n_actions - 1))
     return base
+
+
+def archetype_cost(config: WorldConfig, arch: SubjectArchetype) -> Cost:
+    """The archetype's `ground_truth_cost` as a batch cost."""
+    return lambda obs, ages, actions: ground_truth_cost(ages, actions, arch, config)
 
 
 class WorldDynamics:
@@ -142,8 +147,10 @@ class WorldDynamics:
         self.n_actions = config.n_actions
         self._states: dict[int, State] = {}
 
-    def step(self, state: State, action: int) -> State:
-        return self.state_at(state.age + action)
+    def transition(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray) -> np.ndarray:
+        """The observations at ages + actions; `obs` plays no part."""
+        nxt, row = np.unique(ages + actions, return_inverse=True)
+        return np.stack([self.state_at(age).observation for age in nxt.tolist()])[row]
 
     def state_at(self, age: int) -> State:
         if age not in self._states:
@@ -151,47 +158,52 @@ class WorldDynamics:
         return self._states[age]
 
 
-def brute_force_optimal_path(dynamics: Dynamics, cost, start: State, target_age: int,
+def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, start: State, target_age: int,
                              horizon_cap: int, budget: int = 1_000_000
                              ) -> AgingTrajectory:
     """Exhaustive minimum-cost path reaching at least the target age.
 
-    Paths end the first time the age reaches the target; ties break
-    lexicographically on the action tuple (min over (cost, actions)).
+    Every path of `enumerate_levels` ends the first time its age reaches the
+    target.  Ties break as min over (cost, actions), so a shorter action
+    tuple ranks before its extensions.  BudgetError is raised before any
+    level would hold more than `budget` rows, and once more than `budget`
+    paths complete.
     """
     if target_age < start.age:
         raise ValidationError("target age below the start age")
+    n = dynamics.n_actions
     best: tuple[float, tuple[int, ...]] | None = None
-    completed = 0
-
-    def recurse(state: State, acc: float, actions: tuple[int, ...]):
-        nonlocal best, completed
-        if state.age >= target_age:
-            completed += 1
-            if completed > budget:
-                raise BudgetError(f"enumeration exceeded budget {budget}")
-            cand = (acc, actions)
+    completed, lives = 0, []
+    for energies, ages, live in enumerate_levels(dynamics, cost, start, horizon_cap,
+                                                 target_age, budget):
+        done = np.flatnonzero(ages >= target_age)
+        completed += done.size
+        if completed > budget:
+            raise BudgetError(f"enumeration exceeded budget {budget}")
+        if done.size:
+            # the first minimum of a level has the smallest actions of its length
+            row = int(done[np.argmin(energies[done])])
+            cand_cost, actions = float(energies[row]), []
+            for parents in reversed(lives):
+                actions.append(row % n)
+                row = int(parents[row // n])
+            cand = (cand_cost, tuple(reversed(actions)))
             if best is None or cand < best:
                 best = cand
-            return
-        if len(actions) >= horizon_cap:
-            return
-        for a in range(dynamics.n_actions):
-            recurse(dynamics.step(state, a), acc + float(cost(state, a)),
-                    actions + (a,))
-
-    recurse(start, 0.0, ())
+        lives.append(live)
     if best is None:
         raise ValidationError(
             f"target {target_age} unreachable from {start.age} in {horizon_cap} steps"
         )
     states = [start]
     for a in best[1]:
-        states.append(dynamics.step(states[-1], a))
+        obs = dynamics.transition(states[-1].observation[None, :],
+                                  np.array([states[-1].age]), np.array([a]))
+        states.append(State(obs[0], states[-1].age + a))
     return AgingTrajectory(states, list(best[1]))
 
 
-def dp_optimal_path(dynamics: WorldDynamics, cost, start: State, target_age: int,
+def dp_optimal_path(dynamics: WorldDynamics, cost: Cost, start: State, target_age: int,
                     horizon_cap: int) -> AgingTrajectory:
     """Shortest-path oracle on the (age x steps-left) DAG.
 
@@ -199,9 +211,11 @@ def dp_optimal_path(dynamics: WorldDynamics, cost, start: State, target_age: int
     tests compare it against `brute_force_optimal_path`.  Valid because the
     world's observation depends only on age.  Values are (cost,
     action-suffix) pairs so the lexicographic tie-break matches the
-    brute-force enumeration exactly.
+    brute-force enumeration exactly.  All actions at an age are scored in one
+    cost call.
     """
     INF = (math.inf, ())
+    n = dynamics.n_actions
 
     @functools.lru_cache(maxsize=None)
     def value(age: int, steps_left: int) -> tuple[float, tuple[int, ...]]:
@@ -209,13 +223,14 @@ def dp_optimal_path(dynamics: WorldDynamics, cost, start: State, target_age: int
             return (0.0, ())
         if steps_left == 0:
             return INF
-        state = dynamics.state_at(age)
+        obs = np.broadcast_to(dynamics.state_at(age).observation, (n, dynamics.config.dim))
+        costs = cost(obs, np.full(n, age), np.arange(n)).tolist()
         best = INF
-        for a in range(dynamics.n_actions):
+        for a in range(n):
             sub = value(age + a, steps_left - 1)
             if math.isinf(sub[0]):
                 continue
-            cand = (float(cost(state, a)) + sub[0], (a,) + sub[1])
+            cand = (costs[a] + sub[0], (a,) + sub[1])
             if cand < best:
                 best = cand
         return best
@@ -228,7 +243,7 @@ def dp_optimal_path(dynamics: WorldDynamics, cost, start: State, target_age: int
         )
     states = [start]
     for a in actions:
-        states.append(dynamics.step(states[-1], a))
+        states.append(dynamics.state_at(states[-1].age + a))
     return AgingTrajectory(states, list(actions))
 
 
@@ -255,12 +270,8 @@ def generate_subject(config: WorldConfig, seed: int
         )
     start_age = int(rng.integers(config.age_min, config.age_max - span + 1))
     dyn = WorldDynamics(config, arch)
-
-    def cost(state: State, action: int) -> float:
-        return ground_truth_cost(state, action, arch, config)
-
-    optimal = dp_optimal_path(dyn, cost, dyn.state_at(start_age), start_age + span,
-                              horizon_cap=max_steps)
+    optimal = dp_optimal_path(dyn, archetype_cost(config, arch), dyn.state_at(start_age),
+                              start_age + span, horizon_cap=max_steps)
     states = []
     for s in optimal.states:
         obs = s.observation + config.noise * rng.standard_normal(config.dim)

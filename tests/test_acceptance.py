@@ -36,6 +36,7 @@ from flowpath.transform import FactoredTransform, transform_apply
 from flowpath.world import WorldConfig, WorldDynamics, make_archetype
 
 from conftest import file_digest
+import reference
 
 # Frozen from reference runs (seeds 0..2 gave normalized gaps 0.019 / 0.010 /
 # 0.012); the ceiling allowed for this world is 0.3 of the age range.
@@ -163,32 +164,32 @@ def test_c05_partition_function_oracle():
 
 def test_c06_max_entropy_bandit_recovery():
     t0 = time.time()
-    dyn = FunctionDynamics(4, lambda s, a: State(s.observation, s.age + a))
+    dyn = FunctionDynamics(4, lambda obs, ages, actions: obs)
     start = State(np.zeros(3), 0)
     table = np.array([1.0, 0.0, 1.0, 1.0])
     policy = make_policy_net(np.random.default_rng(42), dim=3, n_actions=4,
                              age_low=0, age_high=10, uniform_init=False)
     opt = Adam(policy.parameters(), 0.05)
     for it in range(50):
-        policy_update(policy, lambda s, a: float(table[a]), dyn, [start], [1],
+        policy_update(policy, lambda obs, ages, actions: table[actions], dyn, [start], [1],
                       opt, n_rollouts=128, n_steps=5, seed=1000 + it)
-    p = policy.probs(start)
+    p = reference.probs(policy, start)
     target = np.exp(-table)
     target /= target.sum()
     tv = 0.5 * float(np.abs(p - target).sum())
     assert int(np.argmax(p)) == 1
     assert tv < 0.05
 
-    dyn16 = FunctionDynamics(16, lambda s, a: State(s.observation, s.age + a))
+    dyn16 = FunctionDynamics(16, lambda obs, ages, actions: obs)
     policy16 = make_policy_net(np.random.default_rng(5), dim=3, n_actions=16,
                                age_low=0, age_high=10, uniform_init=False)
     for _, arr in policy16.parameters():
         arr += 0.3 * np.random.default_rng(6).standard_normal(arr.shape)
     opt16 = Adam(policy16.parameters(), 0.05)
     for it in range(60):
-        policy_update(policy16, lambda s, a: 0.0, dyn16, [start], [1], opt16,
-                      n_rollouts=256, n_steps=2, seed=2000 + it)
-    entropy_gap = math.log(16) - policy16.entropy(start)
+        policy_update(policy16, lambda obs, ages, actions: np.zeros(ages.size), dyn16,
+                      [start], [1], opt16, n_rollouts=256, n_steps=2, seed=2000 + it)
+    entropy_gap = math.log(16) - reference.entropy(policy16, start)
     assert abs(entropy_gap) < 1e-3
     elapsed = time.time() - t0
     assert elapsed < 60.0

@@ -23,6 +23,7 @@ from flowpath.flows import (
 from flowpath.nets import DenseLayer, DenseNet, finite_diff_grad
 
 from conftest import assert_close
+import reference
 
 
 def perturbed_flow(seed: int, dim: int, units: int, scale: float = 0.1,
@@ -258,7 +259,7 @@ def test_flow_rejects_bad_input_rank_and_length():
 def test_nan_in_hidden_layer_raises_from_flow_forward_and_nll(which):
     flow = perturbed_flow(31, dim=4, units=3)
     xs = np.random.default_rng(32).standard_normal((5, 4))
-    getattr(flow.units[1].translate_net.layers[1], which)[0] = np.nan
+    getattr(reference.translate_net(flow.units[1]).layers[1], which)[0] = np.nan
     with pytest.raises(NumericError):
         flow_forward(flow, xs)
     with pytest.raises(NumericError):

@@ -33,6 +33,7 @@ from flowpath.pipeline import (
 )
 
 from conftest import file_digest, tiny_config
+import reference
 
 
 def test_config_round_trip_default_and_modified():
@@ -246,6 +247,23 @@ def test_cli_gen_data_and_seed_env(tmp_path, monkeypatch, capsys):
     assert cli.main(["gen-data", "--config", str(cfg_path), "--out",
                      str(tmp_path / "w3")]) == 0
     assert file_digest(tmp_path / "w3" / "train_sequences.jsonl") == first
+
+
+def test_resolve_config_seed_precedence(tmp_path, monkeypatch):
+    """--seed beats FLOWPATH_SEED, which beats the config file's seed."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 5}))
+    parser = cli.build_parser()
+
+    def seed(*extra):
+        return cli.resolve_config(parser.parse_args(["gen-data", "--config", str(cfg_path),
+                                                     *extra])).seed
+
+    monkeypatch.delenv("FLOWPATH_SEED", raising=False)
+    assert seed() == 5
+    monkeypatch.setenv("FLOWPATH_SEED", "7")
+    assert seed() == 7
+    assert seed("--seed", "3") == 3
 
 
 @pytest.mark.parametrize("argv, env, source", [
@@ -875,7 +893,7 @@ def test_pairs_checkpoint_implies_exactly_uniform_policy(tiny_run):
     n = ckpt.config.world.n_actions
     for age in (10, 33, 60):
         (obs, _), = _subject_inputs(tiny_run, age)
-        assert np.array_equal(policy.probs(State(obs, age)), np.full(n, 1.0 / n))
+        assert np.array_equal(reference.probs(policy, State(obs, age)), np.full(n, 1.0 / n))
 
 
 def test_stages_name_the_missing_sequence_file(tmp_path, capsys):

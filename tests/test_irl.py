@@ -50,18 +50,20 @@ from flowpath.nets import Adam, DenseLayer, DenseNet, finite_diff_grad
 from flowpath.transform import make_aging_model
 
 from conftest import assert_close
+import reference
 
 
 def line_dynamics(n_actions: int = 4, dim: int = 3, drift: float = 0.1):
     return FunctionDynamics(
-        n_actions, lambda s, a: State(s.observation + drift * a, s.age + a))
+        n_actions, lambda obs, ages, actions: obs + drift * actions[:, None])
 
 
 def chain_traj(dyn, start: State, actions) -> AgingTrajectory:
-    states = [start]
-    for a in actions:
-        states.append(dyn.step(states[-1], a))
-    return AgingTrajectory(states, list(actions))
+    return reference.chain(dyn, start, actions)
+
+
+def zero_cost(obs, ages, actions):
+    return np.zeros(ages.size)
 
 
 def with_log_q(trajs, log_q) -> PathBatch:
@@ -86,6 +88,12 @@ def biased_policy(dim: int, n_actions: int, favored: int, second: int | None = N
     return policy
 
 
+@pytest.mark.parametrize("make", [make_cost_net, make_policy_net])
+def test_nets_reject_an_empty_age_range(make):
+    with pytest.raises(ValidationError, match="age_high must exceed age_low"):
+        make(np.random.default_rng(0), 3, 4, age_low=20.0, age_high=20.0)
+
+
 def test_trajectory_validation():
     s = State(np.zeros(2), 10)
     AgingTrajectory([s], []).validate()
@@ -99,7 +107,8 @@ def test_trajectory_validation():
 
 def test_sequence_energy_empty_and_zero_net():
     s = State(np.zeros(3), 10)
-    assert sequence_energy(AgingTrajectory([s], []), lambda st, a: 99.0) == 0.0
+    assert sequence_energy(AgingTrajectory([s], []),
+                           lambda obs, ages, actions: np.full(ages.size, 99.0)) == 0.0
     cost = make_cost_net(np.random.default_rng(0), dim=3, n_actions=4,
                          age_low=0, age_high=60, hidden=6)
     for _, arr in cost.parameters():
@@ -139,12 +148,13 @@ def test_exact_sequence_prob_uniform_and_normalized():
     dyn = line_dynamics(n_actions=3)
     start = State(np.zeros(3), 0)
     traj = chain_traj(dyn, start, [1, 2])
-    assert abs(exact_sequence_prob(traj, lambda s, a: 0.0, dyn) - 1.0 / 9) < 1e-12
+    assert abs(exact_sequence_prob(traj, zero_cost, dyn) - 1.0 / 9) < 1e-12
     total = 0.0
     for a1 in range(3):
         for a2 in range(3):
             t = chain_traj(dyn, start, [a1, a2])
-            total += exact_sequence_prob(t, lambda s, a: 0.3 * a + 0.1 * s.age, dyn)
+            total += exact_sequence_prob(
+                t, lambda obs, ages, actions: 0.3 * actions + 0.1 * ages, dyn)
     assert abs(total - 1.0) < 1e-12
 
 
@@ -154,11 +164,11 @@ def test_exact_sequence_prob_shift_invariance():
     rng = np.random.default_rng(3)
     table = rng.standard_normal((40, 3))
 
-    def cost(s, a):
-        return float(table[s.age, a])
+    def cost(obs, ages, actions):
+        return table[ages, actions]
 
-    def shifted(s, a):
-        return cost(s, a) + 1.7
+    def shifted(obs, ages, actions):
+        return cost(obs, ages, actions) + 1.7
 
     probs, probs_shifted = [], []
     for a1 in range(3):
@@ -178,7 +188,7 @@ def test_exact_sequence_prob_budget():
     start = State(np.zeros(3), 0)
     traj = chain_traj(dyn, start, [1] * 6)
     with pytest.raises(BudgetError):
-        exact_sequence_prob(traj, lambda s, a: 0.0, dyn, budget=1000)
+        exact_sequence_prob(traj, zero_cost, dyn, budget=1000)
 
 
 def test_proposal_density_uniform_and_empty():
@@ -322,8 +332,8 @@ def bandit_setup(n_actions=4, cost_values=(1.0, 0.0, 1.0, 1.0)):
     start = State(np.zeros(3), 0)
     table = np.asarray(cost_values, dtype=np.float64)
 
-    def cost(s, a):
-        return float(table[a])
+    def cost(obs, ages, actions):
+        return table[actions]
 
     return dyn, start, cost, table
 
@@ -336,7 +346,7 @@ def test_policy_update_recovers_gibbs_on_bandit():
     for it in range(50):
         policy_update(policy, cost, dyn, [start], [1], opt, n_rollouts=128,
                       n_steps=5, seed=1000 + it)
-    p = policy.probs(start)
+    p = reference.probs(policy, start)
     target = np.exp(-table)
     target /= target.sum()
     assert int(np.argmax(p)) == 1
@@ -351,11 +361,11 @@ def test_policy_update_zero_cost_drives_to_uniform():
     for _, arr in policy.parameters():
         arr += 0.3 * np.random.default_rng(6).standard_normal(arr.shape)
     opt = Adam(policy.parameters(), 0.05)
-    entropies = [policy.entropy(start)]
+    entropies = [reference.entropy(policy, start)]
     for it in range(60):
-        policy_update(policy, lambda s, a: 0.0, dyn, [start], [1], opt,
+        policy_update(policy, zero_cost, dyn, [start], [1], opt,
                       n_rollouts=256, n_steps=2, seed=2000 + it)
-        entropies.append(policy.entropy(start))
+        entropies.append(reference.entropy(policy, start))
     # entropy climbs to ln 16 (monotone up to sampling noise)
     assert math.log(16) - entropies[-1] < 1e-3
     dips = [max(0.0, a - b) for a, b in zip(entropies, entropies[1:])]
@@ -402,7 +412,7 @@ def test_learn_zero_iterations_is_noop():
     assert history == []
     for before, (_, after) in zip(cost_before, cost.parameters()):
         assert np.array_equal(before, after)
-    probs = policy.probs(start)
+    probs = reference.probs(policy, start)
     assert np.allclose(probs, 0.25)
 
 
@@ -431,7 +441,7 @@ def test_learn_separates_demo_energy_on_toy_world():
     roll_e = np.mean([sequence_energy(t, cost) for t in rollouts])
     assert demo_e < roll_e
     # the learned policy also concentrates on the demonstrated step size
-    assert int(np.argmax(policy.probs(starts[0]))) == 1
+    assert int(np.argmax(reference.probs(policy, starts[0]))) == 1
 
 
 def test_plan_path_target_equals_start():
@@ -476,17 +486,17 @@ def test_plan_path_rejects_deaging():
 
 
 def reference_plan(policy, dyn, start, target):
-    """Plan one path alone: policy.probs, argmax with action 0 masked, dynamics.step."""
+    """Plan one path alone: reference.probs, argmax with action 0 masked, reference.step."""
     states, actions = [start], []
     while states[-1].age < target:
-        p = policy.probs(states[-1])
+        p = reference.probs(policy, states[-1])
         a = int(np.argmax(p))
         if a == 0:
             masked = p.copy()
             masked[0] = -np.inf
             a = int(np.argmax(masked))
         actions.append(a)
-        states.append(dyn.step(states[-1], a))
+        states.append(reference.step(dyn, states[-1], a))
     return actions, states
 
 
@@ -604,7 +614,7 @@ def test_model_dynamics_age_bookkeeping():
     model = multi_model()
     dyn = ModelDynamics(model)
     s = State(np.random.default_rng(0).standard_normal(5), 12)
-    nxt = dyn.step(s, 7)
+    nxt = reference.step(dyn, s, 7)
     assert nxt.age == 19
     rng_policy = make_policy_net(np.random.default_rng(4), dim=5, n_actions=16,
                                  age_low=0, age_high=100, uniform_init=False)
@@ -637,7 +647,7 @@ def test_learn_wraps_inner_errors_with_iteration_index():
 # ---------------------------------------------------------------------------
 
 def reference_paths(policy, dyn, cost, starts, horizons, m, seed):
-    """Roll and score each path alone: policy.probs, a CDF search, dynamics.step.
+    """Roll and score each path alone: reference.probs, a CDF search, reference.step.
 
     Row i reads row i of one (m, widest horizon) uniform matrix drawn from `seed`.
     """
@@ -647,13 +657,13 @@ def reference_paths(policy, dyn, cost, starts, horizons, m, seed):
     for i in range(m):
         states, actions, log_q = [starts[i % len(starts)]], [], 0.0
         for t in range(horizons[i % len(starts)]):
-            p = policy.probs(states[-1])
+            p = reference.probs(policy, states[-1])
             cdf = np.cumsum(p)
             a = int(np.searchsorted(cdf / cdf[-1], uniforms[i, t], side="right"))
             log_q += math.log(p[a])
             actions.append(a)
-            states.append(dyn.step(states[-1], a))
-        energy = sum(cost(s, a) for s, a in zip(states, actions))
+            states.append(reference.step(dyn, states[-1], a))
+        energy = sum(reference.cost(cost, s, a) for s, a in zip(states, actions))
         out.append((actions, states, -energy - log_q))
     return out
 
@@ -663,8 +673,8 @@ def engine_world(kind: str):
     if kind == "model":
         dim, dyn = 5, ModelDynamics(multi_model(seed=22, dim=5))
     else:
-        dim, dyn = 3, FunctionDynamics(16, lambda s, a: State(
-            np.tanh(s.observation + 0.05 * a), s.age + a))
+        dim, dyn = 3, FunctionDynamics(
+            16, lambda obs, ages, actions: np.tanh(obs + 0.05 * actions[:, None]))
     policy = make_policy_net(rng, dim=dim, n_actions=16, age_low=0, age_high=100,
                              uniform_init=False)
     cost = make_cost_net(rng, dim=dim, n_actions=16, age_low=0, age_high=100, hidden=8)
@@ -718,9 +728,9 @@ def test_engine_transitions_each_distinct_child_once():
     cost = make_cost_net(rng, dim=3, n_actions=16, age_low=0, age_high=100, hidden=8)
     stepped = []
 
-    def step(s, a):
-        stepped.append(a)
-        return State(np.tanh(s.observation + 0.05 * a), s.age + a)
+    def step(obs, ages, actions):
+        stepped.extend(actions.tolist())
+        return np.tanh(obs + 0.05 * actions[:, None])
 
     dyn = FunctionDynamics(16, step)
     twin = rng.standard_normal(3)

@@ -79,6 +79,20 @@ def outside_reads() -> set[str]:
             for name in names_read(ast.parse(path.read_text(), str(path)))}
 
 
+DISPATCHED_TYPES = {"ModelDynamics", "WorldDynamics", "FunctionDynamics", "CostNet"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_type_dispatch_on_dynamics_or_costs(path):
+    """Dynamics and costs are reached through their batch interfaces, never by type."""
+    tree = ast.parse(path.read_text(), str(path))
+    dispatches = [f"line {node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2
+                  and DISPATCHED_TYPES & names_read(node.args[1])]
+    assert dispatches == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []

@@ -26,6 +26,8 @@ from flowpath.transform import (
     transform_backward,
 )
 
+import reference
+
 GROUPS = ("source_flow", "target_flow", "transform")
 
 
@@ -54,7 +56,7 @@ def test_writes_through_member_views_and_stacks_are_shared():
 
     stacked_bias = model.flows.units[1].net.layers[-1].bias  # (2 flows, 2 nets, out)
     stacked_bias[0, 1] = 0.3
-    assert np.all(model.source_flow.units[1].translate_net.layers[-1].bias == 0.3)
+    assert np.all(reference.translate_net(model.source_flow.units[1]).layers[-1].bias == 0.3)
     z_lone, ld_lone = flow_forward(model.source_flow, x[0])
     z_pair, ld_pair = flow_forward(model.flows, x)
     assert np.array_equal(z_lone, z_pair[0])
@@ -121,11 +123,11 @@ def reference_flow_forward(flow: BijectionStack, x: np.ndarray):
     caches, total, h = [], np.zeros(x.shape[0]), x
     for u in flow.units:
         xk, xt = h[:, u.kept], h[:, u.trans]
-        s_raw = net_forward(u.scale_net, xk)
+        s_raw = net_forward(reference.scale_net(u), xk)
         s = u.clamp * np.tanh(s_raw)
         es = np.exp(s)
         y = h.copy()
-        y[:, u.trans] = xt * es + net_forward(u.translate_net, xk)
+        y[:, u.trans] = xt * es + net_forward(reference.translate_net(u), xk)
         caches.append((xk, xt, s_raw, es))
         total = total + s.sum(axis=1)
         h = y
@@ -138,8 +140,8 @@ def reference_flow_backward(flow: BijectionStack, caches, dz, dlogdet):
         dyt = delta[:, u.trans]
         ds = dyt * xt * es + dlogdet[:, None]
         ds_raw = ds * u.clamp * (1.0 - np.tanh(s_raw) ** 2)
-        s_grads, dxk_s = net_backward(u.scale_net, xk, ds_raw)
-        t_grads, dxk_t = net_backward(u.translate_net, xk, dyt)
+        s_grads, dxk_s = net_backward(reference.scale_net(u), xk, ds_raw)
+        t_grads, dxk_t = net_backward(reference.translate_net(u), xk, dyt)
         dx = np.empty_like(delta)
         dx[:, u.kept] = delta[:, u.kept] + dxk_s + dxk_t
         dx[:, u.trans] = dyt * es

@@ -21,6 +21,7 @@ from flowpath.pipeline import (
 from flowpath.transform import AgingModel, make_aging_model
 
 from test_nets import ReferenceAdam
+import reference
 
 NET_OWNERS = ("source_flow", "target_flow", "transform")  # AgingModel attributes
 
@@ -42,7 +43,7 @@ def every_array(model: AgingModel) -> list[tuple[str, np.ndarray]]:
         for i, u in enumerate(flow.units):
             for role in ("scale_net", "translate_net"):
                 arrays += [(f"{name}.u{i}.{role}.{n}", a)
-                           for n, a in getattr(u, role).parameters()]
+                           for n, a in getattr(reference, role)(u).parameters()]
     return arrays
 
 

@@ -21,6 +21,7 @@ from flowpath.transform import (
     transform_apply,
 )
 from conftest import assert_close
+import reference
 
 
 def small_model(seed: int, dim: int = 4, n_actions: int = 5,
@@ -116,7 +117,7 @@ def permuted_model(model: AgingModel, perm: np.ndarray) -> AgingModel:
     g = model.transform
     units = [(u.mask[perm], [(layer.weight.shape[-2:], layer.activation) for layer in u.net.layers],
               u.clamp.ravel()) for u in model.flows.units]
-    permuted = AgingModel(g.dim, units, g.factors, g.n_actions)
+    permuted = AgingModel(g.dim, units, reference.factors(g), g.n_actions)
     for old, new in zip(model.flows.units, permuted.flows.units):
         # position of each new slot's original dimension in the old order
         sigma = [int(np.flatnonzero(old.kept == perm[i])[0]) for i in new.kept]
@@ -225,7 +226,7 @@ def test_train_pair_step_applies_update():
 def test_nan_in_hidden_layer_raises_from_train_pair_step(which):
     model = small_model(19)
     rng = np.random.default_rng(20)
-    getattr(model.source_flow.units[0].scale_net.layers[0], which)[0] = np.nan
+    getattr(reference.scale_net(model.source_flow.units[0]).layers[0], which)[0] = np.nan
     opt = Adam(model.parameters(), 1e-3)
     with pytest.raises(NumericError):
         train_pair_step(model, opt, rng.standard_normal((4, 4)),

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from flowpath.errors import BudgetError, ValidationError
-from flowpath.irl import AgingTrajectory, State, exact_sequence_prob
+from flowpath.irl import AgingTrajectory, State, enumerate_energies, exact_sequence_prob
 from flowpath.world import (
     WorldConfig,
     WorldDynamics,
+    archetype_cost,
     brute_force_optimal_path,
     dp_optimal_path,
     generate_pool_sequence,
@@ -22,14 +23,13 @@ from flowpath.world import (
     write_sequences,
 )
 
+import reference
+
 CFG = WorldConfig()
 
 
-def archetype_cost(arch, config=CFG):
-    def cost(state: State, action: int) -> float:
-        return ground_truth_cost(state, action, arch, config)
-
-    return cost
+def zero_cost(obs, ages, actions):
+    return np.zeros(ages.size)
 
 
 def test_generation_deterministic():
@@ -65,8 +65,8 @@ def test_preferred_step_strictly_cheapest_with_margin():
         dyn = WorldDynamics(CFG, arch)
         for age in (10, 25, 40, 58):
             state = dyn.state_at(age)
-            best = ground_truth_cost(state, k_star, arch, CFG)
-            others = [ground_truth_cost(state, a, arch, CFG)
+            best = ground_truth_cost(state.age, k_star, arch, CFG)
+            others = [ground_truth_cost(state.age, a, arch, CFG)
                       for a in range(CFG.n_actions) if a != k_star]
             assert min(others) - best >= 0.5
 
@@ -80,8 +80,8 @@ def test_cost_stationary_for_stationary_archetypes():
         found = True
         dyn = WorldDynamics(CFG, arch)
         for a in (0, 5, 15):
-            c1 = ground_truth_cost(dyn.state_at(12), a, arch, CFG)
-            c2 = ground_truth_cost(dyn.state_at(55), a, arch, CFG)
+            c1 = ground_truth_cost(dyn.state_at(12).age, a, arch, CFG)
+            c2 = ground_truth_cost(dyn.state_at(55).age, a, arch, CFG)
             assert c1 == c2
     assert found
 
@@ -94,7 +94,7 @@ def test_archetype_classes_have_distinct_preferred_steps():
 def test_brute_force_tie_break_lexicographic():
     arch = make_archetype(CFG, 1)
     dyn = WorldDynamics(CFG, arch)
-    path = brute_force_optimal_path(dyn, lambda s, a: 0.0, dyn.state_at(10), 12,
+    path = brute_force_optimal_path(dyn, zero_cost, dyn.state_at(10), 12,
                                     horizon_cap=3)
     assert path.actions == [0, 0, 2]
 
@@ -102,7 +102,7 @@ def test_brute_force_tie_break_lexicographic():
 def test_brute_force_single_feasible_path():
     arch = make_archetype(CFG, 2)
     dyn = WorldDynamics(CFG, arch)
-    path = brute_force_optimal_path(dyn, archetype_cost(arch), dyn.state_at(20), 35,
+    path = brute_force_optimal_path(dyn, archetype_cost(CFG, arch), dyn.state_at(20), 35,
                                     horizon_cap=1)
     assert path.actions == [15]
 
@@ -111,7 +111,7 @@ def test_brute_force_unreachable_target():
     arch = make_archetype(CFG, 2)
     dyn = WorldDynamics(CFG, arch)
     with pytest.raises(ValidationError):
-        brute_force_optimal_path(dyn, archetype_cost(arch), dyn.state_at(20), 55,
+        brute_force_optimal_path(dyn, archetype_cost(CFG, arch), dyn.state_at(20), 55,
                                  horizon_cap=2)
 
 
@@ -119,7 +119,7 @@ def test_brute_force_budget():
     arch = make_archetype(CFG, 2)
     dyn = WorldDynamics(CFG, arch)
     with pytest.raises(BudgetError):
-        brute_force_optimal_path(dyn, lambda s, a: 0.0, dyn.state_at(10), 60,
+        brute_force_optimal_path(dyn, zero_cost, dyn.state_at(10), 60,
                                  horizon_cap=8, budget=1000)
 
 
@@ -127,14 +127,14 @@ def test_oracles_agree_across_instances():
     for seed in range(10):
         arch = make_archetype(CFG, 40 + seed)
         dyn = WorldDynamics(CFG, arch)
-        cost = archetype_cost(arch)
+        cost = archetype_cost(CFG, arch)
         start = dyn.state_at(CFG.age_min + seed)
         target = start.age + 10 + seed
         bf = brute_force_optimal_path(dyn, cost, start, target, horizon_cap=4)
         dp = dp_optimal_path(dyn, cost, start, target, horizon_cap=4)
         assert bf.actions == dp.actions
-        bf_cost = sum(cost(bf.states[t], a) for t, a in enumerate(bf.actions))
-        dp_cost = sum(cost(dp.states[t], a) for t, a in enumerate(dp.actions))
+        bf_cost = sum(reference.step_cost(cost, bf.states[t], a) for t, a in enumerate(bf.actions))
+        dp_cost = sum(reference.step_cost(cost, dp.states[t], a) for t, a in enumerate(dp.actions))
         assert abs(bf_cost - dp_cost) < 1e-12
 
 
@@ -145,8 +145,8 @@ def test_oracles_agree_under_random_costs():
     rng = np.random.default_rng(8)
     table = rng.standard_normal((101, CFG.n_actions))
 
-    def cost(state: State, action: int) -> float:
-        return float(table[state.age, action])
+    def cost(obs, ages, actions):
+        return table[ages, actions]
 
     start = dyn.state_at(15)
     bf = brute_force_optimal_path(dyn, cost, start, 29, horizon_cap=4)
@@ -159,7 +159,7 @@ def test_demo_matches_oracle_and_bookkeeping():
         arch, demo = generate_subject(CFG, seed)
         demo.validate(CFG.n_actions)
         dyn = WorldDynamics(CFG, arch)
-        oracle = brute_force_optimal_path(dyn, archetype_cost(arch),
+        oracle = brute_force_optimal_path(dyn, archetype_cost(CFG, arch),
                                           dyn.state_at(demo.states[0].age),
                                           demo.states[-1].age,
                                           horizon_cap=CFG.horizon - 1)
@@ -172,7 +172,7 @@ def test_gibbs_of_true_cost_matches_table_backed_enumeration():
     cfg = WorldConfig(n_actions=3)
     arch = make_archetype(cfg, 4)
     dyn = WorldDynamics(cfg, arch)
-    cost = archetype_cost(arch, cfg)
+    cost = archetype_cost(cfg, arch)
     start = dyn.state_at(cfg.age_min + 3)
 
     # independent Gibbs computation over all 27 paths
@@ -182,27 +182,106 @@ def test_gibbs_of_true_cost_matches_table_backed_enumeration():
         states = [start]
         e = 0.0
         for a in actions:
-            e += cost(states[-1], a)
-            states.append(dyn.step(states[-1], a))
+            e += reference.step_cost(cost, states[-1], a)
+            states.append(dyn.state_at(states[-1].age + a))
         energies.append((actions, e))
     z = sum(np.exp(-e) for _, e in energies)
 
     table = {(age, a): None for age in range(cfg.age_min, 200) for a in range(3)}
 
-    def table_cost(state: State, action: int) -> float:
-        key = (state.age, action)
-        if table.get(key) is None:
-            table[key] = cost(state, action)
-        return table[key]
+    def table_cost(obs, ages, actions):
+        out = []
+        for o, age, action in zip(obs, ages.tolist(), actions.tolist()):
+            key = (age, action)
+            if table.get(key) is None:
+                table[key] = reference.step_cost(cost, State(o, age), action)
+            out.append(table[key])
+        return np.array(out)
 
     for actions, e in energies[:9]:
         states = [start]
         for a in actions:
-            states.append(dyn.step(states[-1], a))
+            states.append(dyn.state_at(states[-1].age + a))
         traj = AgingTrajectory(states, actions)
         p = exact_sequence_prob(traj, table_cost, dyn)
         expected = float(np.exp(-e) / z)
         assert abs(p - expected) <= 1e-10 * expected
+
+
+# ---------------------------------------------------------------------------
+# The level-wise expander and the vectorized world against one-state references
+# ---------------------------------------------------------------------------
+
+def table_cost(table):
+    def cost(obs, ages, actions):
+        return table[ages, actions]
+
+    return cost
+
+
+@pytest.mark.parametrize("n_actions, horizon", [(3, 0), (3, 1), (3, 4), (5, 3), (16, 2)])
+def test_level_wise_enumeration_equals_recursion(n_actions, horizon):
+    cfg = WorldConfig(n_actions=n_actions)
+    dyn = WorldDynamics(cfg, make_archetype(cfg, 17))
+    cost = table_cost(np.random.default_rng(n_actions).standard_normal((200, n_actions)))
+    start = dyn.state_at(cfg.age_min + 4)
+    fast = enumerate_energies(start, horizon, cost, dyn)
+    assert fast.shape == (n_actions**horizon,)
+    assert np.array_equal(fast, reference.enumerate_energies(start, horizon, cost, dyn))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_level_wise_brute_force_equals_recursion_under_ties(seed):
+    # integer-valued costs in {0, 1, 2} force ties between many paths
+    cfg = WorldConfig(n_actions=6)
+    dyn = WorldDynamics(cfg, make_archetype(cfg, 60 + seed))
+    table = np.random.default_rng(seed).integers(0, 3, size=(101, 6)).astype(np.float64)
+    costs = [table_cost(table), table_cost(np.zeros((101, 6)))]
+    start = dyn.state_at(cfg.age_min + seed)
+    for cost in costs:
+        for gap, cap in ((0, 3), (1, 2), (4, 4), (9, 4), (17, 4)):
+            fast = brute_force_optimal_path(dyn, cost, start, start.age + gap, horizon_cap=cap)
+            slow = reference.brute_force_optimal_path(dyn, cost, start, start.age + gap,
+                                                      horizon_cap=cap)
+            assert fast.actions == slow.actions, (gap, cap)
+            assert [s.age for s in fast.states] == [s.age for s in slow.states]
+
+
+def test_level_wise_brute_force_matches_recursion_on_failures():
+    arch = make_archetype(CFG, 2)
+    dyn = WorldDynamics(CFG, arch)
+    start = dyn.state_at(20)
+    for search in (brute_force_optimal_path, reference.brute_force_optimal_path):
+        with pytest.raises(ValidationError, match="unreachable"):
+            search(dyn, archetype_cost(CFG, arch), start, 55, horizon_cap=2)
+        # 14 paths complete at one step, 29 more at two and 44 at three
+        with pytest.raises(BudgetError):
+            search(dyn, zero_cost, start, 22, horizon_cap=4, budget=50)
+    assert brute_force_optimal_path(dyn, zero_cost, start, 22, horizon_cap=4,
+                                    budget=200).actions == [0, 0, 0, 2]
+
+
+def test_brute_force_budget_caps_every_level():
+    # no path completes before level 4, whose 16**4 rows exceed the budget
+    arch = make_archetype(CFG, 2)
+    dyn = WorldDynamics(CFG, arch)
+    with pytest.raises(BudgetError, match="level 4"):
+        brute_force_optimal_path(dyn, zero_cost, dyn.state_at(10), 60, horizon_cap=5,
+                                 budget=16**4 - 1)
+
+
+def test_world_transition_and_cost_match_per_age_formulas():
+    ages, actions = (g.ravel() for g in np.meshgrid(
+        np.arange(CFG.age_min, CFG.age_max + 1), np.arange(CFG.n_actions), indexing="ij"))
+    for seed in range(120):
+        arch = make_archetype(CFG, 1000 + seed)
+        dyn = WorldDynamics(CFG, arch)
+        obs = dyn.transition(np.zeros((ages.size, CFG.dim)), ages, actions)
+        assert np.array_equal(obs, np.stack([observe(CFG, arch, age)
+                                             for age in (ages + actions).tolist()]))
+        expected = [reference.ground_truth_cost(age, a, arch, CFG)
+                    for age, a in zip(ages.tolist(), actions.tolist())]
+        assert np.array_equal(ground_truth_cost(ages, actions, arch, CFG), expected)
 
 
 def test_sequence_file_roundtrip(tmp_path):
