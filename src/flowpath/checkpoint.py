@@ -227,11 +227,6 @@ def load_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
-def group_from_model(parameters: list[tuple[str, np.ndarray]]
-                     ) -> list[tuple[str, np.ndarray]]:
-    return [(name, arr.copy()) for name, arr in parameters]
-
-
 def restore_group(parameters: list[tuple[str, np.ndarray]],
                   stored: list[tuple[str, np.ndarray]], group: str = "") -> None:
     """Copy stored values into live model arrays, matching by name.

@@ -8,12 +8,13 @@ scales, and composition of units keeps both directions exact.
 A unit is built from one net whose layers stack its scale and translate
 subnets on an axis of 2, so both run as one batched matmul chain, and
 `member_net(unit.net, k)` views the scale (k = 0) or translate (k = 1) net.
-Nothing is copied in: `make_coupling_unit` carves the stacked layers from a
-store of the unit's own.  A `FlowPair` stacks unit i of two flows once more,
-(2 flows, 2 nets), and the passes below take inputs with the owner's leading
-flow axes, `lead`, in front of (N, dim).  The pair's stacks are views into
-its owner's flat parameter store (see `AgingModel`), and its two lone flows
-are views of slices of the stacks, so no level holds a copy.
+A unit's `parameters()` are those stacked arrays.  Nothing is copied in:
+`make_coupling_unit` carves the stacked layers from a store of the unit's
+own.  Unit i of two flows can be stacked once more, as (2 flows, 2 nets), and
+the passes below take inputs with a stack's leading flow axes, `lead`, in
+front of (N, dim).  Such a stack's arrays are views into its owner's flat
+parameter store (see `AgingModel`), and `member(f)` gives flow f alone as
+views of slices of them, so no level holds a copy.
 
 A stack is immutable during inference and safe for concurrent read-only
 evaluation; training mutates parameters under exclusive access.
@@ -80,33 +81,17 @@ class CouplingUnit:
         self.net = net
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        """Per-net names and views: all of the scale net's, then the translate net's."""
-        return [(f"{prefix}{role}.{name}", arr[k]) for k, role in enumerate(("scale", "translate"))
-                for name, arr in self.net.parameters()]
-
-    def align(self, grads: list[np.ndarray]) -> list[np.ndarray]:
-        """Gradients of the stacked net, as views in `parameters()` order."""
-        return [g[k] for k in (0, 1) for g in grads]
-
-
-class UnitPair(CouplingUnit):
-    """Unit i of two flows: their shared mask, a net whose layers are stacked as
-    (2 flows, 2 nets, ...), and one clamp per flow.  `parameters()` yields the
-    stacked arrays."""
+        """The stacked arrays of `net`, w then b per layer."""
+        return self.net.parameters(prefix)
 
     def member(self, f: int) -> CouplingUnit:
-        """Flow f's unit, on views of slice f of the stacks.  The pair passed the
-        mask, net and clamp checks, so the member skips them."""
+        """Flow f's unit, on views of slice f of the stacks; valid for a unit with
+        one flow axis.  This unit passed the mask, net and clamp checks, so the
+        member skips them."""
         unit = object.__new__(CouplingUnit)
         vars(unit).update(vars(self), net=member_net(self.net, f), lead=(),
                           clamp=float(self.clamp[f, 0, 0]))
         return unit
-
-    def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
-        return self.net.parameters(prefix)
-
-    def align(self, grads: list[np.ndarray]) -> list[np.ndarray]:
-        return grads
 
 
 def alternating_mask(dim: int, parity: int) -> np.ndarray:
@@ -146,35 +131,26 @@ def make_coupling_unit(rng: np.random.Generator, mask: np.ndarray, hidden: int =
 
 
 class BijectionStack:
-    """Ordered composition of coupling units over a shared dimension.
+    """Ordered composition of coupling units over a shared dimension, all with
+    the flow axes `lead`: () for one flow, (2,) for two run in lockstep.
 
     An empty stack is the identity map (used for 1-d densities, where a
     coupling mask cannot split the single dimension).
     """
 
-    lead: tuple[int, ...] = ()
-
-    def __init__(self, dim: int, units: Sequence[CouplingUnit]):
-        self.dim, self.units = dim, list(units)
+    def __init__(self, dim: int, units: Sequence[CouplingUnit], lead: tuple[int, ...] = ()):
+        self.dim, self.units, self.lead = dim, list(units), lead
         for u in self.units:
-            if u.dim != dim:
-                raise ShapeError(f"unit dim {u.dim} != stack dim {dim}")
+            if u.dim != dim or u.lead != self.lead:
+                raise ShapeError(f"unit of dim {u.dim} and flow axes {u.lead} in a stack of "
+                                 f"dim {dim} and flow axes {self.lead}")
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return [p for i, u in enumerate(self.units) for p in u.parameters(f"{prefix}u{i:02d}.")]
 
-
-class FlowPair(BijectionStack):
-    """Two flows whose unit i share a mask, run in lockstep on inputs with a
-    leading axis of 2.  `first` and `second` are the two flows alone, as
-    units on views of the stacks."""
-
-    lead = (2,)
-
-    def __init__(self, dim: int, units: Sequence[UnitPair]):
-        super().__init__(dim, units)
-        self.first, self.second = (BijectionStack(dim, [u.member(f) for u in self.units])
-                                   for f in (0, 1))
+    def member(self, f: int) -> BijectionStack:
+        """Flow f alone, as units on views of the stacks; valid with one flow axis."""
+        return BijectionStack(self.dim, [u.member(f) for u in self.units])
 
 
 def make_flow(rng: np.random.Generator, dim: int, n_units: int = 10, hidden: int = 32,
@@ -254,7 +230,7 @@ def _unit_backward(u: CouplingUnit, cache, dy: np.ndarray, dlogdet: np.ndarray):
     dx = np.empty_like(dy)
     dx[..., u.kept] = dy[..., u.kept] + dxk[..., 0, :, :] + dxk[..., 1, :, :]
     dx[..., u.trans] = dyt * es
-    return u.align(grads), dx
+    return grads, dx
 
 
 def flow_forward_cached(flow: BijectionStack, x: np.ndarray):
@@ -306,8 +282,8 @@ def flow_log_density(flow: BijectionStack, x: np.ndarray):
 def flow_nll(flow: BijectionStack, xs: np.ndarray):
     """Mean negative log-likelihood over a batch, with exact gradients.
 
-    A `FlowPair` takes xs of shape (2, N, D), one batch per flow, and returns
-    the two losses as an array.  Gradients are aligned with
+    A stack with a flow axis of 2 takes xs of shape (2, N, D), one batch per
+    flow, and returns the two losses as an array.  Gradients are aligned with
     ``flow.parameters()`` and include the change-of-variables path through
     the log-determinant.
     """

@@ -524,12 +524,6 @@ def irl_loss_and_grad(cost: CostNet, demos: PathBatch, samples: PathBatch
     return loss, grads
 
 
-def partition_log_weights(cost: Cost, policy: PolicyNet, dynamics: Dynamics, start: State,
-                          horizon: int, n: int, seed: int = 0) -> np.ndarray:
-    """Log importance weights of `n` policy rollouts from `start`, rolled together."""
-    return path_log_weights(cost, sample_path_batch(policy, dynamics, [start], horizon, n, seed))
-
-
 def path_log_weights(cost: Cost, paths: PathBatch) -> np.ndarray:
     """Log importance weights -E - log q of sampled paths, scored ROLL_BLOCK rows at a time."""
     blocks = [paths.take(slice(lo, lo + ROLL_BLOCK)) for lo in range(0, len(paths), ROLL_BLOCK)]
@@ -539,8 +533,8 @@ def path_log_weights(cost: Cost, paths: PathBatch) -> np.ndarray:
 def estimate_log_partition(cost: Cost, policy: PolicyNet, dynamics: Dynamics, start: State,
                            horizon: int, n: int, seed: int = 0) -> float:
     """Importance-sampling estimate of log Z from `n` policy rollouts."""
-    return log_mean_exp(partition_log_weights(cost, policy, dynamics, start, horizon,
-                                              n, seed))
+    return log_mean_exp(path_log_weights(
+        cost, sample_path_batch(policy, dynamics, [start], horizon, n, seed)))
 
 
 def log_mean_exp(log_w: np.ndarray) -> float:

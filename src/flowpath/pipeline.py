@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, group_from_model, load_checkpoint, restore_group, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint
 from .config import RunConfig
 from .errors import CheckpointError, InsufficientDataError, ValidationError
 from .evaluate import (
@@ -126,7 +126,7 @@ def build_model(cfg: RunConfig, rng: np.random.Generator | None) -> AgingModel:
 
 def _model_group(model: AgingModel) -> dict:
     """A checkpoint's `model` group: the model's store, in `parameters()` order."""
-    return {"model": group_from_model(model.parameters())}
+    return {"model": model.parameters()}
 
 
 def _fill(target, ckpt: Checkpoint, group: str):
@@ -313,8 +313,7 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
     def save_state(path: Path, next_iteration: int) -> None:
         """Save the IRL state to `path`; metrics.csv follows so aborted runs show progress."""
         rows = _metrics_rows(history)
-        params = _model_group(model) | {name: group_from_model(net.parameters())
-                                         for name, net in nets.items()}
+        params = _model_group(model) | {name: net.parameters() for name, net in nets.items()}
         save_checkpoint(path, Checkpoint(
             config=cfg, params=params,
             opt_states={name: opt.state_dict() for name, opt in opts.items()},

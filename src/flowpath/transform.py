@@ -11,11 +11,12 @@ A pair model bundles two independent coupling stacks (source and target
 encoders) with one transform; the conditional likelihood of a target
 observation given a source observation and an action is the standard-normal
 density of the latent residual plus the target encoder's change-of-variables
-term.  The two stacks are also held as one `FlowPair`, so training runs both
-encoders in one pass.  Every parameter of a pair model is a view into one
-flat float64 store, in `parameters()` order, which a fresh model draws into
-and a checkpoint fills.  Inference paths are read-only on parameters;
-training steps need exclusive access.
+term.  The two stacks are held as one `BijectionStack` with a flow axis of 2,
+so training runs both encoders in one pass, and `member(f)` views each alone.
+Every parameter of a pair model is a view into one flat float64 store, in
+`parameters()` order, which a fresh model draws into and a checkpoint fills.
+Inference paths are read-only on parameters; training steps need exclusive
+access.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, NumericError, ShapeError, ValidationError
 from .flows import (
-    FlowPair,
-    UnitPair,
+    BijectionStack,
+    CouplingUnit,
     alternating_mask,
     flow_backward,
     flow_forward,
@@ -144,9 +145,10 @@ class AgingModel:
         shapes += [(dim, factors), (factors, dim), (factors, n_actions), (dim,)]
         self.store = np.zeros(sum(map(math.prod, shapes)))
         arrays = iter(carve(self.store, shapes))
-        self.flows = FlowPair(dim, [UnitPair(mask, net_from(arrays, [act for _, act in layers]),
-                                             clamps) for mask, layers, clamps in units])
-        self.source_flow, self.target_flow = self.flows.first, self.flows.second
+        self.flows = BijectionStack(dim, [
+            CouplingUnit(mask, net_from(arrays, [act for _, act in layers]), clamps)
+            for mask, layers, clamps in units], lead=(2,))
+        self.source_flow, self.target_flow = self.flows.member(0), self.flows.member(1)
         self.transform = FactoredTransform(*arrays)
 
     @property

@@ -73,6 +73,14 @@ def translate_net(unit):
     return member_net(unit.net, 1)
 
 
+def per_net_parameters(flow) -> list[tuple[str, np.ndarray]]:
+    """A lone flow's arrays as plain nets: per unit, the scale net's
+    (`u00.scale.l0.w`, ...) then the translate net's."""
+    return [(f"u{i:02d}.{role}.{name}", arr) for i, u in enumerate(flow.units)
+            for role, net in (("scale", scale_net(u)), ("translate", translate_net(u)))
+            for name, arr in net.parameters()]
+
+
 def factors(transform) -> int:
     return transform.w_out.shape[1]
 

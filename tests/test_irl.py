@@ -32,9 +32,9 @@ from flowpath.irl import (
     make_cost_net,
     make_policy_net,
     multi_input_init,
-    partition_log_weights,
     path_energies,
     path_log_proposals,
+    path_log_weights,
     plan_path_batch,
     plan_rollout,
     policy_update,
@@ -710,10 +710,10 @@ def test_engine_crosses_block_boundary(kind):
     n = 300
     assert n > ROLL_BLOCK
     batch = sample_path_batch(policy, dyn, starts[:1], 3, m=n, seed=8)
-    log_w = partition_log_weights(cost, policy, dyn, starts[0], 3, n=n, seed=8)
+    log_w = path_log_weights(cost, sample_path_batch(policy, dyn, [starts[0]], 3, n, 8))
     reference = reference_paths(policy, dyn, cost, starts[:1], [3], n, 8)
     assert_matches_reference(batch, reference, log_w)
-    head = partition_log_weights(cost, policy, dyn, starts[0], 3, n=100, seed=8)
+    head = path_log_weights(cost, sample_path_batch(policy, dyn, [starts[0]], 3, 100, 8))
     assert np.abs(log_w[:100] - head).max() < 1e-12
     assert abs(estimate_log_partition(cost, policy, dyn, starts[0], 3, n=n, seed=8)
                - log_mean_exp(log_w)) == 0.0
@@ -753,7 +753,7 @@ def test_engine_chunk_size_changes_speed_only(kind, monkeypatch):
 
     def run():
         return (sample_path_batch(policy, dyn, starts, [3, 1, 2], m=n, seed=4),
-                partition_log_weights(cost, policy, dyn, starts[0], 3, n=n, seed=6))
+                path_log_weights(cost, sample_path_batch(policy, dyn, [starts[0]], 3, n, 6)))
 
     batch, log_w = run()
     monkeypatch.setattr(irl, "ROLL_BLOCK", 7)

@@ -4,8 +4,7 @@ per-net reference for the pair objective."""
 import numpy as np
 import pytest
 
-from flowpath.checkpoint import Checkpoint, group_from_model, load_checkpoint, restore_group, \
-    save_checkpoint
+from flowpath.checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint
 from flowpath.config import RunConfig
 from flowpath.errors import NumericError, ShapeError
 from flowpath.flows import (
@@ -14,6 +13,7 @@ from flowpath.flows import (
     alternating_mask,
     flow_forward,
     flow_nll,
+    make_flow,
     standard_normal_loglik,
 )
 from flowpath.nets import Adam, DenseLayer, DenseNet, net_backward, net_forward
@@ -47,7 +47,7 @@ def test_writes_through_member_views_and_stacks_are_shared():
     x = rng.standard_normal((2, 6, 5))
     z_before, _ = flow_forward(model.flows, x)
 
-    _, w = model.target_flow.parameters()[0]  # u00.scale.l0.w
+    w = reference.scale_net(model.target_flow.units[0]).layers[0].weight
     w[0, 0] += 0.5
     assert model.flows.units[0].net.layers[0].weight[1, 0, 0, 0] == w[0, 0]
     z_after, _ = flow_forward(model.flows, x)
@@ -66,7 +66,7 @@ def test_writes_through_member_views_and_stacks_are_shared():
 def test_restore_group_round_trips_stacked_views_bit_for_bit(tmp_path):
     model = perturbed_model(3)
     path = tmp_path / "a.ckpt"
-    params = {"model": group_from_model(model.parameters())}
+    params = {"model": model.parameters()}
     save_checkpoint(path, Checkpoint(config=RunConfig(), params=params))
 
     fresh = perturbed_model(4)
@@ -76,14 +76,13 @@ def test_restore_group_round_trips_stacked_views_bit_for_bit(tmp_path):
         assert na == nb and np.array_equal(a, b)
     again = tmp_path / "b.ckpt"
     save_checkpoint(again, Checkpoint(config=RunConfig(), params={
-        "model": group_from_model(fresh.parameters())}))
+        "model": fresh.parameters()}))
     assert again.read_bytes() == path.read_bytes()
 
     # member views are strided, so each of their arrays is copied on its own
     members = perturbed_model(5)
     for name in GROUPS:
-        restore_group(getattr(members, name).parameters(),
-                      group_from_model(getattr(model, name).parameters()))
+        restore_group(getattr(members, name).parameters(), getattr(model, name).parameters())
     for (na, a), (nb, b) in zip(model.parameters(), members.parameters()):
         assert na == nb and np.array_equal(a, b)
 
@@ -166,9 +165,11 @@ def reference_pair_objective(model: AgingModel, xp, xt, acts, weight):
     loss -= weight * pen
     tr_grads[2] = tr_grads[2] - weight * dw_act
     grads = {}
-    for name, group in (("source_flow", source), ("target_flow", target),
-                        ("transform", tr_grads)):
-        for (pname, _), g in zip(getattr(model, name).parameters(), group):
+    for name, params, group in (
+            ("source_flow", reference.per_net_parameters(model.source_flow), source),
+            ("target_flow", reference.per_net_parameters(model.target_flow), target),
+            ("transform", model.transform.parameters(), tr_grads)):
+        for (pname, _), g in zip(params, group, strict=True):
             grads[f"{name}.{pname}"] = g
     return loss, grads
 
@@ -222,3 +223,49 @@ def test_unit_rejects_subnets_that_do_not_stack():
     for lead in ((2,), (2, 2)):  # (scale, translate) alone, then behind a flow axis
         net = DenseNet([DenseLayer(np.zeros(lead + (2, 2)), np.zeros(lead + (2,)), "identity")])
         assert CouplingUnit(alternating_mask(4, 0), net, np.ones(lead[:-1])).lead == lead[:-1]
+
+
+# ---------------------------------------------------------------------------
+# One parameter layout at every level
+# ---------------------------------------------------------------------------
+
+def test_every_unit_yields_its_stacked_arrays():
+    lone = make_flow(np.random.default_rng(10), 5, n_units=2, hidden=7).units[1]
+    model = perturbed_model(11)
+    for unit in (lone, model.flows.units[1], model.source_flow.units[1],
+                 model.target_flow.units[2]):
+        params, stacked = unit.parameters("p."), unit.net.parameters("p.")
+        assert [n for n, _ in params] == [n for n, _ in stacked]
+        assert all(a is b for (_, a), (_, b) in zip(params, stacked, strict=True))
+
+
+def test_flow_nll_gradients_match_parameter_shapes():
+    rng = np.random.default_rng(12)
+    flow = make_flow(rng, 5, n_units=3, hidden=7)
+    model = perturbed_model(13)
+    for stack, xs in ((flow, rng.standard_normal((6, 5))),
+                      (model.flows, rng.standard_normal((2, 6, 5)))):
+        _, grads = flow_nll(stack, xs)
+        shapes = [g.shape for g in grads]
+        assert shapes == [a.shape for _, a in stack.parameters()]
+        assert shapes == [a.shape for u in stack.units for _, a in u.net.parameters()]
+
+
+def test_stack_rejects_units_with_other_flow_axes():
+    lone = make_flow(np.random.default_rng(14), 5, n_units=1, hidden=7).units[0]
+    pair = perturbed_model(15).flows.units[1]
+    for units in ([lone, pair], [pair, lone]):
+        for lead in ((), (2,)):
+            with pytest.raises(ShapeError):
+                BijectionStack(5, units, lead)
+
+
+def test_a_model_without_units_still_runs_two_flows():
+    model = make_aging_model(np.random.default_rng(16), dim=5, n_actions=6, flow_units=0,
+                             hidden=7, factors=3)
+    assert model.flows.lead == (2,) and model.source_flow.lead == ()
+    xs = np.random.default_rng(17).standard_normal((2, 4, 5))
+    losses, grads = flow_nll(model.flows, xs)
+    assert losses.shape == (2,) and grads == []
+    assert np.array_equal(losses, [flow_nll(model.source_flow, xs[0])[0],
+                                   flow_nll(model.target_flow, xs[1])[0]])

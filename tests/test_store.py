@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowpath import nets
-from flowpath.checkpoint import Checkpoint, group_from_model, restore_group
+from flowpath.checkpoint import Checkpoint, restore_group
 from flowpath.config import RunConfig
 from flowpath.errors import CheckpointError
 from flowpath.flows import make_flow
@@ -22,8 +22,6 @@ from flowpath.transform import AgingModel, make_aging_model
 
 from test_nets import ReferenceAdam
 import reference
-
-NET_OWNERS = ("source_flow", "target_flow", "transform")  # AgingModel attributes
 
 
 def small_config() -> RunConfig:
@@ -89,7 +87,9 @@ def reference_aging_model(seed: int, dim: int, n_actions: int, units: int, hidde
 def test_fresh_model_draws_in_per_net_order(seed, dim):
     model = make_aging_model(np.random.default_rng(seed), dim=dim, n_actions=6, flow_units=3,
                              hidden=7, factors=4)
-    live = [a for name in NET_OWNERS for _, a in getattr(model, name).parameters()]
+    live = [a for flow in (model.source_flow, model.target_flow)
+            for _, a in reference.per_net_parameters(flow)]
+    live += [a for _, a in model.transform.parameters()]
     ref = reference_aging_model(seed, dim, 6, 3, 7, 4)
     assert len(live) == len(ref)
     for a, b in zip(live, ref):
@@ -100,9 +100,12 @@ def test_fresh_model_draws_in_per_net_order(seed, dim):
 def test_fresh_flow_draws_in_per_net_order(seed, dim):
     flow = make_flow(np.random.default_rng(seed), dim, n_units=3, hidden=7)
     names = [name for name, _ in flow.parameters()]
-    assert names[:12] == [f"u00.{role}.l{i}.{kind}" for role in ("scale", "translate")
-                          for i in range(3) for kind in "wb"]
-    live = [a for _, a in flow.parameters()]
+    assert names[:6] == [f"u00.l{i}.{kind}" for i in range(3) for kind in "wb"]
+    kept = (dim + 1) // 2  # unit 0 keeps the even indices
+    dims = (kept, 7, 7, dim - kept)
+    assert [a.shape for _, a in flow.parameters()[:6]] == [
+        shape for d_in, d_out in zip(dims, dims[1:]) for shape in ((2, d_out, d_in), (2, d_out))]
+    live = [a for _, a in reference.per_net_parameters(flow)]
     ref = reference_aging_model(seed, dim, 6, 3, 7, 4)[:len(live)]  # a model's source flow
     assert len(live) == 3 * 2 * 3 * 2
     for a, b in zip(live, ref):
@@ -118,9 +121,8 @@ def checkpoint_of(cfg: RunConfig, seed: int) -> Checkpoint:
     world = cfg.world
     cost = make_cost_net(rng, world.dim, world.n_actions, world.age_min, world.age_max)
     policy = make_policy_net(rng, world.dim, world.n_actions, world.age_min, world.age_max)
-    params = {"model": group_from_model(model.parameters())}
-    params["cost"] = group_from_model(cost.parameters())
-    params["policy"] = group_from_model(policy.parameters())
+    params = {"model": model.parameters(), "cost": cost.parameters(),
+              "policy": policy.parameters()}
     return Checkpoint(config=cfg, params=params)
 
 
