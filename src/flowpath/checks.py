@@ -8,6 +8,8 @@ implementations.  Each check returns (name, passed, detail).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .flows import flow_forward, flow_nll, flow_nll_value, make_flow
@@ -206,17 +208,10 @@ def check_gibbs_normalization(seed: int = 0):
     cost = archetype_cost(cfg, arch)
     start = dyn.state_at(cfg.age_min)
     total = 0.0
-    for idx in range(3**3):
-        actions = []
-        v = idx
-        for _ in range(3):
-            actions.append(v % 3)
-            v //= 3
-        states = [start]
-        for a in actions[::-1]:
-            states.append(dyn.state_at(states[-1].age + a))
-        traj = AgingTrajectory(states, actions[::-1])
-        total += exact_sequence_prob(traj, cost, dyn)
+    for actions in itertools.product(range(3), repeat=3):
+        ages = start.age + np.cumsum((0,) + actions)
+        obs = np.stack([dyn.state_at(a).observation for a in ages.tolist()])
+        total += exact_sequence_prob(AgingTrajectory(obs, ages), cost, dyn)
     err = abs(total - 1.0)
     return "gibbs_normalization", err < 1e-9, f"sum deviates by {err:.3g}"
 
@@ -230,8 +225,8 @@ def check_demo_optimality(seed: int = 0):
         arch, demo = generate_subject(cfg, sid)
         dyn = WorldDynamics(cfg, arch)
         cost = archetype_cost(cfg, arch)
-        oracle = brute_force_optimal_path(dyn, cost, dyn.state_at(demo.states[0].age),
-                                          demo.states[-1].age, cfg.horizon - 1)
+        oracle = brute_force_optimal_path(dyn, cost, dyn.state_at(int(demo.ages[0])),
+                                          int(demo.ages[-1]), cfg.horizon - 1)
         if demo.actions != oracle.actions:
             ok = False
             detail = f"subject {sid}: demo {demo.actions} vs oracle {oracle.actions}"

@@ -19,7 +19,6 @@ from .irl import (
     ModelDynamics,
     PathBatch,
     PolicyNet,
-    State,
     log_mean_exp,
     make_policy_net,
     path_energies,
@@ -31,8 +30,11 @@ from .transform import AgingModel
 from .world import WorldConfig, WorldDynamics, archetype_cost, dp_optimal_path, make_archetype
 
 
-def _stack(states: list[State]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([s.observation for s in states]), np.array([s.age for s in states], float)
+def _stack(trajs: list[AgingTrajectory]) -> tuple[np.ndarray, np.ndarray]:
+    if not trajs:
+        raise InsufficientDataError("no states to fit or score the age regressor on")
+    return (np.concatenate([t.observations for t in trajs]),
+            np.concatenate([t.ages for t in trajs]).astype(float))
 
 
 def _age_features(obs: np.ndarray) -> np.ndarray:
@@ -62,21 +64,21 @@ def synthesize_progressions(paths: PathBatch, trajs: list[AgingTrajectory]
     rows, steps = [], []
     for i, traj in enumerate(trajs):
         ages = paths.ages[i, :paths.lengths[i] + 1]
-        later = np.searchsorted(ages, [s.age for s in traj.states[1:]]).tolist()
+        later = np.searchsorted(ages, traj.ages[1:]).tolist()
         rows += [i] * len(later)
         steps += later
     return paths.observations[rows, steps], paths.ages[rows, steps].astype(float)
 
 
-def evaluate_age_fidelity(paths: PathBatch, config: WorldConfig, train_states: list[State],
-                          heldout_trajs: list[AgingTrajectory]) -> dict:
-    """MAE of an age regressor on real vs synthesized held-out states; row i of
-    `paths` plans heldout_trajs[i] to its last demo age."""
-    train_obs, train_ages = _stack(train_states)
+def evaluate_age_fidelity(paths: PathBatch, config: WorldConfig, train: list[AgingTrajectory],
+                          heldout: list[AgingTrajectory]) -> dict:
+    """MAE of an age regressor, fit on every train state, on real vs synthesized
+    held-out states; row i of `paths` plans heldout[i] to its last demo age."""
+    train_obs, train_ages = _stack(train)
     coeff = fit_age_regressor(train_obs, train_ages)
-    synth_obs, synth_ages = synthesize_progressions(paths, heldout_trajs)
+    synth_obs, synth_ages = synthesize_progressions(paths, heldout)
     mae_train = regressor_mae(coeff, train_obs, train_ages)
-    mae_real = regressor_mae(coeff, *_stack([s for t in heldout_trajs for s in t.states]))
+    mae_real = regressor_mae(coeff, *_stack(heldout))
     mae_synth = regressor_mae(coeff, synth_obs, synth_ages)
     return {
         "mae_train": mae_train,
@@ -100,7 +102,7 @@ def path_recovery_report(paths: PathBatch, config: WorldConfig,
         planned = paths.actions[i, :paths.lengths[i]].tolist()
         world_dyn = WorldDynamics(config, arch)
         optimal = dp_optimal_path(world_dyn, archetype_cost(config, arch),
-                                  world_dyn.state_at(traj.states[0].age), traj.states[-1].age,
+                                  world_dyn.state_at(int(traj.ages[0])), int(traj.ages[-1]),
                                   horizon_cap=config.horizon - 1)
         ok = planned == optimal.actions
         matches += ok
@@ -131,7 +133,7 @@ def energy_separation_report(model: AgingModel, cost, demos: list[AgingTrajector
     dyn = ModelDynamics(model)
     uniform = make_policy_net(np.random.default_rng(0), model.dim, model.n_actions,
                               age_low=cost.age_low, age_high=cost.age_high)
-    starts = [d.states[0] for d in demos]
+    starts = [d.start for d in demos]
     horizons = [max(1, d.horizon) for d in demos]
     rollouts = sample_path_batch(uniform, dyn, starts, horizons,
                                  m=2 * len(demos), seed=seed)

@@ -88,10 +88,17 @@ class CouplingUnit:
         """Flow f's unit, on views of slice f of the stacks; valid for a unit with
         one flow axis.  This unit passed the mask, net and clamp checks, so the
         member skips them."""
+        _check_member(self.lead, f)
         unit = object.__new__(CouplingUnit)
         vars(unit).update(vars(self), net=member_net(self.net, f), lead=(),
                           clamp=float(self.clamp[f, 0, 0]))
         return unit
+
+
+def _check_member(lead: tuple[int, ...], f: int) -> None:
+    if len(lead) != 1 or not 0 <= f < lead[0]:
+        raise ShapeError(f"member {f} of flow axes {lead}: valid with one flow axis, "
+                         "for an index inside it")
 
 
 def alternating_mask(dim: int, parity: int) -> np.ndarray:
@@ -150,6 +157,7 @@ class BijectionStack:
 
     def member(self, f: int) -> BijectionStack:
         """Flow f alone, as units on views of the stacks; valid with one flow axis."""
+        _check_member(self.lead, f)
         return BijectionStack(self.dim, [u.member(f) for u in self.units])
 
 

@@ -1,14 +1,15 @@
 """Maximum-entropy IRL over longitudinal aging trajectories.
 
-Trajectories alternate states (observation + integer age) and integer step
-actions: action a moves the age by a.  A trajectory's probability is Gibbs
-in its summed step cost, the partition function is approximated by
-self-normalized importance sampling under the current policy (exact
-enumeration is available on small worlds), and the policy is refined
-against the learned cost by entropy-regularized policy gradient.
-Transitions are deterministic (synthesis with zero noise) and demo start
-states are fixed, so proposal densities reduce to products of per-step
-action probabilities.
+A subject's trajectory is an `AgingTrajectory`: observations at integer
+ages, whose gaps are its actions, so action a moves the age by a.  A
+`State`, one observation and its age, starts a plan, a sample or an
+enumeration.  A trajectory's probability is Gibbs in its summed step cost,
+the partition function is approximated by self-normalized importance
+sampling under the current policy (exact enumeration is available on small
+worlds), and the policy is refined against the learned cost by
+entropy-regularized policy gradient.  Transitions are deterministic
+(synthesis with zero noise) and demo start states are fixed, so proposal
+densities reduce to products of per-step action probabilities.
 
 Dynamics and costs take batches only.  A dynamics has `n_actions` and
 `transition(obs (K, D), ages (K,), actions (K,)) -> (K, D)`, the next
@@ -74,33 +75,31 @@ class State:
 
 @dataclass(eq=False)
 class AgingTrajectory:
-    """Alternating states and actions for one subject; ages must add up."""
+    """One subject's (T+1, D) observations at (T+1,) ages; action t is the gap
+    ages[t+1] - ages[t], range-checked by `PathBatch.from_trajectories`."""
 
-    states: list[State]
-    actions: list[int]
+    observations: np.ndarray
+    ages: np.ndarray
 
     def __post_init__(self):
-        self.actions = [int(a) for a in self.actions]
+        self.observations = np.asarray(self.observations, dtype=np.float64)
+        self.ages = np.asarray(self.ages, dtype=np.int64)
+        if (self.observations.ndim != 2 or not self.ages.size
+                or self.observations.shape[:1] != self.ages.shape):
+            raise ValidationError(f"trajectory needs (T+1, D) observations at T+1 ages, "
+                                  f"not {self.observations.shape} at {self.ages.shape}")
+
+    @property
+    def actions(self) -> list[int]:
+        return np.diff(self.ages).tolist()
 
     @property
     def horizon(self) -> int:
-        return len(self.actions)
+        return self.ages.size - 1
 
-    def validate(self, n_actions: int | None = None) -> None:
-        if len(self.states) < 1 or len(self.states) != len(self.actions) + 1:
-            raise ValidationError(
-                f"trajectory needs T states and T-1 actions, got "
-                f"{len(self.states)} states / {len(self.actions)} actions"
-            )
-        for t, a in enumerate(self.actions):
-            if a < 0 or (n_actions is not None and a >= n_actions):
-                raise ValidationError(f"action {a} at step {t} out of range")
-            expect = self.states[t].age + a
-            if self.states[t + 1].age != expect:
-                raise ValidationError(
-                    f"age bookkeeping violated at step {t}: "
-                    f"{self.states[t + 1].age} != {self.states[t].age} + {a}"
-                )
+    @property
+    def start(self) -> State:
+        return State(self.observations[0], self.ages[0])
 
 
 @dataclass(eq=False)
@@ -130,28 +129,27 @@ class PathBatch:
                          self.lengths[rows], self.log_q[rows])
 
     def trajectories(self) -> list[AgingTrajectory]:
-        return [AgingTrajectory([State(self.observations[i, t], self.ages[i, t])
-                                 for t in range(n + 1)], self.actions[i, :n].tolist())
+        return [AgingTrajectory(self.observations[i, :n + 1], self.ages[i, :n + 1])
                 for i, n in enumerate(self.lengths.tolist())]
 
     @classmethod
     def from_trajectories(cls, trajs: Sequence[AgingTrajectory],
                           n_actions: int | None = None) -> "PathBatch":
+        """Padded rows; ValidationError names the row and step of a negative or too large action."""
         if not trajs:
             raise ValidationError("need at least one trajectory")
-        for traj in trajs:
-            traj.validate(n_actions)
-        width = max(traj.horizon for traj in trajs)
-        dim = trajs[0].states[0].observation.size
-        obs = np.zeros((len(trajs), width + 1, dim))
-        ages = np.zeros((len(trajs), width + 1), dtype=np.int64)
-        actions = np.zeros((len(trajs), width), dtype=np.int64)
-        for i, traj in enumerate(trajs):
-            n = traj.horizon
-            obs[i, :n + 1] = [s.observation for s in traj.states]
-            ages[i, :n + 1] = [s.age for s in traj.states]
-            actions[i, :n] = traj.actions
         lengths = np.array([traj.horizon for traj in trajs], dtype=np.int64)
+        width = int(lengths.max())
+        obs = np.zeros((len(trajs), width + 1, trajs[0].observations.shape[1]))
+        ages = np.zeros((len(trajs), width + 1), dtype=np.int64)
+        for i, traj in enumerate(trajs):
+            obs[i, :traj.ages.size], ages[i, :traj.ages.size] = traj.observations, traj.ages
+        actions = np.where(np.arange(width) < lengths[:, None], np.diff(ages, axis=1), 0)
+        bad = np.argwhere((actions < 0) | (actions >= (np.inf if n_actions is None else n_actions)))
+        if bad.size:
+            row, step = bad[0].tolist()
+            raise ValidationError(f"action {actions[row, step]} at row {row}, step {step} "
+                                  "out of range")
         return cls(obs, ages, actions, lengths, np.zeros(len(trajs)))
 
     @classmethod
@@ -367,9 +365,8 @@ def exact_sequence_prob(traj: AgingTrajectory, cost: Cost, dynamics: Dynamics,
     exp(-E) normalized over the full enumeration of action sequences with the
     same start state and horizon, under the deterministic transition model.
     """
-    traj.validate(dynamics.n_actions)
-    horizon = traj.horizon
-    energies = enumerate_energies(traj.states[0], horizon, cost, dynamics, budget)
+    PathBatch.from_trajectories([traj], dynamics.n_actions)  # refuses out-of-range actions
+    energies = enumerate_energies(traj.start, traj.horizon, cost, dynamics, budget)
     log_z = _logsumexp(-energies)
     index = 0
     for a in traj.actions:
@@ -629,7 +626,7 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
     if not demos:
         raise ValidationError("need at least one demonstration")
     demo_paths = PathBatch.from_trajectories(list(demos), cost.n_actions)
-    starts = [d.states[0] for d in demos]
+    starts = [d.start for d in demos]
     horizons = [max(1, d.horizon) for d in demos]
     history: list[IterationMetrics] = []
 
@@ -731,7 +728,7 @@ def plan_rollout(policy: PolicyNet, dynamics: Dynamics, start: State,
                  target_age: int) -> tuple[list[int], list[State]]:
     """`plan_path_batch` for one start: the greedy actions and visited states."""
     path = plan_path_batch(policy, dynamics, [start], [target_age]).trajectories()[0]
-    return path.actions, path.states
+    return path.actions, [State(o, a) for o, a in zip(path.observations, path.ages)]
 
 
 def split_age_gap(gap: int, max_step: int) -> list[int]:

@@ -98,16 +98,22 @@ def stage_gen_data(cfg: RunConfig) -> Path:
 
 
 def _load_sequences(cfg: RunConfig, name: str) -> list[tuple[int, AgingTrajectory]]:
-    """One sequence file of the run, with observations checked against world.dim."""
+    """One sequence file of the run, with observations checked against world.dim
+    and ages against the world's age range."""
     path = Path(cfg.out_dir) / name
     if not path.exists():
         raise ValidationError(f"missing {name} under {path.parent}; run gen-data first")
     entries = read_sequences(path)
+    low, high = cfg.world.age_min, cfg.world.age_max
     for sid, traj in entries:
-        length = traj.states[0].observation.size
+        length = traj.observations.shape[1]
         if length != cfg.world.dim:
             raise ValidationError(f"{name}: subject {sid} has observations of length "
                                   f"{length}, not the configured dim {cfg.world.dim}")
+        outside = traj.ages[(traj.ages < low) | (traj.ages > high)]
+        if outside.size:
+            raise ValidationError(f"{name}: subject {sid} has age {outside[0]}, outside the "
+                                  f"world range [{low}, {high}]")
     return entries
 
 
@@ -167,7 +173,7 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     train = _load_sequences(cfg, TRAIN_FILE)
     pool = _load_sequences(cfg, POOL_FILE)
-    data = np.stack([s.observation for _, t in pool + train for s in t.states])
+    data = np.concatenate([t.observations for _, t in pool + train])
     rng = _stage_rng(cfg, STAGE_FLOW)
     model = build_model(cfg, rng)
     steps, size = cfg.flow.pretrain_steps, cfg.flow.batch_size
@@ -201,19 +207,18 @@ def build_pairs(trajs: list[AgingTrajectory], n_actions: int):
     Pairs come in (trajectory, i, j >= i) row-major order.  Row indices are
     gathered first, so each output array is allocated once.
     """
-    states = [s for traj in trajs for s in traj.states]
-    ages = np.array([s.age for s in states], dtype=np.int64)
     firsts, seconds, start = [], [], 0
     for traj in trajs:
-        i, j = np.triu_indices(len(traj.states))
-        gap = ages[start + j] - ages[start + i]
+        i, j = np.triu_indices(traj.ages.size)
+        gap = traj.ages[j] - traj.ages[i]
         keep = (gap >= 0) & (gap < n_actions)
         firsts.append(start + i[keep])
         seconds.append(start + j[keep])
-        start += len(traj.states)
+        start += traj.ages.size
     if not sum(i.size for i in firsts):
         raise ValidationError("no usable pairs in the dataset")
-    obs = np.stack([s.observation for s in states])
+    obs = np.concatenate([traj.observations for traj in trajs])
+    ages = np.concatenate([traj.ages for traj in trajs])
     i, j = np.concatenate(firsts), np.concatenate(seconds)
     return obs[i], obs[j], ages[j] - ages[i]
 
@@ -373,9 +378,9 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
     policy = policy_from_checkpoint(ckpt)
     cost = cost_from_checkpoint(ckpt)
 
-    paths = plan_path_batch(policy, ModelDynamics(model), [t.states[0] for _, t in heldout],
-                            [t.states[-1].age for _, t in heldout])
-    fidelity = evaluate_age_fidelity(paths, cfg.world, [s for _, t in train for s in t.states],
+    paths = plan_path_batch(policy, ModelDynamics(model), [t.start for _, t in heldout],
+                            [t.ages[-1] for _, t in heldout])
+    fidelity = evaluate_age_fidelity(paths, cfg.world, [t for _, t in train],
                                      [t for _, t in heldout])
     recovery = path_recovery_report(paths, cfg.world, heldout)
     report = {"fidelity": fidelity,

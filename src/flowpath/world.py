@@ -195,12 +195,11 @@ def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, start: State, targe
         raise ValidationError(
             f"target {target_age} unreachable from {start.age} in {horizon_cap} steps"
         )
-    states = [start]
-    for a in best[1]:
-        obs = dynamics.transition(states[-1].observation[None, :],
-                                  np.array([states[-1].age]), np.array([a]))
-        states.append(State(obs[0], states[-1].age + a))
-    return AgingTrajectory(states, list(best[1]))
+    ages = start.age + np.cumsum((0,) + best[1])
+    obs = [start.observation]
+    for t, a in enumerate(best[1]):
+        obs.append(dynamics.transition(obs[-1][None, :], ages[t:t + 1], np.array([a]))[0])
+    return AgingTrajectory(np.stack(obs), ages)
 
 
 def dp_optimal_path(dynamics: WorldDynamics, cost: Cost, start: State, target_age: int,
@@ -241,10 +240,9 @@ def dp_optimal_path(dynamics: WorldDynamics, cost: Cost, start: State, target_ag
         raise ValidationError(
             f"target {target_age} unreachable from {start.age} in {horizon_cap} steps"
         )
-    states = [start]
-    for a in actions:
-        states.append(dynamics.state_at(states[-1].age + a))
-    return AgingTrajectory(states, list(actions))
+    ages = start.age + np.cumsum((0,) + actions)
+    obs = [start.observation] + [dynamics.state_at(a).observation for a in ages[1:].tolist()]
+    return AgingTrajectory(np.stack(obs), ages)
 
 
 def generate_subject(config: WorldConfig, seed: int
@@ -272,11 +270,8 @@ def generate_subject(config: WorldConfig, seed: int
     dyn = WorldDynamics(config, arch)
     optimal = dp_optimal_path(dyn, archetype_cost(config, arch), dyn.state_at(start_age),
                               start_age + span, horizon_cap=max_steps)
-    states = []
-    for s in optimal.states:
-        obs = s.observation + config.noise * rng.standard_normal(config.dim)
-        states.append(State(obs, s.age))
-    return arch, AgingTrajectory(states, list(optimal.actions))
+    noise = config.noise * rng.standard_normal(optimal.observations.shape)
+    return arch, AgingTrajectory(optimal.observations + noise, optimal.ages)
 
 
 def generate_pool_sequence(config: WorldConfig, seed: int, stride: int = 1
@@ -288,29 +283,20 @@ def generate_pool_sequence(config: WorldConfig, seed: int, stride: int = 1
     """
     rng = np.random.default_rng(seed ^ 0x5EED)
     arch = make_archetype(config, seed)
-    ages = list(range(config.age_min, config.age_max + 1, stride))
-    states = [State(observe(config, arch, a)
-                    + config.noise * rng.standard_normal(config.dim), a)
-              for a in ages]
-    actions = [ages[i + 1] - ages[i] for i in range(len(ages) - 1)]
-    return AgingTrajectory(states, actions)
+    ages = np.arange(config.age_min, config.age_max + 1, stride)
+    clean = np.stack([observe(config, arch, a) for a in ages.tolist()])
+    return AgingTrajectory(clean + config.noise * rng.standard_normal(clean.shape), ages)
 
 
 # ---------------------------------------------------------------------------
 # Sequence file format (line-delimited JSON records)
 # ---------------------------------------------------------------------------
 
-def trajectory_record(subject_id: int, traj: AgingTrajectory) -> str:
-    return json.dumps({
-        "subject_id": subject_id,
-        "ages": [s.age for s in traj.states],
-        "observations": [[float(v) for v in s.observation] for s in traj.states],
-    })
-
-
 def write_sequences(path, entries: list[tuple[int, AgingTrajectory]]) -> None:
     """Write atomically (temp file + rename), one JSON record per line."""
-    lines = [trajectory_record(sid, traj) for sid, traj in entries]
+    lines = [json.dumps({"subject_id": sid, "ages": traj.ages.tolist(),
+                         "observations": traj.observations.tolist()})
+             for sid, traj in entries]
     write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -322,8 +308,8 @@ def check_sequence_fields(ages, observations, where: str) -> np.ndarray:
     lists, integer ages, equal counts, equal-length finite 1-d observations."""
     if not isinstance(ages, list) or not isinstance(observations, list):
         raise ValidationError(f"{where}: ages and observations must be lists")
-    if not all(type(a) is int for a in ages):
-        raise ValidationError(f"{where}: ages must be integers")
+    if not all(type(a) is int and -2**63 <= a < 2**63 for a in ages):
+        raise ValidationError(f"{where}: ages must be integers that fit in 64 bits")
     try:
         obs = np.array(observations, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -350,10 +336,9 @@ def _parse_record(line: str, where: str) -> tuple[int, AgingTrajectory]:
     if type(sid) is not int:
         raise ValidationError(f"{where}: subject_id and ages must be integers")
     obs = check_sequence_fields(ages, rec["observations"], where)
-    actions = [ages[i + 1] - ages[i] for i in range(len(ages) - 1)]
-    if any(a < 0 for a in actions):
+    if any(b < a for a, b in zip(ages, ages[1:])):
         raise ValidationError(f"{where}: sequence ages must be non-decreasing")
-    return sid, AgingTrajectory([State(o, a) for o, a in zip(obs, ages)], actions)
+    return sid, AgingTrajectory(obs, ages)
 
 
 def read_sequences(path) -> list[tuple[int, AgingTrajectory]]:

@@ -72,7 +72,7 @@ def small_pair_model():
     train = [generate_subject(cfg, i)[1] for i in range(cfg.train_subjects)]
     pool = [generate_pool_sequence(cfg, i) for i in range(cfg.train_subjects)]
     heldout = [generate_subject(cfg, 9000 + i)[1] for i in range(cfg.heldout_subjects)]
-    data = np.stack([s.observation for t in pool + train for s in t.states])
+    data = np.concatenate([t.observations for t in pool + train])
 
     model = make_aging_model(rng, dim=cfg.dim, n_actions=cfg.n_actions,
                              flow_units=6, hidden=24, factors=16)

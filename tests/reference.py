@@ -14,7 +14,14 @@ import numpy as np
 from flowpath.errors import BudgetError, ValidationError
 from flowpath.irl import AgingTrajectory, State
 from flowpath.nets import member_net, net_forward
-from flowpath.world import preferred_step
+from flowpath.world import (
+    WorldDynamics,
+    archetype_cost,
+    dp_optimal_path,
+    make_archetype,
+    observe,
+    preferred_step,
+)
 
 
 def age_unit(net, age: int) -> float:
@@ -111,11 +118,21 @@ def step_cost(cost_fn, state: State, action: int) -> float:
                          np.array([action]))[0])
 
 
+def trajectory(states) -> AgingTrajectory:
+    """The trajectory through `states`, in order; its actions are their age gaps."""
+    return AgingTrajectory(np.stack([s.observation for s in states]), [s.age for s in states])
+
+
+def states_of(traj: AgingTrajectory) -> list[State]:
+    """A trajectory's states, in order."""
+    return [State(o, a) for o, a in zip(traj.observations, traj.ages)]
+
+
 def chain(dynamics, start: State, actions) -> AgingTrajectory:
     states = [start]
     for a in actions:
         states.append(step(dynamics, states[-1], a))
-    return AgingTrajectory(states, list(actions))
+    return trajectory(states)
 
 
 def enumerate_energies(start: State, horizon: int, cost_fn, dynamics,
@@ -172,3 +189,33 @@ def brute_force_optimal_path(dynamics, cost_fn, start: State, target_age: int,
         raise ValidationError(
             f"target {target_age} unreachable from {start.age} in {horizon_cap} steps")
     return chain(dynamics, start, best[1])
+
+
+# ---------------------------------------------------------------------------
+# The world's generators with their noise drawn one state at a time
+# ---------------------------------------------------------------------------
+
+def generate_subject(config, seed: int):
+    """The archetype and demo states of `world.generate_subject`, each state's
+    observation noise its own `standard_normal(dim)` draw."""
+    rng = np.random.default_rng(seed)
+    arch = make_archetype(config, seed)
+    step = preferred_step(arch.class_id, config.n_actions)
+    max_steps = config.horizon - 1
+    lo = min(2, max_steps)
+    hi = min(max_steps, max(lo, config.age_span // step))
+    span = int(rng.integers(lo, hi + 1)) * step
+    start_age = int(rng.integers(config.age_min, config.age_max - span + 1))
+    dyn = WorldDynamics(config, arch)
+    optimal = dp_optimal_path(dyn, archetype_cost(config, arch), dyn.state_at(start_age),
+                              start_age + span, horizon_cap=max_steps)
+    return arch, [State(s.observation + config.noise * rng.standard_normal(config.dim), s.age)
+                  for s in states_of(optimal)]
+
+
+def generate_pool_sequence(config, seed: int, stride: int = 1) -> list[State]:
+    """The states of `world.generate_pool_sequence`, noise drawn one state at a time."""
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    arch = make_archetype(config, seed)
+    return [State(observe(config, arch, a) + config.noise * rng.standard_normal(config.dim), a)
+            for a in range(config.age_min, config.age_max + 1, stride)]

@@ -17,7 +17,7 @@ from flowpath.checkpoint import (
 )
 from flowpath.config import RunConfig, load_config
 from flowpath.errors import CheckpointError, ValidationError
-from flowpath.irl import AgingTrajectory, State
+from flowpath.irl import State
 from flowpath.metrics import read_csv_without_columns, write_csv
 from flowpath.world import WorldConfig, generate_pool_sequence, generate_subject
 from flowpath.pipeline import (
@@ -381,12 +381,10 @@ def test_age_fidelity_needs_heldout_data(tiny_run):
     from flowpath.world import read_sequences
 
     train = read_sequences(tiny_run["out"] / "train_sequences.jsonl")
-    train_states = [s for _, t in train for s in t.states]
     first = train[0][1]
-    paths = plan_path_batch(policy, ModelDynamics(model), [first.states[0]],
-                            [first.states[-1].age])
+    paths = plan_path_batch(policy, ModelDynamics(model), [first.start], [first.ages[-1]])
     with pytest.raises(InsufficientDataError):
-        evaluate_age_fidelity(paths, ckpt.config.world, train_states, [])
+        evaluate_age_fidelity(paths, ckpt.config.world, [t for _, t in train], [])
 
 
 def test_evaluate_plans_heldout_once(tiny_run, monkeypatch):
@@ -714,13 +712,14 @@ def build_pairs_reference(trajs, n_actions):
     """Row-by-row pair enumeration, the oracle for the vectorized build_pairs."""
     xp, xt, acts = [], [], []
     for traj in trajs:
-        ages = [s.age for s in traj.states]
+        states = reference.states_of(traj)
+        ages = [s.age for s in states]
         for i in range(len(ages)):
             for j in range(i, len(ages)):
                 gap = ages[j] - ages[i]
                 if 0 <= gap < n_actions:
-                    xp.append(traj.states[i].observation)
-                    xt.append(traj.states[j].observation)
+                    xp.append(states[i].observation)
+                    xt.append(states[j].observation)
                     acts.append(gap)
     return np.stack(xp), np.stack(xt), np.array(acts, dtype=np.int64)
 
@@ -732,7 +731,7 @@ def test_build_pairs_matches_row_by_row_reference():
     trajs = [generate_subject(world, s)[1] for s in seeds[:4]]
     trajs += [generate_pool_sequence(world, s, stride=int(rng.integers(1, 4)))
               for s in seeds[4:]]
-    trajs.append(AgingTrajectory([State(rng.standard_normal(5), 30)], []))
+    trajs.append(reference.trajectory([State(rng.standard_normal(5), 30)]))
     got = build_pairs(trajs, world.n_actions)
     want = build_pairs_reference(trajs, world.n_actions)
     for a, b in zip(got, want):
@@ -742,7 +741,7 @@ def test_build_pairs_matches_row_by_row_reference():
 def test_build_pairs_without_pairs_raises():
     # every state pairs with itself at gap 0, so only an empty action range
     # or no trajectories leave nothing
-    traj = AgingTrajectory([State(np.zeros(2), 20), State(np.zeros(2), 40)], [20])
+    traj = reference.trajectory([State(np.zeros(2), 20), State(np.zeros(2), 40)])
     with pytest.raises(ValidationError, match="no usable pairs"):
         build_pairs([traj], n_actions=0)
     with pytest.raises(ValidationError, match="no usable pairs"):
@@ -771,6 +770,25 @@ def test_sequence_dim_must_match_config(tmp_path, capsys):
     cfg_path.write_text(json.dumps(wider))
     assert cli.main(["pretrain-flow", "--config", str(cfg_path)]) == 1
     assert "not the configured dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shift", [1005, -60, 2**63])
+def test_cli_refuses_sequence_ages_outside_the_world(tmp_path, capsys, shift):
+    cfg = tiny_config(str(tmp_path / "run"))
+    stage_gen_data(cfg)
+    train = tmp_path / "run" / "train_sequences.jsonl"
+    lines = train.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["ages"] = [a + shift for a in rec["ages"]]
+    lines[1] = json.dumps(rec)
+    train.write_text("\n".join(lines) + "\n")
+    assert cli.main(["pretrain-flow", "--seed", "3", "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    if shift == 2**63:
+        assert "line 2: ages must be integers that fit in 64 bits" in err
+    else:
+        assert (f"train_sequences.jsonl: subject {rec['subject_id']} has age "
+                f"{rec['ages'][0]}, outside the world range [10, 60]") in err
 
 
 # ---------------------------------------------------------------------------

@@ -96,18 +96,34 @@ def test_nets_reject_an_empty_age_range(make):
 
 def test_trajectory_validation():
     s = State(np.zeros(2), 10)
-    AgingTrajectory([s], []).validate()
+    PathBatch.from_trajectories([reference.trajectory([s])])
+    # actions are the age gaps, so ages and actions cannot disagree
+    assert reference.trajectory([s, State(np.zeros(2), 12)]).actions == [2]
     with pytest.raises(ValidationError):
-        AgingTrajectory([s, State(np.zeros(2), 12)], [3]).validate()
+        AgingTrajectory(np.zeros((2, 2)), [10])
     with pytest.raises(ValidationError):
-        AgingTrajectory([s, State(np.zeros(2), 12)], [2, 2]).validate()
-    with pytest.raises(ValidationError):
-        AgingTrajectory([s, State(np.zeros(2), 30)], [20]).validate(16)
+        PathBatch.from_trajectories([reference.trajectory([s, State(np.zeros(2), 30)])], 16)
+
+
+def test_from_trajectories_names_the_row_and_step_of_a_bad_action():
+    ok = AgingTrajectory(np.zeros((3, 2)), [10, 12, 15])
+    for ages, n_actions, where in (([10, 12, 30], 16, "row 1, step 1"),
+                                   ([10, 9, 12], None, "row 1, step 0"),
+                                   ([10, 10, 10], 0, "row 0, step 0")):
+        with pytest.raises(ValidationError, match=where):
+            PathBatch.from_trajectories([ok, AgingTrajectory(np.zeros((3, 2)), ages)],
+                                        n_actions)
+    batch = PathBatch.from_trajectories([ok, AgingTrajectory(np.ones((1, 2)), [40])], 16)
+    assert batch.actions.tolist() == [[2, 3], [0, 0]] and batch.lengths.tolist() == [2, 0]
+    assert batch.ages.tolist() == [[10, 12, 15], [40, 0, 0]]
+    for bad in (np.zeros((0, 2)), np.zeros(3), np.zeros((3, 2, 1))):
+        with pytest.raises(ValidationError):
+            AgingTrajectory(bad, np.arange(len(bad)))
 
 
 def test_sequence_energy_empty_and_zero_net():
     s = State(np.zeros(3), 10)
-    assert sequence_energy(AgingTrajectory([s], []),
+    assert sequence_energy(reference.trajectory([s]),
                            lambda obs, ages, actions: np.full(ages.size, 99.0)) == 0.0
     cost = make_cost_net(np.random.default_rng(0), dim=3, n_actions=4,
                          age_low=0, age_high=60, hidden=6)
@@ -131,7 +147,8 @@ def test_sequence_energy_hand_evaluated():
     s0 = State(np.array([1.0, 2.0]), 2)
     s1 = State(np.array([-1.0, 0.5]), 5)
     s2 = State(np.array([0.0, 0.0]), 6)
-    traj = AgingTrajectory([s0, s1, s2], [3, 1])
+    traj = reference.trajectory([s0, s1, s2])
+    assert traj.actions == [3, 1]
 
     def hand_step(obs, age, action):
         feats = [obs[0], obs[1], age / 10.0] + [1.0 if i == action else 0.0
@@ -198,7 +215,7 @@ def test_proposal_density_uniform_and_empty():
     start = State(np.zeros(3), 0)
     traj = chain_traj(dyn, start, [3, 5, 2])
     assert abs(proposal_density(traj, policy) - (1 / 16) ** 3) < 1e-15
-    single = AgingTrajectory([start], [])
+    single = reference.trajectory([start])
     assert proposal_density(single, policy) == 1.0
 
 
@@ -226,7 +243,7 @@ def test_sampling_deterministic_and_seeded():
     b = sample_trajectories(policy, dyn, starts, horizon=3, m=8, seed=77)
     for ta, tb in zip(a, b):
         assert ta.actions == tb.actions
-        ta.validate(4)
+        PathBatch.from_trajectories([ta], 4)
     c = sample_trajectories(policy, dyn, starts, horizon=3, m=8, seed=78)
     assert any(ta.actions != tc.actions for ta, tc in zip(a, c))
 
@@ -473,7 +490,8 @@ def test_plan_path_overshoot_bound_and_bookkeeping():
     for target in (21, 34, 55):
         actions, states = plan_rollout(policy, dyn, State(rng.standard_normal(3), 20),
                                        target)
-        AgingTrajectory(states, actions).validate(16)
+        assert reference.trajectory(states).actions == actions
+        PathBatch.from_trajectories([reference.trajectory(states)], 16)
         assert states[-1].age >= target
         assert states[-1].age - target < 16
 
@@ -521,9 +539,9 @@ def test_plan_path_batch_matches_row_by_row_reference(kind):
         single = plan_path_batch(policy, dyn, [start], [target]).trajectories()[0]
         planned, visited = plan_rollout(policy, dyn, start, target)
         assert planned == single.actions == actions
-        assert [s.age for s in visited] == [s.age for s in single.states]
+        assert [s.age for s in visited] == [s.age for s in reference.states_of(single)]
         assert all(np.array_equal(a.observation, b.observation)
-                   for a, b in zip(visited, single.states))
+                   for a, b in zip(visited, reference.states_of(single)))
 
 
 def test_plan_path_batch_rejects_bad_input():
@@ -545,16 +563,15 @@ def test_synthesize_progressions_reads_every_age_off_one_path():
     policy = make_policy_net(rng, dim=5, n_actions=16, age_low=0, age_high=100,
                              uniform_init=False)
     ages_per_traj = [[12, 12, 20, 33], [30], [47, 50, 50, 70], [20, 21]]
-    trajs = [AgingTrajectory([State(rng.standard_normal(5), a) for a in ages],
-                             [b - a for a, b in zip(ages, ages[1:])])
+    trajs = [reference.trajectory([State(rng.standard_normal(5), a) for a in ages])
              for ages in ages_per_traj]
-    paths = plan_path_batch(policy, dyn, [t.states[0] for t in trajs],
-                            [t.states[-1].age for t in trajs])
+    paths = plan_path_batch(policy, dyn, [t.start for t in trajs],
+                            [t.ages[-1] for t in trajs])
     obs, ages = synthesize_progressions(paths, trajs)
-    reference = [reference_plan(policy, dyn, traj.states[0], s.age)[1][-1]
-                 for traj in trajs for s in traj.states[1:]]
-    assert len(ages) == len(obs) == len(reference) == 7
-    for got_obs, got_age, ref in zip(obs, ages, reference):
+    expected = [reference_plan(policy, dyn, traj.start, s.age)[1][-1]
+                for traj in trajs for s in reference.states_of(traj)[1:]]
+    assert len(ages) == len(obs) == len(expected) == 7
+    for got_obs, got_age, ref in zip(obs, ages, expected):
         assert got_age == ref.age
         assert np.abs(got_obs - ref.observation).max() < 1e-12
 
@@ -619,7 +636,7 @@ def test_model_dynamics_age_bookkeeping():
     rng_policy = make_policy_net(np.random.default_rng(4), dim=5, n_actions=16,
                                  age_low=0, age_high=100, uniform_init=False)
     traj = rollout(rng_policy, dyn, s, 3, np.random.default_rng(8))
-    traj.validate(16)
+    PathBatch.from_trajectories([traj], 16)
 
 
 def test_learn_wraps_inner_errors_with_iteration_index():
@@ -687,9 +704,9 @@ def assert_matches_reference(batch, reference, log_w):
     assert len(trajs) == len(reference)
     for traj, (actions, states, ref_log_w), lw in zip(trajs, reference, log_w):
         assert traj.actions == actions
-        assert [s.age for s in traj.states] == [s.age for s in states]
-        for s, r in zip(traj.states, states):
-            assert np.abs(s.observation - r.observation).max() < 1e-12
+        assert traj.ages.tolist() == [s.age for s in states]
+        for obs, r in zip(traj.observations, states):
+            assert np.abs(obs - r.observation).max() < 1e-12
         assert abs(lw - ref_log_w) < 1e-12
 
 

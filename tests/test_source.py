@@ -108,3 +108,20 @@ def test_private_definitions_are_read_in_the_package(path):
 def test_public_definitions_are_read(path):
     defined = public_definitions(ast.parse(path.read_text(), str(path)))
     assert sorted(set(defined) - package_reads() - outside_reads()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_a_states_attribute(path):
+    """A trajectory is one array record; no module walks a list of its states."""
+    tree = ast.parse(path.read_text(), str(path))
+    reads = [f"line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "states"]
+    assert reads == []
+
+
+def test_aging_trajectory_holds_observations_and_ages_only():
+    cls = definitions(ast.parse((PACKAGE / "irl.py").read_text()))["AgingTrajectory"]
+    fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert fields == ["observations", "ages"]
+    assert "validate" not in methods

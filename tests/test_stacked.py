@@ -260,6 +260,18 @@ def test_stack_rejects_units_with_other_flow_axes():
                 BijectionStack(5, units, lead)
 
 
+def test_member_needs_one_flow_axis_and_an_index_inside_it():
+    lone = make_flow(np.random.default_rng(4), 4, 2, 5)
+    model = perturbed_model(5)
+    empty = make_aging_model(np.random.default_rng(6), dim=5, n_actions=6, flow_units=0,
+                             hidden=7, factors=3).flows
+    for owner, f in ((lone, 0), (lone.units[0], 0), (model.flows, 2),
+                     (model.flows.units[0], 2), (model.flows, -1), (empty, 2)):
+        with pytest.raises(ShapeError, match="flow axes"):
+            owner.member(f)
+    assert model.flows.member(1).lead == () and len(empty.member(1).units) == 0
+
+
 def test_a_model_without_units_still_runs_two_flows():
     model = make_aging_model(np.random.default_rng(16), dim=5, n_actions=6, flow_units=0,
                              hidden=7, factors=3)

@@ -263,7 +263,7 @@ def test_trained_synthesis_action_zero_changes_less_than_fifteen(small_pair_mode
     model = small_pair_model["model"]
     d0, d15 = [], []
     for traj in small_pair_model["train"]:
-        x = traj.states[0].observation
+        x = traj.observations[0]
         d0.append(float(np.mean((synthesize_step(model, x, 0) - x) ** 2)))
         d15.append(float(np.mean((synthesize_step(model, x, 15) - x) ** 2)))
     assert np.mean(d0) < np.mean(d15)

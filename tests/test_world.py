@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowpath.errors import BudgetError, ValidationError
-from flowpath.irl import AgingTrajectory, State, enumerate_energies, exact_sequence_prob
+from flowpath.irl import PathBatch, State, enumerate_energies, exact_sequence_prob
 from flowpath.world import (
     WorldConfig,
     WorldDynamics,
@@ -37,7 +37,7 @@ def test_generation_deterministic():
     a2, t2 = generate_subject(CFG, 123)
     assert np.array_equal(a1.trait, a2.trait)
     assert t1.actions == t2.actions
-    for s1, s2 in zip(t1.states, t2.states):
+    for s1, s2 in zip(reference.states_of(t1), reference.states_of(t2)):
         assert s1.age == s2.age
         assert np.array_equal(s1.observation, s2.observation)
 
@@ -46,8 +46,26 @@ def test_zero_noise_subject_reproducible():
     cfg = WorldConfig(noise=0.0)
     _, t1 = generate_subject(cfg, 5)
     _, t2 = generate_subject(cfg, 5)
-    for s1, s2 in zip(t1.states, t2.states):
+    for s1, s2 in zip(reference.states_of(t1), reference.states_of(t2)):
         assert np.array_equal(s1.observation, s2.observation)
+
+
+def assert_same_states(traj, states):
+    assert traj.ages.tolist() == [s.age for s in states]
+    assert np.array_equal(traj.observations, np.stack([s.observation for s in states]))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123, 500003])
+def test_generators_draw_the_noise_of_a_per_state_reference(seed):
+    # one (T+1, D) matrix holds the row-major draws of T+1 per-state vectors
+    for cfg in (CFG, WorldConfig(dim=5, n_actions=7, noise=0.3, horizon=4)):
+        arch, demo = generate_subject(cfg, seed)
+        ref_arch, ref_states = reference.generate_subject(cfg, seed)
+        assert np.array_equal(arch.trait, ref_arch.trait)
+        assert_same_states(demo, ref_states)
+        for stride in (1, 3):
+            assert_same_states(generate_pool_sequence(cfg, seed, stride),
+                               reference.generate_pool_sequence(cfg, seed, stride))
 
 
 def test_zero_rate_subject_is_frozen():
@@ -133,8 +151,10 @@ def test_oracles_agree_across_instances():
         bf = brute_force_optimal_path(dyn, cost, start, target, horizon_cap=4)
         dp = dp_optimal_path(dyn, cost, start, target, horizon_cap=4)
         assert bf.actions == dp.actions
-        bf_cost = sum(reference.step_cost(cost, bf.states[t], a) for t, a in enumerate(bf.actions))
-        dp_cost = sum(reference.step_cost(cost, dp.states[t], a) for t, a in enumerate(dp.actions))
+        bf_cost = sum(reference.step_cost(cost, reference.states_of(bf)[t], a)
+                      for t, a in enumerate(bf.actions))
+        dp_cost = sum(reference.step_cost(cost, reference.states_of(dp)[t], a)
+                      for t, a in enumerate(dp.actions))
         assert abs(bf_cost - dp_cost) < 1e-12
 
 
@@ -157,11 +177,11 @@ def test_oracles_agree_under_random_costs():
 def test_demo_matches_oracle_and_bookkeeping():
     for seed in (0, 7, 500003):
         arch, demo = generate_subject(CFG, seed)
-        demo.validate(CFG.n_actions)
+        PathBatch.from_trajectories([demo], CFG.n_actions)
         dyn = WorldDynamics(CFG, arch)
         oracle = brute_force_optimal_path(dyn, archetype_cost(CFG, arch),
-                                          dyn.state_at(demo.states[0].age),
-                                          demo.states[-1].age,
+                                          dyn.state_at(int(demo.ages[0])),
+                                          int(demo.ages[-1]),
                                           horizon_cap=CFG.horizon - 1)
         assert demo.actions == oracle.actions
         assert all(a == preferred_step(arch.class_id, CFG.n_actions)
@@ -202,7 +222,7 @@ def test_gibbs_of_true_cost_matches_table_backed_enumeration():
         states = [start]
         for a in actions:
             states.append(dyn.state_at(states[-1].age + a))
-        traj = AgingTrajectory(states, actions)
+        traj = reference.trajectory(states)
         p = exact_sequence_prob(traj, table_cost, dyn)
         expected = float(np.exp(-e) / z)
         assert abs(p - expected) <= 1e-10 * expected
@@ -244,7 +264,7 @@ def test_level_wise_brute_force_equals_recursion_under_ties(seed):
             slow = reference.brute_force_optimal_path(dyn, cost, start, start.age + gap,
                                                       horizon_cap=cap)
             assert fast.actions == slow.actions, (gap, cap)
-            assert [s.age for s in fast.states] == [s.age for s in slow.states]
+            assert fast.ages.tolist() == slow.ages.tolist()
 
 
 def test_level_wise_brute_force_matches_recursion_on_failures():
@@ -294,7 +314,7 @@ def test_sequence_file_roundtrip(tmp_path):
     for (sid_a, ta), (sid_b, tb) in zip(entries, loaded):
         assert sid_a == sid_b
         assert ta.actions == tb.actions
-        for sa, sb in zip(ta.states, tb.states):
+        for sa, sb in zip(reference.states_of(ta), reference.states_of(tb)):
             assert sa.age == sb.age
             assert np.array_equal(sa.observation, sb.observation)
 
@@ -308,8 +328,8 @@ def test_write_sequences_is_atomic(tmp_path):
     loaded = read_sequences(path)
     assert [sid for sid, _ in loaded] == [0, 1]
     for (_, ta), (_, tb) in zip(entries, loaded):
-        assert [s.age for s in ta.states] == [s.age for s in tb.states]
-        for sa, sb in zip(ta.states, tb.states):
+        assert ta.ages.tolist() == tb.ages.tolist()
+        for sa, sb in zip(reference.states_of(ta), reference.states_of(tb)):
             assert np.array_equal(sa.observation, sb.observation)
 
 
