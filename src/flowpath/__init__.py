@@ -23,7 +23,6 @@ from .flows import (
     gaussian_loglik,
     make_coupling_unit,
     make_flow,
-    unit_inverse,
 )
 from .transform import (
     AgingModel,

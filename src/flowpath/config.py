@@ -40,6 +40,9 @@ class TransformSettings:
         for key, low in (("train_steps", 0), ("batch_size", 1)):
             if getattr(self, key) < low:
                 raise ValidationError(f"config transform.{key} must be >= {low}")
+        if self.batch_size < 2 and self.constraint_weight != 0:  # the penalty needs 2 actions
+            raise ValidationError("config transform.batch_size must be >= 2 with a nonzero "
+                                  "transform.constraint_weight")
 
 
 @dataclass

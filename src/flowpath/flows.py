@@ -5,6 +5,11 @@ elementwise affine map to the rest, conditioned on the kept half.  The
 Jacobian is triangular, so the log-determinant is just the sum of the log
 scales, and composition of units keeps both directions exact.
 
+A pass through a stack, forward, inverse or backward, carries the halves as
+two arrays: one gather on entry and one scatter on exit.  Where the next unit
+keeps exactly what this one transformed, as in every `alternating_mask`
+stack, the halves swap; otherwise the vector is rebuilt and gathered again.
+
 A unit is built from one net whose layers stack its scale and translate
 subnets on an axis of 2, so both run as one batched matmul chain, and
 `member_net(unit.net, k)` views the scale (k = 0) or translate (k = 1) net.
@@ -146,11 +151,13 @@ class BijectionStack:
     """
 
     def __init__(self, dim: int, units: Sequence[CouplingUnit], lead: tuple[int, ...] = ()):
-        self.dim, self.units, self.lead = dim, list(units), lead
+        self.dim, self.units, self.lead = dim, tuple(units), lead
         for u in self.units:
             if u.dim != dim or u.lead != self.lead:
                 raise ShapeError(f"unit of dim {u.dim} and flow axes {u.lead} in a stack of "
                                  f"dim {dim} and flow axes {self.lead}")
+        # swaps[i]: unit i + 1 keeps exactly what unit i transforms (units stay fixed)
+        self.swaps = [np.array_equal(a.trans, b.kept) for a, b in zip(self.units, self.units[1:])]
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return [p for i, u in enumerate(self.units) for p in u.parameters(f"{prefix}u{i:02d}.")]
@@ -168,21 +175,6 @@ def make_flow(rng: np.random.Generator, dim: int, n_units: int = 10, hidden: int
                                 for i in range(n_units)])
 
 
-def _unit_forward_cached(u: CouplingUnit, x: np.ndarray):
-    """Forward through one unit on a batch (*lead, N, dim), keeping what backward needs."""
-    xk, xt = x[..., u.kept], x[..., u.trans]
-    st, caches = _forward_cached(u.net, xk[..., None, :, :])
-    s_raw = st[..., 0, :, :]
-    s = u.clamp * np.tanh(s_raw)
-    es = np.exp(s)
-    y = np.empty_like(x)
-    y[..., u.kept] = xk
-    y[..., u.trans] = xt * es + st[..., 1, :, :]
-    if not np.all(np.isfinite(y)):
-        raise NumericError("non-finite coupling output (scale overflow)")
-    return y, s.sum(axis=-1), (xk, xt, s_raw, es, caches)
-
-
 def _as_batch(x: np.ndarray, owner) -> tuple[np.ndarray, bool]:
     """x as a (*lead, N, dim) batch, and whether it was one lone-flow vector."""
     x = np.asarray(x, dtype=np.float64)
@@ -195,69 +187,94 @@ def _as_batch(x: np.ndarray, owner) -> tuple[np.ndarray, bool]:
     raise ShapeError("expected a vector or a batch of vectors")
 
 
-def unit_inverse(u: CouplingUnit, y: np.ndarray) -> np.ndarray:
-    """Exact inverse: x = (y - t(y_kept)) * exp(-s(y_kept)) on transformed dims."""
-    yb, single = _as_batch(y, u)
-    yk = yb[..., u.kept]
-    st, _ = _forward_cached(u.net, yk[..., None, :, :])
-    s = u.clamp * np.tanh(st[..., 0, :, :])
-    x = np.empty_like(yb)
-    x[..., u.kept] = yk
-    x[..., u.trans] = (yb[..., u.trans] - st[..., 1, :, :]) * np.exp(-s)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("non-finite coupling inverse")
-    return x[0] if single else x
+def _join(u: CouplingUnit, kept: np.ndarray, trans: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[..., u.kept], out[..., u.trans] = kept, trans
+    return out
+
+
+def _hand_off(src: CouplingUnit, dst: CouplingUnit, swap: bool, kept: np.ndarray,
+              trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dst's (kept, transformed) halves from src's: swapped when dst keeps exactly
+    what src transforms (`swap`), else the full vector is rebuilt and gathered."""
+    if swap:
+        return trans, kept
+    full = _join(src, kept, trans, np.empty(kept.shape[:-1] + (src.dim,)))
+    return full[..., dst.kept], full[..., dst.trans]
+
+
+def _forward(flow: BijectionStack, x: np.ndarray, caches: list | None):
+    """Run a (*lead, N, dim) batch through the units, keeping each unit's cache in
+    `caches` if given.  The entry unit checks its kept half too: no unit made it."""
+    units, total, last = flow.units, np.zeros(x.shape[:-1]), len(flow.units) - 1
+    if not units:
+        return x, total
+    xk, xt = x[..., units[0].kept], x[..., units[0].trans]
+    for i, u in enumerate(units):
+        st, net_caches = _forward_cached(u.net, xk[..., None, :, :])
+        th = np.tanh(st[..., 0, :, :])
+        s = u.clamp * th
+        es = np.exp(s)
+        yt = xt * es + st[..., 1, :, :]
+        if not (np.isfinite(yt).all() and (i or np.isfinite(xk).all())):
+            raise NumericError("non-finite coupling output (scale overflow)")
+        if caches is not None:
+            caches.append((xk, xt, th, es, net_caches))
+        total = total + s.sum(axis=-1)
+        if i < last:
+            xk, xt = _hand_off(u, units[i + 1], flow.swaps[i], xk, yt)
+    return _join(units[-1], xk, yt, np.empty_like(x)), total
 
 
 def flow_forward(flow: BijectionStack, x: np.ndarray):
     """Compose units in order; total logdet is the exact sum of unit logdets.  Each
     unit's intermediates are freed as it goes (`flow_forward_cached` keeps them)."""
     h, single = _as_batch(x, flow)
-    total = np.zeros(h.shape[:-1])
-    for u in flow.units:
-        h, logdet, _ = _unit_forward_cached(u, h)
-        total = total + logdet
+    h, total = _forward(flow, h, None)
     return (h[0], float(total[0])) if single else (h, total)
 
 
-def flow_inverse(flow: BijectionStack, z: np.ndarray) -> np.ndarray:
-    h, single = _as_batch(z, flow)
-    for u in reversed(flow.units):
-        h = unit_inverse(u, h)
-    return h[0] if single else h
-
-
-def _unit_backward(u: CouplingUnit, cache, dy: np.ndarray, dlogdet: np.ndarray):
-    """Gradients through one unit given upstream dL/dy and dL/dlogdet."""
-    xk, xt, s_raw, es, caches = cache
-    dyt = dy[..., u.trans]  # also dL/dt
-    ds = dyt * xt * es + dlogdet[..., None]
-    ds_raw = ds * u.clamp * (1.0 - np.tanh(s_raw) ** 2)
-    grads, dxk = net_backward(u.net, xk[..., None, :, :], np.stack([ds_raw, dyt], axis=-3),
-                              caches)
-    dx = np.empty_like(dy)
-    dx[..., u.kept] = dy[..., u.kept] + dxk[..., 0, :, :] + dxk[..., 1, :, :]
-    dx[..., u.trans] = dyt * es
-    return grads, dx
-
-
 def flow_forward_cached(flow: BijectionStack, x: np.ndarray):
-    caches, total, h = [], np.zeros(x.shape[:-1]), x
-    for u in flow.units:
-        h, logdet, cache = _unit_forward_cached(u, h)
-        caches.append(cache)
-        total = total + logdet
-    return h, total, caches
+    caches = []
+    z, total = _forward(flow, x, caches)
+    return z, total, caches
+
+
+def flow_inverse(flow: BijectionStack, z: np.ndarray) -> np.ndarray:
+    """Undo the units in reverse order: x_t = (y_t - t(y_kept)) * exp(-s(y_kept))."""
+    h, single = _as_batch(z, flow)
+    units, last = flow.units, len(flow.units) - 1
+    if units:
+        yk, yt = h[..., units[last].kept], h[..., units[last].trans]
+        for i in range(last, -1, -1):
+            u = units[i]
+            st, _ = _forward_cached(u.net, yk[..., None, :, :])
+            yt = (yt - st[..., 1, :, :]) * np.exp(-(u.clamp * np.tanh(st[..., 0, :, :])))
+            if not (np.isfinite(yt).all() and (i < last or np.isfinite(yk).all())):
+                raise NumericError("non-finite coupling inverse")
+            if i:
+                yk, yt = _hand_off(u, units[i - 1], flow.swaps[i - 1], yk, yt)
+        h = _join(units[0], yk, yt, np.empty_like(h))
+    return h[0] if single else h
 
 
 def flow_backward(flow: BijectionStack, caches, dz: np.ndarray, dlogdet: np.ndarray):
     """Backprop through a stack given dL/dz and dL/dtotal_logdet per sample.
-    Returns gradients aligned with ``flow.parameters()`` plus dL/dx."""
-    grads, delta = [], dz
-    for u, cache in zip(flow.units[::-1], caches[::-1]):
-        unit_grads, delta = _unit_backward(u, cache, delta, dlogdet)
+    Returns gradients aligned with ``flow.parameters()``; dL/dx is not formed."""
+    units, grads, dl = flow.units, [], dlogdet[..., None]
+    if units:
+        dyk, dyt = dz[..., units[-1].kept], dz[..., units[-1].trans]
+    for i in range(len(units) - 1, -1, -1):
+        u, (xk, xt, th, es, net_caches) = units[i], caches[i]
+        upstream = np.empty(xt.shape[:-2] + (2,) + xt.shape[-2:])  # (ds_raw, dL/dt)
+        ds = dyt * xt * es + dl
+        np.multiply(ds * u.clamp, 1.0 - th ** 2, out=upstream[..., 0, :, :])
+        upstream[..., 1, :, :] = dyt
+        unit_grads, dxk = net_backward(u.net, xk[..., None, :, :], upstream, net_caches)
         grads[:0] = unit_grads
-    return grads, delta
+        if i:
+            dyk, dyt = _hand_off(u, units[i - 1], flow.swaps[i - 1],
+                                 dyk + dxk[..., 0, :, :] + dxk[..., 1, :, :], dyt * es)
+    return grads
 
 
 def gaussian_loglik(z: np.ndarray, mean: np.ndarray | float, diag_variance: np.ndarray | float):
@@ -302,7 +319,7 @@ def flow_nll(flow: BijectionStack, xs: np.ndarray):
     z, total, caches = flow_forward_cached(flow, xs)
     loss = -(standard_normal_loglik(z) + total).mean(axis=-1)
     # d loss / dz = z / N  (standard-normal prior), d loss / dlogdet = -1/N
-    grads, _ = flow_backward(flow, caches, z / n, np.full(total.shape, -1.0 / n))
+    grads = flow_backward(flow, caches, z / n, np.full(total.shape, -1.0 / n))
     return (float(loss) if loss.ndim == 0 else loss), grads
 
 

@@ -161,7 +161,7 @@ def _forward_cached(net: DenseNet, x: np.ndarray):
         out = np.maximum(pre, 0.0, out=pre) if layer.activation == "relu" else pre
         caches.append((h, out))
         h = out
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NumericError("non-finite net output")
     return h, caches
 

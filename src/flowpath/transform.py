@@ -260,8 +260,8 @@ def pair_objective_and_grads(model: AgingModel, x_prev: np.ndarray, x_t: np.ndar
 
     # d loss / d z_t = r / n ; d loss / d logdet = -1/n ; d loss / d pred = -r/n
     tr_grads, dz_prev = transform_backward(model.transform, z_prev, idx, -r / n)
-    flow_grads, _ = flow_backward(model.flows, caches, np.stack([dz_prev, r / n]),
-                                  np.stack([np.zeros(n), np.full(n, -1.0 / n)]))
+    flow_grads = flow_backward(model.flows, caches, np.stack([dz_prev, r / n]),
+                               np.stack([np.zeros(n), np.full(n, -1.0 / n)]))
 
     if constraint_weight != 0.0:
         pen, dw_act = controller_gaussian_penalty(model.transform.w_act, idx)

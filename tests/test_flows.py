@@ -18,9 +18,9 @@ from flowpath.flows import (
     gaussian_loglik,
     make_coupling_unit,
     make_flow,
-    unit_inverse,
 )
 from flowpath.nets import DenseLayer, DenseNet, finite_diff_grad
+from flowpath.transform import make_aging_model
 
 from conftest import assert_close
 import reference
@@ -38,20 +38,22 @@ def perturbed_flow(seed: int, dim: int, units: int, scale: float = 0.1,
 def test_zero_initialized_unit_is_identity():
     unit = make_coupling_unit(np.random.default_rng(0), alternating_mask(4, 0))
     x = np.random.default_rng(1).standard_normal(4)
-    y, logdet = flow_forward(BijectionStack(4, [unit]), x)
+    flow = BijectionStack(4, [unit])
+    y, logdet = flow_forward(flow, x)
     assert np.array_equal(y, x)
     assert logdet == 0.0
-    assert np.array_equal(unit_inverse(unit, x), x)
+    assert np.array_equal(flow_inverse(flow, x), x)
 
 
 def test_pure_translation_unit():
     # S == 0, T == 1 on the transformed half; mask keeps dim 0
     net = DenseNet([DenseLayer(np.zeros((2, 1, 1)), np.array([[0.0], [1.0]]), "identity")])
     unit = CouplingUnit(np.array([1, 0]), net)
-    y, logdet = flow_forward(BijectionStack(2, [unit]), np.array([2.0, 3.0]))
+    flow = BijectionStack(2, [unit])
+    y, logdet = flow_forward(flow, np.array([2.0, 3.0]))
     assert np.allclose(y, [2.0, 4.0])
     assert logdet == 0.0
-    x = unit_inverse(unit, np.array([2.0, 4.0]))
+    x = flow_inverse(flow, np.array([2.0, 4.0]))
     assert np.allclose(x, [2.0, 3.0])
 
 
@@ -80,8 +82,9 @@ def test_unit_roundtrip_random():
     for _, arr in unit.parameters():
         arr += 0.2 * rng.standard_normal(arr.shape)
     x = rng.standard_normal((200, 5))
-    y, _ = flow_forward(BijectionStack(5, [unit]), x)
-    assert np.abs(unit_inverse(unit, y) - x).max() < 1e-9
+    flow = BijectionStack(5, [unit])
+    y, _ = flow_forward(flow, x)
+    assert np.abs(flow_inverse(flow, y) - x).max() < 1e-9
 
 
 def test_mask_validation():
@@ -264,3 +267,60 @@ def test_nan_in_hidden_layer_raises_from_flow_forward_and_nll(which):
         flow_forward(flow, xs)
     with pytest.raises(NumericError):
         flow_nll(flow, xs)
+
+
+# ---------------------------------------------------------------------------
+# The coupling layer's numeric errors, named
+# ---------------------------------------------------------------------------
+
+def biased_stacks(scale_bias: float, clamp: float):
+    """A lone and a lockstep stack of two units whose scale nets put out
+    `scale_bias` on every row (their final weights are zero)."""
+    rng = np.random.default_rng(33)
+    lone = make_flow(rng, 4, n_units=2, hidden=5, clamp=clamp)
+    pair = make_aging_model(rng, dim=4, n_actions=6, flow_units=2, hidden=5, clamp=clamp,
+                            factors=3).flows
+    for stack in (lone, pair):
+        for u in stack.units:
+            u.net.layers[-1].bias[..., 0, :] = scale_bias
+    return [(lone, (3, 4)), (pair, (2, 3, 4))]
+
+
+def test_scale_overflow_is_named_by_forward_and_nll():
+    for stack, shape in biased_stacks(5.0, clamp=1000.0):  # exp(1000 tanh 5) overflows
+        x = np.random.default_rng(34).standard_normal(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (flow_forward, flow_nll):
+                with pytest.raises(NumericError, match=r"non-finite coupling output \(scale "
+                                                       r"overflow\)"):
+                    run(stack, x)
+
+
+def test_an_overflowing_transformed_half_is_named_by_inverse():
+    for stack, shape in biased_stacks(-5.0, clamp=2.0):  # the inverse scales by ~7.4
+        z = np.zeros(shape)
+        z[..., stack.units[-1].trans] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                       match="non-finite coupling inverse"):
+            flow_inverse(stack, z)
+
+
+def test_a_nan_weight_is_named_by_every_pass():
+    for stack, shape in biased_stacks(0.5, clamp=2.0):
+        stack.units[0].net.layers[0].weight[..., 0, 0] = np.nan
+        x = np.random.default_rng(35).standard_normal(shape)
+        for run in (flow_forward, flow_nll, flow_inverse):
+            with pytest.raises(NumericError, match="non-finite net output"):
+                run(stack, x)
+
+
+def test_an_infinite_kept_input_fails_even_when_the_net_maps_it_to_finite():
+    # relu(-inf) = 0, so the net's output stays finite and only the output check sees it
+    net = DenseNet([DenseLayer(-np.ones((2, 1, 1)), np.zeros((2, 1)), "relu"),
+                    DenseLayer(np.zeros((2, 1, 1)), np.array([[0.5], [0.25]]), "identity")])
+    flow = BijectionStack(2, [CouplingUnit(np.array([1, 0]), net)])
+    x = np.array([math.inf, 1.0])
+    with pytest.raises(NumericError, match="non-finite coupling output"):
+        flow_forward(flow, x)
+    with pytest.raises(NumericError, match="non-finite coupling inverse"):
+        flow_inverse(flow, x)

@@ -461,6 +461,7 @@ def test_config_rejects_unknown_sections():
     ('{"flow": {"batch_size": 0}}', "flow.batch_size"),
     ('{"transform": {"train_steps": -1}}', "transform.train_steps"),
     ('{"transform": {"batch_size": -2}}', "transform.batch_size"),
+    ('{"transform": {"batch_size": 1}}', "transform.batch_size"),
 ])
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text, key):
     path = tmp_path / "bad.json"
@@ -473,6 +474,11 @@ def test_cli_malformed_config_exits_1(tmp_path, capsys, text, key):
 
 def test_config_float_field_takes_an_integer():
     assert RunConfig.from_dict({"flow": {"clamp": 2}}).flow.clamp == 2
+
+
+def test_config_allows_a_singleton_transform_batch_without_the_penalty():
+    cfg = RunConfig.from_dict({"transform": {"batch_size": 1, "constraint_weight": 0}})
+    assert cfg.transform.batch_size == 1
 
 
 def test_restore_group_errors(tmp_path):

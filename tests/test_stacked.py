@@ -12,9 +12,11 @@ from flowpath.flows import (
     CouplingUnit,
     alternating_mask,
     flow_forward,
+    flow_inverse,
     flow_nll,
     make_flow,
     standard_normal_loglik,
+    subnet_layers,
 )
 from flowpath.nets import Adam, DenseLayer, DenseNet, net_backward, net_forward
 from flowpath.transform import (
@@ -149,6 +151,15 @@ def reference_flow_backward(flow: BijectionStack, caches, dz, dlogdet):
     return grads, delta
 
 
+def reference_flow_inverse(flow: BijectionStack, z: np.ndarray) -> np.ndarray:
+    h = z.copy()
+    for u in flow.units[::-1]:
+        yk = h[:, u.kept]
+        s = u.clamp * np.tanh(net_forward(reference.scale_net(u), yk))
+        h[:, u.trans] = (h[:, u.trans] - net_forward(reference.translate_net(u), yk)) * np.exp(-s)
+    return h
+
+
 def reference_pair_objective(model: AgingModel, xp, xt, acts, weight):
     """Loss and {per-net parameter name: gradient}, one subnet at a time."""
     n = xp.shape[0]
@@ -281,3 +292,45 @@ def test_a_model_without_units_still_runs_two_flows():
     assert losses.shape == (2,) and grads == []
     assert np.array_equal(losses, [flow_nll(model.source_flow, xs[0])[0],
                                    flow_nll(model.target_flow, xs[1])[0]])
+
+
+# ---------------------------------------------------------------------------
+# Consecutive units whose masks are not complementary
+# ---------------------------------------------------------------------------
+
+# a repeated mask, masks that overlap, and one complementary pair among them
+UNEVEN_MASKS = ([1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1])
+
+
+def uneven_model(seed: int) -> AgingModel:
+    units = [(np.array(m), subnet_layers(np.array(m), 6), (2.0, 1.5)) for m in UNEVEN_MASKS]
+    model = AgingModel(4, units, factors=3, n_actions=6)
+    model.store[:] = 0.3 * np.random.default_rng(seed).standard_normal(model.store.size)
+    return model
+
+
+def test_uneven_masks_match_the_per_unit_gather_reference_bit_for_bit():
+    model = uneven_model(20)
+    x = np.random.default_rng(21).standard_normal((2, 7, 4))
+    n = x.shape[1]
+    z_pair, ld_pair = flow_forward(model.flows, x)
+    _, pair_grads = flow_nll(model.flows, x)
+    for f, flow in enumerate((model.source_flow, model.target_flow)):
+        z_ref, ld_ref, caches = reference_flow_forward(flow, x[f])
+        z, ld = flow_forward(flow, x[f])
+        for got, want in ((z, z_ref), (ld, ld_ref), (z_pair[f], z_ref), (ld_pair[f], ld_ref)):
+            assert np.array_equal(got, want)
+
+        ref, _ = reference_flow_backward(flow, caches, z_ref / n, np.full(n, -1.0 / n))
+        ref = dict(zip([name for name, _ in reference.per_net_parameters(flow)], ref))
+        _, grads = flow_nll(flow, x[f])
+        for (name, _), g, g_pair in zip(flow.parameters(), grads, pair_grads, strict=True):
+            unit, layer, kind = name.split(".")  # e.g. u01.l2.b
+            for k, net in enumerate(("scale", "translate")):
+                member = ref[f"{unit}.{net}.{layer}.{kind}"]
+                assert np.array_equal(g[k], member) and np.array_equal(g_pair[f, k], member)
+
+        back = flow_inverse(flow, z)
+        assert np.array_equal(back, reference_flow_inverse(flow, z))
+        assert np.array_equal(flow_inverse(model.flows, z_pair)[f], back)
+        assert np.abs(back - x[f]).max() < 1e-12
