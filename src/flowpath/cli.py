@@ -118,7 +118,8 @@ def _load_inputs(args, cfg_from_ckpt) -> list[tuple[np.ndarray, int]]:
             raise ValidationError(f"{args.input}: needs the keys ages and observations")
         obs = check_sequence_fields(data["ages"], data["observations"], args.input)
         return list(zip(obs, data["ages"]))
-    return pipeline.default_subject_inputs(cfg_from_ckpt, args.subject_seed, args.age)
+    return pipeline.default_subject_inputs(
+        cfg_from_ckpt, _check_seed(args.subject_seed, "--subject-seed"), args.age)
 
 
 def _run_checks(results) -> int:

@@ -1,12 +1,13 @@
 """Held-out evaluation: path recovery, energy separation, and age fidelity.
 
-Path recovery and age fidelity both read one `PathBatch` that the caller
-plans: each held-out subject greedily from its first state to its last demo
-age.  The age-fidelity report mirrors an age-estimation experiment: a simple
-regressor is fit on real observations only, then scored on real held-out
-states and on states synthesized at matching target ages.  The gap between
-the two MAEs measures whether synthesized observations are perceived to be
-at their bookkept ages.
+Every report reads a sequence file as one `PathBatch`, row i holding the
+file's i-th subject.  Path recovery and age fidelity both also read one
+`PathBatch` that the caller plans: each held-out row greedily from its first
+state to its last demo age.  The age-fidelity report mirrors an
+age-estimation experiment: a simple regressor is fit on real observations
+only, then scored on real held-out states and on states synthesized at
+matching target ages.  The gap between the two MAEs measures whether
+synthesized observations are perceived to be at their bookkept ages.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .irl import (
-    AgingTrajectory,
     ModelDynamics,
     PathBatch,
     PolicyNet,
@@ -28,13 +28,6 @@ from .irl import (
 )
 from .transform import AgingModel
 from .world import WorldConfig, WorldDynamics, archetype_cost, dp_optimal_path, make_archetype
-
-
-def _stack(trajs: list[AgingTrajectory]) -> tuple[np.ndarray, np.ndarray]:
-    if not trajs:
-        raise InsufficientDataError("no states to fit or score the age regressor on")
-    return (np.concatenate([t.observations for t in trajs]),
-            np.concatenate([t.ages for t in trajs]).astype(float))
 
 
 def _age_features(obs: np.ndarray) -> np.ndarray:
@@ -55,30 +48,29 @@ def regressor_mae(coeff: np.ndarray, obs: np.ndarray, ages: np.ndarray) -> float
     return float(np.abs(_age_features(obs) @ coeff - ages).mean())
 
 
-def synthesize_progressions(paths: PathBatch, trajs: list[AgingTrajectory]
+def synthesize_progressions(paths: PathBatch, heldout: PathBatch
                             ) -> tuple[np.ndarray, np.ndarray]:
     """(K, D) observations and (K,) ages synthesized at every later demo age.
 
-    Row i of `paths` plans trajs[i] to its last demo age.  A greedy plan to an
-    earlier age is a prefix of it, so it ends at the first state that reaches that age."""
-    rows, steps = [], []
-    for i, traj in enumerate(trajs):
-        ages = paths.ages[i, :paths.lengths[i] + 1]
-        later = np.searchsorted(ages, traj.ages[1:]).tolist()
-        rows += [i] * len(later)
-        steps += later
-    return paths.observations[rows, steps], paths.ages[rows, steps].astype(float)
+    Row i of `paths` plans heldout row i to its last demo age.  A greedy plan to
+    an earlier age is a prefix of it, so it ends at the first state that reaches
+    that age."""
+    rows, steps = heldout.pairs()
+    later = heldout.ages[rows, steps + 1]
+    real = np.arange(paths.ages.shape[1]) <= paths.lengths[rows, None]
+    at = (real & (paths.ages[rows] < later[:, None])).sum(axis=1)
+    return paths.observations[rows, at], paths.ages[rows, at].astype(float)
 
 
-def evaluate_age_fidelity(paths: PathBatch, config: WorldConfig, train: list[AgingTrajectory],
-                          heldout: list[AgingTrajectory]) -> dict:
+def evaluate_age_fidelity(paths: PathBatch, config: WorldConfig, train: PathBatch,
+                          heldout: PathBatch) -> dict:
     """MAE of an age regressor, fit on every train state, on real vs synthesized
-    held-out states; row i of `paths` plans heldout[i] to its last demo age."""
-    train_obs, train_ages = _stack(train)
+    held-out states; row i of `paths` plans heldout row i to its last demo age."""
+    train_obs, train_ages = train.flat_states()
     coeff = fit_age_regressor(train_obs, train_ages)
     synth_obs, synth_ages = synthesize_progressions(paths, heldout)
     mae_train = regressor_mae(coeff, train_obs, train_ages)
-    mae_real = regressor_mae(coeff, *_stack(heldout))
+    mae_real = regressor_mae(coeff, *heldout.flat_states())
     mae_synth = regressor_mae(coeff, synth_obs, synth_ages)
     return {
         "mae_train": mae_train,
@@ -90,19 +82,20 @@ def evaluate_age_fidelity(paths: PathBatch, config: WorldConfig, train: list[Agi
     }
 
 
-def path_recovery_report(paths: PathBatch, config: WorldConfig,
-                         heldout: list[tuple[int, AgingTrajectory]]) -> dict:
+def path_recovery_report(paths: PathBatch, config: WorldConfig, ids: list[int],
+                         heldout: PathBatch) -> dict:
     """Compare planned paths with the ground-truth-optimal oracle paths; row i
-    of `paths` plans heldout[i] to its last demo age."""
+    of `paths` plans heldout row i, subject ids[i], to its last demo age."""
     matches = 0
     per_class_actions: dict[int, list[int]] = {}
     details = []
-    for i, (sid, traj) in enumerate(heldout):
+    for i, sid in enumerate(ids):
         arch = make_archetype(config, sid)
         planned = paths.actions[i, :paths.lengths[i]].tolist()
+        ages = heldout.ages[i, :heldout.lengths[i] + 1].tolist()
         world_dyn = WorldDynamics(config, arch)
         optimal = dp_optimal_path(world_dyn, archetype_cost(config, arch),
-                                  world_dyn.state_at(int(traj.ages[0])), int(traj.ages[-1]),
+                                  world_dyn.state_at(ages[0]), ages[-1],
                                   horizon_cap=config.horizon - 1)
         ok = planned == optimal.actions
         matches += ok
@@ -113,32 +106,30 @@ def path_recovery_report(paths: PathBatch, config: WorldConfig,
     modal = {c: int(np.bincount(a).argmax()) for c, a in per_class_actions.items() if a}
     distinct = len(set(modal.values())) == len(modal)
     return {
-        "match_rate": matches / len(heldout),
+        "match_rate": matches / len(ids),
         "modal_action_per_class": {str(k): v for k, v in sorted(modal.items())},
         "distinct_paths_across_classes": bool(distinct and len(modal) >= 2),
         "subjects": details,
     }
 
 
-def energy_separation_report(model: AgingModel, cost, demos: list[AgingTrajectory],
+def energy_separation_report(model: AgingModel, cost, demos: PathBatch,
                              policy: PolicyNet, seed: int,
                              partition_samples: int = 2000) -> dict:
     """Mean learned energy of demos vs uniform-policy rollouts from demo starts,
     plus an importance-sampled log-partition estimate under the learned policy
     with the Kish effective sample size and largest normalized weight of its
     importance weights and the number of distinct action sequences among its
-    rollouts.  The estimate uses the first demo's start and horizon
+    rollouts.  The estimate uses the first demo row's start and horizon
     only, so it depends on the order of `demos` (train_sequences.jsonl in a run).
     """
     dyn = ModelDynamics(model)
     uniform = make_policy_net(np.random.default_rng(0), model.dim, model.n_actions,
                               age_low=cost.age_low, age_high=cost.age_high)
-    starts = [d.start for d in demos]
-    horizons = [max(1, d.horizon) for d in demos]
+    starts, horizons = demos.starts(), np.maximum(demos.lengths, 1)
     rollouts = sample_path_batch(uniform, dyn, starts, horizons,
                                  m=2 * len(demos), seed=seed)
-    demo_paths = PathBatch.from_trajectories(demos, cost.n_actions)
-    demo_e = float(np.mean(path_energies(cost, demo_paths)))
+    demo_e = float(np.mean(path_energies(cost, demos)))
     roll_e = float(np.mean(path_energies(cost, rollouts)))
     paths = sample_path_batch(policy, dyn, starts[:1], horizons[0], partition_samples, seed + 1)
     log_w = path_log_weights(cost, paths)

@@ -1,15 +1,17 @@
 """Maximum-entropy IRL over longitudinal aging trajectories.
 
-A subject's trajectory is an `AgingTrajectory`: observations at integer
-ages, whose gaps are its actions, so action a moves the age by a.  A
-`State`, one observation and its age, starts a plan, a sample or an
-enumeration.  A trajectory's probability is Gibbs in its summed step cost,
-the partition function is approximated by self-normalized importance
-sampling under the current policy (exact enumeration is available on small
-worlds), and the policy is refined against the learned cost by
-entropy-regularized policy gradient.  Transitions are deterministic
-(synthesis with zero noise) and demo start states are fixed, so proposal
-densities reduce to products of per-step action probabilities.
+A subject's trajectory is observations at integer ages, whose gaps are its
+actions, so action a moves the age by a.  Sequence files and the world's
+oracles hand one trajectory over as an `AgingTrajectory`; everything that
+learns, samples, scores or plans reads a `PathBatch` of them.  A `State`,
+one observation and its age, starts a plan, a sample or an enumeration.  A
+trajectory's probability is Gibbs in its summed step cost, the partition
+function is approximated by self-normalized importance sampling under the
+current policy (exact enumeration is available on small worlds), and the
+policy is refined against the learned cost by entropy-regularized policy
+gradient.  Transitions are deterministic (synthesis with zero noise) and demo
+start states are fixed, so proposal densities reduce to products of per-step
+action probabilities.
 
 Dynamics and costs take batches only.  A dynamics has `n_actions` and
 `transition(obs (K, D), ages (K,), actions (K,)) -> (K, D)`, the next
@@ -124,6 +126,15 @@ class PathBatch:
         """(row, step) indices of every action taken, row by row."""
         return np.nonzero(np.arange(self.actions.shape[1]) < self.lengths[:, None])
 
+    def flat_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K, D) observations and (K,) ages of every real state, row by row."""
+        rows, steps = np.nonzero(np.arange(self.ages.shape[1]) <= self.lengths[:, None])
+        return self.observations[rows, steps], self.ages[rows, steps]
+
+    def starts(self) -> list[State]:
+        """Each row's first state."""
+        return [State(obs, age) for obs, age in zip(self.observations[:, 0], self.ages[:, 0])]
+
     def take(self, rows: np.ndarray) -> "PathBatch":
         return PathBatch(self.observations[rows], self.ages[rows], self.actions[rows],
                          self.lengths[rows], self.log_q[rows])
@@ -133,14 +144,13 @@ class PathBatch:
                 for i, n in enumerate(self.lengths.tolist())]
 
     @classmethod
-    def from_trajectories(cls, trajs: Sequence[AgingTrajectory],
-                          n_actions: int | None = None) -> "PathBatch":
-        """Padded rows; ValidationError names the row and step of a negative or too large action."""
-        if not trajs:
-            raise ValidationError("need at least one trajectory")
+    def from_trajectories(cls, trajs: Sequence[AgingTrajectory], n_actions: int | None = None,
+                          dim: int = 0) -> "PathBatch":
+        """Padded rows, or with no `trajs` zero rows of `dim`-long observations;
+        ValidationError names the row and step of a negative or too large action."""
         lengths = np.array([traj.horizon for traj in trajs], dtype=np.int64)
-        width = int(lengths.max())
-        obs = np.zeros((len(trajs), width + 1, trajs[0].observations.shape[1]))
+        width = int(lengths.max(initial=0))
+        obs = np.zeros((len(trajs), width + 1, trajs[0].observations.shape[1] if trajs else dim))
         ages = np.zeros((len(trajs), width + 1), dtype=np.int64)
         for i, traj in enumerate(trajs):
             obs[i, :traj.ages.size], ages[i, :traj.ages.size] = traj.observations, traj.ages
@@ -601,7 +611,7 @@ class IterationMetrics:
     wall_seconds: float
 
 
-def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
+def learn_aging_policy(demos: PathBatch, cost: CostNet,
                        policy: PolicyNet, dynamics: Dynamics, *,
                        outer_iters: int, inner_iters: int,
                        sample_paths: int, demo_batch: int, sample_batch: int,
@@ -611,7 +621,7 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
                        start_iteration: int = 0,
                        on_iteration: Callable[[int, IterationMetrics], None] | None = None,
                        ) -> list[IterationMetrics]:
-    """Alternate cost fitting and policy refinement over demo sequences.
+    """Alternate cost fitting and policy refinement over the demo rows.
 
     Every outer iteration samples fresh paths from the current policy through
     the synthesis transitions, runs `inner_iters` gradient ascent steps on
@@ -623,11 +633,9 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
     state at an iteration boundary makes the run resumable and
     bit-reproducible.
     """
-    if not demos:
+    if len(demos) == 0:
         raise ValidationError("need at least one demonstration")
-    demo_paths = PathBatch.from_trajectories(list(demos), cost.n_actions)
-    starts = [d.start for d in demos]
-    horizons = [max(1, d.horizon) for d in demos]
+    starts, horizons = demos.starts(), np.maximum(demos.lengths, 1)
     history: list[IterationMetrics] = []
 
     for k in range(start_iteration, outer_iters):
@@ -636,9 +644,8 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
             path_seed = int(rng.integers(0, 2**63 - 1))
             samples = sample_path_batch(policy, dynamics, starts, horizons,
                                         m=sample_paths, seed=path_seed)
-            demo_paths = dataclasses.replace(
-                demo_paths, log_q=path_log_proposals(policy, demo_paths))
-            pool = PathBatch.concat([demo_paths, samples])
+            demos = dataclasses.replace(demos, log_q=path_log_proposals(policy, demos))
+            pool = PathBatch.concat([demos, samples])
             loglik_sum = 0.0
             for _ in range(inner_iters):
                 d_idx = rng.choice(len(demos), size=min(demo_batch, len(demos)),
@@ -657,7 +664,7 @@ def learn_aging_policy(demos: Sequence[AgingTrajectory], cost: CostNet,
             raise IrlIterationError(k, exc) from exc
         metrics = IterationMetrics(
             iteration=k,
-            demo_energy=float(np.mean(path_energies(cost, demo_paths))),
+            demo_energy=float(np.mean(path_energies(cost, demos))),
             sample_energy=float(np.mean(path_energies(cost, samples))),
             loglik_estimate=loglik_sum / max(1, inner_iters),
             policy_entropy=entropy,

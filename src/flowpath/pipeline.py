@@ -1,8 +1,9 @@
 """End-to-end experiment stages: gen-data, pretrain, pairs, IRL, evaluate.
 
 Every stage derives its randomness from (config seed, stage tag) so stages
-are independently reproducible, and artifacts live under the run's output
-directory:
+are independently reproducible.  A stage reads each sequence file it uses as
+the file's subject ids plus one `PathBatch`, row i holding subject ids[i],
+checked once at load.  Artifacts live under the run's output directory:
 
     train_sequences.jsonl / heldout_sequences.jsonl   demo sequences
     pool_sequences.jsonl                              dense per-subject pool
@@ -30,10 +31,10 @@ from .evaluate import (
 )
 from .flows import flow_nll
 from .irl import (
-    AgingTrajectory,
     CostNet,
     IterationMetrics,
     ModelDynamics,
+    PathBatch,
     PolicyNet,
     State,
     learn_aging_policy,
@@ -97,24 +98,31 @@ def stage_gen_data(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_sequences(cfg: RunConfig, name: str) -> list[tuple[int, AgingTrajectory]]:
-    """One sequence file of the run, with observations checked against world.dim
-    and ages against the world's age range."""
+def _load_sequences(cfg: RunConfig, name: str) -> tuple[list[int], PathBatch]:
+    """One sequence file of the run as its subject ids and one batch, row i
+    holding subject ids[i].  Observations are checked against world.dim, ages
+    against the world's age range and age gaps against its action count."""
     path = Path(cfg.out_dir) / name
     if not path.exists():
         raise ValidationError(f"missing {name} under {path.parent}; run gen-data first")
     entries = read_sequences(path)
-    low, high = cfg.world.age_min, cfg.world.age_max
+    world = cfg.world
     for sid, traj in entries:
         length = traj.observations.shape[1]
-        if length != cfg.world.dim:
+        if length != world.dim:
             raise ValidationError(f"{name}: subject {sid} has observations of length "
-                                  f"{length}, not the configured dim {cfg.world.dim}")
-        outside = traj.ages[(traj.ages < low) | (traj.ages > high)]
+                                  f"{length}, not the configured dim {world.dim}")
+        outside = traj.ages[(traj.ages < world.age_min) | (traj.ages > world.age_max)]
         if outside.size:
             raise ValidationError(f"{name}: subject {sid} has age {outside[0]}, outside the "
-                                  f"world range [{low}, {high}]")
-    return entries
+                                  f"world range [{world.age_min}, {world.age_max}]")
+        gaps = np.diff(traj.ages)
+        wide = gaps[gaps >= world.n_actions]
+        if wide.size:
+            raise ValidationError(f"{name}: subject {sid} has an age gap of {wide[0]}, outside "
+                                  f"the action range [0, {world.n_actions})")
+    return ([sid for sid, _ in entries],
+            PathBatch.from_trajectories([traj for _, traj in entries], dim=world.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +179,9 @@ def policy_from_checkpoint(ckpt: Checkpoint) -> PolicyNet:
 
 def stage_pretrain_flow(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    train = _load_sequences(cfg, TRAIN_FILE)
-    pool = _load_sequences(cfg, POOL_FILE)
-    data = np.concatenate([t.observations for _, t in pool + train])
+    _, train = _load_sequences(cfg, TRAIN_FILE)
+    _, pool = _load_sequences(cfg, POOL_FILE)
+    data, _ = PathBatch.concat([pool, train]).flat_states()
     rng = _stage_rng(cfg, STAGE_FLOW)
     model = build_model(cfg, rng)
     steps, size = cfg.flow.pretrain_steps, cfg.flow.batch_size
@@ -201,39 +209,27 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
 # Stage: train-pairs
 # ---------------------------------------------------------------------------
 
-def build_pairs(trajs: list[AgingTrajectory], n_actions: int):
-    """All (earlier, later) state pairs with an age gap inside the action range.
-
-    Pairs come in (trajectory, i, j >= i) row-major order.  Row indices are
-    gathered first, so each output array is allocated once.
-    """
-    firsts, seconds, start = [], [], 0
-    for traj in trajs:
-        i, j = np.triu_indices(traj.ages.size)
-        gap = traj.ages[j] - traj.ages[i]
-        keep = (gap >= 0) & (gap < n_actions)
-        firsts.append(start + i[keep])
-        seconds.append(start + j[keep])
-        start += traj.ages.size
-    if not sum(i.size for i in firsts):
+def build_pairs(paths: PathBatch, n_actions: int):
+    """All (earlier, later) state pairs of a row with an age gap inside the action
+    range, in (row, i, j >= i) row-major order."""
+    i, j = np.triu_indices(paths.ages.shape[1])
+    gap = paths.ages[:, j] - paths.ages[:, i]
+    rows, pair = np.nonzero((j <= paths.lengths[:, None]) & (gap < n_actions))
+    if not rows.size:
         raise ValidationError("no usable pairs in the dataset")
-    obs = np.concatenate([traj.observations for traj in trajs])
-    ages = np.concatenate([traj.ages for traj in trajs])
-    i, j = np.concatenate(firsts), np.concatenate(seconds)
-    return obs[i], obs[j], ages[j] - ages[i]
+    return paths.observations[rows, i[pair]], paths.observations[rows, j[pair]], gap[rows, pair]
 
 
 def stage_train_pairs(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    train, heldout, pool = (_load_sequences(cfg, name)
-                            for name in (TRAIN_FILE, HELDOUT_FILE, POOL_FILE))
+    (_, train), (_, heldout), (_, pool) = (_load_sequences(cfg, name)
+                                           for name in (TRAIN_FILE, HELDOUT_FILE, POOL_FILE))
     ckpt = load_checkpoint(out / "flow.ckpt")
     model = model_from_checkpoint(ckpt)
     rng = _stage_rng(cfg, STAGE_PAIRS)
 
-    xp, xt, acts = build_pairs([t for _, t in pool] + [t for _, t in train],
-                               cfg.world.n_actions)
-    hxp, hxt, hacts = build_pairs([t for _, t in heldout], cfg.world.n_actions)
+    xp, xt, acts = build_pairs(PathBatch.concat([pool, train]), cfg.world.n_actions)
+    hxp, hxt, hacts = build_pairs(heldout, cfg.world.n_actions)
 
     opt = Adam(model.parameters(), cfg.optimizer.learning_rate, cfg.optimizer.beta1,
                cfg.optimizer.beta2)
@@ -290,7 +286,7 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
     if stop_after is not None and stop_after < 0:
         raise ValidationError(f"--stop-after must be >= 0, got {stop_after}")
     out = Path(cfg.out_dir)
-    demos = [t for _, t in _load_sequences(cfg, TRAIN_FILE)]
+    _, demos = _load_sequences(cfg, TRAIN_FILE)
     init_rng = _stage_rng(cfg, STAGE_IRL, 0)
     loop_rng = _stage_rng(cfg, STAGE_IRL, 1)
     ckpt = load_checkpoint(out / "pairs.ckpt" if resume is None else resume)
@@ -370,26 +366,25 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
     ckpt = load_checkpoint(checkpoint_path or out / "model.ckpt")
     cfg = ckpt.config
     cfg.out_dir = str(out)
-    train = _load_sequences(cfg, TRAIN_FILE)
-    heldout = _load_sequences(cfg, HELDOUT_FILE)
-    if not heldout:
+    _, train = _load_sequences(cfg, TRAIN_FILE)
+    ids, heldout = _load_sequences(cfg, HELDOUT_FILE)
+    if len(heldout) == 0:
         raise InsufficientDataError("no held-out states to evaluate")
     model = model_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
     cost = cost_from_checkpoint(ckpt)
 
-    paths = plan_path_batch(policy, ModelDynamics(model), [t.start for _, t in heldout],
-                            [t.ages[-1] for _, t in heldout])
-    fidelity = evaluate_age_fidelity(paths, cfg.world, [t for _, t in train],
-                                     [t for _, t in heldout])
-    recovery = path_recovery_report(paths, cfg.world, heldout)
+    paths = plan_path_batch(policy, ModelDynamics(model), heldout.starts(),
+                            heldout.ages[np.arange(len(heldout)), heldout.lengths])
+    fidelity = evaluate_age_fidelity(paths, cfg.world, train, heldout)
+    recovery = path_recovery_report(paths, cfg.world, ids, heldout)
     report = {"fidelity": fidelity,
               "path_recovery": {k: v for k, v in recovery.items() if k != "subjects"},
               "subjects": recovery["subjects"]}
     if cost is not None:
         rng = _stage_rng(cfg, STAGE_EVAL)
         report["energy"] = energy_separation_report(
-            model, cost, [t for _, t in train], policy,
+            model, cost, train, policy,
             seed=int(rng.integers(0, 2**63 - 1)),
             partition_samples=cfg.irl.is_samples)
     write_json(out / "evaluation.json", report)

@@ -335,6 +335,8 @@ def _parse_record(line: str, where: str) -> tuple[int, AgingTrajectory]:
     sid, ages = rec["subject_id"], rec["ages"]
     if type(sid) is not int:
         raise ValidationError(f"{where}: subject_id and ages must be integers")
+    if sid < 0:  # it seeds the subject's archetype
+        raise ValidationError(f"{where}: subject_id must be a non-negative integer, not {sid}")
     obs = check_sequence_fields(ages, rec["observations"], where)
     if any(b < a for a, b in zip(ages, ages[1:])):
         raise ValidationError(f"{where}: sequence ages must be non-decreasing")

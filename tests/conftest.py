@@ -12,6 +12,7 @@ import pytest
 
 from flowpath.config import RunConfig
 from flowpath.flows import flow_nll, make_flow
+from flowpath.irl import PathBatch
 from flowpath.nets import Adam
 from flowpath.pipeline import build_pairs, run_full_pipeline
 from flowpath.transform import make_aging_model, train_pair_step
@@ -83,8 +84,8 @@ def small_pair_model():
             _, grads = flow_nll(flow, data[idx])
             opt.step(grads)
 
-    xp, xt, acts = build_pairs(pool + train, cfg.n_actions)
-    hxp, hxt, hacts = build_pairs(heldout, cfg.n_actions)
+    xp, xt, acts = build_pairs(PathBatch.from_trajectories(pool + train), cfg.n_actions)
+    hxp, hxt, hacts = build_pairs(PathBatch.from_trajectories(heldout), cfg.n_actions)
     from flowpath.transform import pair_loglik
 
     initial_heldout_nll = float(-np.mean(pair_loglik(model, hxp, hxt, hacts)))

@@ -17,7 +17,7 @@ from flowpath.checkpoint import (
 )
 from flowpath.config import RunConfig, load_config
 from flowpath.errors import CheckpointError, ValidationError
-from flowpath.irl import State
+from flowpath.irl import PathBatch, State
 from flowpath.metrics import read_csv_without_columns, write_csv
 from flowpath.world import WorldConfig, generate_pool_sequence, generate_subject
 from flowpath.pipeline import (
@@ -384,7 +384,9 @@ def test_age_fidelity_needs_heldout_data(tiny_run):
     first = train[0][1]
     paths = plan_path_batch(policy, ModelDynamics(model), [first.start], [first.ages[-1]])
     with pytest.raises(InsufficientDataError):
-        evaluate_age_fidelity(paths, ckpt.config.world, [t for _, t in train], [])
+        evaluate_age_fidelity(paths, ckpt.config.world,
+                              PathBatch.from_trajectories([t for _, t in train]),
+                              PathBatch.from_trajectories([], dim=ckpt.config.world.dim))
 
 
 def test_evaluate_plans_heldout_once(tiny_run, monkeypatch):
@@ -738,7 +740,7 @@ def test_build_pairs_matches_row_by_row_reference():
     trajs += [generate_pool_sequence(world, s, stride=int(rng.integers(1, 4)))
               for s in seeds[4:]]
     trajs.append(reference.trajectory([State(rng.standard_normal(5), 30)]))
-    got = build_pairs(trajs, world.n_actions)
+    got = build_pairs(PathBatch.from_trajectories(trajs), world.n_actions)
     want = build_pairs_reference(trajs, world.n_actions)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -749,9 +751,9 @@ def test_build_pairs_without_pairs_raises():
     # or no trajectories leave nothing
     traj = reference.trajectory([State(np.zeros(2), 20), State(np.zeros(2), 40)])
     with pytest.raises(ValidationError, match="no usable pairs"):
-        build_pairs([traj], n_actions=0)
+        build_pairs(PathBatch.from_trajectories([traj]), n_actions=0)
     with pytest.raises(ValidationError, match="no usable pairs"):
-        build_pairs([], n_actions=4)
+        build_pairs(PathBatch.from_trajectories([], dim=2), n_actions=4)
 
 
 def test_cli_ragged_sequence_file_exits_1(tmp_path, capsys):
@@ -795,6 +797,60 @@ def test_cli_refuses_sequence_ages_outside_the_world(tmp_path, capsys, shift):
     else:
         assert (f"train_sequences.jsonl: subject {rec['subject_id']} has age "
                 f"{rec['ages'][0]}, outside the world range [10, 60]") in err
+
+
+def _edit_second_record(path, **fields) -> dict:
+    """Overwrite fields of a sequence file's second record; returns the record."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1]) | fields
+    rec["observations"] = rec["observations"][:len(rec["ages"])]
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return rec
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("train_sequences.jsonl", "pretrain-flow"),
+    ("train_sequences.jsonl", "train-pairs"),
+    ("train_sequences.jsonl", "train-irl"),
+    ("train_sequences.jsonl", "evaluate"),
+    ("heldout_sequences.jsonl", "train-pairs"),
+])
+def test_stages_refuse_an_age_gap_outside_the_action_range(tiny_run, tmp_path, capsys, name,
+                                                            stage):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], run)
+    rec = _edit_second_record(run / name, ages=[20, 40])
+    seed = [] if stage == "evaluate" else ["--seed", "3"]
+    assert cli.main([stage, "--out", str(run)] + seed) == 1
+    err = capsys.readouterr().err
+    assert (f"{name}: subject {rec['subject_id']} has an age gap of 20, outside the "
+            "action range [0, 16)") in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_refuses_a_negative_subject_id(tiny_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], run)
+    _edit_second_record(run / "heldout_sequences.jsonl", subject_id=-7)
+    assert cli.main(["evaluate", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert ("heldout_sequences.jsonl line 2: subject_id must be a non-negative integer"
+            in err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("request_args", [
+    ["plan", "--age", "18", "--target", "50"],
+    ["synthesize", "--age", "20", "--action", "5"],
+])
+def test_cli_refuses_a_negative_subject_seed(tiny_run, capsys, request_args):
+    ck = str(tiny_run["out"] / "model.ckpt")
+    argv = request_args[:1] + ["--checkpoint", ck] + request_args[1:]
+    assert cli.main(argv + ["--subject-seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "--subject-seed must be a non-negative integer, not -1" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -421,7 +421,8 @@ def test_learn_zero_iterations_is_noop():
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60)
     cost_before = [a.copy() for _, a in cost.parameters()]
     history = learn_aging_policy(
-        demos, cost, policy, dyn, outer_iters=0, inner_iters=3, sample_paths=4,
+        PathBatch.from_trajectories(demos), cost, policy, dyn,
+        outer_iters=0, inner_iters=3, sample_paths=4,
         demo_batch=1, sample_batch=2, policy_rollouts=4, policy_steps=2,
         cost_optimizer=Adam(cost.parameters()),
         policy_optimizer=Adam(policy.parameters()),
@@ -444,7 +445,8 @@ def test_learn_separates_demo_energy_on_toy_world():
         arr *= 0.3
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=20)
     history = learn_aging_policy(
-        demos, cost, policy, dyn, outer_iters=8, inner_iters=15, sample_paths=12,
+        PathBatch.from_trajectories(demos), cost, policy, dyn,
+        outer_iters=8, inner_iters=15, sample_paths=12,
         demo_batch=6, sample_batch=10, policy_rollouts=32, policy_steps=5,
         cost_optimizer=Adam(cost.parameters(), 2e-3),
         policy_optimizer=Adam(policy.parameters(), 0.05),
@@ -567,7 +569,7 @@ def test_synthesize_progressions_reads_every_age_off_one_path():
              for ages in ages_per_traj]
     paths = plan_path_batch(policy, dyn, [t.start for t in trajs],
                             [t.ages[-1] for t in trajs])
-    obs, ages = synthesize_progressions(paths, trajs)
+    obs, ages = synthesize_progressions(paths, PathBatch.from_trajectories(trajs))
     expected = [reference_plan(policy, dyn, traj.start, s.age)[1][-1]
                 for traj in trajs for s in reference.states_of(traj)[1:]]
     assert len(ages) == len(obs) == len(expected) == 7
@@ -650,7 +652,8 @@ def test_learn_wraps_inner_errors_with_iteration_index():
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60)
     with pytest.raises(IrlIterationError, match="iteration 0"):
         learn_aging_policy(
-            demos, cost, policy, dyn, outer_iters=2, inner_iters=1,
+            PathBatch.from_trajectories(demos), cost, policy, dyn, outer_iters=2,
+            inner_iters=1,
             sample_paths=2, demo_batch=1, sample_batch=1,
             policy_rollouts=0,  # invalid: rollout sampling raises inside iter 0
             policy_steps=1,

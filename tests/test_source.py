@@ -119,6 +119,16 @@ def test_no_module_reads_a_states_attribute(path):
     assert reads == []
 
 
+@pytest.mark.parametrize("name", ["pipeline.py", "evaluate.py"])
+def test_stages_and_evaluation_do_not_name_aging_trajectory(name):
+    """Stages and evaluation read a sequence file as subject ids plus one `PathBatch`."""
+    tree = ast.parse((PACKAGE / name).read_text(), name)
+    names = [f"line {node.lineno}" for node in ast.walk(tree)
+             if "AgingTrajectory" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                      getattr(node, "name", None))]
+    assert names == []
+
+
 def test_aging_trajectory_holds_observations_and_ages_only():
     cls = definitions(ast.parse((PACKAGE / "irl.py").read_text()))["AgingTrajectory"]
     fields = [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
