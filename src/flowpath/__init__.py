@@ -42,7 +42,6 @@ from .irl import (
     ModelDynamics,
     PathBatch,
     PolicyNet,
-    State,
     estimate_log_partition,
     exact_sequence_prob,
     irl_loss_and_grad,

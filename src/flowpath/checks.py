@@ -16,7 +16,6 @@ from .flows import flow_forward, flow_nll, flow_nll_value, make_flow
 from .irl import (
     AgingTrajectory,
     FunctionDynamics,
-    State,
     exact_sequence_prob,
     irl_loss_and_grad,
     make_cost_net,
@@ -91,14 +90,13 @@ def _toy_demo_world(seed: int):
                              hidden=6)
     base = rng.standard_normal(3)
     dyn = FunctionDynamics(4, lambda obs, ages, actions: obs + 0.1 * actions[:, None])
-    start = State(base, 0)
-    return cost, policy, dyn, start
+    return cost, policy, dyn, base
 
 
 def check_irl_objective_grad(seed: int = 2):
-    cost, policy, dyn, start = _toy_demo_world(seed)
-    demos = sample_path_batch(policy, dyn, [start], 3, m=4, seed=seed)
-    samples = sample_path_batch(policy, dyn, [start], 3, m=6, seed=seed + 1)
+    cost, policy, dyn, base = _toy_demo_world(seed)
+    demos = sample_path_batch(policy, dyn, base[None, :], [0], 3, m=4, seed=seed)
+    samples = sample_path_batch(policy, dyn, base[None, :], [0], 3, m=6, seed=seed + 1)
     _, grads = irl_loss_and_grad(cost, demos, samples)
     arrays = [a for _, a in cost.parameters()]
 
@@ -190,10 +188,10 @@ def check_path_oracles_agree(seed: int = 0):
         arch = make_archetype(cfg, sid)
         dyn = WorldDynamics(cfg, arch)
         cost = archetype_cost(cfg, arch)
-        start = dyn.state_at(cfg.age_min + 2 + i)
-        target = start.age + 12 + i
-        bf = brute_force_optimal_path(dyn, cost, start, target, horizon_cap=4)
-        dp = dp_optimal_path(dyn, cost, start, target, horizon_cap=4)
+        age = cfg.age_min + 2 + i
+        bf = brute_force_optimal_path(dyn, cost, dyn.obs_at(age), age, age + 12 + i,
+                                      horizon_cap=4)
+        dp = dp_optimal_path(dyn, cost, age, age + 12 + i, horizon_cap=4)
         if bf.actions != dp.actions:
             ok = False
             detail = f"subject {sid}: {bf.actions} vs {dp.actions}"
@@ -206,11 +204,10 @@ def check_gibbs_normalization(seed: int = 0):
     arch = make_archetype(cfg, seed)
     dyn = WorldDynamics(cfg, arch)
     cost = archetype_cost(cfg, arch)
-    start = dyn.state_at(cfg.age_min)
     total = 0.0
     for actions in itertools.product(range(3), repeat=3):
-        ages = start.age + np.cumsum((0,) + actions)
-        obs = np.stack([dyn.state_at(a).observation for a in ages.tolist()])
+        ages = cfg.age_min + np.cumsum((0,) + actions)
+        obs = np.stack([dyn.obs_at(a) for a in ages.tolist()])
         total += exact_sequence_prob(AgingTrajectory(obs, ages), cost, dyn)
     err = abs(total - 1.0)
     return "gibbs_normalization", err < 1e-9, f"sum deviates by {err:.3g}"
@@ -225,7 +222,8 @@ def check_demo_optimality(seed: int = 0):
         arch, demo = generate_subject(cfg, sid)
         dyn = WorldDynamics(cfg, arch)
         cost = archetype_cost(cfg, arch)
-        oracle = brute_force_optimal_path(dyn, cost, dyn.state_at(int(demo.ages[0])),
+        age = int(demo.ages[0])
+        oracle = brute_force_optimal_path(dyn, cost, dyn.obs_at(age), age,
                                           int(demo.ages[-1]), cfg.horizon - 1)
         if demo.actions != oracle.actions:
             ok = False

@@ -67,8 +67,8 @@ def build_parser() -> _Parser:
     p.add_argument("--age", type=int, required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--input", help="JSON file with ages + observations (multi-input)")
-    p.add_argument("--subject-seed", type=int, default=0,
-                   help="world subject to draw the input from when no file is given")
+    p.add_argument("--subject-seed", type=int,
+                   help="world subject (default 0) to draw the input from when no file is given")
 
     p = sub.add_parser("synthesize", help="synthesize progressed observations")
     p.add_argument("--checkpoint", required=True)
@@ -76,7 +76,7 @@ def build_parser() -> _Parser:
     p.add_argument("--action", type=int)
     p.add_argument("--target", type=int)
     p.add_argument("--input")
-    p.add_argument("--subject-seed", type=int, default=0)
+    p.add_argument("--subject-seed", type=int)
     p.add_argument("--out", help="write the result JSON here instead of stdout")
 
     p = sub.add_parser("evaluate", help="held-out path recovery and age fidelity")
@@ -111,15 +111,22 @@ def resolve_config(args) -> RunConfig:
 
 
 def _load_inputs(args, cfg_from_ckpt) -> list[tuple[np.ndarray, int]]:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or any(k not in data for k in ("ages", "observations")):
-            raise ValidationError(f"{args.input}: needs the keys ages and observations")
-        obs = check_sequence_fields(data["ages"], data["observations"], args.input)
-        return list(zip(obs, data["ages"]))
-    return pipeline.default_subject_inputs(
-        cfg_from_ckpt, _check_seed(args.subject_seed, "--subject-seed"), args.age)
+    """The --input file's observations, or world subject --subject-seed (default 0) at --age."""
+    if not args.input:
+        seed = 0 if args.subject_seed is None else args.subject_seed
+        return pipeline.default_subject_inputs(
+            cfg_from_ckpt, _check_seed(seed, "--subject-seed"), args.age)
+    if args.subject_seed is not None:
+        raise ValidationError("--subject-seed cannot be combined with --input")
+    with open(args.input, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or any(k not in data for k in ("ages", "observations")):
+        raise ValidationError(f"{args.input}: needs the keys ages and observations")
+    obs = check_sequence_fields(data["ages"], data["observations"], args.input)
+    if args.age != max(data["ages"]):
+        raise ValidationError(f"--age {args.age} is not the oldest input age "
+                              f"{max(data['ages'])} of {args.input}")
+    return list(zip(obs, data["ages"]))
 
 
 def _run_checks(results) -> int:

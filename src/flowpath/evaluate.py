@@ -94,8 +94,7 @@ def path_recovery_report(paths: PathBatch, config: WorldConfig, ids: list[int],
         planned = paths.actions[i, :paths.lengths[i]].tolist()
         ages = heldout.ages[i, :heldout.lengths[i] + 1].tolist()
         world_dyn = WorldDynamics(config, arch)
-        optimal = dp_optimal_path(world_dyn, archetype_cost(config, arch),
-                                  world_dyn.state_at(ages[0]), ages[-1],
+        optimal = dp_optimal_path(world_dyn, archetype_cost(config, arch), ages[0], ages[-1],
                                   horizon_cap=config.horizon - 1)
         ok = planned == optimal.actions
         matches += ok
@@ -126,12 +125,12 @@ def energy_separation_report(model: AgingModel, cost, demos: PathBatch,
     dyn = ModelDynamics(model)
     uniform = make_policy_net(np.random.default_rng(0), model.dim, model.n_actions,
                               age_low=cost.age_low, age_high=cost.age_high)
-    starts, horizons = demos.starts(), np.maximum(demos.lengths, 1)
-    rollouts = sample_path_batch(uniform, dyn, starts, horizons,
-                                 m=2 * len(demos), seed=seed)
+    obs, ages, horizons = demos.observations[:, 0], demos.ages[:, 0], np.maximum(demos.lengths, 1)
+    rollouts = sample_path_batch(uniform, dyn, obs, ages, horizons, m=2 * len(demos), seed=seed)
     demo_e = float(np.mean(path_energies(cost, demos)))
     roll_e = float(np.mean(path_energies(cost, rollouts)))
-    paths = sample_path_batch(policy, dyn, starts[:1], horizons[0], partition_samples, seed + 1)
+    paths = sample_path_batch(policy, dyn, obs[:1], ages[:1], horizons[0], partition_samples,
+                              seed + 1)
     log_w = path_log_weights(cost, paths)
     ess, max_weight = weight_diagnostics(log_w)
     return {

@@ -3,8 +3,9 @@
 A subject's trajectory is observations at integer ages, whose gaps are its
 actions, so action a moves the age by a.  Sequence files and the world's
 oracles hand one trajectory over as an `AgingTrajectory`; everything that
-learns, samples, scores or plans reads a `PathBatch` of them.  A `State`,
-one observation and its age, starts a plan, a sample or an enumeration.  A
+learns, samples, scores or plans reads a `PathBatch` of them.  A start is
+arrays: one start is an observation (D,) and its age, many are observations
+(M, D) with ages (M,), and a batch's starts are its first column.  A
 trajectory's probability is Gibbs in its summed step cost, the partition
 function is approximated by self-normalized importance sampling under the
 current policy (exact enumeration is available on small worlds), and the
@@ -64,18 +65,6 @@ ROLL_BLOCK = 256
 
 
 @dataclass(eq=False)
-class State:
-    """Observation vector plus its integer age label."""
-
-    observation: np.ndarray
-    age: int
-
-    def __post_init__(self):
-        self.observation = np.asarray(self.observation, dtype=np.float64)
-        self.age = int(self.age)
-
-
-@dataclass(eq=False)
 class AgingTrajectory:
     """One subject's (T+1, D) observations at (T+1,) ages; action t is the gap
     ages[t+1] - ages[t], range-checked by `PathBatch.from_trajectories`."""
@@ -98,10 +87,6 @@ class AgingTrajectory:
     @property
     def horizon(self) -> int:
         return self.ages.size - 1
-
-    @property
-    def start(self) -> State:
-        return State(self.observations[0], self.ages[0])
 
 
 @dataclass(eq=False)
@@ -130,10 +115,6 @@ class PathBatch:
         """(K, D) observations and (K,) ages of every real state, row by row."""
         rows, steps = np.nonzero(np.arange(self.ages.shape[1]) <= self.lengths[:, None])
         return self.observations[rows, steps], self.ages[rows, steps]
-
-    def starts(self) -> list[State]:
-        """Each row's first state."""
-        return [State(obs, age) for obs, age in zip(self.observations[:, 0], self.ages[:, 0])]
 
     def take(self, rows: np.ndarray) -> "PathBatch":
         return PathBatch(self.observations[rows], self.ages[rows], self.actions[rows],
@@ -200,9 +181,8 @@ class ModelDynamics:
         return synthesize_step(self.model, obs, actions)
 
     # Unused: kept because perfbench/tracer.py patches it by name; ROADMAP item 1 deletes it.
-    def step(self, state: State, action: int) -> State:
-        obs = synthesize_step(self.model, state.observation, action)
-        return State(obs, state.age + action)
+    def step(self, obs: np.ndarray, age: int, action: int) -> np.ndarray:
+        return synthesize_step(self.model, obs, action)
 
 
 class FunctionDynamics:
@@ -318,11 +298,11 @@ def sequence_energy(traj: AgingTrajectory, cost: Cost) -> float:
     return float(path_energies(cost, PathBatch.from_trajectories([traj]))[0])
 
 
-def enumerate_levels(dynamics: Dynamics, cost: Cost, start: State, depth: int,
+def enumerate_levels(dynamics: Dynamics, cost: Cost, obs: np.ndarray, age: int, depth: int,
                      stop_age: float = math.inf, budget: int = ENUMERATION_BUDGET):
-    """Every action sequence of at most `depth` steps from `start`, level by level.
+    """Every action sequence of at most `depth` steps from (obs, age), level by level.
 
-    Yields (energies, ages, live) for levels 0..depth.  Level 0 is `start`
+    Yields (energies, ages, live) for levels 0..depth.  Level 0 is the start
     alone; row j of level d+1 extends row live[j // n] of level d by action
     j % n, so every level lists its sequences in lexicographic order, and
     when nothing stops early row j's actions are the base-n digits of j
@@ -333,7 +313,7 @@ def enumerate_levels(dynamics: Dynamics, cost: Cost, start: State, depth: int,
     level would hold more than `budget` rows.
     """
     n = dynamics.n_actions
-    obs, ages, energies = start.observation[None, :], np.array([start.age]), np.zeros(1)
+    obs, ages, energies = obs[None, :], np.array([age]), np.zeros(1)
     for d in range(depth + 1):
         live = np.flatnonzero(ages < stop_age) if d < depth else np.zeros(0, dtype=np.int64)
         yield energies, ages, live
@@ -350,15 +330,15 @@ def enumerate_levels(dynamics: Dynamics, cost: Cost, start: State, depth: int,
         ages = parent_ages + actions
 
 
-def enumerate_energies(start: State, horizon: int, cost: Cost, dynamics: Dynamics,
+def enumerate_energies(obs: np.ndarray, age: int, horizon: int, cost: Cost, dynamics: Dynamics,
                        budget: int = ENUMERATION_BUDGET) -> np.ndarray:
-    """Energies of every action sequence of the given length from `start`.
+    """Energies of every action sequence of the given length from (obs, age).
 
     Entry i corresponds to the base-n_actions digits of i (most significant
     action first): the last level of `enumerate_levels`.  Deterministic
     transitions make this a full enumeration of the trajectory space.
     """
-    return list(enumerate_levels(dynamics, cost, start, horizon, budget=budget))[-1][0]
+    return list(enumerate_levels(dynamics, cost, obs, age, horizon, budget=budget))[-1][0]
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -376,7 +356,8 @@ def exact_sequence_prob(traj: AgingTrajectory, cost: Cost, dynamics: Dynamics,
     same start state and horizon, under the deterministic transition model.
     """
     PathBatch.from_trajectories([traj], dynamics.n_actions)  # refuses out-of-range actions
-    energies = enumerate_energies(traj.start, traj.horizon, cost, dynamics, budget)
+    energies = enumerate_energies(traj.observations[0], traj.ages[0], traj.horizon, cost,
+                                  dynamics, budget)
     log_z = _logsumexp(-energies)
     index = 0
     for a in traj.actions:
@@ -446,48 +427,57 @@ def _roll(policy: PolicyNet, dynamics: Dynamics, node_obs: np.ndarray,
     return PathBatch(obs, ages, actions, lengths, log_q)
 
 
-def rollout(policy: PolicyNet, dynamics: Dynamics, start: State, horizon: int,
+def rollout(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray, age: int, horizon: int,
             rng: np.random.Generator) -> AgingTrajectory:
-    """Roll one trajectory by stochastically sampling actions from the policy."""
-    batch = _roll(policy, dynamics, start.observation[None, :], np.array([start.age]),
+    """Roll one trajectory from (obs, age) by sampling actions from the policy."""
+    batch = _roll(policy, dynamics, obs[None, :], np.array([age]),
                   np.zeros(1, dtype=np.int64), np.array([horizon], dtype=np.int64),
                   rng.random((1, horizon)))
     return batch.trajectories()[0]
 
 
-def sample_path_batch(policy: PolicyNet, dynamics: Dynamics,
-                      starts: Sequence[State], horizon: int | Sequence[int],
+def _check_starts(obs: np.ndarray, ages: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(M, D) start observations and their (M,) ages, M >= 1, as float64 and int64."""
+    obs, ages = np.asarray(obs, dtype=np.float64), np.asarray(ages, dtype=np.int64)
+    if obs.ndim != 2 or ages.shape != obs.shape[:1]:
+        raise ShapeError(f"starts need (M, D) observations at (M,) ages, "
+                         f"not {obs.shape} at {ages.shape}")
+    if not ages.size:
+        raise ValidationError("need at least one start state")
+    return obs, ages
+
+
+def sample_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
+                      ages: Sequence[int], horizon: int | Sequence[int],
                       m: int | None = None, seed: int | np.random.SeedSequence = 0
                       ) -> PathBatch:
-    """Sample m trajectories, cycling over start states, in one lockstep pass.
+    """Sample m trajectories, cycling over the starts, in one lockstep pass.
 
     One (m, widest horizon) uniform matrix drawn from `seed` picks the actions,
     path i reading row i, so they are bit-reproducible and do not depend on
     how rows share nodes or how work is chunked.
     """
-    if not starts:
-        raise ValidationError("need at least one start state")
-    count = m if m is not None else len(starts)
+    obs, ages = _check_starts(obs, ages)
+    count = m if m is not None else ages.size
     if count < 1:
         raise ValidationError("m must be >= 1")
-    horizons = np.array([int(horizon)] * len(starts) if np.isscalar(horizon)
+    horizons = np.array([int(horizon)] * ages.size if np.isscalar(horizon)
                         else [int(h) for h in horizon], dtype=np.int64)
-    if len(horizons) != len(starts):
+    if len(horizons) != ages.size:
         raise ShapeError("one horizon per start state is required")
     if horizons.min() < 1:
         raise ValidationError("horizon must be >= 1")
-    which = np.arange(count) % len(starts)
+    which = np.arange(count) % ages.size
     lengths = horizons[which]
     uniforms = np.random.default_rng(seed).random((count, int(lengths.max())))
-    return _roll(policy, dynamics, np.stack([s.observation for s in starts]),
-                 np.array([s.age for s in starts], dtype=np.int64), which, lengths, uniforms)
+    return _roll(policy, dynamics, obs, ages, which, lengths, uniforms)
 
 
-def sample_trajectories(policy: PolicyNet, dynamics: Dynamics,
-                        starts: Sequence[State], horizon: int | Sequence[int],
+def sample_trajectories(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
+                        ages: Sequence[int], horizon: int | Sequence[int],
                         m: int | None = None, seed: int = 0) -> list[AgingTrajectory]:
     """`sample_path_batch` as a list of trajectories."""
-    return sample_path_batch(policy, dynamics, starts, horizon, m, seed).trajectories()
+    return sample_path_batch(policy, dynamics, obs, ages, horizon, m, seed).trajectories()
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +527,11 @@ def path_log_weights(cost: Cost, paths: PathBatch) -> np.ndarray:
     return np.concatenate([-path_energies(cost, b) - b.log_q for b in blocks])
 
 
-def estimate_log_partition(cost: Cost, policy: PolicyNet, dynamics: Dynamics, start: State,
-                           horizon: int, n: int, seed: int = 0) -> float:
-    """Importance-sampling estimate of log Z from `n` policy rollouts."""
+def estimate_log_partition(cost: Cost, policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
+                           age: int, horizon: int, n: int, seed: int = 0) -> float:
+    """Importance-sampling estimate of log Z from `n` policy rollouts from (obs, age)."""
     return log_mean_exp(path_log_weights(
-        cost, sample_path_batch(policy, dynamics, [start], horizon, n, seed)))
+        cost, sample_path_batch(policy, dynamics, obs[None, :], [age], horizon, n, seed)))
 
 
 def log_mean_exp(log_w: np.ndarray) -> float:
@@ -564,8 +554,8 @@ def weight_diagnostics(log_w: np.ndarray) -> tuple[float, float]:
 # Policy refinement
 # ---------------------------------------------------------------------------
 
-def policy_update(policy: PolicyNet, cost: Cost, dynamics: Dynamics,
-                  starts: Sequence[State], horizons: Sequence[int],
+def policy_update(policy: PolicyNet, cost: Cost, dynamics: Dynamics, obs: np.ndarray,
+                  ages: Sequence[int], horizons: Sequence[int],
                   optimizer: Adam, n_rollouts: int, n_steps: int,
                   seed: int = 0) -> float:
     """Entropy-regularized policy-gradient refinement against a fixed cost.
@@ -577,10 +567,9 @@ def policy_update(policy: PolicyNet, cost: Cost, dynamics: Dynamics,
     """
     streams = np.random.SeedSequence(seed).spawn(n_steps)
     # states the entropy is reported on: the last batch's, or the starts
-    visited = (np.stack([s.observation for s in starts]),
-               np.array([s.age for s in starts], dtype=np.int64))
+    visited = obs, ages = _check_starts(obs, ages)
     for step in range(n_steps):
-        batch = sample_path_batch(policy, dynamics, list(starts), list(horizons),
+        batch = sample_path_batch(policy, dynamics, obs, ages, list(horizons),
                                   m=n_rollouts, seed=streams[step])
         returns = path_energies(cost, batch) + batch.log_q
         adv = returns - returns.mean()
@@ -635,14 +624,14 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
     """
     if len(demos) == 0:
         raise ValidationError("need at least one demonstration")
-    starts, horizons = demos.starts(), np.maximum(demos.lengths, 1)
+    obs, ages, horizons = demos.observations[:, 0], demos.ages[:, 0], np.maximum(demos.lengths, 1)
     history: list[IterationMetrics] = []
 
     for k in range(start_iteration, outer_iters):
         t0 = time.perf_counter()
         try:
             path_seed = int(rng.integers(0, 2**63 - 1))
-            samples = sample_path_batch(policy, dynamics, starts, horizons,
+            samples = sample_path_batch(policy, dynamics, obs, ages, horizons,
                                         m=sample_paths, seed=path_seed)
             demos = dataclasses.replace(demos, log_q=path_log_proposals(policy, demos))
             pool = PathBatch.concat([demos, samples])
@@ -657,7 +646,7 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
                 loglik_sum += loss
                 cost_optimizer.step([-g for g in grads])
             pol_seed = int(rng.integers(0, 2**63 - 1))
-            entropy = policy_update(policy, cost, dynamics, starts, horizons,
+            entropy = policy_update(policy, cost, dynamics, obs, ages, horizons,
                                     policy_optimizer, policy_rollouts, policy_steps,
                                     seed=pol_seed)
         except Exception as exc:
@@ -689,8 +678,8 @@ class IrlIterationError(RuntimeError):
 # Planning and multi-input initialization
 # ---------------------------------------------------------------------------
 
-def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[State],
-                    targets: Sequence[int]) -> PathBatch:
+def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
+                    ages: Sequence[int], targets: Sequence[int]) -> PathBatch:
     """Greedy argmax paths from every start until its age reaches its target.
 
     Rows step in lockstep: one policy pass and one batched transition per
@@ -699,22 +688,19 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[Stat
     action count.  The choice depends on the state alone, so the path to a
     target runs through the state each earlier target reaches.
     """
-    if not starts:
-        raise ValidationError("need at least one start state")
+    start_obs, start_ages = _check_starts(obs, ages)
     targets = np.array([int(t) for t in targets], dtype=np.int64)
-    if targets.size != len(starts):
+    if targets.size != start_ages.size:
         raise ShapeError("one target age per start state is required")
-    start_ages = np.array([s.age for s in starts], dtype=np.int64)
     if np.any(targets < start_ages):
         raise ValidationError("target age below start age (de-aging unsupported)")
-    m = len(starts)
+    m = start_ages.size
     # every planned action is at least 1: it bounds the steps and counts a row's length
     width = int((targets - start_ages).max())
-    obs = np.zeros((m, width + 1, starts[0].observation.size))
+    obs = np.zeros((m, width + 1, start_obs.shape[1]))
     ages = np.zeros((m, width + 1), dtype=np.int64)
     actions = np.zeros((m, width), dtype=np.int64)
-    obs[:, 0] = np.stack([s.observation for s in starts])
-    ages[:, 0] = start_ages
+    obs[:, 0], ages[:, 0] = start_obs, start_ages
     live = np.flatnonzero(start_ages < targets)
     x, age, t = obs[live, 0], start_ages[live], 0
     while live.size:
@@ -731,11 +717,12 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, starts: Sequence[Stat
                      np.count_nonzero(actions[:, :t], axis=1), np.zeros(m))
 
 
-def plan_rollout(policy: PolicyNet, dynamics: Dynamics, start: State,
-                 target_age: int) -> tuple[list[int], list[State]]:
-    """`plan_path_batch` for one start: the greedy actions and visited states."""
-    path = plan_path_batch(policy, dynamics, [start], [target_age]).trajectories()[0]
-    return path.actions, [State(o, a) for o, a in zip(path.observations, path.ages)]
+def plan_rollout(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray, age: int,
+                 target_age: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """`plan_path_batch` for one start: the greedy actions and the (T+1, D)
+    observations and (T+1,) ages visited (one row has no padding)."""
+    path = plan_path_batch(policy, dynamics, obs[None, :], [age], [target_age])
+    return path.actions[0].tolist(), path.observations[0], path.ages[0]
 
 
 def split_age_gap(gap: int, max_step: int) -> list[int]:
@@ -753,14 +740,14 @@ def split_age_gap(gap: int, max_step: int) -> list[int]:
 
 
 def multi_input_init(inputs: Sequence[tuple[np.ndarray, int]], model: AgingModel
-                     ) -> State:
-    """Fold several observations of one subject into a single start state.
+                     ) -> tuple[np.ndarray, int]:
+    """Fold several observations of one subject into one start (obs, age).
 
     Inputs are sorted by age; consecutive inputs are bridged by controller
     steps equal to their age difference (split when it exceeds the largest
     action).  The latent memory alternates transform predictions with the
     next real observation's encoding folded in additively, and the returned
-    state decodes the memory at the oldest input's age.  A single input
+    observation decodes the memory at the oldest input's age.  A single input
     reduces exactly to encoding and decoding that observation.
     """
     if len(inputs) < 1:
@@ -784,4 +771,4 @@ def multi_input_init(inputs: Sequence[tuple[np.ndarray, int]], model: AgingModel
             else:
                 z = pred
         age = int(age_next)
-    return State(flow_inverse(model.target_flow, z), age)
+    return flow_inverse(model.target_flow, z), age

@@ -36,7 +36,6 @@ from .irl import (
     ModelDynamics,
     PathBatch,
     PolicyNet,
-    State,
     learn_aging_policy,
     make_cost_net,
     make_policy_net,
@@ -374,7 +373,8 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
     policy = policy_from_checkpoint(ckpt)
     cost = cost_from_checkpoint(ckpt)
 
-    paths = plan_path_batch(policy, ModelDynamics(model), heldout.starts(),
+    paths = plan_path_batch(policy, ModelDynamics(model), heldout.observations[:, 0],
+                            heldout.ages[:, 0],
                             heldout.ages[np.arange(len(heldout)), heldout.lengths])
     fidelity = evaluate_age_fidelity(paths, cfg.world, train, heldout)
     recovery = path_recovery_report(paths, cfg.world, ids, heldout)
@@ -397,8 +397,8 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
 
 def start_state_from_inputs(ckpt: Checkpoint, model: AgingModel,
                             inputs: list[tuple[np.ndarray, int]],
-                            target: int | None = None) -> State:
-    """Fold the inputs into a start state; input ages and target must lie in the world."""
+                            target: int | None = None) -> tuple[np.ndarray, int]:
+    """Fold the inputs into one start (obs, age); input ages and target must lie in the world."""
     world = ckpt.config.world
     for _, age in inputs:
         if not (world.age_min <= age <= world.age_max):
@@ -421,13 +421,13 @@ def run_plan(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
     ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path)
     model = model_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
-    start = start_state_from_inputs(ckpt, model, inputs, target)
-    actions, states = plan_rollout(policy, ModelDynamics(model), start, target)
+    obs, age = start_state_from_inputs(ckpt, model, inputs, target)
+    actions, _, ages = plan_rollout(policy, ModelDynamics(model), obs, age, target)
     return {
-        "start_age": start.age,
+        "start_age": age,
         "target_age": target,
         "actions": actions,
-        "ages": [s.age for s in states],
+        "ages": ages.tolist(),
     }
 
 
@@ -438,19 +438,16 @@ def run_synthesize(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, i
         raise ValidationError("exactly one of action or target is required")
     ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path)
     model = model_from_checkpoint(ckpt)
-    start = start_state_from_inputs(ckpt, model, inputs, target)
+    obs, age = start_state_from_inputs(ckpt, model, inputs, target)
     if action is not None:
         if not (0 <= action < model.n_actions):
             raise ValidationError(f"action {action} out of range [0, {model.n_actions})")
-        obs = synthesize_step(model, start.observation, action)
-        states = [start, State(obs, start.age + action)]
+        observations = np.stack([obs, synthesize_step(model, obs, action)])
+        ages = np.array([age, age + action])
     else:
         policy = policy_from_checkpoint(ckpt)
-        _, states = plan_rollout(policy, ModelDynamics(model), start, target)
-    return {
-        "ages": [s.age for s in states],
-        "observations": [[float(v) for v in s.observation] for s in states],
-    }
+        _, observations, ages = plan_rollout(policy, ModelDynamics(model), obs, age, target)
+    return {"ages": ages.tolist(), "observations": observations.tolist()}
 
 
 def run_full_pipeline(cfg: RunConfig) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ValidationError
-from .irl import AgingTrajectory, Cost, Dynamics, State, enumerate_levels
+from .irl import AgingTrajectory, Cost, Dynamics, enumerate_levels
 from .metrics import write_text_atomic
 
 PREFERRED_STEP_FRACTIONS = (0.2, 0.4, 0.6)  # of the largest action index
@@ -137,31 +137,31 @@ def archetype_cost(config: WorldConfig, arch: SubjectArchetype) -> Cost:
 class WorldDynamics:
     """Deterministic ground-truth transitions: the noise-free aging curve.
 
-    States are cached per age (the observation is a pure function of age for
-    a fixed archetype) and must be treated as read-only by callers.
+    Observations are cached per age (the observation is a pure function of
+    age for a fixed archetype) and must be treated as read-only by callers.
     """
 
     def __init__(self, config: WorldConfig, arch: SubjectArchetype):
         self.config = config
         self.arch = arch
         self.n_actions = config.n_actions
-        self._states: dict[int, State] = {}
+        self._obs: dict[int, np.ndarray] = {}
 
     def transition(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """The observations at ages + actions; `obs` plays no part."""
         nxt, row = np.unique(ages + actions, return_inverse=True)
-        return np.stack([self.state_at(age).observation for age in nxt.tolist()])[row]
+        return np.stack([self.obs_at(age) for age in nxt.tolist()])[row]
 
-    def state_at(self, age: int) -> State:
-        if age not in self._states:
-            self._states[age] = State(observe(self.config, self.arch, age), age)
-        return self._states[age]
+    def obs_at(self, age: int) -> np.ndarray:
+        if age not in self._obs:
+            self._obs[age] = observe(self.config, self.arch, age)
+        return self._obs[age]
 
 
-def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, start: State, target_age: int,
-                             horizon_cap: int, budget: int = 1_000_000
+def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, obs: np.ndarray, age: int,
+                             target_age: int, horizon_cap: int, budget: int = 1_000_000
                              ) -> AgingTrajectory:
-    """Exhaustive minimum-cost path reaching at least the target age.
+    """Exhaustive minimum-cost path from (obs, age) reaching at least the target age.
 
     Every path of `enumerate_levels` ends the first time its age reaches the
     target.  Ties break as min over (cost, actions), so a shorter action
@@ -169,12 +169,12 @@ def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, start: State, targe
     level would hold more than `budget` rows, and once more than `budget`
     paths complete.
     """
-    if target_age < start.age:
+    if target_age < age:
         raise ValidationError("target age below the start age")
     n = dynamics.n_actions
     best: tuple[float, tuple[int, ...]] | None = None
     completed, lives = 0, []
-    for energies, ages, live in enumerate_levels(dynamics, cost, start, horizon_cap,
+    for energies, ages, live in enumerate_levels(dynamics, cost, obs, age, horizon_cap,
                                                  target_age, budget):
         done = np.flatnonzero(ages >= target_age)
         completed += done.size
@@ -193,18 +193,19 @@ def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, start: State, targe
         lives.append(live)
     if best is None:
         raise ValidationError(
-            f"target {target_age} unreachable from {start.age} in {horizon_cap} steps"
+            f"target {target_age} unreachable from {age} in {horizon_cap} steps"
         )
-    ages = start.age + np.cumsum((0,) + best[1])
-    obs = [start.observation]
+    ages = age + np.cumsum((0,) + best[1])
+    path = [obs]
     for t, a in enumerate(best[1]):
-        obs.append(dynamics.transition(obs[-1][None, :], ages[t:t + 1], np.array([a]))[0])
-    return AgingTrajectory(np.stack(obs), ages)
+        path.append(dynamics.transition(path[-1][None, :], ages[t:t + 1], np.array([a]))[0])
+    return AgingTrajectory(np.stack(path), ages)
 
 
-def dp_optimal_path(dynamics: WorldDynamics, cost: Cost, start: State, target_age: int,
+def dp_optimal_path(dynamics: WorldDynamics, cost: Cost, start_age: int, target_age: int,
                     horizon_cap: int) -> AgingTrajectory:
-    """Shortest-path oracle on the (age x steps-left) DAG.
+    """Shortest-path oracle on the (age x steps-left) DAG, from the world's
+    observation at `start_age`.
 
     It generates the demos and scores path recovery; `oracle-check` and the
     tests compare it against `brute_force_optimal_path`.  Valid because the
@@ -222,7 +223,7 @@ def dp_optimal_path(dynamics: WorldDynamics, cost: Cost, start: State, target_ag
             return (0.0, ())
         if steps_left == 0:
             return INF
-        obs = np.broadcast_to(dynamics.state_at(age).observation, (n, dynamics.config.dim))
+        obs = np.broadcast_to(dynamics.obs_at(age), (n, dynamics.config.dim))
         costs = cost(obs, np.full(n, age), np.arange(n)).tolist()
         best = INF
         for a in range(n):
@@ -234,15 +235,14 @@ def dp_optimal_path(dynamics: WorldDynamics, cost: Cost, start: State, target_ag
                 best = cand
         return best
 
-    total, actions = value(start.age, horizon_cap)
+    total, actions = value(start_age, horizon_cap)
     value.cache_clear()
     if math.isinf(total):
         raise ValidationError(
-            f"target {target_age} unreachable from {start.age} in {horizon_cap} steps"
+            f"target {target_age} unreachable from {start_age} in {horizon_cap} steps"
         )
-    ages = start.age + np.cumsum((0,) + actions)
-    obs = [start.observation] + [dynamics.state_at(a).observation for a in ages[1:].tolist()]
-    return AgingTrajectory(np.stack(obs), ages)
+    ages = start_age + np.cumsum((0,) + actions)
+    return AgingTrajectory(np.stack([dynamics.obs_at(a) for a in ages.tolist()]), ages)
 
 
 def generate_subject(config: WorldConfig, seed: int
@@ -268,7 +268,7 @@ def generate_subject(config: WorldConfig, seed: int
         )
     start_age = int(rng.integers(config.age_min, config.age_max - span + 1))
     dyn = WorldDynamics(config, arch)
-    optimal = dp_optimal_path(dyn, archetype_cost(config, arch), dyn.state_at(start_age),
+    optimal = dp_optimal_path(dyn, archetype_cost(config, arch), start_age,
                               start_age + span, horizon_cap=max_steps)
     noise = config.noise * rng.standard_normal(optimal.observations.shape)
     return arch, AgingTrajectory(optimal.observations + noise, optimal.ages)

@@ -8,11 +8,12 @@ replaced, kept as oracles for it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from flowpath.errors import BudgetError, ValidationError
-from flowpath.irl import AgingTrajectory, State
+from flowpath.irl import AgingTrajectory
 from flowpath.nets import member_net, net_forward
 from flowpath.world import (
     WorldDynamics,
@@ -22,6 +23,18 @@ from flowpath.world import (
     observe,
     preferred_step,
 )
+
+
+@dataclass(eq=False)
+class State:
+    """One observation and its integer age, the one-state form of a start."""
+
+    observation: np.ndarray
+    age: int
+
+    def __post_init__(self):
+        self.observation = np.asarray(self.observation, dtype=np.float64)
+        self.age = int(self.age)
 
 
 def age_unit(net, age: int) -> float:
@@ -118,6 +131,11 @@ def step_cost(cost_fn, state: State, action: int) -> float:
                          np.array([action]))[0])
 
 
+def stacked(states) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, D) observations and (M,) ages of M states: the array form of M starts."""
+    return np.stack([s.observation for s in states]), np.array([s.age for s in states])
+
+
 def trajectory(states) -> AgingTrajectory:
     """The trajectory through `states`, in order; its actions are their age gaps."""
     return AgingTrajectory(np.stack([s.observation for s in states]), [s.age for s in states])
@@ -207,7 +225,7 @@ def generate_subject(config, seed: int):
     span = int(rng.integers(lo, hi + 1)) * step
     start_age = int(rng.integers(config.age_min, config.age_max - span + 1))
     dyn = WorldDynamics(config, arch)
-    optimal = dp_optimal_path(dyn, archetype_cost(config, arch), dyn.state_at(start_age),
+    optimal = dp_optimal_path(dyn, archetype_cost(config, arch), start_age,
                               start_age + span, horizon_cap=max_steps)
     return arch, [State(s.observation + config.noise * rng.standard_normal(config.dim), s.age)
                   for s in states_of(optimal)]

@@ -17,7 +17,6 @@ from flowpath.checks import full_3way_contraction, run_gradcheck
 from flowpath.config import RunConfig
 from flowpath.flows import flow_forward, flow_inverse, make_flow
 from flowpath.irl import (
-    State,
     enumerate_energies,
     estimate_log_partition,
     make_cost_net,
@@ -37,6 +36,7 @@ from flowpath.world import WorldConfig, WorldDynamics, make_archetype
 
 from conftest import file_digest
 import reference
+from reference import State
 
 # Frozen from reference runs (seeds 0..2 gave normalized gaps 0.019 / 0.010 /
 # 0.012); the ceiling allowed for this world is 0.3 of the age range.
@@ -147,13 +147,13 @@ def test_c05_partition_function_oracle():
                          age_high=cfg.age_max, hidden=8)
     for _, arr in cost.parameters():
         arr *= 0.5
-    start = dyn.state_at(cfg.age_min + 5)
-    energies = enumerate_energies(start, 3, cost, dyn)
+    age = cfg.age_min + 5
+    energies = enumerate_energies(dyn.obs_at(age), age, 3, cost, dyn)
     log_z = float(np.log(np.exp(-energies).sum()))
     policy = make_policy_net(np.random.default_rng(1), dim=cfg.dim, n_actions=3,
                              age_low=cfg.age_min, age_high=cfg.age_max)
-    errs = [abs(estimate_log_partition(cost, policy, dyn, start, 3, n=2000, seed=s)
-                - log_z) / abs(log_z) for s in range(20)]
+    errs = [abs(estimate_log_partition(cost, policy, dyn, dyn.obs_at(age), age, 3, n=2000,
+                                       seed=s) - log_z) / abs(log_z) for s in range(20)]
     mean_err = float(np.mean(errs))
     elapsed = time.time() - t0
     assert mean_err < 0.05
@@ -171,7 +171,8 @@ def test_c06_max_entropy_bandit_recovery():
                              age_low=0, age_high=10, uniform_init=False)
     opt = Adam(policy.parameters(), 0.05)
     for it in range(50):
-        policy_update(policy, lambda obs, ages, actions: table[actions], dyn, [start], [1],
+        policy_update(policy, lambda obs, ages, actions: table[actions], dyn,
+                      start.observation[None, :], [start.age], [1],
                       opt, n_rollouts=128, n_steps=5, seed=1000 + it)
     p = reference.probs(policy, start)
     target = np.exp(-table)
@@ -188,7 +189,8 @@ def test_c06_max_entropy_bandit_recovery():
     opt16 = Adam(policy16.parameters(), 0.05)
     for it in range(60):
         policy_update(policy16, lambda obs, ages, actions: np.zeros(ages.size), dyn16,
-                      [start], [1], opt16, n_rollouts=256, n_steps=2, seed=2000 + it)
+                      start.observation[None, :], [start.age], [1], opt16, n_rollouts=256,
+                      n_steps=2, seed=2000 + it)
     entropy_gap = math.log(16) - reference.entropy(policy16, start)
     assert abs(entropy_gap) < 1e-3
     elapsed = time.time() - t0
@@ -238,18 +240,17 @@ def test_c09_multi_input_reduction(default_run):
 
     # single-input pipeline: encode/decode the observation, then greedy rollout
     z, _ = flow_forward(model.target_flow, obs)
-    single_start = State(flow_inverse(model.target_flow, z), 20)
-    single_actions, single_states = plan_rollout(policy, dyn, single_start, 44)
+    single_start = flow_inverse(model.target_flow, z)
+    single_actions, single_obs, single_ages = plan_rollout(policy, dyn, single_start, 20, 44)
 
-    multi_start = multi_input_init([(obs, 20)], model)
-    multi_actions, multi_states = plan_rollout(policy, dyn, multi_start, 44)
+    multi_start, multi_age = multi_input_init([(obs, 20)], model)
+    multi_actions, multi_obs, multi_ages = plan_rollout(policy, dyn, multi_start, multi_age, 44)
 
     assert multi_actions == single_actions
-    assert len(multi_states) == len(single_states)
-    for a, b in zip(single_states, multi_states):
-        assert a.age == b.age
-        assert np.array_equal(a.observation, b.observation)  # bit-identical
-    assert np.abs(multi_start.observation - obs).max() < 1e-9
+    assert len(multi_ages) == len(single_ages)
+    assert multi_ages.tolist() == single_ages.tolist()
+    assert np.array_equal(single_obs, multi_obs)  # bit-identical
+    assert np.abs(multi_start - obs).max() < 1e-9
     elapsed = time.time() - t0
     assert elapsed < 10.0
     report(f"criterion 9 PASS: n=1 start/path/states bit-identical "

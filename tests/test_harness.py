@@ -17,7 +17,7 @@ from flowpath.checkpoint import (
 )
 from flowpath.config import RunConfig, load_config
 from flowpath.errors import CheckpointError, ValidationError
-from flowpath.irl import PathBatch, State
+from flowpath.irl import PathBatch
 from flowpath.metrics import read_csv_without_columns, write_csv
 from flowpath.world import WorldConfig, generate_pool_sequence, generate_subject
 from flowpath.pipeline import (
@@ -34,6 +34,7 @@ from flowpath.pipeline import (
 
 from conftest import file_digest, tiny_config
 import reference
+from reference import State
 
 
 def test_config_round_trip_default_and_modified():
@@ -382,7 +383,8 @@ def test_age_fidelity_needs_heldout_data(tiny_run):
 
     train = read_sequences(tiny_run["out"] / "train_sequences.jsonl")
     first = train[0][1]
-    paths = plan_path_batch(policy, ModelDynamics(model), [first.start], [first.ages[-1]])
+    paths = plan_path_batch(policy, ModelDynamics(model), first.observations[:1], first.ages[:1],
+                            [first.ages[-1]])
     with pytest.raises(InsufficientDataError):
         evaluate_age_fidelity(paths, ckpt.config.world,
                               PathBatch.from_trajectories([t for _, t in train]),
@@ -1009,6 +1011,70 @@ def test_cli_rejects_invalid_input_file(tiny_run, tmp_path, capsys, payload, mes
         assert cli.main(argv + ["--input", str(inp)]) == 1
         err = capsys.readouterr().err
         assert str(inp) in err and message in err
+
+
+def _write_inputs(path, cfg, ages):
+    from flowpath.world import make_archetype, observe
+
+    arch = make_archetype(cfg.world, 5)
+    path.write_text(json.dumps({
+        "ages": ages,
+        "observations": [[float(v) for v in observe(cfg.world, arch, a)] for a in ages]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("request_args", [
+    ["plan", "--target", "50"],
+    ["synthesize", "--target", "50"],
+    ["synthesize", "--action", "3"],
+])
+def test_cli_input_file_needs_age_to_be_its_oldest_age(tiny_run, tmp_path, capsys,
+                                                        request_args):
+    inp = _write_inputs(tmp_path / "inputs.json", tiny_run["cfg"], [15])
+    argv = request_args[:1] + ["--checkpoint", str(tiny_run["out"] / "model.ckpt")]
+    assert cli.main(argv + ["--age", "55", "--input", inp] + request_args[1:]) == 1
+    captured = capsys.readouterr()
+    assert "--age 55" in captured.err and "oldest input age 15" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["0", "4", "-1"])
+def test_cli_input_file_refuses_an_explicit_subject_seed(tiny_run, tmp_path, capsys, seed):
+    inp = _write_inputs(tmp_path / "inputs.json", tiny_run["cfg"], [15, 28])
+    assert cli.main(["plan", "--checkpoint", str(tiny_run["out"] / "model.ckpt"),
+                     "--age", "28", "--target", "40", "--input", inp,
+                     "--subject-seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert "--subject-seed" in captured.err and "--input" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_subject_seed_defaults_to_subject_0(tiny_run, capsys):
+    ck = str(tiny_run["out"] / "model.ckpt")
+    outs = []
+    for extra in ([], ["--subject-seed", "0"]):
+        assert cli.main(["synthesize", "--checkpoint", ck, "--age", "20", "--action", "5"]
+                        + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_plan_and_synthesize_responses_hold_python_numbers(tiny_run):
+    from flowpath.pipeline import default_subject_inputs, run_plan, run_synthesize
+
+    ck = str(tiny_run["out"] / "model.ckpt")
+    cfg = tiny_run["cfg"]
+    world_inputs = default_subject_inputs(cfg, 4, 20)
+    # numpy ages, as an array-holding caller would pass them
+    folded_inputs = [(default_subject_inputs(cfg, 4, a)[0][0], np.int64(a)) for a in (12, 16, 20)]
+    for inputs in (world_inputs, folded_inputs):
+        plan = run_plan(ck, inputs, 40)
+        assert type(plan["start_age"]) is int and type(plan["target_age"]) is int
+        assert all(type(a) is int for a in plan["actions"] + plan["ages"])
+        for kwargs in ({"action": 5}, {"target": 40}):
+            synth = run_synthesize(ck, inputs, **kwargs)
+            assert synth["ages"][0] == 20 and all(type(a) is int for a in synth["ages"])
+            assert all(type(v) is float for row in synth["observations"] for v in row)
 
 
 def test_cli_input_file_ages_may_come_in_any_order(tiny_run, tmp_path, capsys):

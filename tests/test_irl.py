@@ -22,7 +22,6 @@ from flowpath.irl import (
     ModelDynamics,
     PathBatch,
     ROLL_BLOCK,
-    State,
     enumerate_energies,
     estimate_log_partition,
     exact_sequence_prob,
@@ -51,6 +50,7 @@ from flowpath.transform import make_aging_model
 
 from conftest import assert_close
 import reference
+from reference import State, stacked
 
 
 def line_dynamics(n_actions: int = 4, dim: int = 3, drift: float = 0.1):
@@ -239,20 +239,19 @@ def test_sampling_deterministic_and_seeded():
                              uniform_init=False)
     dyn = line_dynamics()
     starts = [State(np.zeros(3), 5), State(np.ones(3), 9)]
-    a = sample_trajectories(policy, dyn, starts, horizon=3, m=8, seed=77)
-    b = sample_trajectories(policy, dyn, starts, horizon=3, m=8, seed=77)
+    a = sample_trajectories(policy, dyn, *stacked(starts), horizon=3, m=8, seed=77)
+    b = sample_trajectories(policy, dyn, *stacked(starts), horizon=3, m=8, seed=77)
     for ta, tb in zip(a, b):
         assert ta.actions == tb.actions
         PathBatch.from_trajectories([ta], 4)
-    c = sample_trajectories(policy, dyn, starts, horizon=3, m=8, seed=78)
+    c = sample_trajectories(policy, dyn, *stacked(starts), horizon=3, m=8, seed=78)
     assert any(ta.actions != tc.actions for ta, tc in zip(a, c))
 
 
 def test_sampling_one_hot_policy_identical_trajectories():
     policy = biased_policy(3, 4, favored=2, strength=200.0)
     dyn = line_dynamics()
-    trajs = sample_trajectories(policy, dyn, [State(np.zeros(3), 0)], horizon=3,
-                                m=6, seed=0)
+    trajs = sample_trajectories(policy, dyn, np.zeros((1, 3)), [0], horizon=3, m=6, seed=0)
     for t in trajs:
         assert t.actions == [2, 2, 2]
 
@@ -261,7 +260,7 @@ def test_sampling_uniform_frequencies():
     policy = make_policy_net(np.random.default_rng(0), dim=3, n_actions=4,
                              age_low=0, age_high=60)
     dyn = line_dynamics()
-    trajs = sample_trajectories(policy, dyn, [State(np.zeros(3), 0)], horizon=1,
+    trajs = sample_trajectories(policy, dyn, np.zeros((1, 3)), [0], horizon=1,
                                 m=10_000, seed=5)
     freq = np.bincount([t.actions[0] for t in trajs], minlength=4) / 10_000
     sigma = math.sqrt(0.25 * 0.75 / 10_000)
@@ -301,8 +300,8 @@ def test_irl_gradient_matches_finite_differences():
     start = State(rng.standard_normal(3), 4)
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60,
                              uniform_init=False)
-    demos = sample_path_batch(policy, dyn, [start], 3, m=4, seed=11)
-    samples = sample_path_batch(policy, dyn, [start], 3, m=7, seed=12)
+    demos = sample_path_batch(policy, dyn, *stacked([start]), 3, m=4, seed=11)
+    samples = sample_path_batch(policy, dyn, *stacked([start]), 3, m=7, seed=12)
     _, grads = irl_loss_and_grad(cost, demos, samples)
     arrays = [a for _, a in cost.parameters()]
     numeric = finite_diff_grad(
@@ -333,12 +332,12 @@ def test_partition_estimate_consistency_20_seeds():
                          age_high=cfg.age_max, hidden=8)
     for _, arr in cost.parameters():
         arr *= 0.5
-    start = dyn.state_at(cfg.age_min + 5)
-    energies = enumerate_energies(start, 3, cost, dyn)
+    age = cfg.age_min + 5
+    energies = enumerate_energies(dyn.obs_at(age), age, 3, cost, dyn)
     log_z = float(np.log(np.exp(energies * -1).sum()))
     policy = make_policy_net(np.random.default_rng(1), dim=cfg.dim, n_actions=3,
                              age_low=cfg.age_min, age_high=cfg.age_max)
-    errs = [abs(estimate_log_partition(cost, policy, dyn, start, 3, n=2000,
+    errs = [abs(estimate_log_partition(cost, policy, dyn, dyn.obs_at(age), age, 3, n=2000,
                                        seed=s) - log_z) / abs(log_z)
             for s in range(20)]
     assert float(np.mean(errs)) < 0.05
@@ -361,8 +360,8 @@ def test_policy_update_recovers_gibbs_on_bandit():
                              age_low=0, age_high=10, uniform_init=False)
     opt = Adam(policy.parameters(), 0.05)
     for it in range(50):
-        policy_update(policy, cost, dyn, [start], [1], opt, n_rollouts=128,
-                      n_steps=5, seed=1000 + it)
+        policy_update(policy, cost, dyn, *stacked([start]), [1], opt,
+                      n_rollouts=128, n_steps=5, seed=1000 + it)
     p = reference.probs(policy, start)
     target = np.exp(-table)
     target /= target.sum()
@@ -380,7 +379,7 @@ def test_policy_update_zero_cost_drives_to_uniform():
     opt = Adam(policy.parameters(), 0.05)
     entropies = [reference.entropy(policy, start)]
     for it in range(60):
-        policy_update(policy, zero_cost, dyn, [start], [1], opt,
+        policy_update(policy, zero_cost, dyn, *stacked([start]), [1], opt,
                       n_rollouts=256, n_steps=2, seed=2000 + it)
         entropies.append(reference.entropy(policy, start))
     # entropy climbs to ln 16 (monotone up to sampling noise)
@@ -392,7 +391,7 @@ def test_policy_update_zero_cost_drives_to_uniform():
 
 def policy_objective(policy, cost, dyn, start, seed):
     """Monte-Carlo E_q[E(ζ)] - H(q) over 512 one-step rollouts from `start`."""
-    batch = sample_path_batch(policy, dyn, [start], [1], m=512, seed=seed)
+    batch = sample_path_batch(policy, dyn, *stacked([start]), [1], m=512, seed=seed)
     return float(np.mean(path_energies(cost, batch) + batch.log_q))
 
 
@@ -405,8 +404,8 @@ def test_policy_update_objective_decreases_in_most_trials():
                                  uniform_init=False)
         opt = Adam(policy.parameters(), 0.05)
         before = policy_objective(policy, cost, dyn, start, seed=trial)
-        policy_update(policy, cost, dyn, [start], [1], opt, n_rollouts=128,
-                      n_steps=5, seed=50 + trial)
+        policy_update(policy, cost, dyn, *stacked([start]), [1], opt,
+                      n_rollouts=128, n_steps=5, seed=50 + trial)
         after = policy_objective(policy, cost, dyn, start, seed=900 + trial)
         improved += after <= before
     assert improved >= 9
@@ -454,7 +453,7 @@ def test_learn_separates_demo_energy_on_toy_world():
     assert len(history) == 8
     uniform = make_policy_net(np.random.default_rng(0), dim=3, n_actions=4,
                               age_low=0, age_high=20)
-    rollouts = sample_trajectories(uniform, dyn, starts, [2] * len(starts),
+    rollouts = sample_trajectories(uniform, dyn, *stacked(starts), [2] * len(starts),
                                    m=24, seed=9)
     demo_e = np.mean([sequence_energy(t, cost) for t in demos])
     roll_e = np.mean([sequence_energy(t, cost) for t in rollouts])
@@ -466,20 +465,19 @@ def test_learn_separates_demo_energy_on_toy_world():
 def test_plan_path_target_equals_start():
     policy = biased_policy(3, 16, favored=5)
     dyn = line_dynamics(n_actions=16)
-    assert plan_rollout(policy, dyn, State(np.zeros(3), 30), 30)[0] == []
+    assert plan_rollout(policy, dyn, np.zeros(3), 30, 30)[0] == []
 
 
 def test_plan_path_one_maximal_step():
     policy = biased_policy(3, 16, favored=15)
     dyn = line_dynamics(n_actions=16)
-    assert plan_rollout(policy, dyn, State(np.zeros(3), 10), 25)[0] == [15]
+    assert plan_rollout(policy, dyn, np.zeros(3), 10, 25)[0] == [15]
 
 
 def test_plan_path_masks_zero_action():
     policy = biased_policy(3, 16, favored=0, second=1)
     dyn = line_dynamics(n_actions=16)
-    start = State(np.zeros(3), 20)
-    actions = plan_rollout(policy, dyn, start, 26)[0]
+    actions = plan_rollout(policy, dyn, np.zeros(3), 20, 26)[0]
     assert actions == [1] * 6
     assert len(actions) <= 26 - 20
 
@@ -490,19 +488,19 @@ def test_plan_path_overshoot_bound_and_bookkeeping():
                              uniform_init=False)
     dyn = line_dynamics(n_actions=16)
     for target in (21, 34, 55):
-        actions, states = plan_rollout(policy, dyn, State(rng.standard_normal(3), 20),
-                                       target)
-        assert reference.trajectory(states).actions == actions
-        PathBatch.from_trajectories([reference.trajectory(states)], 16)
-        assert states[-1].age >= target
-        assert states[-1].age - target < 16
+        actions, observations, ages = plan_rollout(policy, dyn, rng.standard_normal(3), 20,
+                                                   target)
+        assert AgingTrajectory(observations, ages).actions == actions
+        PathBatch.from_trajectories([AgingTrajectory(observations, ages)], 16)
+        assert ages[-1] >= target
+        assert ages[-1] - target < 16
 
 
 def test_plan_path_rejects_deaging():
     policy = biased_policy(3, 16, favored=3)
     dyn = line_dynamics(n_actions=16)
     with pytest.raises(ValidationError):
-        plan_rollout(policy, dyn, State(np.zeros(3), 30), 20)
+        plan_rollout(policy, dyn, np.zeros(3), 30, 20)
 
 
 def reference_plan(policy, dyn, start, target):
@@ -526,7 +524,7 @@ def test_plan_path_batch_matches_row_by_row_reference(kind):
     rows = [(0, 12), (0, 13), (0, 40), (0, 75), (1, 30), (1, 61), (2, 90)]
     starts = [base[i] for i, _ in rows]
     targets = [t for _, t in rows]
-    batch = plan_path_batch(policy, dyn, starts, targets)
+    batch = plan_path_batch(policy, dyn, *stacked(starts), targets)
     assert len(batch) == len(rows)
     assert batch.actions.shape[1] == batch.lengths.max()
     assert batch.lengths[0] == 0
@@ -538,24 +536,45 @@ def test_plan_path_batch_matches_row_by_row_reference(kind):
         assert batch.ages[i, :n + 1].tolist() == [s.age for s in states]
         ref_obs = np.stack([s.observation for s in states])
         assert np.abs(batch.observations[i, :n + 1] - ref_obs).max() < 1e-12
-        single = plan_path_batch(policy, dyn, [start], [target]).trajectories()[0]
-        planned, visited = plan_rollout(policy, dyn, start, target)
+        single = plan_path_batch(policy, dyn, *stacked([start]),
+                                 [target]).trajectories()[0]
+        planned, visited_obs, visited_ages = plan_rollout(policy, dyn, start.observation,
+                                                          start.age, target)
         assert planned == single.actions == actions
-        assert [s.age for s in visited] == [s.age for s in reference.states_of(single)]
-        assert all(np.array_equal(a.observation, b.observation)
-                   for a, b in zip(visited, reference.states_of(single)))
+        assert visited_ages.tolist() == single.ages.tolist()
+        assert np.array_equal(visited_obs, single.observations)
 
 
 def test_plan_path_batch_rejects_bad_input():
     policy = biased_policy(3, 16, favored=3)
     dyn = line_dynamics(n_actions=16)
-    start = State(np.zeros(3), 30)
+    obs, ages = np.zeros((2, 3)), [30, 30]
     with pytest.raises(ValidationError):
-        plan_path_batch(policy, dyn, [], [])
+        plan_path_batch(policy, dyn, np.zeros((0, 3)), [], [])
     with pytest.raises(ShapeError):
-        plan_path_batch(policy, dyn, [start, start], [40])
+        plan_path_batch(policy, dyn, obs, ages, [40])
     with pytest.raises(ValidationError, match="de-aging"):
-        plan_path_batch(policy, dyn, [start, start], [40, 20])
+        plan_path_batch(policy, dyn, obs, ages, [40, 20])
+
+
+@pytest.mark.parametrize("call", ["sample", "plan"])
+def test_batch_entry_points_check_their_start_arrays(call):
+    """Starts are (M, D) observations at (M,) ages with M >= 1, checked in one place."""
+    policy = biased_policy(3, 16, favored=3)
+    dyn = line_dynamics(n_actions=16)
+
+    def run(obs, ages):
+        if call == "sample":
+            return sample_path_batch(policy, dyn, obs, ages, 2, m=4)
+        return plan_path_batch(policy, dyn, obs, ages, [40] * len(ages))
+
+    assert run(np.zeros((2, 3)), [30, 31]).ages[:2, 0].tolist() == [30, 31]
+    with pytest.raises(ShapeError, match="starts need"):
+        run(np.zeros(3), [30])
+    with pytest.raises(ShapeError, match="starts need"):
+        run(np.zeros((2, 3)), [30])
+    with pytest.raises(ValidationError, match="at least one start"):
+        run(np.zeros((0, 3)), [])
 
 
 def test_synthesize_progressions_reads_every_age_off_one_path():
@@ -567,11 +586,11 @@ def test_synthesize_progressions_reads_every_age_off_one_path():
     ages_per_traj = [[12, 12, 20, 33], [30], [47, 50, 50, 70], [20, 21]]
     trajs = [reference.trajectory([State(rng.standard_normal(5), a) for a in ages])
              for ages in ages_per_traj]
-    paths = plan_path_batch(policy, dyn, [t.start for t in trajs],
-                            [t.ages[-1] for t in trajs])
+    starts = [reference.states_of(t)[0] for t in trajs]
+    paths = plan_path_batch(policy, dyn, *stacked(starts), [t.ages[-1] for t in trajs])
     obs, ages = synthesize_progressions(paths, PathBatch.from_trajectories(trajs))
-    expected = [reference_plan(policy, dyn, traj.start, s.age)[1][-1]
-                for traj in trajs for s in reference.states_of(traj)[1:]]
+    expected = [reference_plan(policy, dyn, start, s.age)[1][-1]
+                for start, traj in zip(starts, trajs) for s in reference.states_of(traj)[1:]]
     assert len(ages) == len(obs) == len(expected) == 7
     for got_obs, got_age, ref in zip(obs, ages, expected):
         assert got_age == ref.age
@@ -598,12 +617,12 @@ def test_multi_input_singleton_reduces_to_roundtrip():
     model = multi_model()
     rng = np.random.default_rng(34)
     obs = rng.standard_normal(5)
-    state = multi_input_init([(obs, 24)], model)
-    assert state.age == 24
-    assert np.abs(state.observation - obs).max() < 1e-9
+    folded, age = multi_input_init([(obs, 24)], model)
+    assert age == 24
+    assert np.abs(folded - obs).max() < 1e-9
     # exact equality with the explicit encode/decode round trip
     z, _ = flow_forward(model.target_flow, obs)
-    assert np.array_equal(state.observation, flow_inverse(model.target_flow, z))
+    assert np.array_equal(folded, flow_inverse(model.target_flow, z))
 
 
 def test_multi_input_sort_invariance():
@@ -611,20 +630,20 @@ def test_multi_input_sort_invariance():
     rng = np.random.default_rng(35)
     inputs = [(rng.standard_normal(5), 40), (rng.standard_normal(5), 18),
               (rng.standard_normal(5), 29)]
-    a = multi_input_init(inputs, model)
-    b = multi_input_init([inputs[1], inputs[2], inputs[0]], model)
-    assert a.age == b.age == 40
-    assert np.array_equal(a.observation, b.observation)
+    a_obs, a_age = multi_input_init(inputs, model)
+    b_obs, b_age = multi_input_init([inputs[1], inputs[2], inputs[0]], model)
+    assert a_age == b_age == 40
+    assert np.array_equal(a_obs, b_obs)
 
 
 def test_multi_input_same_age_and_large_gap():
     model = multi_model()
     rng = np.random.default_rng(36)
     x1, x2 = rng.standard_normal(5), rng.standard_normal(5)
-    same = multi_input_init([(x1, 30), (x2, 30)], model)
-    assert same.age == 30
-    wide = multi_input_init([(x1, 10), (x2, 50)], model)  # gap 40 > 15
-    assert wide.age == 50
+    _, same_age = multi_input_init([(x1, 30), (x2, 30)], model)
+    assert same_age == 30
+    _, wide_age = multi_input_init([(x1, 10), (x2, 50)], model)  # gap 40 > 15
+    assert wide_age == 50
     with pytest.raises(ValidationError):
         multi_input_init([], model)
 
@@ -637,7 +656,7 @@ def test_model_dynamics_age_bookkeeping():
     assert nxt.age == 19
     rng_policy = make_policy_net(np.random.default_rng(4), dim=5, n_actions=16,
                                  age_low=0, age_high=100, uniform_init=False)
-    traj = rollout(rng_policy, dyn, s, 3, np.random.default_rng(8))
+    traj = rollout(rng_policy, dyn, s.observation, s.age, 3, np.random.default_rng(8))
     PathBatch.from_trajectories([traj], 16)
 
 
@@ -717,7 +736,7 @@ def assert_matches_reference(batch, reference, log_w):
 def test_engine_matches_row_by_row_reference_mixed_horizons(kind):
     policy, dyn, cost, starts = engine_world(kind)
     horizons = [1, 4, 2]
-    batch = sample_path_batch(policy, dyn, starts, horizons, m=11, seed=5)
+    batch = sample_path_batch(policy, dyn, *stacked(starts), horizons, m=11, seed=5)
     log_w = -path_energies(cost, batch) - batch.log_q
     reference = reference_paths(policy, dyn, cost, starts, horizons, 11, 5)
     assert_matches_reference(batch, reference, log_w)
@@ -729,14 +748,15 @@ def test_engine_crosses_block_boundary(kind):
     policy, dyn, cost, starts = engine_world(kind)
     n = 300
     assert n > ROLL_BLOCK
-    batch = sample_path_batch(policy, dyn, starts[:1], 3, m=n, seed=8)
-    log_w = path_log_weights(cost, sample_path_batch(policy, dyn, [starts[0]], 3, n, 8))
+    first = stacked(starts[:1])
+    batch = sample_path_batch(policy, dyn, *first, 3, m=n, seed=8)
+    log_w = path_log_weights(cost, sample_path_batch(policy, dyn, *first, 3, n, 8))
     reference = reference_paths(policy, dyn, cost, starts[:1], [3], n, 8)
     assert_matches_reference(batch, reference, log_w)
-    head = path_log_weights(cost, sample_path_batch(policy, dyn, [starts[0]], 3, 100, 8))
+    head = path_log_weights(cost, sample_path_batch(policy, dyn, *first, 3, 100, 8))
     assert np.abs(log_w[:100] - head).max() < 1e-12
-    assert abs(estimate_log_partition(cost, policy, dyn, starts[0], 3, n=n, seed=8)
-               - log_mean_exp(log_w)) == 0.0
+    assert abs(estimate_log_partition(cost, policy, dyn, starts[0].observation, starts[0].age,
+                                      3, n=n, seed=8) - log_mean_exp(log_w)) == 0.0
 
 
 def test_engine_transitions_each_distinct_child_once():
@@ -757,7 +777,7 @@ def test_engine_transitions_each_distinct_child_once():
     starts = [State(twin, 20), State(rng.standard_normal(3), 35), State(twin.copy(), 20)]
     horizons = [3, 1, 2]
     n = 2 * ROLL_BLOCK + 13
-    batch = sample_path_batch(policy, dyn, starts, horizons, m=n, seed=9)
+    batch = sample_path_batch(policy, dyn, *stacked(starts), horizons, m=n, seed=9)
     prefixes = {(i % len(starts), tuple(batch.actions[i, :t + 1].tolist()))
                 for i, length in enumerate(batch.lengths.tolist()) for t in range(length)}
     assert len(stepped) == len(prefixes) < int(batch.lengths.sum())
@@ -772,8 +792,10 @@ def test_engine_chunk_size_changes_speed_only(kind, monkeypatch):
     n = 300
 
     def run():
-        return (sample_path_batch(policy, dyn, starts, [3, 1, 2], m=n, seed=4),
-                path_log_weights(cost, sample_path_batch(policy, dyn, [starts[0]], 3, n, 6)))
+        obs, ages = stacked(starts)
+        return (sample_path_batch(policy, dyn, obs, ages, [3, 1, 2], m=n, seed=4),
+                path_log_weights(cost, sample_path_batch(policy, dyn, obs[:1], ages[:1], 3, n,
+                                                         6)))
 
     batch, log_w = run()
     monkeypatch.setattr(irl, "ROLL_BLOCK", 7)
@@ -788,7 +810,7 @@ def test_engine_chunk_size_changes_speed_only(kind, monkeypatch):
 
 def test_engine_log_q_matches_rescoring():
     policy, dyn, cost, starts = engine_world("function")
-    batch = sample_path_batch(policy, dyn, starts, [3, 1, 2], m=9, seed=3)
+    batch = sample_path_batch(policy, dyn, *stacked(starts), [3, 1, 2], m=9, seed=3)
     rescored = [traj_log_proposal_density(t, policy) for t in batch.trajectories()]
     assert np.abs(batch.log_q - rescored).max() < 1e-12
     assert np.abs(path_log_proposals(policy, batch) - rescored).max() < 1e-12

@@ -63,3 +63,27 @@ def test_traced_evaluate_plans_in_one_batch(tiny_run, tmp_path):
     assert metrics["pipeline.stage_evaluate.calls"] == 1
     assert metrics["irl.plan_rollout.calls"] == 1
     assert metrics["irl.plan_rollout.steps"] == len(response["actions"]) > 0
+
+
+def test_traced_irl_training_and_synthesis_count_their_calls(tiny_run, tmp_path):
+    """The tracer patches the IRL loop's and the request path's functions by name, so a
+    traced train-irl and synthesize must still run and count every call."""
+    out = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], out)
+    cfg = tiny_config(str(out))
+    tracer = _load_tracer().Tracer(time.perf_counter)
+    with tracer:
+        tracer.begin_op()
+        pipeline.stage_train_irl(cfg)
+        tracer.begin_op()
+        response = pipeline.run_synthesize(str(out / "model.ckpt"),
+                                           pipeline.default_subject_inputs(cfg, 5, 18),
+                                           target=40)
+    metrics = tracer.layer_metrics()
+    assert metrics["pipeline.stage_train_irl.calls"] == 1
+    assert metrics["irl.policy_update.calls"] == cfg.irl.outer_iters
+    assert metrics["irl.irl_loss_and_grad.calls"] > 0
+    assert metrics["pipeline.run_synthesize.calls"] == 1
+    assert metrics["irl.multi_input_init.calls"] == 1
+    assert metrics["irl.plan_rollout.steps"] == len(response["ages"]) - 1 > 0
+    assert metrics["irl.ModelDynamics.step.calls"] == 0

@@ -135,3 +135,16 @@ def test_aging_trajectory_holds_observations_and_ages_only():
     methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert fields == ["observations", "ages"]
     assert "validate" not in methods
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_a_start_is_arrays_not_a_state_record(path):
+    """A start is an observation and an age: no module defines or names `State`,
+    `PathBatch.starts` or `WorldDynamics.state_at`."""
+    tree = ast.parse(path.read_text(), str(path))
+    gone = {"State", "starts", "state_at"}
+    names = [f"{name} (line {node.lineno})" for node in ast.walk(tree)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None), getattr(node, "arg", None))
+             if name in gone]
+    assert names == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowpath.errors import BudgetError, ValidationError
-from flowpath.irl import PathBatch, State, enumerate_energies, exact_sequence_prob
+from flowpath.irl import PathBatch, enumerate_energies, exact_sequence_prob
 from flowpath.world import (
     WorldConfig,
     WorldDynamics,
@@ -24,8 +24,14 @@ from flowpath.world import (
 )
 
 import reference
+from reference import State
 
 CFG = WorldConfig()
+
+
+def world_state(dyn: WorldDynamics, age: int) -> State:
+    """The world's noise-free state at `age`, in the one-state reference form."""
+    return State(dyn.obs_at(age), age)
 
 
 def zero_cost(obs, ages, actions):
@@ -82,7 +88,7 @@ def test_preferred_step_strictly_cheapest_with_margin():
         k_star = preferred_step(arch.class_id, CFG.n_actions)
         dyn = WorldDynamics(CFG, arch)
         for age in (10, 25, 40, 58):
-            state = dyn.state_at(age)
+            state = world_state(dyn, age)
             best = ground_truth_cost(state.age, k_star, arch, CFG)
             others = [ground_truth_cost(state.age, a, arch, CFG)
                       for a in range(CFG.n_actions) if a != k_star]
@@ -98,8 +104,8 @@ def test_cost_stationary_for_stationary_archetypes():
         found = True
         dyn = WorldDynamics(CFG, arch)
         for a in (0, 5, 15):
-            c1 = ground_truth_cost(dyn.state_at(12).age, a, arch, CFG)
-            c2 = ground_truth_cost(dyn.state_at(55).age, a, arch, CFG)
+            c1 = ground_truth_cost(world_state(dyn, 12).age, a, arch, CFG)
+            c2 = ground_truth_cost(world_state(dyn, 55).age, a, arch, CFG)
             assert c1 == c2
     assert found
 
@@ -112,7 +118,7 @@ def test_archetype_classes_have_distinct_preferred_steps():
 def test_brute_force_tie_break_lexicographic():
     arch = make_archetype(CFG, 1)
     dyn = WorldDynamics(CFG, arch)
-    path = brute_force_optimal_path(dyn, zero_cost, dyn.state_at(10), 12,
+    path = brute_force_optimal_path(dyn, zero_cost, dyn.obs_at(10), 10, 12,
                                     horizon_cap=3)
     assert path.actions == [0, 0, 2]
 
@@ -120,7 +126,7 @@ def test_brute_force_tie_break_lexicographic():
 def test_brute_force_single_feasible_path():
     arch = make_archetype(CFG, 2)
     dyn = WorldDynamics(CFG, arch)
-    path = brute_force_optimal_path(dyn, archetype_cost(CFG, arch), dyn.state_at(20), 35,
+    path = brute_force_optimal_path(dyn, archetype_cost(CFG, arch), dyn.obs_at(20), 20, 35,
                                     horizon_cap=1)
     assert path.actions == [15]
 
@@ -129,7 +135,7 @@ def test_brute_force_unreachable_target():
     arch = make_archetype(CFG, 2)
     dyn = WorldDynamics(CFG, arch)
     with pytest.raises(ValidationError):
-        brute_force_optimal_path(dyn, archetype_cost(CFG, arch), dyn.state_at(20), 55,
+        brute_force_optimal_path(dyn, archetype_cost(CFG, arch), dyn.obs_at(20), 20, 55,
                                  horizon_cap=2)
 
 
@@ -137,7 +143,7 @@ def test_brute_force_budget():
     arch = make_archetype(CFG, 2)
     dyn = WorldDynamics(CFG, arch)
     with pytest.raises(BudgetError):
-        brute_force_optimal_path(dyn, zero_cost, dyn.state_at(10), 60,
+        brute_force_optimal_path(dyn, zero_cost, dyn.obs_at(10), 10, 60,
                                  horizon_cap=8, budget=1000)
 
 
@@ -146,10 +152,11 @@ def test_oracles_agree_across_instances():
         arch = make_archetype(CFG, 40 + seed)
         dyn = WorldDynamics(CFG, arch)
         cost = archetype_cost(CFG, arch)
-        start = dyn.state_at(CFG.age_min + seed)
+        start = world_state(dyn, CFG.age_min + seed)
         target = start.age + 10 + seed
-        bf = brute_force_optimal_path(dyn, cost, start, target, horizon_cap=4)
-        dp = dp_optimal_path(dyn, cost, start, target, horizon_cap=4)
+        bf = brute_force_optimal_path(dyn, cost, start.observation, start.age, target,
+                                      horizon_cap=4)
+        dp = dp_optimal_path(dyn, cost, start.age, target, horizon_cap=4)
         assert bf.actions == dp.actions
         bf_cost = sum(reference.step_cost(cost, reference.states_of(bf)[t], a)
                       for t, a in enumerate(bf.actions))
@@ -168,9 +175,8 @@ def test_oracles_agree_under_random_costs():
     def cost(obs, ages, actions):
         return table[ages, actions]
 
-    start = dyn.state_at(15)
-    bf = brute_force_optimal_path(dyn, cost, start, 29, horizon_cap=4)
-    dp = dp_optimal_path(dyn, cost, start, 29, horizon_cap=4)
+    bf = brute_force_optimal_path(dyn, cost, dyn.obs_at(15), 15, 29, horizon_cap=4)
+    dp = dp_optimal_path(dyn, cost, 15, 29, horizon_cap=4)
     assert bf.actions == dp.actions
 
 
@@ -180,7 +186,7 @@ def test_demo_matches_oracle_and_bookkeeping():
         PathBatch.from_trajectories([demo], CFG.n_actions)
         dyn = WorldDynamics(CFG, arch)
         oracle = brute_force_optimal_path(dyn, archetype_cost(CFG, arch),
-                                          dyn.state_at(int(demo.ages[0])),
+                                          dyn.obs_at(int(demo.ages[0])), int(demo.ages[0]),
                                           int(demo.ages[-1]),
                                           horizon_cap=CFG.horizon - 1)
         assert demo.actions == oracle.actions
@@ -193,7 +199,7 @@ def test_gibbs_of_true_cost_matches_table_backed_enumeration():
     arch = make_archetype(cfg, 4)
     dyn = WorldDynamics(cfg, arch)
     cost = archetype_cost(cfg, arch)
-    start = dyn.state_at(cfg.age_min + 3)
+    start = world_state(dyn, cfg.age_min + 3)
 
     # independent Gibbs computation over all 27 paths
     energies = []
@@ -203,7 +209,7 @@ def test_gibbs_of_true_cost_matches_table_backed_enumeration():
         e = 0.0
         for a in actions:
             e += reference.step_cost(cost, states[-1], a)
-            states.append(dyn.state_at(states[-1].age + a))
+            states.append(world_state(dyn, states[-1].age + a))
         energies.append((actions, e))
     z = sum(np.exp(-e) for _, e in energies)
 
@@ -221,7 +227,7 @@ def test_gibbs_of_true_cost_matches_table_backed_enumeration():
     for actions, e in energies[:9]:
         states = [start]
         for a in actions:
-            states.append(dyn.state_at(states[-1].age + a))
+            states.append(world_state(dyn, states[-1].age + a))
         traj = reference.trajectory(states)
         p = exact_sequence_prob(traj, table_cost, dyn)
         expected = float(np.exp(-e) / z)
@@ -244,8 +250,8 @@ def test_level_wise_enumeration_equals_recursion(n_actions, horizon):
     cfg = WorldConfig(n_actions=n_actions)
     dyn = WorldDynamics(cfg, make_archetype(cfg, 17))
     cost = table_cost(np.random.default_rng(n_actions).standard_normal((200, n_actions)))
-    start = dyn.state_at(cfg.age_min + 4)
-    fast = enumerate_energies(start, horizon, cost, dyn)
+    start = world_state(dyn, cfg.age_min + 4)
+    fast = enumerate_energies(start.observation, start.age, horizon, cost, dyn)
     assert fast.shape == (n_actions**horizon,)
     assert np.array_equal(fast, reference.enumerate_energies(start, horizon, cost, dyn))
 
@@ -257,10 +263,11 @@ def test_level_wise_brute_force_equals_recursion_under_ties(seed):
     dyn = WorldDynamics(cfg, make_archetype(cfg, 60 + seed))
     table = np.random.default_rng(seed).integers(0, 3, size=(101, 6)).astype(np.float64)
     costs = [table_cost(table), table_cost(np.zeros((101, 6)))]
-    start = dyn.state_at(cfg.age_min + seed)
+    start = world_state(dyn, cfg.age_min + seed)
     for cost in costs:
         for gap, cap in ((0, 3), (1, 2), (4, 4), (9, 4), (17, 4)):
-            fast = brute_force_optimal_path(dyn, cost, start, start.age + gap, horizon_cap=cap)
+            fast = brute_force_optimal_path(dyn, cost, start.observation, start.age,
+                                            start.age + gap, horizon_cap=cap)
             slow = reference.brute_force_optimal_path(dyn, cost, start, start.age + gap,
                                                       horizon_cap=cap)
             assert fast.actions == slow.actions, (gap, cap)
@@ -270,15 +277,19 @@ def test_level_wise_brute_force_equals_recursion_under_ties(seed):
 def test_level_wise_brute_force_matches_recursion_on_failures():
     arch = make_archetype(CFG, 2)
     dyn = WorldDynamics(CFG, arch)
-    start = dyn.state_at(20)
-    for search in (brute_force_optimal_path, reference.brute_force_optimal_path):
+    start = world_state(dyn, 20)
+
+    def fast(dynamics, cost, start, target, **kw):
+        return brute_force_optimal_path(dynamics, cost, start.observation, start.age, target,
+                                        **kw)
+
+    for search in (fast, reference.brute_force_optimal_path):
         with pytest.raises(ValidationError, match="unreachable"):
             search(dyn, archetype_cost(CFG, arch), start, 55, horizon_cap=2)
         # 14 paths complete at one step, 29 more at two and 44 at three
         with pytest.raises(BudgetError):
             search(dyn, zero_cost, start, 22, horizon_cap=4, budget=50)
-    assert brute_force_optimal_path(dyn, zero_cost, start, 22, horizon_cap=4,
-                                    budget=200).actions == [0, 0, 0, 2]
+    assert fast(dyn, zero_cost, start, 22, horizon_cap=4, budget=200).actions == [0, 0, 0, 2]
 
 
 def test_brute_force_budget_caps_every_level():
@@ -286,7 +297,7 @@ def test_brute_force_budget_caps_every_level():
     arch = make_archetype(CFG, 2)
     dyn = WorldDynamics(CFG, arch)
     with pytest.raises(BudgetError, match="level 4"):
-        brute_force_optimal_path(dyn, zero_cost, dyn.state_at(10), 60, horizon_cap=5,
+        brute_force_optimal_path(dyn, zero_cost, dyn.obs_at(10), 10, 60, horizon_cap=5,
                                  budget=16**4 - 1)
 
 
