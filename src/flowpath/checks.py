@@ -183,11 +183,13 @@ def check_path_oracles_agree(seed: int = 0):
     cfg = WorldConfig()
     ok = True
     detail = ""
-    for i in range(6):
+    # a rounded random table: many equal-cost paths, for the tie-break
+    ties = np.round(np.random.default_rng(seed).standard_normal((cfg.age_max, cfg.n_actions)))
+    for i in range(7):
         sid = seed * 1000 + i
         arch = make_archetype(cfg, sid)
         dyn = WorldDynamics(cfg, arch)
-        cost = archetype_cost(cfg, arch)
+        cost = archetype_cost(cfg, arch) if i < 6 else lambda obs, ages, acts: ties[ages, acts]
         age = cfg.age_min + 2 + i
         bf = brute_force_optimal_path(dyn, cost, dyn.obs_at(age), age, age + 12 + i,
                                       horizon_cap=4)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +105,13 @@ def make_archetype(config: WorldConfig, seed: int) -> SubjectArchetype:
     return SubjectArchetype(np.array([class_id, rate, nonstat, phase]), seed)
 
 
-def observe(config: WorldConfig, arch: SubjectArchetype, age: int) -> np.ndarray:
-    """Noise-free observation at an age; constant in age when the rate is zero."""
+def observe(config: WorldConfig, arch: SubjectArchetype, age: int | np.ndarray) -> np.ndarray:
+    """Noise-free observation, (D,) at an int age or (K, D) at K ages, row k bit
+    for bit that at age k; constant in age when the rate is zero."""
     sig, slope, amp, freq, base_phase = _class_bank(arch.class_id, config.dim)
     u = (age - config.age_min) / config.age_span
-    wave = amp * np.sin(2 * np.pi * freq * u + base_phase + arch.phase)
-    return sig + arch.rate * (slope * u + wave)
+    wave = amp * np.sin(np.multiply.outer(u, 2 * np.pi * freq) + base_phase + arch.phase)
+    return sig + arch.rate * (np.multiply.outer(u, slope) + wave)
 
 
 def ground_truth_cost(ages, actions, arch: SubjectArchetype, config: WorldConfig) -> np.ndarray:
@@ -135,27 +135,20 @@ def archetype_cost(config: WorldConfig, arch: SubjectArchetype) -> Cost:
 
 
 class WorldDynamics:
-    """Deterministic ground-truth transitions: the noise-free aging curve.
-
-    Observations are cached per age (the observation is a pure function of
-    age for a fixed archetype) and must be treated as read-only by callers.
-    """
+    """Deterministic ground-truth transitions: the noise-free aging curve."""
 
     def __init__(self, config: WorldConfig, arch: SubjectArchetype):
         self.config = config
         self.arch = arch
         self.n_actions = config.n_actions
-        self._obs: dict[int, np.ndarray] = {}
 
     def transition(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """The observations at ages + actions; `obs` plays no part."""
         nxt, row = np.unique(ages + actions, return_inverse=True)
-        return np.stack([self.obs_at(age) for age in nxt.tolist()])[row]
+        return observe(self.config, self.arch, nxt)[row]
 
-    def obs_at(self, age: int) -> np.ndarray:
-        if age not in self._obs:
-            self._obs[age] = observe(self.config, self.arch, age)
-        return self._obs[age]
+    def obs_at(self, age: int | np.ndarray) -> np.ndarray:
+        return observe(self.config, self.arch, age)
 
 
 def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, obs: np.ndarray, age: int,
@@ -205,44 +198,46 @@ def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, obs: np.ndarray, ag
 def dp_optimal_path(dynamics: WorldDynamics, cost: Cost, start_age: int, target_age: int,
                     horizon_cap: int) -> AgingTrajectory:
     """Shortest-path oracle on the (age x steps-left) DAG, from the world's
-    observation at `start_age`.
+    observation at `start_age`; it generates the demos and scores path
+    recovery, and raises the ValidationErrors of `brute_force_optimal_path`.
 
-    It generates the demos and scores path recovery; `oracle-check` and the
-    tests compare it against `brute_force_optimal_path`.  Valid because the
-    world's observation depends only on age.  Values are (cost,
-    action-suffix) pairs so the lexicographic tie-break matches the
-    brute-force enumeration exactly.  All actions at an age are scored in one
-    cost call.
+    A Bellman recursion over value[s][age], the least cost of reaching the
+    target from `age` in at most s steps, valid because the observation
+    depends only on age.  One cost call scores every (age, action) of the
+    ages a path can leave with a step to spare, [start, min(target, start +
+    (cap-1)(n-1) + 1)); each level is one argmin over cost[age, a] +
+    value[s-1][age+a], 0 once age + a reaches the target, +inf past the
+    table.  NaN sums count as +inf and infinite values as unreachable.  Sums
+    run right to left and argmin takes the first minimum, so ties break as
+    min over (cost, actions), as in the brute-force search.
     """
-    INF = (math.inf, ())
+    if target_age < start_age:
+        raise ValidationError("target age below the start age")
     n = dynamics.n_actions
-
-    @functools.lru_cache(maxsize=None)
-    def value(age: int, steps_left: int) -> tuple[float, tuple[int, ...]]:
-        if age >= target_age:
-            return (0.0, ())
-        if steps_left == 0:
-            return INF
-        obs = np.broadcast_to(dynamics.obs_at(age), (n, dynamics.config.dim))
-        costs = cost(obs, np.full(n, age), np.arange(n)).tolist()
-        best = INF
-        for a in range(n):
-            sub = value(age + a, steps_left - 1)
-            if math.isinf(sub[0]):
-                continue
-            cand = (costs[a] + sub[0], (a,) + sub[1])
-            if cand < best:
-                best = cand
-        return best
-
-    total, actions = value(start_age, horizon_cap)
-    value.cache_clear()
-    if math.isinf(total):
+    ages = np.arange(start_age, min(target_age, start_age + (horizon_cap - 1) * (n - 1) + 1))
+    # value[s - 1] at ages start_age.., n - 1 ages past the table
+    value = np.where(np.arange(ages.size + n - 1) + start_age >= target_age, 0.0, np.inf)
+    choices = []
+    if ages.size:
+        table = cost(np.repeat(dynamics.obs_at(ages), n, axis=0), np.repeat(ages, n),
+                     np.tile(np.arange(n), ages.size)).reshape(ages.size, n)
+        window = np.lib.stride_tricks.sliding_window_view(value, n)  # [i, a]: ages[i] + a
+        for _ in range(horizon_cap):
+            with np.errstate(invalid="ignore"):  # -inf cost + inf value: NaN, made +inf
+                cand = table + window
+            cand[np.isnan(cand)] = np.inf
+            choices.append(cand.argmin(axis=1))
+            best = cand[np.arange(ages.size), choices[-1]]
+            value[:ages.size] = np.where(np.isinf(best), np.inf, best)
+    if horizon_cap < 0 or np.isinf(value[0]):
         raise ValidationError(
             f"target {target_age} unreachable from {start_age} in {horizon_cap} steps"
         )
-    ages = start_age + np.cumsum((0,) + actions)
-    return AgingTrajectory(np.stack([dynamics.obs_at(a) for a in ages.tolist()]), ages)
+    path_ages = [start_age]
+    for choice in reversed(choices):  # from (start_age, horizon_cap) down
+        if path_ages[-1] < target_age:
+            path_ages.append(path_ages[-1] + int(choice[path_ages[-1] - start_age]))
+    return AgingTrajectory(dynamics.obs_at(np.array(path_ages)), path_ages)
 
 
 def generate_subject(config: WorldConfig, seed: int
@@ -284,7 +279,7 @@ def generate_pool_sequence(config: WorldConfig, seed: int, stride: int = 1
     rng = np.random.default_rng(seed ^ 0x5EED)
     arch = make_archetype(config, seed)
     ages = np.arange(config.age_min, config.age_max + 1, stride)
-    clean = np.stack([observe(config, arch, a) for a in ages.tolist()])
+    clean = observe(config, arch, ages)
     return AgingTrajectory(clean + config.noise * rng.standard_normal(clean.shape), ages)
 
 

@@ -4,9 +4,11 @@ Policy and cost nets are evaluated on one state at a time, with features and
 softmax computed here from `net_forward`, never through the engine's own
 helpers.  Dynamics and costs run as one-row batches.  The recursive
 enumerator and brute-force search are the ones the level-wise expander
-replaced, kept as oracles for it.
+replaced, and the memoized recursion the one the array Bellman table of
+`world.dp_optimal_path` replaced, kept as oracles for them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +20,6 @@ from flowpath.nets import member_net, net_forward
 from flowpath.world import (
     WorldDynamics,
     archetype_cost,
-    dp_optimal_path,
     make_archetype,
     observe,
     preferred_step,
@@ -207,6 +208,41 @@ def brute_force_optimal_path(dynamics, cost_fn, start: State, target_age: int,
         raise ValidationError(
             f"target {target_age} unreachable from {start.age} in {horizon_cap} steps")
     return chain(dynamics, start, best[1])
+
+
+def dp_optimal_path(dynamics, cost_fn, start_age: int, target_age: int,
+                    horizon_cap: int) -> AgingTrajectory:
+    """`world.dp_optimal_path` by memoized recursion over (age, steps left), one
+    cost call per visited age; values are (cost, action-suffix) pairs, so ties
+    break as min over (cost, actions)."""
+    INF = (math.inf, ())
+    n = dynamics.n_actions
+
+    @functools.lru_cache(maxsize=None)
+    def value(age: int, steps_left: int) -> tuple[float, tuple[int, ...]]:
+        if age >= target_age:
+            return (0.0, ())
+        if steps_left == 0:
+            return INF
+        obs = np.broadcast_to(dynamics.obs_at(age), (n, dynamics.config.dim))
+        costs = cost_fn(obs, np.full(n, age), np.arange(n)).tolist()
+        best = INF
+        for a in range(n):
+            sub = value(age + a, steps_left - 1)
+            if math.isinf(sub[0]):
+                continue
+            cand = (costs[a] + sub[0], (a,) + sub[1])
+            if cand < best:
+                best = cand
+        return best
+
+    total, actions = value(start_age, horizon_cap)
+    if math.isinf(total):
+        raise ValidationError(
+            f"target {target_age} unreachable from {start_age} in {horizon_cap} steps"
+        )
+    ages = start_age + np.cumsum((0,) + actions)
+    return AgingTrajectory(np.stack([dynamics.obs_at(a) for a in ages.tolist()]), ages)
 
 
 # ---------------------------------------------------------------------------

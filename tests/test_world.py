@@ -180,6 +180,89 @@ def test_oracles_agree_under_random_costs():
     assert bf.actions == dp.actions
 
 
+def outcome(search, *args, **kw):
+    """A path search's ages and observation bytes, or its ValidationError text."""
+    try:
+        path = search(*args, **kw)
+    except ValidationError as exc:
+        return str(exc)
+    return path.ages.tolist(), path.observations.tobytes()
+
+
+COST_KINDS = ["archetype", "normal", "rounded", "nan", "inf"]
+
+
+@pytest.mark.parametrize("kind", COST_KINDS)
+@pytest.mark.parametrize("cfg", [CFG, WorldConfig(dim=5, n_actions=7, noise=0.3, horizon=4),
+                                 WorldConfig(n_actions=3, age_min=0, age_max=12)],
+                         ids=["default", "seven_actions", "three_actions"])
+def test_dp_table_equals_memoized_recursion(cfg, kind):
+    # rounded tables tie many paths; nan and inf tables hold NaN and +-inf step
+    # costs; targets run from the start age past the farthest reachable age
+    n = cfg.n_actions
+    rng = np.random.default_rng([n, COST_KINDS.index(kind)])
+    for _ in range(24):
+        arch = make_archetype(cfg, int(rng.integers(0, 10**6)))
+        dyn = WorldDynamics(cfg, arch)
+        table = rng.standard_normal((cfg.age_max + 8 * n, n))
+        if kind == "rounded":
+            table = np.round(table)
+        elif kind == "nan":
+            table[rng.random(table.shape) < 0.3] = np.nan
+        elif kind == "inf":
+            table[rng.random(table.shape) < 0.1] = np.inf
+            table[rng.random(table.shape) < 0.1] = -np.inf
+        cost = archetype_cost(cfg, arch) if kind == "archetype" else table_cost(table)
+        cap = int(rng.integers(0, 6))
+        start = int(rng.integers(cfg.age_min, cfg.age_max + 1))
+        target = start + int(rng.integers(0, max(1, cap) * (n - 1) + 4))
+        assert (outcome(dp_optimal_path, dyn, cost, start, target, cap)
+                == outcome(reference.dp_optimal_path, dyn, cost, start, target, cap)), \
+            (start, target, cap)
+
+
+def test_dp_scores_its_table_in_one_cost_call():
+    arch = make_archetype(CFG, 3)
+    calls = []
+
+    def cost(obs, ages, actions):
+        calls.append(ages.size)
+        return ground_truth_cost(ages, actions, arch, CFG)
+
+    path = dp_optimal_path(WorldDynamics(CFG, arch), cost, 20, 40, horizon_cap=4)
+    assert path.ages[-1] >= 40
+    assert calls == [20 * CFG.n_actions]  # ages 20..39, every action
+
+
+def test_dp_raises_the_brute_force_errors():
+    arch = make_archetype(CFG, 2)
+    dyn = WorldDynamics(CFG, arch)
+    cost = archetype_cost(CFG, arch)
+    for start, target, cap in ((20, 19, 4), (20, 30, -1), (20, 20, -1), (20, 55, 2)):
+        dp = outcome(dp_optimal_path, dyn, cost, start, target, cap)
+        assert isinstance(dp, str)
+        assert dp == outcome(brute_force_optimal_path, dyn, cost, dyn.obs_at(start), start,
+                             target, horizon_cap=cap)
+    for cap in (0, 3):  # the start alone reaches a target equal to it
+        path = dp_optimal_path(dyn, cost, 20, 20, cap)
+        assert path.ages.tolist() == [20] and path.actions == []
+        assert np.array_equal(path.observations, dyn.obs_at(20)[None, :])
+
+
+def test_observe_on_an_age_array_is_bitwise_per_age():
+    ages = np.arange(-40, 130, 3)  # well outside [age_min, age_max] on both sides
+    for cfg in (CFG, WorldConfig(dim=5, age_min=0, age_max=7)):
+        for seed in range(20):
+            arch = make_archetype(cfg, 300 + seed)
+            batch = observe(cfg, arch, ages)
+            assert batch.shape == (ages.size, cfg.dim)
+            for age, row in zip(ages.tolist(), batch):
+                one = observe(cfg, arch, age)
+                assert one.shape == (cfg.dim,)
+                assert row.tobytes() == one.tobytes()
+            assert observe(cfg, arch, ages[:0]).shape == (0, cfg.dim)
+
+
 def test_demo_matches_oracle_and_bookkeeping():
     for seed in (0, 7, 500003):
         arch, demo = generate_subject(CFG, seed)
