@@ -27,14 +27,14 @@ and an action prefix share every state along it: the engine keeps a node id
 per row, runs one policy forward pass per time step over the distinct live
 nodes, picks each row's action with one uniform from a single matrix the
 call draws up front (row i, step t), and synthesizes each distinct child
-(node, action) once.  Actions therefore do not depend on how rows share
-nodes or how work is chunked; observations do only up to float rounding,
-because batched matrix products may round differently.  Energies, proposal
-densities and the cost gradient are each one net pass over all (row, step)
-pairs.  Greedy planning also fills a `PathBatch` in lockstep, and exact
-enumeration expands every action sequence level by level
-(`enumerate_levels`).  Cost and policy parameter updates require exclusive
-access.
+(node, action) some row acts from once; no cost or policy reads the state a
+path's last action reaches.  Actions therefore do not depend on how rows
+share nodes or how work is chunked; observations do only up to float
+rounding, because batched matrix products may round differently.  Energies,
+proposal densities and the cost gradient are each one net pass over all
+(row, step) pairs.  Greedy planning also fills a `PathBatch` in lockstep, and
+exact enumeration expands every action sequence level by level
+(`enumerate_levels`).  Cost and policy parameter updates need exclusive access.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .transform import DEFAULT_NUM_ACTIONS, AgingModel, synthesize_step, transfo
 from .flows import flow_forward, flow_inverse
 
 ENUMERATION_BUDGET = 1_000_000
-# Most rows one sampling call passes to one transition or one scoring pass.
+# Most rows the lockstep engine passes to one transition or one scoring pass.
 # All of a call's rows step together and read their uniforms from one matrix
 # drawn up front, so the cap changes speed and memory only, never the actions.
 ROLL_BLOCK = 256
@@ -94,8 +94,10 @@ class PathBatch:
     """M trajectories as padded arrays; row i takes lengths[i] actions.
 
     observations (M, T+1, D), ages (M, T+1) and actions (M, T) hold zeros
-    past a row's length.  log_q is each row's log proposal density under
-    the policy that rolled it (zero for batches built from data).
+    past a row's length.  A sampled row holds the states its actions leave
+    from; its end state observations[i, lengths[i]] is not synthesized and
+    stays zero.  log_q holds the log proposal density of the policy that
+    rolled each row (zero for batches built from data).
     """
 
     observations: np.ndarray
@@ -412,18 +414,18 @@ def _roll(policy: PolicyNet, dynamics: Dynamics, node_obs: np.ndarray,
     obs[:, 0], ages[:, 0] = node_obs[node], node_ages[node]
     for t in range(width):
         live = np.flatnonzero(lengths > t)
+        if t:  # the node table now holds the children rows act from: end states stay zero
+            node_obs, node_ages, node[live] = _expand(dynamics, node_obs, node_ages,
+                                                      node[live], actions[live, t - 1])
+            obs[live, t] = node_obs[node[live]]
         needed, at = np.unique(node[live], return_inverse=True)
         probs, log_probs = _action_distribution(
             policy, policy._inputs(node_obs[needed], node_ages[needed]))
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         chosen = (cdf[at] <= uniforms[live, t][:, None]).sum(axis=1)
-        actions[live, t] = chosen
+        actions[live, t], ages[live, t + 1] = chosen, ages[live, t] + chosen
         log_q[live] += log_probs[at, chosen]
-        # the node table now holds this level's children
-        node_obs, node_ages, node[live] = _expand(dynamics, node_obs, node_ages,
-                                                  node[live], chosen)
-        obs[live, t + 1], ages[live, t + 1] = node_obs[node[live]], node_ages[node[live]]
     return PathBatch(obs, ages, actions, lengths, log_q)
 
 
@@ -433,7 +435,7 @@ def rollout(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray, age: int, ho
     batch = _roll(policy, dynamics, obs[None, :], np.array([age]),
                   np.zeros(1, dtype=np.int64), np.array([horizon], dtype=np.int64),
                   rng.random((1, horizon)))
-    return batch.trajectories()[0]
+    return _completed(dynamics, batch)[0]
 
 
 def _check_starts(obs: np.ndarray, ages: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -455,7 +457,7 @@ def sample_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
 
     One (m, widest horizon) uniform matrix drawn from `seed` picks the actions,
     path i reading row i, so they are bit-reproducible and do not depend on
-    how rows share nodes or how work is chunked.
+    how rows share nodes or how work is chunked.  A row's end state is zero.
     """
     obs, ages = _check_starts(obs, ages)
     count = m if m is not None else ages.size
@@ -476,8 +478,17 @@ def sample_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
 def sample_trajectories(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
                         ages: Sequence[int], horizon: int | Sequence[int],
                         m: int | None = None, seed: int = 0) -> list[AgingTrajectory]:
-    """`sample_path_batch` as a list of trajectories."""
-    return sample_path_batch(policy, dynamics, obs, ages, horizon, m, seed).trajectories()
+    """`sample_path_batch` as a list of trajectories, end states synthesized."""
+    return _completed(dynamics, sample_path_batch(policy, dynamics, obs, ages, horizon, m, seed))
+
+
+def _completed(dynamics: Dynamics, batch: PathBatch) -> list[AgingTrajectory]:
+    """A sampled batch's trajectories, end states synthesized by one transition call."""
+    rows = np.flatnonzero(batch.lengths)
+    last = batch.lengths[rows] - 1
+    batch.observations[rows, last + 1] = dynamics.transition(
+        batch.observations[rows, last], batch.ages[rows, last], batch.actions[rows, last])
+    return batch.trajectories()
 
 
 # ---------------------------------------------------------------------------

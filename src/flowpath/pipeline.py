@@ -98,14 +98,17 @@ def stage_gen_data(cfg: RunConfig) -> Path:
 
 
 def _load_sequences(cfg: RunConfig, name: str) -> tuple[list[int], PathBatch]:
-    """One sequence file of the run as its subject ids and one batch, row i
-    holding subject ids[i].  Observations are checked against world.dim, ages
-    against the world's age range and age gaps against its action count."""
+    """One sequence file of the run as its distinct subject ids and one batch,
+    row i holding subject ids[i].  Observations are checked against world.dim,
+    ages against the world's age range and age gaps against its action count."""
     path = Path(cfg.out_dir) / name
     if not path.exists():
         raise ValidationError(f"missing {name} under {path.parent}; run gen-data first")
     entries = read_sequences(path)
-    world = cfg.world
+    ids, world = [sid for sid, _ in entries], cfg.world
+    if len(set(ids)) < len(ids):
+        repeated = next(sid for i, sid in enumerate(ids) if sid in ids[:i])
+        raise ValidationError(f"{name}: subject {repeated} appears more than once")
     for sid, traj in entries:
         length = traj.observations.shape[1]
         if length != world.dim:
@@ -120,8 +123,7 @@ def _load_sequences(cfg: RunConfig, name: str) -> tuple[list[int], PathBatch]:
         if wide.size:
             raise ValidationError(f"{name}: subject {sid} has an age gap of {wide[0]}, outside "
                                   f"the action range [0, {world.n_actions})")
-    return ([sid for sid, _ in entries],
-            PathBatch.from_trajectories([traj for _, traj in entries], dim=world.dim))
+    return ids, PathBatch.from_trajectories([traj for _, traj in entries], dim=world.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +367,10 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
     ckpt = load_checkpoint(checkpoint_path or out / "model.ckpt")
     cfg = ckpt.config
     cfg.out_dir = str(out)
-    _, train = _load_sequences(cfg, TRAIN_FILE)
+    train_ids, train = _load_sequences(cfg, TRAIN_FILE)
     ids, heldout = _load_sequences(cfg, HELDOUT_FILE)
+    if shared := set(ids) & set(train_ids):
+        raise ValidationError(f"{HELDOUT_FILE}: subject {min(shared)} is also in {TRAIN_FILE}")
     if len(heldout) == 0:
         raise InsufficientDataError("no held-out states to evaluate")
     model = model_from_checkpoint(ckpt)

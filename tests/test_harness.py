@@ -842,6 +842,40 @@ def test_evaluate_refuses_a_negative_subject_id(tiny_run, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, stage", [
+    ("train_sequences.jsonl", "pretrain-flow"),
+    ("pool_sequences.jsonl", "pretrain-flow"),
+    ("train_sequences.jsonl", "train-irl"),
+    ("heldout_sequences.jsonl", "evaluate"),
+])
+def test_stages_refuse_a_repeated_subject(tiny_run, tmp_path, capsys, name, stage):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], run)
+    lines = (run / name).read_text().splitlines()
+    (run / name).write_text("\n".join(lines + lines[:1]) + "\n")
+    seed = [] if stage == "evaluate" else ["--seed", "3"]
+    assert cli.main([stage, "--out", str(run)] + seed) == 1
+    err = capsys.readouterr().err
+    assert (f"{name}: subject {json.loads(lines[0])['subject_id']} appears more than once"
+            in err)
+    assert "Traceback" not in err
+
+
+def test_evaluate_refuses_a_heldout_subject_that_is_also_a_training_subject(tiny_run, tmp_path,
+                                                                            capsys):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], run)
+    (run / "evaluation.json").unlink()
+    train_id = json.loads((run / "train_sequences.jsonl").read_text().splitlines()[3])["subject_id"]
+    _edit_second_record(run / "heldout_sequences.jsonl", subject_id=train_id)
+    assert cli.main(["evaluate", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert (f"heldout_sequences.jsonl: subject {train_id} is also in train_sequences.jsonl"
+            in err)
+    assert "Traceback" not in err
+    assert not (run / "evaluation.json").exists()
+
+
 @pytest.mark.parametrize("request_args", [
     ["plan", "--age", "18", "--target", "50"],
     ["synthesize", "--age", "20", "--action", "5"],

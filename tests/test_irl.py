@@ -721,12 +721,19 @@ def engine_world(kind: str):
     return policy, dyn, cost, starts
 
 
-def assert_matches_reference(batch, reference, log_w):
-    trajs = batch.trajectories()
-    assert len(trajs) == len(reference)
-    for traj, (actions, states, ref_log_w), lw in zip(trajs, reference, log_w):
-        assert traj.actions == actions
-        assert traj.ages.tolist() == [s.age for s in states]
+def assert_matches_reference(batch, reference, log_w, trajs):
+    """The batch holds every reference state an action leaves from and zero
+    end states; `trajs`, `sample_trajectories` on the same arguments, hold
+    every reference state, end states included."""
+    assert len(batch) == len(trajs) == len(reference)
+    for i, (traj, (actions, states, ref_log_w), lw) in enumerate(zip(trajs, reference, log_w)):
+        n = len(actions)
+        assert batch.lengths[i] == n
+        assert batch.actions[i, :n].tolist() == traj.actions == actions
+        assert batch.ages[i, :n + 1].tolist() == traj.ages.tolist() == [s.age for s in states]
+        for obs, r in zip(batch.observations[i, :n], states):
+            assert np.abs(obs - r.observation).max() < 1e-12
+        assert not batch.observations[i, n].any()
         for obs, r in zip(traj.observations, states):
             assert np.abs(obs - r.observation).max() < 1e-12
         assert abs(lw - ref_log_w) < 1e-12
@@ -739,7 +746,8 @@ def test_engine_matches_row_by_row_reference_mixed_horizons(kind):
     batch = sample_path_batch(policy, dyn, *stacked(starts), horizons, m=11, seed=5)
     log_w = -path_energies(cost, batch) - batch.log_q
     reference = reference_paths(policy, dyn, cost, starts, horizons, 11, 5)
-    assert_matches_reference(batch, reference, log_w)
+    trajs = sample_trajectories(policy, dyn, *stacked(starts), horizons, m=11, seed=5)
+    assert_matches_reference(batch, reference, log_w, trajs)
     assert sorted(set(batch.lengths.tolist())) == [1, 2, 4]
 
 
@@ -752,7 +760,8 @@ def test_engine_crosses_block_boundary(kind):
     batch = sample_path_batch(policy, dyn, *first, 3, m=n, seed=8)
     log_w = path_log_weights(cost, sample_path_batch(policy, dyn, *first, 3, n, 8))
     reference = reference_paths(policy, dyn, cost, starts[:1], [3], n, 8)
-    assert_matches_reference(batch, reference, log_w)
+    assert_matches_reference(batch, reference, log_w,
+                             sample_trajectories(policy, dyn, *first, 3, m=n, seed=8))
     head = path_log_weights(cost, sample_path_batch(policy, dyn, *first, 3, 100, 8))
     assert np.abs(log_w[:100] - head).max() < 1e-12
     assert abs(estimate_log_partition(cost, policy, dyn, starts[0].observation, starts[0].age,
@@ -761,7 +770,8 @@ def test_engine_crosses_block_boundary(kind):
 
 def test_engine_transitions_each_distinct_child_once():
     """Rows sharing a start index and an action prefix share one transition;
-    equal start states at different indices stay apart."""
+    equal start states at different indices stay apart, and no end state is
+    synthesized."""
     rng = np.random.default_rng(31)
     policy = make_policy_net(rng, dim=3, n_actions=16, age_low=0, age_high=100,
                              uniform_init=False)
@@ -778,12 +788,84 @@ def test_engine_transitions_each_distinct_child_once():
     horizons = [3, 1, 2]
     n = 2 * ROLL_BLOCK + 13
     batch = sample_path_batch(policy, dyn, *stacked(starts), horizons, m=n, seed=9)
+    # prefixes some row still acts from: every step but a row's last
     prefixes = {(i % len(starts), tuple(batch.actions[i, :t + 1].tolist()))
-                for i, length in enumerate(batch.lengths.tolist()) for t in range(length)}
-    assert len(stepped) == len(prefixes) < int(batch.lengths.sum())
+                for i, length in enumerate(batch.lengths.tolist()) for t in range(length - 1)}
+    assert len(stepped) == len(prefixes) < int((batch.lengths - 1).sum())
+    assert sorted(stepped) == sorted(prefix[-1] for _, prefix in prefixes)
     log_w = -path_energies(cost, batch) - batch.log_q
     assert_matches_reference(batch, reference_paths(policy, dyn, cost, starts, horizons, n, 9),
-                             log_w)
+                             log_w, sample_trajectories(policy, dyn, *stacked(starts), horizons,
+                                                        m=n, seed=9))
+
+
+@pytest.mark.parametrize("kind", ["model", "function"])
+def test_scores_never_read_end_states(kind):
+    """NaN in every row's end state leaves energies, proposals, log weights and
+    the IRL objective bit for bit as they were."""
+    policy, dyn, cost, starts = engine_world(kind)
+    samples = sample_path_batch(policy, dyn, *stacked(starts), [1, 4, 2], m=11, seed=5)
+    demos = PathBatch.from_trajectories(
+        [chain_traj(dyn, s, actions) for s, actions in zip(starts, ([3], [2, 5, 1], [7, 7]))])
+
+    def poisoned(batch):
+        obs = batch.observations.copy()
+        obs[np.arange(len(batch)), batch.lengths] = np.nan
+        return dataclasses.replace(batch, observations=obs)
+
+    def scores(demos, samples):
+        loss, grads = irl_loss_and_grad(cost, demos, samples)
+        return [path_energies(cost, samples), path_log_proposals(policy, samples),
+                path_log_weights(cost, samples), path_energies(cost, demos),
+                path_log_proposals(policy, demos), np.array(loss), *grads]
+
+    assert not samples.observations[np.arange(len(samples)), samples.lengths].any()
+    for clean, dirty in zip(scores(demos, samples), scores(poisoned(demos), poisoned(samples))):
+        assert clean.tobytes() == dirty.tobytes()
+
+
+def test_learning_synthesizes_only_states_it_acts_from(monkeypatch):
+    """A whole `learn_aging_policy` run over mixed horizons: each sampling call
+    makes one transition row per distinct (start, action prefix) some row acts
+    from next, and every synthesized child is a state a sampled row acts from."""
+    rng = np.random.default_rng(41)
+    made = []  # (children, their ages) of every transition call
+
+    def step(obs, ages, actions):
+        made.append((np.tanh(obs + 0.05 * actions[:, None]), ages + actions))
+        return made[-1][0]
+
+    dyn = FunctionDynamics(16, step)
+    starts = [State(rng.standard_normal(3), age) for age in (12, 20, 31, 44)]
+    demos = PathBatch.from_trajectories([chain_traj(line_dynamics(16), s, [2] * h)
+                                         for s, h in zip(starts, (3, 1, 2, 3))])
+    cost = make_cost_net(rng, dim=3, n_actions=16, age_low=0, age_high=100, hidden=8)
+    policy = make_policy_net(rng, dim=3, n_actions=16, age_low=0, age_high=100)
+    sampled = irl.sample_path_batch
+    widths = []
+
+    def checked_sample(*args, **kwargs):
+        first = len(made)
+        batch = sampled(*args, **kwargs)
+        calls = made[first:]
+        prefixes = {(i % len(starts), tuple(batch.actions[i, :t + 1].tolist()))
+                    for i, n in enumerate(batch.lengths.tolist()) for t in range(n - 1)}
+        assert sum(ages.size for _, ages in calls) == len(prefixes)
+        rows, steps = batch.pairs()
+        acted = {(batch.observations[r, t].tobytes(), int(batch.ages[r, t]))
+                 for r, t in zip(rows.tolist(), steps.tolist()) if t}
+        assert {(o.tobytes(), int(a)) for obs, ages in calls for o, a in zip(obs, ages)} == acted
+        widths.append((len(batch), max(ages.size for _, ages in calls)))
+        return batch
+
+    monkeypatch.setattr(irl, "sample_path_batch", checked_sample)
+    learn_aging_policy(
+        demos, cost, policy, dyn, outer_iters=2, inner_iters=2, sample_paths=1000,
+        demo_batch=2, sample_batch=8, policy_rollouts=24, policy_steps=2,
+        cost_optimizer=Adam(cost.parameters(), 1e-3),
+        policy_optimizer=Adam(policy.parameters(), 0.05), rng=np.random.default_rng(42))
+    assert len(widths) == 2 * (1 + 2)
+    assert max(widths) == (1000, ROLL_BLOCK)  # a sampling call crossed ROLL_BLOCK
 
 
 @pytest.mark.parametrize("kind", ["model", "function"])
