@@ -135,8 +135,8 @@ def _opt_from_arrays(arrays: list[tuple[str, np.ndarray]], scalars: dict, sectio
     return dict(scalars, m=[a for _, a in arrays[:k]], v=[a for _, a in arrays[k:]])
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write atomically (temp file + rename); section order is deterministic."""
+def save_checkpoint(path, ckpt: Checkpoint) -> bytes:
+    """Write atomically, returning the bytes written; section order is deterministic."""
     sections: list[tuple[str, bytes]] = []
     sections.append(("config", ckpt.config.to_json().encode("utf-8")))
     for group in sorted(ckpt.params):
@@ -156,12 +156,16 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         body += [struct.pack("<I", len(name_b)), name_b, struct.pack("<Q", len(payload)),
                  payload]
     body = b"".join(body)
+    return write_atomic(path, _HEADER.pack(MAGIC, VERSION, len(body), zlib.crc32(body)) + body)
 
+
+def write_atomic(path, data: bytes) -> bytes:
+    """Write `data` to a temp file beside `path`, rename it over `path`; returns `data`."""
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, len(body), zlib.crc32(body)))
-        fh.write(body)
+        fh.write(data)
     os.replace(tmp, path)
+    return data
 
 
 def _checked_body(data: memoryview) -> memoryview:

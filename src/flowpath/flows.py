@@ -163,9 +163,12 @@ class BijectionStack:
         return [p for i, u in enumerate(self.units) for p in u.parameters(f"{prefix}u{i:02d}.")]
 
     def member(self, f: int) -> BijectionStack:
-        """Flow f alone, as units on views of the stacks; valid with one flow axis."""
+        """Flow f alone, as units on views of the stacks; valid with one flow axis.  It
+        skips the unit checks this stack passed and reuses its `swaps`."""
         _check_member(self.lead, f)
-        return BijectionStack(self.dim, [u.member(f) for u in self.units])
+        stack = object.__new__(BijectionStack)
+        vars(stack).update(vars(self), units=tuple(u.member(f) for u in self.units), lead=())
+        return stack
 
 
 def make_flow(rng: np.random.Generator, dim: int, n_units: int = 10, hidden: int = 32,

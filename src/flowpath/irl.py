@@ -53,7 +53,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .nets import Adam, DenseNet, dense_net, net_backward, net_forward
+from .nets import Adam, DenseNet, _forward_cached, dense_net, net_backward, net_forward
 from .transform import DEFAULT_NUM_ACTIONS, AgingModel, synthesize_step, transform_apply
 from .flows import flow_forward, flow_inverse
 
@@ -247,10 +247,8 @@ def _cost_inputs(cost: CostNet, obs: np.ndarray, ages: np.ndarray, actions: np.n
     return cost._inputs(obs, ages, onehot)
 
 
-def _action_distribution(policy: PolicyNet, feats: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise action probabilities and log-probabilities from one forward pass."""
-    logits = net_forward(policy.net, feats)
+def _action_distribution(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise action probabilities and log-probabilities of a policy's logits."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
@@ -289,8 +287,8 @@ def path_energies(cost: Cost, batch: PathBatch) -> np.ndarray:
 def path_log_proposals(policy: PolicyNet, batch: PathBatch) -> np.ndarray:
     """Per-row log q: summed action log-probabilities, one forward pass."""
     rows, steps = batch.pairs()
-    _, log_probs = _action_distribution(
-        policy, policy._inputs(batch.observations[rows, steps], batch.ages[rows, steps]))
+    _, log_probs = _action_distribution(net_forward(
+        policy.net, policy._inputs(batch.observations[rows, steps], batch.ages[rows, steps])))
     chosen = log_probs[np.arange(rows.size), batch.actions[rows, steps]]
     return np.bincount(rows, weights=chosen, minlength=len(batch))
 
@@ -419,8 +417,8 @@ def _roll(policy: PolicyNet, dynamics: Dynamics, node_obs: np.ndarray,
                                                       node[live], actions[live, t - 1])
             obs[live, t] = node_obs[node[live]]
         needed, at = np.unique(node[live], return_inverse=True)
-        probs, log_probs = _action_distribution(
-            policy, policy._inputs(node_obs[needed], node_ages[needed]))
+        probs, log_probs = _action_distribution(net_forward(
+            policy.net, policy._inputs(node_obs[needed], node_ages[needed])))
         cdf = np.cumsum(probs, axis=1)
         cdf /= cdf[:, -1:]
         chosen = (cdf[at] <= uniforms[live, t][:, None]).sum(axis=1)
@@ -513,7 +511,8 @@ def irl_loss_and_grad(cost: CostNet, demos: PathBatch, samples: PathBatch
     feats = np.concatenate([
         _cost_inputs(cost, b.observations[r, t], b.ages[r, t], b.actions[r, t])
         for b, r, t in ((demos, demo_rows, demo_steps), (samples, sample_rows, sample_steps))])
-    values = net_forward(cost.net, feats)[:, 0]
+    out, caches = _forward_cached(cost.net, feats)
+    values = out[:, 0]
     split = demo_rows.size
     demo_e = np.bincount(demo_rows, weights=values[:split], minlength=len(demos))
     sample_e = np.bincount(sample_rows, weights=values[split:], minlength=len(samples))
@@ -528,7 +527,7 @@ def irl_loss_and_grad(cost: CostNet, demos: PathBatch, samples: PathBatch
     weights = np.exp(log_w - log_norm)
 
     upstream = np.concatenate([np.full(split, -1.0 / len(demos)), weights[sample_rows]])
-    grads, _ = net_backward(cost.net, feats, upstream[:, None])
+    grads, _ = net_backward(cost.net, feats, upstream[:, None], caches)
     return loss, grads
 
 
@@ -587,13 +586,14 @@ def policy_update(policy: PolicyNet, cost: Cost, dynamics: Dynamics, obs: np.nda
         rows, steps = batch.pairs()
         visited = (batch.observations[rows, steps], batch.ages[rows, steps])
         feats = policy._inputs(*visited)
-        probs, _ = _action_distribution(policy, feats)
+        logits, caches = _forward_cached(policy.net, feats)
+        probs, _ = _action_distribution(logits)
         coeffs = adv[rows] / n_rollouts
         upstream = -probs * coeffs[:, None]
         upstream[np.arange(rows.size), batch.actions[rows, steps]] += coeffs
-        grads, _ = net_backward(policy.net, feats, upstream)
+        grads, _ = net_backward(policy.net, feats, upstream, caches)
         optimizer.step(grads)
-    pmat, _ = _action_distribution(policy, policy._inputs(*visited))
+    pmat, _ = _action_distribution(net_forward(policy.net, policy._inputs(*visited)))
     return float(-(pmat * np.log(np.maximum(pmat, 1e-300))).sum(axis=1).mean())
 
 
@@ -716,7 +716,7 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
     x, age, t = obs[live, 0], start_ages[live], 0
     while live.size:
         rows = slice(None) if live.size == m else live  # basic indexing while all are live
-        probs, _ = _action_distribution(policy, policy._inputs(x, age))
+        probs, _ = _action_distribution(net_forward(policy.net, policy._inputs(x, age)))
         chosen = probs[:, 1:].argmax(axis=1) + 1
         x, age = dynamics.transition(x, age, chosen), age + chosen
         t += 1
@@ -758,28 +758,22 @@ def multi_input_init(inputs: Sequence[tuple[np.ndarray, int]], model: AgingModel
     steps equal to their age difference (split when it exceeds the largest
     action).  The latent memory alternates transform predictions with the
     next real observation's encoding folded in additively, and the returned
-    observation decodes the memory at the oldest input's age.  A single input
+    observation decodes the memory at the oldest input's age.  All inputs are
+    encoded in one pass, a (k, D) batch, before the stepping.  A single input
     reduces exactly to encoding and decoding that observation.
     """
     if len(inputs) < 1:
         raise ValidationError("need at least one input")
     order = sorted(range(len(inputs)), key=lambda i: (int(inputs[i][1]), i))
-    max_step = model.n_actions - 1
-    obs0, age0 = inputs[order[0]]
-    z, _ = flow_forward(model.target_flow, np.asarray(obs0, dtype=np.float64))
-    age = int(age0)
-    for i in order[1:]:
-        obs_next, age_next = inputs[i]
-        steps = split_age_gap(int(age_next) - age, max_step)
-        for j, step in enumerate(steps):
-            x_cur = flow_inverse(model.target_flow, z)
-            z_src, _ = flow_forward(model.source_flow, x_cur)
-            pred = transform_apply(model.transform, z_src, step)
-            if j == len(steps) - 1:
-                z_real, _ = flow_forward(model.target_flow,
-                                         np.asarray(obs_next, dtype=np.float64))
-                z = pred + z_real
-            else:
-                z = pred
-        age = int(age_next)
+    xs = [np.asarray(inputs[i][0], dtype=np.float64) for i in order]
+    for x in xs:
+        if x.shape != (model.dim,):
+            raise ShapeError(f"input of shape {x.shape}, not one observation of length {model.dim}")
+    encoded, _ = flow_forward(model.target_flow, np.stack(xs))
+    z, age = encoded[0], int(inputs[order[0]][1])
+    for z_real, i in zip(encoded[1:], order[1:]):
+        for step in split_age_gap(int(inputs[i][1]) - age, model.n_actions - 1):
+            z_src, _ = flow_forward(model.source_flow, flow_inverse(model.target_flow, z))
+            z = transform_apply(model.transform, z_src, step)
+        z, age = z + z_real, int(inputs[i][1])
     return flow_inverse(model.target_flow, z), age

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint, write_atomic
 from .config import RunConfig
 from .errors import CheckpointError, InsufficientDataError, ValidationError
 from .evaluate import (
@@ -97,10 +97,11 @@ def stage_gen_data(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_sequences(cfg: RunConfig, name: str) -> tuple[list[int], PathBatch]:
+def _load_sequences(cfg: RunConfig, name: str, train_ids=()) -> tuple[list[int], PathBatch]:
     """One sequence file of the run as its distinct subject ids and one batch,
     row i holding subject ids[i].  Observations are checked against world.dim,
-    ages against the world's age range and age gaps against its action count."""
+    ages against the world's age range and age gaps against its action count,
+    and no subject may be one of `train_ids`."""
     path = Path(cfg.out_dir) / name
     if not path.exists():
         raise ValidationError(f"missing {name} under {path.parent}; run gen-data first")
@@ -123,6 +124,8 @@ def _load_sequences(cfg: RunConfig, name: str) -> tuple[list[int], PathBatch]:
         if wide.size:
             raise ValidationError(f"{name}: subject {sid} has an age gap of {wide[0]}, outside "
                                   f"the action range [0, {world.n_actions})")
+    if shared := set(ids) & set(train_ids):
+        raise ValidationError(f"{name}: subject {min(shared)} is also in {TRAIN_FILE}")
     return ids, PathBatch.from_trajectories([traj for _, traj in entries], dim=world.dim)
 
 
@@ -139,11 +142,6 @@ def build_model(cfg: RunConfig, rng: np.random.Generator | None) -> AgingModel:
         factors=cfg.transform.factors)
 
 
-def _model_group(model: AgingModel) -> dict:
-    """A checkpoint's `model` group: the model's store, in `parameters()` order."""
-    return {"model": model.parameters()}
-
-
 def _fill(target, ckpt: Checkpoint, group: str):
     """Copy a checkpoint's parameter group into `target`'s arrays; returns `target`."""
     if group not in ckpt.params:
@@ -153,8 +151,14 @@ def _fill(target, ckpt: Checkpoint, group: str):
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> AgingModel:
-    """The stored model, filled straight into a zero store: no random draws."""
-    return _fill(build_model(ckpt.config, None), ckpt, "model")
+    """The stored model, filled straight into a zero store: no random draws.  A group in
+    the store's layout is one copy and one finiteness check; others go through `_fill`."""
+    model, stored = build_model(ckpt.config, None), ckpt.params.get("model", [])
+    if [(n, a.shape) for n, a in stored] == [(n, a.shape) for n, a in model.parameters()]:
+        np.concatenate([a for _, a in stored], axis=None, out=model.store)
+        if np.isfinite(model.store).all():
+            return model
+    return _fill(model, ckpt, "model")
 
 
 def _make_irl_net(make, cfg: RunConfig, rng: np.random.Generator | None):
@@ -201,7 +205,7 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
             if step % 100 == 0 or step == steps - 1]
     write_csv(out / "pretrain_metrics.csv", ["flow", "step", "nll"], rows)
     path = out / "flow.ckpt"
-    save_checkpoint(path, Checkpoint(config=cfg, params=_model_group(model),
+    save_checkpoint(path, Checkpoint(config=cfg, params={"model": model.parameters()},
                                      meta={"stage": "pretrain-flow"}))
     return path
 
@@ -210,41 +214,51 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
 # Stage: train-pairs
 # ---------------------------------------------------------------------------
 
-def build_pairs(paths: PathBatch, n_actions: int):
-    """All (earlier, later) state pairs of a row with an age gap inside the action
-    range, in (row, i, j >= i) row-major order."""
-    i, j = np.triu_indices(paths.ages.shape[1])
+def pair_index(paths: PathBatch, n_actions: int):
+    """The batch's states as one (M * (T+1), D) view, and for every (earlier, later) state
+    pair of a row with an age gap inside the action range, in (row, i, j >= i) row-major
+    order, the two states' indices into it and the gap."""
+    width = paths.ages.shape[1]
+    i, j = np.triu_indices(width)
     gap = paths.ages[:, j] - paths.ages[:, i]
     rows, pair = np.nonzero((j <= paths.lengths[:, None]) & (gap < n_actions))
     if not rows.size:
         raise ValidationError("no usable pairs in the dataset")
-    return paths.observations[rows, i[pair]], paths.observations[rows, j[pair]], gap[rows, pair]
+    states = paths.observations.reshape(-1, paths.observations.shape[-1])
+    return states, rows * width + i[pair], rows * width + j[pair], gap[rows, pair]
+
+
+def build_pairs(paths: PathBatch, n_actions: int):
+    """The (earlier, later) observations and gap of every `pair_index` pair."""
+    states, earlier, later, gap = pair_index(paths, n_actions)
+    return states[earlier], states[later], gap
 
 
 def stage_train_pairs(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    (_, train), (_, heldout), (_, pool) = (_load_sequences(cfg, name)
-                                           for name in (TRAIN_FILE, HELDOUT_FILE, POOL_FILE))
+    train_ids, train = _load_sequences(cfg, TRAIN_FILE)
+    _, heldout = _load_sequences(cfg, HELDOUT_FILE, train_ids)
+    _, pool = _load_sequences(cfg, POOL_FILE)
     ckpt = load_checkpoint(out / "flow.ckpt")
     model = model_from_checkpoint(ckpt)
     rng = _stage_rng(cfg, STAGE_PAIRS)
 
-    xp, xt, acts = build_pairs(PathBatch.concat([pool, train]), cfg.world.n_actions)
+    states, earlier, later, acts = pair_index(PathBatch.concat([pool, train]), cfg.world.n_actions)
     hxp, hxt, hacts = build_pairs(heldout, cfg.world.n_actions)
 
     opt = Adam(model.parameters(), cfg.optimizer.learning_rate, cfg.optimizer.beta1,
                cfg.optimizer.beta2)
     rows = []
     for step in range(cfg.transform.train_steps):
-        idx = rng.integers(0, xp.shape[0], size=cfg.transform.batch_size)
-        loss = train_pair_step(model, opt, xp[idx], xt[idx], acts[idx],
+        idx = rng.integers(0, acts.size, size=cfg.transform.batch_size)
+        loss = train_pair_step(model, opt, states[earlier[idx]], states[later[idx]], acts[idx],
                                cfg.transform.constraint_weight)
         if step % 100 == 0 or step == cfg.transform.train_steps - 1:
             heldout_nll = float(-np.mean(pair_loglik(model, hxp, hxt, hacts)))
             rows.append([step, loss, heldout_nll])
     write_csv(out / "pair_metrics.csv", ["step", "loss", "heldout_nll"], rows)
     path = out / "pairs.ckpt"
-    save_checkpoint(path, Checkpoint(config=cfg, params=_model_group(model),
+    save_checkpoint(path, Checkpoint(config=cfg, params={"model": model.parameters()},
                                      meta={"stage": "train-pairs"}))
     return path
 
@@ -312,23 +326,25 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
             opts[name].load_state_dict(ckpt.opt_states[name])
         start_iteration, history = _resume_point(ckpt, loop_rng)
 
-    def save_state(path: Path, next_iteration: int) -> None:
-        """Save the IRL state to `path`; metrics.csv follows so aborted runs show progress."""
+    def save_state(next_iteration: int) -> bytes:
+        """Save irl_latest.ckpt and return its bytes; metrics.csv follows for aborted runs."""
         rows = _metrics_rows(history)
-        params = _model_group(model) | {name: net.parameters() for name, net in nets.items()}
-        save_checkpoint(path, Checkpoint(
+        params = {"model": model.parameters()} | {n: net.parameters() for n, net in nets.items()}
+        data = save_checkpoint(out / "irl_latest.ckpt", Checkpoint(
             config=cfg, params=params,
             opt_states={name: opt.state_dict() for name, opt in opts.items()},
             rng_state=loop_rng.bit_generator.state,
             meta={"stage": "train-irl", "next_iteration": next_iteration, "metrics": rows}))
         write_csv(out / "metrics.csv", IRL_METRICS_HEADER,
                   [row + [m.wall_seconds] for row, m in zip(rows, history)])
+        return data
+
+    saved = [save_state(start_iteration)]  # the last irl_latest.ckpt bytes
 
     def on_iteration(k: int, metrics: IterationMetrics) -> None:
         history.append(metrics)
-        save_state(out / "irl_latest.ckpt", k + 1)
+        saved[0] = save_state(k + 1)
 
-    save_state(out / "irl_latest.ckpt", start_iteration)
     target_iters = cfg.irl.outer_iters if stop_after is None \
         else min(cfg.irl.outer_iters, stop_after)
     learn_aging_policy(
@@ -344,7 +360,7 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
         return None
 
     path = out / "model.ckpt"
-    save_state(path, cfg.irl.outer_iters)
+    write_atomic(path, saved[0])  # the final boundary state, metrics.csv already written
     summary = {
         "iterations": len(history),
         "final_demo_energy": history[-1].demo_energy if history else None,
@@ -368,9 +384,7 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
     cfg = ckpt.config
     cfg.out_dir = str(out)
     train_ids, train = _load_sequences(cfg, TRAIN_FILE)
-    ids, heldout = _load_sequences(cfg, HELDOUT_FILE)
-    if shared := set(ids) & set(train_ids):
-        raise ValidationError(f"{HELDOUT_FILE}: subject {min(shared)} is also in {TRAIN_FILE}")
+    ids, heldout = _load_sequences(cfg, HELDOUT_FILE, train_ids)
     if len(heldout) == 0:
         raise InsufficientDataError("no held-out states to evaluate")
     model = model_from_checkpoint(ckpt)

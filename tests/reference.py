@@ -5,7 +5,8 @@ softmax computed here from `net_forward`, never through the engine's own
 helpers.  Dynamics and costs run as one-row batches.  The recursive
 enumerator and brute-force search are the ones the level-wise expander
 replaced, and the memoized recursion the one the array Bellman table of
-`world.dp_optimal_path` replaced, kept as oracles for them.
+`world.dp_optimal_path` replaced, kept as oracles for them.  The multi-input
+fold encodes one input at a time, as before the fold encoded all in one pass.
 """
 
 import functools
@@ -15,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowpath.errors import BudgetError, ValidationError
-from flowpath.irl import AgingTrajectory
+from flowpath.flows import flow_forward, flow_inverse
+from flowpath.irl import AgingTrajectory, split_age_gap
 from flowpath.nets import member_net, net_forward
+from flowpath.transform import transform_apply
 from flowpath.world import (
     WorldDynamics,
     archetype_cost,
@@ -104,6 +107,33 @@ def per_net_parameters(flow) -> list[tuple[str, np.ndarray]]:
 
 def factors(transform) -> int:
     return transform.w_out.shape[1]
+
+
+def multi_input_init(inputs, model) -> tuple[np.ndarray, int]:
+    """`irl.multi_input_init` with each input encoded on its own, when the fold
+    reaches it: one (D,) `flow_forward` per input."""
+    if len(inputs) < 1:
+        raise ValidationError("need at least one input")
+    order = sorted(range(len(inputs)), key=lambda i: (int(inputs[i][1]), i))
+    max_step = model.n_actions - 1
+    obs0, age0 = inputs[order[0]]
+    z, _ = flow_forward(model.target_flow, np.asarray(obs0, dtype=np.float64))
+    age = int(age0)
+    for i in order[1:]:
+        obs_next, age_next = inputs[i]
+        steps = split_age_gap(int(age_next) - age, max_step)
+        for j, step in enumerate(steps):
+            x_cur = flow_inverse(model.target_flow, z)
+            z_src, _ = flow_forward(model.source_flow, x_cur)
+            pred = transform_apply(model.transform, z_src, step)
+            if j == len(steps) - 1:
+                z_real, _ = flow_forward(model.target_flow,
+                                         np.asarray(obs_next, dtype=np.float64))
+                z = pred + z_real
+            else:
+                z = pred
+        age = int(age_next)
+    return flow_inverse(model.target_flow, z), age
 
 
 def ground_truth_cost(age: int, action: int, arch, config) -> float:

@@ -1,5 +1,6 @@
 """Harness: config round trip, binary checkpoints, metrics, CLI, pipelines."""
 
+import itertools
 import json
 import shutil
 import struct
@@ -8,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from flowpath import cli
+from flowpath import cli, pipeline
 from flowpath.checkpoint import (
     MAGIC,
     Checkpoint,
@@ -17,13 +18,21 @@ from flowpath.checkpoint import (
 )
 from flowpath.config import RunConfig, load_config
 from flowpath.errors import CheckpointError, ValidationError
-from flowpath.irl import PathBatch
+from flowpath.irl import ModelDynamics, PathBatch, plan_rollout
 from flowpath.metrics import read_csv_without_columns, write_csv
-from flowpath.world import WorldConfig, generate_pool_sequence, generate_subject
+from flowpath.transform import synthesize_step
+from flowpath.world import (
+    WorldConfig,
+    generate_pool_sequence,
+    generate_subject,
+    make_archetype,
+    observe,
+)
 from flowpath.pipeline import (
     IRL_METRICS_HEADER,
     build_pairs,
     cost_from_checkpoint,
+    model_from_checkpoint,
     policy_from_checkpoint,
     run_plan,
     run_synthesize,
@@ -190,6 +199,26 @@ def test_synthesize_single_action(tiny_run):
     assert len(res["observations"][1]) == tiny_run["cfg"].world.dim
     with pytest.raises(ValidationError):
         run_synthesize(str(out / "model.ckpt"), _subject_inputs(tiny_run, 20))
+
+
+@pytest.mark.parametrize("ages", [[20, 44], [15, 16, 40], [12, 30, 31, 52]])
+def test_plan_and_synthesize_from_several_inputs_match_the_one_at_a_time_fold(tiny_run, ages):
+    world = tiny_run["cfg"].world
+    ckpt = load_checkpoint(tiny_run["out"] / "model.ckpt")
+    model, policy = model_from_checkpoint(ckpt), policy_from_checkpoint(ckpt)
+    arch, rng = make_archetype(world, 77), np.random.default_rng(len(ages))
+    inputs = [(observe(world, arch, a) + world.noise * rng.standard_normal(world.dim), a)
+              for a in ages]
+    obs, age = reference.multi_input_init(inputs, model)
+    target = min(age + 12, world.age_max)
+    actions, _, _ = plan_rollout(policy, ModelDynamics(model), obs, age, target)
+    step = np.stack([obs, synthesize_step(model, obs, 5)])
+    for order in itertools.permutations(inputs):
+        plan = run_plan(ckpt, list(order), target)
+        assert plan["start_age"] == age and plan["actions"] == actions
+        synth = run_synthesize(ckpt, list(order), action=5)
+        assert synth["ages"] == [age, age + 5]
+        assert np.abs(np.array(synth["observations"]) - step).max() <= 1e-12
 
 
 def test_evaluate_writes_report(tiny_run):
@@ -876,6 +905,21 @@ def test_evaluate_refuses_a_heldout_subject_that_is_also_a_training_subject(tiny
     assert not (run / "evaluation.json").exists()
 
 
+def test_train_pairs_refuses_a_heldout_subject_that_is_also_a_training_subject(tiny_run, tmp_path,
+                                                                               capsys):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], run)
+    (run / "pairs.ckpt").unlink()
+    train_id = json.loads((run / "train_sequences.jsonl").read_text().splitlines()[3])["subject_id"]
+    _edit_second_record(run / "heldout_sequences.jsonl", subject_id=train_id)
+    assert cli.main(["train-pairs", "--seed", "3", "--out", str(run)]) == 1
+    err = capsys.readouterr().err
+    assert (f"heldout_sequences.jsonl: subject {train_id} is also in train_sequences.jsonl"
+            in err)
+    assert "Traceback" not in err
+    assert not (run / "pairs.ckpt").exists()
+
+
 @pytest.mark.parametrize("request_args", [
     ["plan", "--age", "18", "--target", "50"],
     ["synthesize", "--age", "20", "--action", "5"],
@@ -898,6 +942,21 @@ def test_model_checkpoint_is_final_boundary_checkpoint(tiny_run):
     assert (out / "model.ckpt").read_bytes() == (out / "irl_latest.ckpt").read_bytes()
     latest = load_checkpoint(out / "irl_latest.ckpt")
     assert latest.meta["next_iteration"] == tiny_run["cfg"].irl.outer_iters
+
+
+def test_train_irl_serializes_each_boundary_once_and_copies_the_last(tiny_run, tmp_path,
+                                                                     monkeypatch):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("train_sequences.jsonl", "pairs.ckpt"):
+        shutil.copy(tiny_run["out"] / name, run / name)
+    written, save = [], pipeline.save_checkpoint
+    monkeypatch.setattr(pipeline, "save_checkpoint",
+                        lambda path, ckpt: written.append(path.name) or save(path, ckpt))
+    stage_train_irl(tiny_config(str(run)))
+    assert written == ["irl_latest.ckpt"] * (tiny_run["cfg"].irl.outer_iters + 1)
+    assert (run / "model.ckpt").read_bytes() == (run / "irl_latest.ckpt").read_bytes()
+    assert not list(run.glob("*.tmp"))
 
 
 def test_resume_from_final_boundary_rewrites_same_model(tiny_run, tmp_path):

@@ -2,6 +2,7 @@
 objective, policy refinement, the learning loop, planning, multi-input init."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +46,7 @@ from flowpath.irl import (
     traj_log_proposal_density,
     weight_diagnostics,
 )
+from flowpath import nets
 from flowpath.nets import Adam, DenseLayer, DenseNet, finite_diff_grad
 from flowpath.transform import make_aging_model
 
@@ -307,6 +309,28 @@ def test_irl_gradient_matches_finite_differences():
     numeric = finite_diff_grad(
         lambda: irl_loss_and_grad(cost, demos, samples)[0], arrays, 1e-5)
     assert_close(grads, numeric, label="irl objective")
+
+
+def test_irl_loss_and_grad_runs_the_cost_net_forward_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    cost = make_cost_net(rng, dim=3, n_actions=4, age_low=0, age_high=60, hidden=6)
+    policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60,
+                             uniform_init=False)
+    start = State(rng.standard_normal(3), 4)
+    demos = sample_path_batch(policy, line_dynamics(), *stacked([start]), 3, m=4, seed=13)
+    samples = sample_path_batch(policy, line_dynamics(), *stacked([start]), 3, m=7, seed=14)
+    passes = []
+    forward = nets._forward_cached
+
+    def counted(net, x):
+        passes.append(net)
+        return forward(net, x)
+
+    monkeypatch.setattr(nets, "_forward_cached", counted)  # reached through net_forward
+    monkeypatch.setattr(irl, "_forward_cached", counted)
+    for calls in (1, 2):
+        irl_loss_and_grad(cost, demos, samples)
+        assert sum(net is cost.net for net in passes) == calls
 
 
 def test_irl_degenerate_weights_error():
@@ -634,6 +658,31 @@ def test_multi_input_sort_invariance():
     b_obs, b_age = multi_input_init([inputs[1], inputs[2], inputs[0]], model)
     assert a_age == b_age == 40
     assert np.array_equal(a_obs, b_obs)
+
+
+FOLD_AGES = {2: [20, 44], 3: [15, 16, 40], 4: [10, 27, 28, 58]}  # gaps up to 24 > 15
+
+
+@pytest.mark.parametrize("k", sorted(FOLD_AGES))
+def test_multi_input_matches_the_one_at_a_time_reference(k):
+    model = multi_model()
+    rng = np.random.default_rng(37 + k)
+    inputs = [(rng.standard_normal(5), age) for age in FOLD_AGES[k]]
+    want, want_age = reference.multi_input_init(inputs, model)
+    got, age = multi_input_init(inputs, model)
+    assert age == want_age == FOLD_AGES[k][-1]
+    assert np.abs(got - want).max() <= 1e-12
+    for order in itertools.permutations(inputs):
+        obs, age = multi_input_init(list(order), model)
+        assert age == want_age and np.array_equal(obs, got)
+
+
+def test_multi_input_refuses_an_input_of_the_wrong_shape():
+    model = multi_model()
+    with pytest.raises(ShapeError, match="length 5"):
+        multi_input_init([(np.zeros(5), 20), (np.zeros(4), 30)], model)
+    with pytest.raises(ShapeError, match="length 5"):
+        multi_input_init([(np.zeros((1, 5)), 20)], model)
 
 
 def test_multi_input_same_age_and_large_gap():

@@ -309,6 +309,14 @@ def uneven_model(seed: int) -> AgingModel:
     return model
 
 
+def test_member_stacks_reuse_the_swaps_a_fresh_stack_works_out():
+    model = uneven_model(22)
+    for f, flow in enumerate((model.source_flow, model.target_flow)):
+        fresh = BijectionStack(4, [u.member(f) for u in model.flows.units])
+        assert flow.swaps == fresh.swaps == [False, False, False, True]
+        assert flow.lead == fresh.lead == () and flow.dim == fresh.dim == 4
+
+
 def test_uneven_masks_match_the_per_unit_gather_reference_bit_for_bit():
     model = uneven_model(20)
     x = np.random.default_rng(21).standard_normal((2, 7, 4))

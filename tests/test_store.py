@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from flowpath import nets
-from flowpath.checkpoint import Checkpoint, restore_group
+from flowpath.checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint
 from flowpath.config import RunConfig
 from flowpath.errors import CheckpointError
-from flowpath.flows import make_flow
+from flowpath.flows import BijectionStack, make_flow
 from flowpath.irl import make_cost_net, make_policy_net
 from flowpath.nets import Adam, flat_store, glorot_uniform
 from flowpath.pipeline import (
@@ -227,6 +227,52 @@ def test_load_rejects_a_nonfinite_parameter(group, name, where):
         group, model_from_checkpoint)
     with pytest.raises(CheckpointError, match=rf"{group}\.{name.replace('.', '[.]')}"):
         load(ckpt)
+
+
+def test_one_copy_load_matches_the_per_array_restore_bit_for_bit(tmp_path):
+    cfg = small_config()
+    save_checkpoint(tmp_path / "model.ckpt", checkpoint_of(cfg, 10))
+    ckpt = load_checkpoint(tmp_path / "model.ckpt")
+    model = model_from_checkpoint(ckpt)
+    per_array = build_model(cfg, None)
+    restore_group(per_array.parameters(), ckpt.params["model"], "model")
+    assert model.store.tobytes() == per_array.store.tobytes()
+    for (name, a), (_, b) in zip(every_array(model), every_array(per_array), strict=True):
+        assert np.shares_memory(a, model.store) and np.array_equal(a, b), name
+    for flow in (model.source_flow, model.target_flow):
+        assert flow.lead == () and flow.swaps == BijectionStack(flow.dim, flow.units).swaps
+
+
+def test_a_reordered_model_group_loads_by_name():
+    ckpt = checkpoint_of(small_config(), 12)
+    want = model_from_checkpoint(ckpt).store.copy()
+    ckpt.params["model"] = ckpt.params["model"][::-1]
+    assert np.array_equal(model_from_checkpoint(ckpt).store, want)
+
+
+def _set_first(value):
+    def edit(group):
+        group[4][1].reshape(-1)[0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda g: g.__setitem__(3, ("flows.u00.l1.renamed", g[3][1])), id="renamed"),
+    pytest.param(lambda g: g.__setitem__(-1, (g[-1][0], g[-1][1][:-1])), id="reshaped"),
+    pytest.param(lambda g: g.append(("transform.extra", np.zeros(2))), id="extended"),
+    pytest.param(lambda g: g.pop(0), id="shortened"),
+    pytest.param(_set_first(np.nan), id="nan"),
+    pytest.param(_set_first(-np.inf), id="inf"),
+])
+def test_model_from_checkpoint_raises_restore_groups_error(edit):
+    ckpt = checkpoint_of(small_config(), 11)
+    ckpt.params["model"] = [(name, a.copy()) for name, a in ckpt.params["model"]]
+    edit(ckpt.params["model"])
+    with pytest.raises(CheckpointError) as want:
+        restore_group(build_model(ckpt.config, None).parameters(), ckpt.params["model"], "model")
+    with pytest.raises(CheckpointError) as got:
+        model_from_checkpoint(ckpt)
+    assert str(got.value) == str(want.value) and "model." in str(got.value)
 
 
 def test_load_rejects_a_missing_model_group():
