@@ -112,6 +112,12 @@ def path_recovery_report(paths: PathBatch, config: WorldConfig, ids: list[int],
     }
 
 
+def count_distinct_rows(a: np.ndarray) -> int:
+    """len(np.unique(a, axis=0)) of an (M, T) array with T >= 1, by one lexsort."""
+    s = a[np.lexsort(a.T)]
+    return min(len(a), 1) + int(np.count_nonzero((s[1:] != s[:-1]).any(axis=1)))
+
+
 def energy_separation_report(model: AgingModel, cost, demos: PathBatch,
                              policy: PolicyNet, seed: int,
                              partition_samples: int = 2000) -> dict:
@@ -141,5 +147,5 @@ def energy_separation_report(model: AgingModel, cost, demos: PathBatch,
         "partition_samples": partition_samples,
         "partition_ess": ess,
         "partition_max_weight": max_weight,
-        "partition_distinct_paths": len(np.unique(paths.actions, axis=0)),
+        "partition_distinct_paths": count_distinct_rows(paths.actions),
     }

@@ -15,26 +15,26 @@ start states are fixed, so proposal densities reduce to products of per-step
 action probabilities.
 
 Dynamics and costs take batches only.  A dynamics has `n_actions` and
-`transition(obs (K, D), ages (K,), actions (K,)) -> (K, D)`, the next
-observations; the next ages are ages + actions.  A cost is a callable
-`cost(obs, ages, actions) -> (K,)`, one step cost per row.  `CostNet` is
-one, `ModelDynamics` and `FunctionDynamics` are dynamics.
+`transition(obs (P, D), ages (P,), parents (K,), actions (K,)) -> (K, D)`:
+child k leaves state parents[k] by actions[k], to age ages[parents] + actions.
+A cost is a callable `cost(obs, ages, actions) -> (K,)`, one step cost per
+row.  `CostNet` is one, `ModelDynamics` and `FunctionDynamics` are dynamics.
 
-Sampling and scoring work on a `PathBatch`, a struct-of-arrays batch of
-padded trajectories.  One lockstep engine rolls all of a call's paths
-together.  Transitions are deterministic, so rows that share a start index
-and an action prefix share every state along it: the engine keeps a node id
-per row, runs one policy forward pass per time step over the distinct live
-nodes, picks each row's action with one uniform from a single matrix the
-call draws up front (row i, step t), and synthesizes each distinct child
-(node, action) some row acts from once; no cost or policy reads the state a
-path's last action reaches.  Actions therefore do not depend on how rows
-share nodes or how work is chunked; observations do only up to float
-rounding, because batched matrix products may round differently.  Energies,
-proposal densities and the cost gradient are each one net pass over all
-(row, step) pairs.  Greedy planning also fills a `PathBatch` in lockstep, and
-exact enumeration expands every action sequence level by level
-(`enumerate_levels`).  Cost and policy parameter updates need exclusive access.
+Sampling and scoring work on a `PathBatch`, a struct-of-arrays batch of padded
+trajectories.  One lockstep engine rolls all of a call's paths together.
+Transitions are deterministic, so rows that share a start index and an action
+prefix share every state along it: the engine keeps a node id per row, runs
+one policy forward pass per time step over the distinct live nodes, picks each
+row's action with one uniform from a single matrix the call draws up front
+(row i, step t), and synthesizes each distinct child (node, action) some row
+acts from once, encoding its parent once; no cost or policy reads the state a
+path's last action reaches.  Actions therefore do not depend on how rows share
+nodes or how work is chunked; observations do only up to float rounding,
+because batched matrix products may round differently.  Energies, proposal
+densities and the cost gradient are each one net pass over all (row, step)
+pairs.  Greedy planning also fills a `PathBatch` in lockstep, and exact
+enumeration expands every action sequence level by level (`enumerate_levels`).
+Cost and policy parameter updates need exclusive access.
 """
 
 from __future__ import annotations
@@ -161,12 +161,12 @@ class PathBatch:
 
 
 class Dynamics(Protocol):
-    """Deterministic transitions: the observations of K rows after each takes its action."""
+    """Deterministic transitions: K children of P states, child k leaving parents[k]."""
 
     n_actions: int
 
-    def transition(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray
-                   ) -> np.ndarray: ...
+    def transition(self, obs: np.ndarray, ages: np.ndarray, parents: np.ndarray,
+                   actions: np.ndarray) -> np.ndarray: ...
 
 
 Cost = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -179,8 +179,9 @@ class ModelDynamics:
         self.model = model
         self.n_actions = model.n_actions
 
-    def transition(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        return synthesize_step(self.model, obs, actions)
+    def transition(self, obs: np.ndarray, ages: np.ndarray, parents: np.ndarray,
+                   actions: np.ndarray) -> np.ndarray:
+        return synthesize_step(self.model, obs, actions, parents)
 
     # Unused: kept because perfbench/tracer.py patches it by name; ROADMAP item 1 deletes it.
     def step(self, obs: np.ndarray, age: int, action: int) -> np.ndarray:
@@ -188,11 +189,12 @@ class ModelDynamics:
 
 
 class FunctionDynamics:
-    """Dynamics from a plain batch (obs, ages, actions) -> next observations callable."""
+    """Dynamics from a plain row-wise (obs, ages, actions) -> next observations callable."""
 
     def __init__(self, n_actions: int, fn: Callable[..., np.ndarray]):
         self.n_actions = n_actions
-        self.transition = fn
+        self.transition = lambda obs, ages, parents, actions: fn(obs[parents], ages[parents],
+                                                                 actions)
 
 
 class _AgeNet:
@@ -308,9 +310,9 @@ def enumerate_levels(dynamics: Dynamics, cost: Cost, obs: np.ndarray, age: int, 
     when nothing stops early row j's actions are the base-n digits of j
     (first action most significant).  A row is live, and extended, while
     d < depth and its age is below `stop_age`.  Energies sum the step costs
-    left to right.  A level makes one batched cost call over its rows and one
-    batched transition over its live rows.  BudgetError is raised before any
-    level would hold more than `budget` rows.
+    left to right.  A level makes one batched cost call over its rows, and
+    `_expand` passes each live row once to make its children.  BudgetError is
+    raised before any level would hold more than `budget` rows.
     """
     n = dynamics.n_actions
     obs, ages, energies = obs[None, :], np.array([age]), np.zeros(1)
@@ -322,8 +324,8 @@ def enumerate_levels(dynamics: Dynamics, cost: Cost, obs: np.ndarray, age: int, 
                               f"{live.size * n} paths, over the budget {budget}")
         if not live.size:
             return
-        if d:
-            obs = dynamics.transition(parent_obs[live], parent_ages[live], actions[live])
+        if d:  # the live rows' states, from level d-1's live rows (ages parent_ages[::n])
+            obs = _expand(dynamics, obs, parent_ages[::n], live // n, live % n)[0]
         parent_obs, parent_ages = np.repeat(obs, n, axis=0), np.repeat(ages[live], n)
         actions = np.tile(np.arange(n), live.size)
         energies = np.repeat(energies[live], n) + cost(parent_obs, parent_ages, actions)
@@ -381,17 +383,19 @@ def traj_log_proposal_density(traj: AgingTrajectory, policy: PolicyNet) -> float
 
 def _expand(dynamics: Dynamics, obs: np.ndarray, ages: np.ndarray, parents: np.ndarray,
             actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Children of (parent node, action) pairs, one transition per distinct child.
+    """Children of distinct (parent node, action) pairs, sorted by parent; each
+    transition takes at most ROLL_BLOCK of them and their distinct parents once.
 
     Returns the children's observations and ages and each pair's child index.
     """
     _, first, child = np.unique(parents * dynamics.n_actions + actions,
                                 return_index=True, return_inverse=True)
     src, act = parents[first], actions[first]
-    chunks = [slice(lo, lo + ROLL_BLOCK) for lo in range(0, first.size, ROLL_BLOCK)]
-    nxt = np.concatenate([dynamics.transition(obs[src[c]], ages[src[c]], act[c])
-                          for c in chunks])
-    return nxt, ages[src] + act, child
+    nxt = []
+    for lo in range(0, first.size, ROLL_BLOCK):
+        nodes, at = np.unique(src[lo:lo + ROLL_BLOCK], return_inverse=True)
+        nxt.append(dynamics.transition(obs[nodes], ages[nodes], at, act[lo:lo + ROLL_BLOCK]))
+    return np.concatenate(nxt), ages[src] + act, child
 
 
 def _roll(policy: PolicyNet, dynamics: Dynamics, node_obs: np.ndarray,
@@ -485,7 +489,8 @@ def _completed(dynamics: Dynamics, batch: PathBatch) -> list[AgingTrajectory]:
     rows = np.flatnonzero(batch.lengths)
     last = batch.lengths[rows] - 1
     batch.observations[rows, last + 1] = dynamics.transition(
-        batch.observations[rows, last], batch.ages[rows, last], batch.actions[rows, last])
+        batch.observations[rows, last], batch.ages[rows, last], np.arange(rows.size),
+        batch.actions[rows, last])
     return batch.trajectories()
 
 
@@ -718,7 +723,7 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
         rows = slice(None) if live.size == m else live  # basic indexing while all are live
         probs, _ = _action_distribution(net_forward(policy.net, policy._inputs(x, age)))
         chosen = probs[:, 1:].argmax(axis=1) + 1
-        x, age = dynamics.transition(x, age, chosen), age + chosen
+        x, age = dynamics.transition(x, age, np.arange(age.size), chosen), age + chosen
         t += 1
         actions[rows, t - 1], obs[rows, t], ages[rows, t] = chosen, x, age
         ahead = age < targets[rows]

@@ -279,11 +279,10 @@ def train_pair_step(model: AgingModel, optimizer: Adam, x_prev: np.ndarray,
     return loss
 
 
-def synthesize_step(model: AgingModel, x_prev: np.ndarray, action) -> np.ndarray:
-    """Decode the transform prediction: x_t = target_flow⁻¹(pred).
-
-    This is the deterministic conditional mode, bit-reproducible across calls.
-    """
+def synthesize_step(model: AgingModel, x_prev: np.ndarray, action, parents=None) -> np.ndarray:
+    """Decode the transform prediction x_t = target_flow⁻¹(pred), the deterministic
+    conditional mode.  With `parents`, x_prev holds (P, D) parents, each encoded
+    once, and row k steps x_prev[parents[k]] by action[k]; else row k steps row k."""
     z_prev, _ = flow_forward(model.source_flow, x_prev)
-    pred = transform_apply(model.transform, z_prev, action)
+    pred = transform_apply(model.transform, z_prev if parents is None else z_prev[parents], action)
     return flow_inverse(model.target_flow, pred)

@@ -142,9 +142,10 @@ class WorldDynamics:
         self.arch = arch
         self.n_actions = config.n_actions
 
-    def transition(self, obs: np.ndarray, ages: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """The observations at ages + actions; `obs` plays no part."""
-        nxt, row = np.unique(ages + actions, return_inverse=True)
+    def transition(self, obs: np.ndarray, ages: np.ndarray, parents: np.ndarray,
+                   actions: np.ndarray) -> np.ndarray:
+        """The observations at ages[parents] + actions; `obs` plays no part."""
+        nxt, row = np.unique(ages[parents] + actions, return_inverse=True)
         return observe(self.config, self.arch, nxt)[row]
 
     def obs_at(self, age: int | np.ndarray) -> np.ndarray:
@@ -191,7 +192,8 @@ def brute_force_optimal_path(dynamics: Dynamics, cost: Cost, obs: np.ndarray, ag
     ages = age + np.cumsum((0,) + best[1])
     path = [obs]
     for t, a in enumerate(best[1]):
-        path.append(dynamics.transition(path[-1][None, :], ages[t:t + 1], np.array([a]))[0])
+        path.append(dynamics.transition(path[-1][None, :], ages[t:t + 1], np.arange(1),
+                                        np.array([a]))[0])
     return AgingTrajectory(np.stack(path), ages)
 
 

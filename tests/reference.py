@@ -151,7 +151,7 @@ def ground_truth_cost(age: int, action: int, arch, config) -> float:
 
 def step(dynamics, state: State, action: int) -> State:
     """The state one action leads to."""
-    obs = dynamics.transition(state.observation[None, :], np.array([state.age]),
+    obs = dynamics.transition(state.observation[None, :], np.array([state.age]), np.arange(1),
                               np.array([action]))
     return State(obs[0], state.age + action)
 

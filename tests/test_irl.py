@@ -14,7 +14,7 @@ from flowpath.errors import (
     ShapeError,
     ValidationError,
 )
-from flowpath.evaluate import synthesize_progressions
+from flowpath.evaluate import count_distinct_rows, synthesize_progressions
 from flowpath import irl
 from flowpath.flows import flow_forward, flow_inverse
 from flowpath.irl import (
@@ -48,7 +48,7 @@ from flowpath.irl import (
 )
 from flowpath import nets
 from flowpath.nets import Adam, DenseLayer, DenseNet, finite_diff_grad
-from flowpath.transform import make_aging_model
+from flowpath.transform import make_aging_model, synthesize_step
 
 from conftest import assert_close
 import reference
@@ -956,3 +956,98 @@ def test_weight_diagnostics_equal_and_dominant():
     ess, max_w = weight_diagnostics(dominant)
     assert abs(ess - 1.0) < 1e-12
     assert abs(max_w - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The parent-indexed transition protocol
+# ---------------------------------------------------------------------------
+
+PARENTS = np.array([2, 0, 2, 1, 0, 2, 2])  # repeated and out of order
+
+
+class RecordingDynamics:
+    """Tanh-drift dynamics that records every transition call's arguments."""
+
+    def __init__(self, n_actions: int = 16):
+        self.n_actions = n_actions
+        self.calls = []  # (obs, ages, parents, actions)
+
+    def transition(self, obs, ages, parents, actions):
+        self.calls.append((obs.copy(), ages.copy(), parents.copy(), actions.copy()))
+        return np.tanh(obs[parents] + 0.05 * actions[:, None])
+
+
+def test_function_dynamics_steps_each_child_from_its_parent_row():
+    def fn(obs, ages, actions):
+        return np.tanh(obs + 0.05 * actions[:, None]) + 0.01 * ages[:, None]
+
+    rng = np.random.default_rng(51)
+    dyn = FunctionDynamics(16, fn)
+    obs, ages = rng.standard_normal((3, 4)), np.array([12, 30, 47])
+    actions = rng.integers(0, 16, PARENTS.size)
+    out = dyn.transition(obs, ages, PARENTS, actions)
+    assert out.shape == (PARENTS.size, 4)
+    for k, (p, a) in enumerate(zip(PARENTS.tolist(), actions.tolist())):
+        assert np.array_equal(out[k], fn(obs[p:p + 1], ages[p:p + 1], np.array([a]))[0])
+
+
+def test_world_dynamics_reads_the_curve_at_each_childs_age():
+    from flowpath.world import WorldConfig, WorldDynamics, make_archetype, observe
+
+    cfg = WorldConfig()
+    arch = make_archetype(cfg, 5)
+    dyn = WorldDynamics(cfg, arch)
+    ages = np.array([14, 22, 39])
+    actions = np.random.default_rng(52).integers(0, cfg.n_actions, PARENTS.size)
+    out = dyn.transition(np.full((3, cfg.dim), np.nan), ages, PARENTS, actions)
+    assert np.array_equal(out, np.stack([observe(cfg, arch, int(a))
+                                         for a in ages[PARENTS] + actions]))
+
+
+def test_model_dynamics_equals_synthesis_of_the_gathered_rows():
+    model = multi_model(seed=53, dim=5)
+    rng = np.random.default_rng(54)
+    obs, ages = rng.standard_normal((3, 5)), np.array([12, 30, 47])
+    actions = rng.integers(0, 16, PARENTS.size)
+    out = ModelDynamics(model).transition(obs, ages, PARENTS, actions)
+    assert np.abs(out - synthesize_step(model, obs[PARENTS], actions)).max() < 1e-12
+
+
+def test_sampling_passes_each_distinct_parent_once_per_chunk():
+    """Every transition call of the engine takes at most ROLL_BLOCK children,
+    sorted by parent, and each of their distinct parent states once."""
+    policy, _, _, starts = engine_world("function")
+    dyn = RecordingDynamics()
+    batch = sample_path_batch(policy, dyn, *stacked(starts), [4, 1, 3], m=1500, seed=10)
+    assert max(parents.size for _, _, parents, _ in dyn.calls) == ROLL_BLOCK
+    for obs, ages, parents, actions in dyn.calls:
+        assert np.array_equal(np.unique(parents), np.arange(len(obs)))
+        assert np.all(np.diff(parents) >= 0)
+        assert len({(o.tobytes(), int(a)) for o, a in zip(obs, ages)}) == len(obs)
+    same = sample_path_batch(policy, FunctionDynamics(16, lambda obs, ages, actions: np.tanh(
+        obs + 0.05 * actions[:, None])), *stacked(starts), [4, 1, 3], m=1500, seed=10)
+    assert np.array_equal(batch.observations, same.observations)
+
+
+def test_enumeration_passes_each_live_node_once_per_level():
+    """The transitions that make level d's live states take level d-1's live
+    rows once each (P of them) and their n children each (K = P n)."""
+    dyn = RecordingDynamics(n_actions=4)
+    marks = [(live.size, len(dyn.calls)) for _, _, live in
+             irl.enumerate_levels(dyn, zero_cost, np.full(3, 0.2), 20, depth=6)]
+    assert max(parents.size for _, _, parents, _ in dyn.calls) == ROLL_BLOCK
+    for (before, _), (live, lo), (_, hi) in zip(marks, marks[1:], marks[2:]):
+        calls = dyn.calls[lo:hi]
+        assert sum(len(obs) for obs, _, _, _ in calls) == before
+        assert sum(parents.size for _, _, parents, _ in calls) == live == before * 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_distinct_rows_equals_unique(seed):
+    rng = np.random.default_rng(seed)
+    for m, t in ((0, 3), (1, 1), (9, 2), (400, 4), (2000, 6)):
+        a = rng.integers(0, 3, (m, t))
+        a[:, t // 2:][rng.random(m) < 0.3] = 0  # padding past a shorter length
+        a[rng.random(m) < 0.1] = 0  # all-padding rows
+        a[rng.integers(0, max(m, 1), m // 3)] = a[:1]  # repeats of the first row
+        assert count_distinct_rows(a) == len(np.unique(a, axis=0))

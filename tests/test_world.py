@@ -390,7 +390,7 @@ def test_world_transition_and_cost_match_per_age_formulas():
     for seed in range(120):
         arch = make_archetype(CFG, 1000 + seed)
         dyn = WorldDynamics(CFG, arch)
-        obs = dyn.transition(np.zeros((ages.size, CFG.dim)), ages, actions)
+        obs = dyn.transition(np.zeros((ages.size, CFG.dim)), ages, np.arange(ages.size), actions)
         assert np.array_equal(obs, np.stack([observe(CFG, arch, age)
                                              for age in (ages + actions).tolist()]))
         expected = [reference.ground_truth_cost(age, a, arch, CFG)
