@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import CheckpointError
+from .metrics import write_atomic
 
 MAGIC = b"FPCK"
 VERSION = 2
@@ -157,15 +158,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> bytes:
                  payload]
     body = b"".join(body)
     return write_atomic(path, _HEADER.pack(MAGIC, VERSION, len(body), zlib.crc32(body)) + body)
-
-
-def write_atomic(path, data: bytes) -> bytes:
-    """Write `data` to a temp file beside `path`, rename it over `path`; returns `data`."""
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-    return data
 
 
 def _checked_body(data: memoryview) -> memoryview:

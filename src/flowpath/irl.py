@@ -34,7 +34,8 @@ because batched matrix products may round differently.  Energies, proposal
 densities and the cost gradient are each one net pass over all (row, step)
 pairs.  Greedy planning also fills a `PathBatch` in lockstep, and exact
 enumeration expands every action sequence level by level (`enumerate_levels`).
-Cost and policy parameter updates need exclusive access.
+Cost and policy parameter updates need exclusive access.  `learn_aging_policy`
+yields each outer iteration's metrics at its boundary; its caller checkpoints.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -618,15 +619,12 @@ class IterationMetrics:
 
 def learn_aging_policy(demos: PathBatch, cost: CostNet,
                        policy: PolicyNet, dynamics: Dynamics, *,
-                       outer_iters: int, inner_iters: int,
+                       iterations: Iterable[int], inner_iters: int,
                        sample_paths: int, demo_batch: int, sample_batch: int,
                        policy_rollouts: int, policy_steps: int,
                        cost_optimizer: Adam, policy_optimizer: Adam,
-                       rng: np.random.Generator,
-                       start_iteration: int = 0,
-                       on_iteration: Callable[[int, IterationMetrics], None] | None = None,
-                       ) -> list[IterationMetrics]:
-    """Alternate cost fitting and policy refinement over the demo rows.
+                       rng: np.random.Generator) -> Iterator[IterationMetrics]:
+    """Alternate cost fitting and policy refinement over the outer `iterations`.
 
     Every outer iteration samples fresh paths from the current policy through
     the synthesis transitions, runs `inner_iters` gradient ascent steps on
@@ -634,16 +632,17 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
     (demo members get their proposal density under the current policy), then
     refines the policy against the updated cost.  The policy is frozen
     during the inner steps, so every row's log q is computed once per outer
-    iteration.  All randomness is drawn from `rng`, so checkpointing its
-    state at an iteration boundary makes the run resumable and
-    bit-reproducible.
+    iteration.  All randomness is drawn from `rng`.  Each iteration's
+    `IterationMetrics` is yielded after its policy update, with the nets, the
+    optimizers and `rng` at that boundary: the caller checkpoints there, and a
+    later call over the remaining iterations from the restored state continues
+    the run bit for bit.
     """
     if len(demos) == 0:
         raise ValidationError("need at least one demonstration")
     obs, ages, horizons = demos.observations[:, 0], demos.ages[:, 0], np.maximum(demos.lengths, 1)
-    history: list[IterationMetrics] = []
 
-    for k in range(start_iteration, outer_iters):
+    for k in iterations:
         t0 = time.perf_counter()
         try:
             path_seed = int(rng.integers(0, 2**63 - 1))
@@ -667,7 +666,7 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
                                     seed=pol_seed)
         except Exception as exc:
             raise IrlIterationError(k, exc) from exc
-        metrics = IterationMetrics(
+        yield IterationMetrics(
             iteration=k,
             demo_energy=float(np.mean(path_energies(cost, demos))),
             sample_energy=float(np.mean(path_energies(cost, samples))),
@@ -675,10 +674,6 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
             policy_entropy=entropy,
             wall_seconds=time.perf_counter() - t0,
         )
-        history.append(metrics)
-        if on_iteration is not None:
-            on_iteration(k, metrics)
-    return history
 
 
 class IrlIterationError(RuntimeError):

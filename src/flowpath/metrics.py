@@ -1,4 +1,4 @@
-"""Metrics files: one CSV per run plus a JSON summary, written atomically.
+"""Metrics CSV and JSON files, and `write_atomic`, the writer every artifact goes through.
 
 Floats are serialized with repr (shortest round-trip form) so identical runs
 produce identical bytes; wall-clock columns are the single physically
@@ -23,19 +23,20 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         if len(row) != len(header):
             raise ValueError("row length does not match header")
         lines.append(",".join(_fmt(v) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_json(path, data: dict) -> None:
-    write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write to a temp file beside `path`, then rename it over `path`."""
+def write_atomic(path, data: bytes) -> bytes:
+    """Write `data` to a temp file beside `path`, rename it over `path`; returns `data`."""
     tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
+    return data
 
 
 def read_csv_without_columns(path, drop: set[str]) -> str:

@@ -8,8 +8,9 @@ checked once at load.  Artifacts live under the run's output directory:
     train_sequences.jsonl / heldout_sequences.jsonl   demo sequences
     pool_sequences.jsonl                              dense per-subject pool
     flow.ckpt / pairs.ckpt / model.ckpt               stage checkpoints
-    irl_latest.ckpt                                   resume point (per outer iter);
-                                                      model.ckpt is the final one
+    irl_latest.ckpt                                   resume point, saved by train-irl at
+                                                      each boundary learn_aging_policy
+                                                      yields; model.ckpt is the last one
     pretrain_metrics.csv / pair_metrics.csv           stage training curves
     metrics.csv / summary.json                        IRL per-iteration metrics
     evaluation.json                                   held-out reports
@@ -17,11 +18,12 @@ checked once at load.  Artifacts live under the run's output directory:
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint, write_atomic
+from .checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint
 from .config import RunConfig
 from .errors import CheckpointError, InsufficientDataError, ValidationError
 from .evaluate import (
@@ -43,7 +45,7 @@ from .irl import (
     plan_path_batch,
     plan_rollout,
 )
-from .metrics import write_csv, write_json
+from .metrics import write_atomic, write_csv, write_json
 from .nets import Adam
 from .transform import AgingModel, make_aging_model, pair_loglik, train_pair_step, synthesize_step
 from .world import (
@@ -61,8 +63,7 @@ TRAIN_FILE = "train_sequences.jsonl"
 HELDOUT_FILE = "heldout_sequences.jsonl"
 POOL_FILE = "pool_sequences.jsonl"
 
-IRL_METRICS_HEADER = ["iteration", "demo_energy", "sample_energy",
-                      "loglik_estimate", "policy_entropy", "wall_seconds"]
+IRL_METRICS_HEADER = [f.name for f in dataclasses.fields(IterationMetrics)]
 
 
 def _stage_rng(cfg: RunConfig, stage: int, sub: int = 0) -> np.random.Generator:
@@ -267,16 +268,15 @@ def stage_train_pairs(cfg: RunConfig) -> Path:
 # Stage: train-irl
 # ---------------------------------------------------------------------------
 
-def _metrics_rows(history: list[IterationMetrics]) -> list[list]:
-    """Checkpoint form: wall clock excluded so checkpoints stay reproducible."""
-    return [[m.iteration, m.demo_energy, m.sample_energy, m.loglik_estimate,
-             m.policy_entropy] for m in history]
-
-
-def _resume_point(ckpt: Checkpoint, rng: np.random.Generator
-                  ) -> tuple[int, list[IterationMetrics]]:
-    """A boundary checkpoint's next iteration and metrics history, with `rng` set to
-    its stored state; a missing or malformed value raises CheckpointError."""
+def _restore_boundary(ckpt: Checkpoint, nets: dict, opts: dict,
+                      rng: np.random.Generator) -> list[IterationMetrics]:
+    """Fill `nets`, `opts` and `rng` from a boundary checkpoint and return its metrics
+    history, whose length is the next iteration; a bad value raises CheckpointError."""
+    for name, net in nets.items():
+        _fill(net, ckpt, name)
+        if name not in ckpt.opt_states:
+            raise CheckpointError(f"checkpoint missing optimizer state {name}")
+        opts[name].load_state_dict(ckpt.opt_states[name])
     start, rows = ckpt.meta.get("next_iteration"), ckpt.meta.get("metrics")
     last = ckpt.config.irl.outer_iters
     if not isinstance(start, int) or isinstance(start, bool) or not 0 <= start <= last:
@@ -292,7 +292,23 @@ def _resume_point(ckpt: Checkpoint, rng: np.random.Generator
         rng.bit_generator.state = ckpt.rng_state
     except (TypeError, ValueError, KeyError) as exc:
         raise CheckpointError(f"malformed metrics or rng state: {exc!r}") from exc
-    return start, history
+    return history
+
+
+def _save_boundary(out: Path, cfg: RunConfig, model: AgingModel, nets: dict, opts: dict,
+                   rng: np.random.Generator, history: list[IterationMetrics]) -> bytes:
+    """Save irl_latest.ckpt after the iterations in `history`, then metrics.csv, and return
+    the checkpoint's bytes.  Its metrics drop the wall clock, the last column."""
+    rows = [dataclasses.astuple(m) for m in history]
+    params = {"model": model.parameters()} | {n: net.parameters() for n, net in nets.items()}
+    data = save_checkpoint(out / "irl_latest.ckpt", Checkpoint(
+        config=cfg, params=params,
+        opt_states={name: opt.state_dict() for name, opt in opts.items()},
+        rng_state=rng.bit_generator.state,
+        meta={"stage": "train-irl", "next_iteration": len(history),
+              "metrics": [row[:-1] for row in rows]}))
+    write_csv(out / "metrics.csv", IRL_METRICS_HEADER, rows)
+    return data
 
 
 def stage_train_irl(cfg: RunConfig, resume: str | None = None,
@@ -302,6 +318,8 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
         raise ValidationError(f"--stop-after must be >= 0, got {stop_after}")
     out = Path(cfg.out_dir)
     _, demos = _load_sequences(cfg, TRAIN_FILE)
+    if len(demos) == 0:
+        raise ValidationError(f"{out / TRAIN_FILE} holds no demonstrations")
     init_rng = _stage_rng(cfg, STAGE_IRL, 0)
     loop_rng = _stage_rng(cfg, STAGE_IRL, 1)
     ckpt = load_checkpoint(out / "pairs.ckpt" if resume is None else resume)
@@ -317,50 +335,26 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
     opts = {name: Adam(net.parameters(f"{name}."), rates[name],
                        cfg.optimizer.beta1, cfg.optimizer.beta2)
             for name, net in nets.items()}
-    start_iteration, history = 0, []
-    if resume is not None:
-        for name, net in nets.items():
-            _fill(net, ckpt, name)
-            if name not in ckpt.opt_states:
-                raise CheckpointError(f"checkpoint missing optimizer state {name}")
-            opts[name].load_state_dict(ckpt.opt_states[name])
-        start_iteration, history = _resume_point(ckpt, loop_rng)
+    history = [] if resume is None else _restore_boundary(ckpt, nets, opts, loop_rng)
 
-    def save_state(next_iteration: int) -> bytes:
-        """Save irl_latest.ckpt and return its bytes; metrics.csv follows for aborted runs."""
-        rows = _metrics_rows(history)
-        params = {"model": model.parameters()} | {n: net.parameters() for n, net in nets.items()}
-        data = save_checkpoint(out / "irl_latest.ckpt", Checkpoint(
-            config=cfg, params=params,
-            opt_states={name: opt.state_dict() for name, opt in opts.items()},
-            rng_state=loop_rng.bit_generator.state,
-            meta={"stage": "train-irl", "next_iteration": next_iteration, "metrics": rows}))
-        write_csv(out / "metrics.csv", IRL_METRICS_HEADER,
-                  [row + [m.wall_seconds] for row, m in zip(rows, history)])
-        return data
-
-    saved = [save_state(start_iteration)]  # the last irl_latest.ckpt bytes
-
-    def on_iteration(k: int, metrics: IterationMetrics) -> None:
-        history.append(metrics)
-        saved[0] = save_state(k + 1)
-
+    saved = _save_boundary(out, cfg, model, nets, opts, loop_rng, history)
     target_iters = cfg.irl.outer_iters if stop_after is None \
         else min(cfg.irl.outer_iters, stop_after)
-    learn_aging_policy(
-        demos, nets["cost"], nets["policy"], ModelDynamics(model),
-        outer_iters=target_iters, inner_iters=cfg.irl.inner_iters,
-        sample_paths=cfg.irl.sample_paths, demo_batch=cfg.irl.demo_batch,
-        sample_batch=cfg.irl.sample_batch, policy_rollouts=cfg.irl.policy_rollouts,
-        policy_steps=cfg.irl.policy_steps, cost_optimizer=opts["cost"],
-        policy_optimizer=opts["policy"], rng=loop_rng,
-        start_iteration=start_iteration, on_iteration=on_iteration)
+    for metrics in learn_aging_policy(
+            demos, nets["cost"], nets["policy"], ModelDynamics(model),
+            iterations=range(len(history), target_iters), inner_iters=cfg.irl.inner_iters,
+            sample_paths=cfg.irl.sample_paths, demo_batch=cfg.irl.demo_batch,
+            sample_batch=cfg.irl.sample_batch, policy_rollouts=cfg.irl.policy_rollouts,
+            policy_steps=cfg.irl.policy_steps, cost_optimizer=opts["cost"],
+            policy_optimizer=opts["policy"], rng=loop_rng):
+        history.append(metrics)
+        saved = _save_boundary(out, cfg, model, nets, opts, loop_rng, history)
 
     if target_iters < cfg.irl.outer_iters:
         return None
 
     path = out / "model.ckpt"
-    write_atomic(path, saved[0])  # the final boundary state, metrics.csv already written
+    write_atomic(path, saved)  # the final boundary state, metrics.csv already written
     summary = {
         "iterations": len(history),
         "final_demo_energy": history[-1].demo_energy if history else None,

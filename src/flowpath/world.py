@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetError, ValidationError
 from .irl import AgingTrajectory, Cost, Dynamics, enumerate_levels
-from .metrics import write_text_atomic
+from .metrics import write_atomic
 
 PREFERRED_STEP_FRACTIONS = (0.2, 0.4, 0.6)  # of the largest action index
 N_ARCHETYPE_CLASSES = 3
@@ -294,7 +294,7 @@ def write_sequences(path, entries: list[tuple[int, AgingTrajectory]]) -> None:
     lines = [json.dumps({"subject_id": sid, "ages": traj.ages.tolist(),
                          "observations": traj.observations.tolist()})
              for sid, traj in entries]
-    write_text_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(path, ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
 
 SEQUENCE_KEYS = ("subject_id", "ages", "observations")

@@ -1081,6 +1081,20 @@ def test_stages_name_the_missing_sequence_file(tmp_path, capsys):
     assert "missing pool_sequences.jsonl" in capsys.readouterr().err
 
 
+def test_train_irl_refuses_an_empty_train_file_before_writing(tiny_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(tiny_run["out"] / "pairs.ckpt", run / "pairs.ckpt")
+    (run / "train_sequences.jsonl").write_text("")
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(tiny_config(str(run)).to_json())
+    assert cli.main(["train-irl", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "train_sequences.jsonl holds no demonstrations" in err and "Traceback" not in err
+    assert not (run / "irl_latest.ckpt").exists()
+    assert not (run / "metrics.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # plan / synthesize --input files
 # ---------------------------------------------------------------------------

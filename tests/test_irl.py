@@ -443,18 +443,62 @@ def test_learn_zero_iterations_is_noop():
     cost = make_cost_net(rng, dim=3, n_actions=4, age_low=0, age_high=60, hidden=6)
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60)
     cost_before = [a.copy() for _, a in cost.parameters()]
-    history = learn_aging_policy(
+    history = list(learn_aging_policy(
         PathBatch.from_trajectories(demos), cost, policy, dyn,
-        outer_iters=0, inner_iters=3, sample_paths=4,
+        iterations=range(0), inner_iters=3, sample_paths=4,
         demo_batch=1, sample_batch=2, policy_rollouts=4, policy_steps=2,
         cost_optimizer=Adam(cost.parameters()),
         policy_optimizer=Adam(policy.parameters()),
-        rng=np.random.default_rng(1))
+        rng=np.random.default_rng(1)))
     assert history == []
     for before, (_, after) in zip(cost_before, cost.parameters()):
         assert np.array_equal(before, after)
     probs = reference.probs(policy, start)
     assert np.allclose(probs, 0.25)
+
+
+def test_learn_resumes_from_an_iteration_boundary():
+    """Iterations 0-1, then an empty range, then iteration 2, continuing the same nets,
+    optimizers and rng, equal one run over 0-2: metrics (wall clock aside), parameters
+    bit for bit and the rng state.  The empty range yields nothing and changes nothing."""
+    dyn = line_dynamics()
+    starts = [State(np.full(3, 0.1 * i), 0) for i in range(3)]
+    demos = PathBatch.from_trajectories([chain_traj(dyn, s, [1, 2]) for s in starts])
+
+    def learner():
+        rng = np.random.default_rng(5)
+        cost = make_cost_net(rng, dim=3, n_actions=4, age_low=0, age_high=60, hidden=6)
+        policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60)
+        opts = Adam(cost.parameters(), 1e-3), Adam(policy.parameters(), 0.05)
+        loop_rng = np.random.default_rng(6)
+
+        def run(iterations):
+            return [dataclasses.replace(m, wall_seconds=0.0) for m in learn_aging_policy(
+                demos, cost, policy, dyn, iterations=iterations, inner_iters=2,
+                sample_paths=6, demo_batch=2, sample_batch=4, policy_rollouts=8,
+                policy_steps=2, cost_optimizer=opts[0], policy_optimizer=opts[1],
+                rng=loop_rng)]
+
+        def state():
+            return ([a.copy() for _, a in cost.parameters() + policy.parameters()],
+                    loop_rng.bit_generator.state)
+        return run, state
+
+    run, state = learner()
+    whole = run(range(0, 3))
+    resumed_run, resumed_state = learner()
+    first = resumed_run(range(0, 2))
+    boundary = resumed_state()
+    assert resumed_run(range(2, 2)) == []
+    params, rng_state = resumed_state()
+    assert all(np.array_equal(a, b) for a, b in zip(boundary[0], params))
+    assert rng_state == boundary[1]
+    assert first + resumed_run(range(2, 3)) == whole
+    assert [m.iteration for m in whole] == [0, 1, 2]
+    params, rng_state = resumed_state()
+    expected, expected_rng = state()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(params, expected))
+    assert rng_state == expected_rng
 
 
 def test_learn_separates_demo_energy_on_toy_world():
@@ -467,13 +511,13 @@ def test_learn_separates_demo_energy_on_toy_world():
     for _, arr in cost.parameters():
         arr *= 0.3
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=20)
-    history = learn_aging_policy(
+    history = list(learn_aging_policy(
         PathBatch.from_trajectories(demos), cost, policy, dyn,
-        outer_iters=8, inner_iters=15, sample_paths=12,
+        iterations=range(8), inner_iters=15, sample_paths=12,
         demo_batch=6, sample_batch=10, policy_rollouts=32, policy_steps=5,
         cost_optimizer=Adam(cost.parameters(), 2e-3),
         policy_optimizer=Adam(policy.parameters(), 0.05),
-        rng=np.random.default_rng(3))
+        rng=np.random.default_rng(3)))
     assert len(history) == 8
     uniform = make_policy_net(np.random.default_rng(0), dim=3, n_actions=4,
                               age_low=0, age_high=20)
@@ -719,15 +763,15 @@ def test_learn_wraps_inner_errors_with_iteration_index():
     cost = make_cost_net(rng, dim=3, n_actions=4, age_low=0, age_high=60, hidden=6)
     policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60)
     with pytest.raises(IrlIterationError, match="iteration 0"):
-        learn_aging_policy(
-            PathBatch.from_trajectories(demos), cost, policy, dyn, outer_iters=2,
+        list(learn_aging_policy(
+            PathBatch.from_trajectories(demos), cost, policy, dyn, iterations=range(2),
             inner_iters=1,
             sample_paths=2, demo_batch=1, sample_batch=1,
             policy_rollouts=0,  # invalid: rollout sampling raises inside iter 0
             policy_steps=1,
             cost_optimizer=Adam(cost.parameters()),
             policy_optimizer=Adam(policy.parameters()),
-            rng=np.random.default_rng(1))
+            rng=np.random.default_rng(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -908,11 +952,11 @@ def test_learning_synthesizes_only_states_it_acts_from(monkeypatch):
         return batch
 
     monkeypatch.setattr(irl, "sample_path_batch", checked_sample)
-    learn_aging_policy(
-        demos, cost, policy, dyn, outer_iters=2, inner_iters=2, sample_paths=1000,
+    list(learn_aging_policy(
+        demos, cost, policy, dyn, iterations=range(2), inner_iters=2, sample_paths=1000,
         demo_batch=2, sample_batch=8, policy_rollouts=24, policy_steps=2,
         cost_optimizer=Adam(cost.parameters(), 1e-3),
-        policy_optimizer=Adam(policy.parameters(), 0.05), rng=np.random.default_rng(42))
+        policy_optimizer=Adam(policy.parameters(), 0.05), rng=np.random.default_rng(42)))
     assert len(widths) == 2 * (1 + 2)
     assert max(widths) == (1000, ROLL_BLOCK)  # a sampling call crossed ROLL_BLOCK
 
