@@ -55,6 +55,7 @@ from .irl import (
     sample_path_batch,
     sample_trajectories,
     sequence_energy,
+    with_end_states,
 )
 from .world import (
     SubjectArchetype,

@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .irl import IrlIterationError
+from .metrics import write_atomic
 from .world import check_sequence_fields
 from . import pipeline
 
@@ -169,8 +170,7 @@ def dispatch(args) -> int:
                                          action=args.action, target=args.target)
         text = json.dumps(result)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            write_atomic(args.out, (text + "\n").encode("utf-8"))
         else:
             print(text)
         return 0

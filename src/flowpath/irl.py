@@ -27,13 +27,14 @@ prefix share every state along it: the engine keeps a node id per row, runs
 one policy forward pass per time step over the distinct live nodes, picks each
 row's action with one uniform from a single matrix the call draws up front
 (row i, step t), and synthesizes each distinct child (node, action) some row
-acts from once, encoding its parent once; no cost or policy reads the state a
-path's last action reaches.  Actions therefore do not depend on how rows share
-nodes or how work is chunked; observations do only up to float rounding,
-because batched matrix products may round differently.  Energies, proposal
-densities and the cost gradient are each one net pass over all (row, step)
-pairs.  Greedy planning also fills a `PathBatch` in lockstep, and exact
+acts from once, encoding its parent once.  Actions therefore do not depend on
+how rows share nodes or how work is chunked; observations do only up to float
+rounding, because batched matrix products may round differently.  Energies,
+proposal densities and the cost gradient are each one net pass over all (row,
+step) pairs.  Greedy planning also fills a `PathBatch` in lockstep, and exact
 enumeration expands every action sequence level by level (`enumerate_levels`).
+No sampler or planner synthesizes the state after a path's last action, which
+no cost or policy reads; a reader that needs that state calls `with_end_states`.
 Cost and policy parameter updates need exclusive access.  `learn_aging_policy`
 yields each outer iteration's metrics at its boundary; its caller checkpoints.
 """
@@ -438,7 +439,7 @@ def rollout(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray, age: int, ho
     batch = _roll(policy, dynamics, obs[None, :], np.array([age]),
                   np.zeros(1, dtype=np.int64), np.array([horizon], dtype=np.int64),
                   rng.random((1, horizon)))
-    return _completed(dynamics, batch)[0]
+    return with_end_states(dynamics, batch).trajectories()[0]
 
 
 def _check_starts(obs: np.ndarray, ages: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -482,17 +483,19 @@ def sample_trajectories(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
                         ages: Sequence[int], horizon: int | Sequence[int],
                         m: int | None = None, seed: int = 0) -> list[AgingTrajectory]:
     """`sample_path_batch` as a list of trajectories, end states synthesized."""
-    return _completed(dynamics, sample_path_batch(policy, dynamics, obs, ages, horizon, m, seed))
+    return with_end_states(dynamics, sample_path_batch(
+        policy, dynamics, obs, ages, horizon, m, seed)).trajectories()
 
 
-def _completed(dynamics: Dynamics, batch: PathBatch) -> list[AgingTrajectory]:
-    """A sampled batch's trajectories, end states synthesized by one transition call."""
+def with_end_states(dynamics: Dynamics, batch: PathBatch) -> PathBatch:
+    """`batch` with every non-empty row's end state observations[i, lengths[i]], which
+    no path producer synthesizes, filled in place by one transition call."""
     rows = np.flatnonzero(batch.lengths)
     last = batch.lengths[rows] - 1
     batch.observations[rows, last + 1] = dynamics.transition(
         batch.observations[rows, last], batch.ages[rows, last], np.arange(rows.size),
         batch.actions[rows, last])
-    return batch.trajectories()
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +700,8 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
     step.  A row takes its most probable action (ties to the smaller index)
     with the same-age action 0 masked, so it overshoots by less than the
     action count.  The choice depends on the state alone, so the path to a
-    target runs through the state each earlier target reaches.
+    target runs through the state each earlier target reaches.  Only rows
+    still below their target are transitioned; `with_end_states` fills the end states.
     """
     start_obs, start_ages = _check_starts(obs, ages)
     targets = np.array([int(t) for t in targets], dtype=np.int64)
@@ -718,12 +722,13 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
         rows = slice(None) if live.size == m else live  # basic indexing while all are live
         probs, _ = _action_distribution(net_forward(policy.net, policy._inputs(x, age)))
         chosen = probs[:, 1:].argmax(axis=1) + 1
-        x, age = dynamics.transition(x, age, np.arange(age.size), chosen), age + chosen
         t += 1
-        actions[rows, t - 1], obs[rows, t], ages[rows, t] = chosen, x, age
-        ahead = age < targets[rows]
-        if not ahead.all():
-            live, x, age = live[ahead], x[ahead], age[ahead]
+        actions[rows, t - 1], ages[rows, t] = chosen, age + chosen
+        ahead = np.flatnonzero(age + chosen < targets[rows])
+        if ahead.size:  # only a row still below its target acts from its new state
+            x = dynamics.transition(x, age, ahead, chosen[ahead])
+            obs[live[ahead], t] = x
+        live, age = live[ahead], age[ahead] + chosen[ahead]
     return PathBatch(obs[:, :t + 1], ages[:, :t + 1], actions[:, :t],
                      np.count_nonzero(actions[:, :t], axis=1), np.zeros(m))
 
@@ -731,7 +736,7 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
 def plan_rollout(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray, age: int,
                  target_age: int) -> tuple[list[int], np.ndarray, np.ndarray]:
     """`plan_path_batch` for one start: the greedy actions and the (T+1, D)
-    observations and (T+1,) ages visited (one row has no padding)."""
+    observations, the last row zero (`with_end_states`), and (T+1,) ages visited."""
     path = plan_path_batch(policy, dynamics, obs[None, :], [age], [target_age])
     return path.actions[0].tolist(), path.observations[0], path.ages[0]
 

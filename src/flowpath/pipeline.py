@@ -44,6 +44,7 @@ from .irl import (
     multi_input_init,
     plan_path_batch,
     plan_rollout,
+    with_end_states,
 )
 from .metrics import write_atomic, write_csv, write_json
 from .nets import Adam
@@ -268,10 +269,21 @@ def stage_train_pairs(cfg: RunConfig) -> Path:
 # Stage: train-irl
 # ---------------------------------------------------------------------------
 
-def _restore_boundary(ckpt: Checkpoint, nets: dict, opts: dict,
+def _wall_seconds(path: Path, rows: list[list]) -> list[float]:
+    """The wall seconds of metrics.csv at `path` if its first rows hold the checkpoint's metrics
+    `rows`, else zeros: a missing, unreadable or other run's file fails no resume."""
+    try:
+        got = [[float(v) for v in line.split(",")]
+               for line in path.read_text(encoding="utf-8").splitlines()[1:len(rows) + 1]]
+    except (OSError, ValueError):
+        got = []
+    return [r[-1] for r in got] if [r[:-1] for r in got] == rows else [0.0] * len(rows)
+
+
+def _restore_boundary(ckpt: Checkpoint, out: Path, nets: dict, opts: dict,
                       rng: np.random.Generator) -> list[IterationMetrics]:
-    """Fill `nets`, `opts` and `rng` from a boundary checkpoint and return its metrics
-    history, whose length is the next iteration; a bad value raises CheckpointError."""
+    """Fill `nets`, `opts` and `rng` from a boundary checkpoint and return its history, whose
+    length is the next iteration, timed by `_wall_seconds`; a bad value raises CheckpointError."""
     for name, net in nets.items():
         _fill(net, ckpt, name)
         if name not in ckpt.opt_states:
@@ -287,8 +299,8 @@ def _restore_boundary(ckpt: Checkpoint, nets: dict, opts: dict,
             not isinstance(r, list) or len(r) != width for r in rows):
         raise CheckpointError(f"meta.metrics must hold {start} rows of {width} values")
     try:
-        history = [IterationMetrics(int(r[0]), *map(float, r[1:]), wall_seconds=0.0)
-                   for r in rows]
+        history = [IterationMetrics(int(r[0]), *map(float, r[1:]), wall_seconds=s)
+                   for r, s in zip(rows, _wall_seconds(out / "metrics.csv", rows))]
         rng.bit_generator.state = ckpt.rng_state
     except (TypeError, ValueError, KeyError) as exc:
         raise CheckpointError(f"malformed metrics or rng state: {exc!r}") from exc
@@ -335,7 +347,7 @@ def stage_train_irl(cfg: RunConfig, resume: str | None = None,
     opts = {name: Adam(net.parameters(f"{name}."), rates[name],
                        cfg.optimizer.beta1, cfg.optimizer.beta2)
             for name, net in nets.items()}
-    history = [] if resume is None else _restore_boundary(ckpt, nets, opts, loop_rng)
+    history = [] if resume is None else _restore_boundary(ckpt, out, nets, opts, loop_rng)
 
     saved = _save_boundary(out, cfg, model, nets, opts, loop_rng, history)
     target_iters = cfg.irl.outer_iters if stop_after is None \
@@ -385,9 +397,9 @@ def stage_evaluate(cfg: RunConfig, checkpoint_path: str | None = None) -> dict:
     policy = policy_from_checkpoint(ckpt)
     cost = cost_from_checkpoint(ckpt)
 
-    paths = plan_path_batch(policy, ModelDynamics(model), heldout.observations[:, 0],
-                            heldout.ages[:, 0],
-                            heldout.ages[np.arange(len(heldout)), heldout.lengths])
+    dynamics, ends = ModelDynamics(model), heldout.ages[np.arange(len(heldout)), heldout.lengths]
+    paths = with_end_states(dynamics, plan_path_batch(policy, dynamics, heldout.observations[:, 0],
+                                                      heldout.ages[:, 0], ends))
     fidelity = evaluate_age_fidelity(paths, cfg.world, train, heldout)
     recovery = path_recovery_report(paths, cfg.world, ids, heldout)
     report = {"fidelity": fidelity,
@@ -458,7 +470,9 @@ def run_synthesize(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, i
         ages = np.array([age, age + action])
     else:
         policy = policy_from_checkpoint(ckpt)
-        _, observations, ages = plan_rollout(policy, ModelDynamics(model), obs, age, target)
+        actions, observations, ages = plan_rollout(policy, ModelDynamics(model), obs, age, target)
+        if actions:  # the plan leaves the state its last action reaches zero
+            observations[-1] = synthesize_step(model, observations[-2:-1], actions[-1:])[0]
     return {"ages": ages.tolist(), "observations": observations.tolist()}
 
 

@@ -19,7 +19,7 @@ from flowpath.checkpoint import (
 from flowpath.config import RunConfig, load_config
 from flowpath.errors import CheckpointError, ValidationError
 from flowpath.irl import ModelDynamics, PathBatch, plan_rollout
-from flowpath.metrics import read_csv_without_columns, write_csv
+from flowpath.metrics import read_csv_without_columns, write_atomic, write_csv
 from flowpath.transform import synthesize_step
 from flowpath.world import (
     WorldConfig,
@@ -174,6 +174,37 @@ def test_resume_reproduces_uninterrupted_run(tiny_run):
     assert read_csv_without_columns(out / "metrics.csv", {"wall_seconds"}) == full_metrics
 
 
+def _csv_wall_seconds(out):
+    return [float(line.rsplit(",", 1)[1])
+            for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("edit", ["none", "delete", "alter"])
+def test_resume_keeps_the_wall_clock_of_earlier_iterations(tiny_run, tmp_path, edit):
+    """A resumed run takes the pre-resume wall seconds from metrics.csv when its rows
+    match the boundary checkpoint's metrics, and reads 0.0 without failing otherwise."""
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], run)
+    cfg = tiny_config(str(run))
+    stage_train_irl(cfg, stop_after=2)
+    before = _csv_wall_seconds(run)
+    assert len(before) == 2 and min(before) > 0
+    csv = run / "metrics.csv"
+    if edit == "delete":
+        csv.unlink()
+    elif edit == "alter":
+        lines = csv.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = repr(float(cells[1]) + 1.0)
+        csv.write_text("\n".join(lines[:2] + [",".join(cells)]) + "\n")
+    stage_train_irl(cfg, resume=str(run / "irl_latest.ckpt"))
+    after = _csv_wall_seconds(run)
+    assert len(after) == cfg.irl.outer_iters and after[2] > 0
+    assert after[:2] == (before if edit == "none" else [0.0, 0.0])
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["total_wall_seconds"] == sum(after)
+
+
 def test_plan_on_untrained_checkpoint_bookkeeping(tiny_run):
     out = tiny_run["out"]
     # the pairs checkpoint has no policy group; a uniform policy is implied
@@ -199,6 +230,15 @@ def test_synthesize_single_action(tiny_run):
     assert len(res["observations"][1]) == tiny_run["cfg"].world.dim
     with pytest.raises(ValidationError):
         run_synthesize(str(out / "model.ckpt"), _subject_inputs(tiny_run, 20))
+
+
+def test_synthesize_to_a_target_fills_the_state_its_last_action_reaches(tiny_run):
+    ckpt = load_checkpoint(tiny_run["out"] / "model.ckpt")
+    res = run_synthesize(ckpt, _subject_inputs(tiny_run, 20), target=40)
+    obs, ages = np.array(res["observations"]), res["ages"]
+    assert len(ages) >= 3 and ages[-1] >= 40
+    step = synthesize_step(model_from_checkpoint(ckpt), obs[-2:-1], [ages[-1] - ages[-2]])
+    assert np.array_equal(obs[-1], step[0])
 
 
 @pytest.mark.parametrize("ages", [[20, 44], [15, 16, 40], [12, 30, 31, 52]])
@@ -388,6 +428,21 @@ def test_cli_reads_the_checkpoint_once_per_request(tiny_run, monkeypatch, reques
     ck = str(tiny_run["out"] / "model.ckpt")
     assert cli.main(request_args[:1] + ["--checkpoint", ck] + request_args[1:]) == 0
     assert reads == [ck]
+
+
+def test_cli_synthesize_writes_its_file_atomically(tiny_run, tmp_path, monkeypatch):
+    writes = []
+
+    def counting_write(path, data):
+        writes.append((path, data))
+        return write_atomic(path, data)
+
+    monkeypatch.setattr(cli, "write_atomic", counting_write)
+    dest = str(tmp_path / "synth.json")
+    assert cli.main(["synthesize", "--checkpoint", str(tiny_run["out"] / "model.ckpt"),
+                     "--age", "20", "--target", "30", "--out", dest]) == 0
+    assert writes == [(dest, (tmp_path / "synth.json").read_bytes())]
+    assert not (tmp_path / "synth.json.tmp").exists()
 
 
 def test_cli_gradcheck_and_oracle_check(capsys):

@@ -45,6 +45,7 @@ from flowpath.irl import (
     split_age_gap,
     traj_log_proposal_density,
     weight_diagnostics,
+    with_end_states,
 )
 from flowpath import nets
 from flowpath.nets import Adam, DenseLayer, DenseNet, finite_diff_grad
@@ -592,7 +593,7 @@ def test_plan_path_batch_matches_row_by_row_reference(kind):
     rows = [(0, 12), (0, 13), (0, 40), (0, 75), (1, 30), (1, 61), (2, 90)]
     starts = [base[i] for i, _ in rows]
     targets = [t for _, t in rows]
-    batch = plan_path_batch(policy, dyn, *stacked(starts), targets)
+    batch = with_end_states(dyn, plan_path_batch(policy, dyn, *stacked(starts), targets))
     assert len(batch) == len(rows)
     assert batch.actions.shape[1] == batch.lengths.max()
     assert batch.lengths[0] == 0
@@ -611,6 +612,33 @@ def test_plan_path_batch_matches_row_by_row_reference(kind):
         assert planned == single.actions == actions
         assert visited_ages.tolist() == single.ages.tolist()
         assert np.array_equal(visited_obs, single.observations)
+
+
+def test_plan_transitions_only_rows_short_of_their_target():
+    """A plan synthesizes the states its rows act from, Σ max(lengths - 1, 0) of
+    them, and leaves every end state zero until `with_end_states` fills it."""
+    rng = np.random.default_rng(37)
+    policy = make_policy_net(rng, dim=3, n_actions=16, age_low=0, age_high=100,
+                             uniform_init=False)
+    stepped = []
+
+    def step(obs, ages, actions):
+        stepped.append(actions.size)
+        return np.tanh(obs + 0.05 * actions[:, None])
+
+    dyn = FunctionDynamics(16, step)
+    targets = [20, 21, 34, 55, 80, 99]
+    batch = plan_path_batch(policy, dyn, rng.standard_normal((6, 3)), [20] * 6, targets)
+    assert len(set(batch.lengths.tolist())) >= 4
+    assert sum(stepped) == int(np.maximum(batch.lengths - 1, 0).sum())
+    ends = batch.observations[np.arange(6), batch.lengths]
+    assert not ends[batch.lengths > 0].any()
+    assert with_end_states(dyn, batch) is batch
+    assert stepped[-1] == np.count_nonzero(batch.lengths)
+    for i, n in enumerate(batch.lengths.tolist()):
+        if n:
+            assert np.array_equal(batch.observations[i, n], np.tanh(
+                batch.observations[i, n - 1] + 0.05 * batch.actions[i, n - 1]))
 
 
 def test_plan_path_batch_rejects_bad_input():
@@ -655,7 +683,8 @@ def test_synthesize_progressions_reads_every_age_off_one_path():
     trajs = [reference.trajectory([State(rng.standard_normal(5), a) for a in ages])
              for ages in ages_per_traj]
     starts = [reference.states_of(t)[0] for t in trajs]
-    paths = plan_path_batch(policy, dyn, *stacked(starts), [t.ages[-1] for t in trajs])
+    paths = with_end_states(dyn, plan_path_batch(policy, dyn, *stacked(starts),
+                                                 [t.ages[-1] for t in trajs]))
     obs, ages = synthesize_progressions(paths, PathBatch.from_trajectories(trajs))
     expected = [reference_plan(policy, dyn, start, s.age)[1][-1]
                 for start, traj in zip(starts, trajs) for s in reference.states_of(traj)[1:]]
