@@ -16,6 +16,7 @@ from .flows import (
     BijectionStack,
     CouplingUnit,
     alternating_mask,
+    flow_encode,
     flow_forward,
     flow_inverse,
     flow_log_density,

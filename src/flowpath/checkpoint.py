@@ -10,8 +10,9 @@ section is a u32-length JSON index ``[[name, [shape...]], ...]`` and then
 one float64 blob holding exactly what the index lists, decoded with one
 `np.frombuffer`.  The model is the `model` group, in `AgingModel.parameters()`
 order (its store's layout); the IRL nets are `cost` and `policy`.  Loading
-then saving produces identical bytes.  Version 1 files are refused: re-run
-the stage that wrote them.
+then saving produces identical bytes.  A load given `groups` decodes only
+those `params/<group>` arrays, yet checks every section's frame, name, CRC
+and JSON.  Version 1 files are refused: re-run the stage that wrote them.
 """
 
 from __future__ import annotations
@@ -183,9 +184,11 @@ def _checked_body(data: memoryview) -> memoryview:
     return body
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, groups=None) -> Checkpoint:
     """Read a checkpoint; any corrupt, missing, repeated or unknown content raises
-    CheckpointError.  Its arrays are writable views of the bytes read."""
+    CheckpointError.  Its arrays are writable views of the bytes read.  With `groups`, only
+    those `params/<group>` array sections are decoded and `opt_states` stays empty; every
+    section is still framed, name-checked and CRC-checked, and every JSON section parsed."""
     with open(path, "rb") as fh:
         data = bytearray(os.fstat(fh.fileno()).st_size)
         r = _Reader(_checked_body(memoryview(data)[:fh.readinto(data)]))
@@ -207,19 +210,20 @@ def load_checkpoint(path) -> Checkpoint:
         ckpt.rng_state = _json_section(sections, "rng")
     for name, payload in sections.items():
         kind, _, group = name.partition("/")
-        if kind == "params" and group:
+        if not (group and kind in ("params", "opt", "optmeta")
+                or name in ("config", "meta", "rng")):
+            raise CheckpointError(f"unknown section {name}")
+        if kind == "params" and (groups is None or group in groups):
             ckpt.params[group] = _unpack_group(payload, name)
-        elif kind == "opt" and group:
+        elif kind == "opt":
             scalars = _json_section(sections, f"optmeta/{group}")
             if not isinstance(scalars, dict):
                 raise CheckpointError(f"section optmeta/{group} is not a JSON object")
-            ckpt.opt_states[group] = _opt_from_arrays(_unpack_group(payload, name),
-                                                      scalars, name)
-        elif kind == "optmeta" and group:
-            if f"opt/{group}" not in sections:
-                raise CheckpointError(f"section {name} has no opt/{group} section")
-        elif name not in ("config", "meta", "rng"):
-            raise CheckpointError(f"unknown section {name}")
+            if groups is None:
+                ckpt.opt_states[group] = _opt_from_arrays(_unpack_group(payload, name),
+                                                          scalars, name)
+        elif kind == "optmeta" and f"opt/{group}" not in sections:
+            raise CheckpointError(f"section {name} has no opt/{group} section")
     return ckpt
 
 

@@ -158,13 +158,14 @@ def dispatch(args) -> int:
         print(f"wrote {path}" if path else "stopped early; resume from irl_latest.ckpt")
         return 0
     if cmd == "plan":
-        ckpt = load_checkpoint(args.checkpoint)
+        ckpt = load_checkpoint(args.checkpoint, ("model", "policy"))
         inputs = _load_inputs(args, ckpt.config)
         result = pipeline.run_plan(ckpt, inputs, args.target)
         print(json.dumps(result))
         return 0
     if cmd == "synthesize":
-        ckpt = load_checkpoint(args.checkpoint)
+        groups = ("model",) if args.target is None else ("model", "policy")
+        ckpt = load_checkpoint(args.checkpoint, groups)
         inputs = _load_inputs(args, ckpt.config)
         result = pipeline.run_synthesize(ckpt, inputs,
                                          action=args.action, target=args.target)

@@ -9,6 +9,7 @@ A pass through a stack, forward, inverse or backward, carries the halves as
 two arrays: one gather on entry and one scatter on exit.  Where the next unit
 keeps exactly what this one transformed, as in every `alternating_mask`
 stack, the halves swap; otherwise the vector is rebuilt and gathered again.
+`flow_encode` is `flow_forward` without the log-determinant: the same z, bit for bit.
 
 A unit is built from one net whose layers stack its scale and translate
 subnets on an axis of 2, so both run as one batched matmul chain, and
@@ -157,7 +158,7 @@ class BijectionStack:
                 raise ShapeError(f"unit of dim {u.dim} and flow axes {u.lead} in a stack of "
                                  f"dim {dim} and flow axes {self.lead}")
         # swaps[i]: unit i + 1 keeps exactly what unit i transforms (units stay fixed)
-        self.swaps = [np.array_equal(a.trans, b.kept) for a, b in zip(self.units, self.units[1:])]
+        self.swaps = [a.trans.tobytes() == b.kept.tobytes() for a, b in zip(units, units[1:])]
 
     def parameters(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return [p for i, u in enumerate(self.units) for p in u.parameters(f"{prefix}u{i:02d}.")]
@@ -205,9 +206,9 @@ def _hand_off(src: CouplingUnit, dst: CouplingUnit, swap: bool, kept: np.ndarray
     return full[..., dst.kept], full[..., dst.trans]
 
 
-def _forward(flow: BijectionStack, x: np.ndarray, caches: list | None):
-    """Run a (*lead, N, dim) batch through the units, keeping each unit's cache in
-    `caches` if given.  The entry unit checks its kept half too: no unit made it."""
+def _forward(flow: BijectionStack, x: np.ndarray, caches: list | None, logdet: bool = True):
+    """Run a (*lead, N, dim) batch through the units, keeping each unit's cache in `caches` if
+    given and the logdet sum if `logdet`.  The entry unit checks its kept half: no unit made it."""
     units, total, last = flow.units, np.zeros(x.shape[:-1]), len(flow.units) - 1
     if not units:
         return x, total
@@ -222,7 +223,7 @@ def _forward(flow: BijectionStack, x: np.ndarray, caches: list | None):
             raise NumericError("non-finite coupling output (scale overflow)")
         if caches is not None:
             caches.append((xk, xt, th, es, net_caches))
-        total = total + s.sum(axis=-1)
+        total = total + s.sum(axis=-1) if logdet else total
         if i < last:
             xk, xt = _hand_off(u, units[i + 1], flow.swaps[i], xk, yt)
     return _join(units[-1], xk, yt, np.empty_like(x)), total
@@ -234,6 +235,13 @@ def flow_forward(flow: BijectionStack, x: np.ndarray):
     h, single = _as_batch(x, flow)
     h, total = _forward(flow, h, None)
     return (h[0], float(total[0])) if single else (h, total)
+
+
+def flow_encode(flow: BijectionStack, x: np.ndarray) -> np.ndarray:
+    """`flow_forward`'s z, bit for bit, without summing the log-determinant."""
+    h, single = _as_batch(x, flow)
+    h, _ = _forward(flow, h, None, logdet=False)
+    return h[0] if single else h
 
 
 def flow_forward_cached(flow: BijectionStack, x: np.ndarray):

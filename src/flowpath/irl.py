@@ -57,7 +57,7 @@ from .errors import (
 )
 from .nets import Adam, DenseNet, _forward_cached, dense_net, net_backward, net_forward
 from .transform import DEFAULT_NUM_ACTIONS, AgingModel, synthesize_step, transform_apply
-from .flows import flow_forward, flow_inverse
+from .flows import flow_encode, flow_inverse
 
 ENUMERATION_BUDGET = 1_000_000
 # Most rows the lockstep engine passes to one transition or one scoring pass.
@@ -726,7 +726,7 @@ def plan_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
         actions[rows, t - 1], ages[rows, t] = chosen, age + chosen
         ahead = np.flatnonzero(age + chosen < targets[rows])
         if ahead.size:  # only a row still below its target acts from its new state
-            x = dynamics.transition(x, age, ahead, chosen[ahead])
+            x = dynamics.transition(x[ahead], age[ahead], np.arange(ahead.size), chosen[ahead])
             obs[live[ahead], t] = x
         live, age = live[ahead], age[ahead] + chosen[ahead]
     return PathBatch(obs[:, :t + 1], ages[:, :t + 1], actions[:, :t],
@@ -774,11 +774,11 @@ def multi_input_init(inputs: Sequence[tuple[np.ndarray, int]], model: AgingModel
     for x in xs:
         if x.shape != (model.dim,):
             raise ShapeError(f"input of shape {x.shape}, not one observation of length {model.dim}")
-    encoded, _ = flow_forward(model.target_flow, np.stack(xs))
+    encoded = flow_encode(model.target_flow, np.stack(xs))
     z, age = encoded[0], int(inputs[order[0]][1])
     for z_real, i in zip(encoded[1:], order[1:]):
         for step in split_age_gap(int(inputs[i][1]) - age, model.n_actions - 1):
-            z_src, _ = flow_forward(model.source_flow, flow_inverse(model.target_flow, z))
+            z_src = flow_encode(model.source_flow, flow_inverse(model.target_flow, z))
             z = transform_apply(model.transform, z_src, step)
         z, age = z + z_real, int(inputs[i][1])
     return flow_inverse(model.target_flow, z), age

@@ -441,8 +441,10 @@ def default_subject_inputs(cfg: RunConfig, subject_seed: int, age: int
 
 def run_plan(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
              target: int) -> dict:
-    """Greedy plan to `target`; `ckpt_path` may also be a loaded `Checkpoint`."""
-    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path)
+    """Greedy plan to `target`; `ckpt_path` may also be a loaded `Checkpoint`.  A path loads
+    only the groups the plan reads, `model` and `policy` (a missing policy plans uniformly)."""
+    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) \
+        else load_checkpoint(ckpt_path, ("model", "policy"))
     model = model_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
     obs, age = start_state_from_inputs(ckpt, model, inputs, target)
@@ -457,10 +459,12 @@ def run_plan(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
 
 def run_synthesize(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
                    action: int | None = None, target: int | None = None) -> dict:
-    """One action step or a plan to `target`; `ckpt_path` may be a loaded `Checkpoint`."""
+    """One action step or a plan to `target`; `ckpt_path` may be a loaded `Checkpoint`.  A
+    path loads only the groups the request reads: `model`, and `policy` for a `target`."""
     if (action is None) == (target is None):
         raise ValidationError("exactly one of action or target is required")
-    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path)
+    groups = ("model",) if target is None else ("model", "policy")
+    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path, groups)
     model = model_from_checkpoint(ckpt)
     obs, age = start_state_from_inputs(ckpt, model, inputs, target)
     if action is not None:

@@ -21,6 +21,7 @@ access.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from .flows import (
     CouplingUnit,
     alternating_mask,
     flow_backward,
+    flow_encode,
     flow_forward,
     flow_forward_cached,
     flow_inverse,
@@ -165,6 +167,13 @@ class AgingModel:
         return self.flows.parameters("flows.") + self.transform.parameters("transform.")
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_layout(dim: int, units: int, hidden: int, clamp: float) -> tuple:
+    """`make_aging_model`'s per-unit (mask, subnet layers, clamps), shared: read-only masks."""
+    masks = [np.frombuffer(alternating_mask(dim, i).tobytes(), np.int8) for i in range(units)]
+    return tuple((m, tuple(subnet_layers(m, hidden)), (clamp, clamp)) for m in masks)
+
+
 def make_aging_model(rng: np.random.Generator | None, dim: int,
                      n_actions: int = DEFAULT_NUM_ACTIONS, flow_units: int = 10,
                      hidden: int = 32, clamp: float = 2.0, factors: int = 32
@@ -173,9 +182,7 @@ def make_aging_model(rng: np.random.Generator | None, dim: int,
     transform.  Glorot values go straight into the store's views, as `make_flow`
     draws them twice, then into `w_out`, `w_lat`, `w_act` in that order; final subnet
     layers stay zero.  With `rng` None every value is zero, the layout a checkpoint fills."""
-    masks = [alternating_mask(dim, i) for i in range(flow_units)]
-    model = AgingModel(dim, [(mask, subnet_layers(mask, hidden), (clamp, clamp)) for mask in masks],
-                       factors, n_actions)
+    model = AgingModel(dim, _unit_layout(dim, flow_units, hidden, clamp), factors, n_actions)
     if rng is not None:
         for u in model.source_flow.units + model.target_flow.units:
             glorot_subnets(rng, u)
@@ -195,7 +202,7 @@ def pair_loglik(model: AgingModel, x_prev: np.ndarray, x_t: np.ndarray, action):
     if xp.shape != xt.shape:
         raise ShapeError("both observations must share a shape")
     single = xp.ndim == 1
-    z_prev, _ = flow_forward(model.source_flow, xp)
+    z_prev = flow_encode(model.source_flow, xp)
     z_t, logdet = flow_forward(model.target_flow, xt)
     pred = transform_apply(model.transform, z_prev, action)
     loglik = standard_normal_loglik(z_t - pred) + logdet
@@ -283,6 +290,6 @@ def synthesize_step(model: AgingModel, x_prev: np.ndarray, action, parents=None)
     """Decode the transform prediction x_t = target_flow⁻¹(pred), the deterministic
     conditional mode.  With `parents`, x_prev holds (P, D) parents, each encoded
     once, and row k steps x_prev[parents[k]] by action[k]; else row k steps row k."""
-    z_prev, _ = flow_forward(model.source_flow, x_prev)
+    z_prev = flow_encode(model.source_flow, x_prev)
     pred = transform_apply(model.transform, z_prev if parents is None else z_prev[parents], action)
     return flow_inverse(model.target_flow, pred)

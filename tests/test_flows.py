@@ -10,6 +10,7 @@ from flowpath.flows import (
     BijectionStack,
     CouplingUnit,
     alternating_mask,
+    flow_encode,
     flow_forward,
     flow_inverse,
     flow_log_density,
@@ -294,6 +295,26 @@ def test_scale_overflow_is_named_by_forward_and_nll():
                 with pytest.raises(NumericError, match=r"non-finite coupling output \(scale "
                                                        r"overflow\)"):
                     run(stack, x)
+
+
+def test_flow_encode_is_flow_forwards_z_bit_for_bit():
+    rng = np.random.default_rng(36)
+    model = make_aging_model(rng, dim=5, n_actions=6, flow_units=3, hidden=7, factors=3)
+    model.store += 0.2 * rng.standard_normal(model.store.size)  # non-zero final layers
+    x = rng.standard_normal((2, 4, 5))
+    for flow, inp in ((model.source_flow, x[0, 0]), (model.source_flow, x[0]),
+                      (model.target_flow, x[1, :1]), (model.flows, x), (model.flows, x[:, :1])):
+        z = flow_encode(flow, inp)
+        assert z.shape == inp.shape and z.tobytes() == flow_forward(flow, inp)[0].tobytes()
+        assert not np.array_equal(z, inp)
+
+
+def test_flow_encode_names_a_scale_overflow():
+    for stack, shape in biased_stacks(5.0, clamp=1000.0):
+        x = np.random.default_rng(34).standard_normal(shape)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"non-finite coupling output \(scale overflow\)"):
+            flow_encode(stack, x)
 
 
 def test_an_overflowing_transformed_half_is_named_by_inverse():

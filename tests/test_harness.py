@@ -419,15 +419,52 @@ def test_cli_reads_the_checkpoint_once_per_request(tiny_run, monkeypatch, reques
 
     reads = []
 
-    def counting_load(path):
+    def counting_load(path, groups=None):
         reads.append(path)
-        return load_checkpoint(path)
+        return load_checkpoint(path, groups)
 
     monkeypatch.setattr(cli, "load_checkpoint", counting_load)
     monkeypatch.setattr(pipeline, "load_checkpoint", counting_load)
     ck = str(tiny_run["out"] / "model.ckpt")
     assert cli.main(request_args[:1] + ["--checkpoint", ck] + request_args[1:]) == 0
     assert reads == [ck]
+
+
+def test_a_request_load_decodes_only_the_groups_it_names(tiny_run):
+    path = tiny_run["out"] / "model.ckpt"
+    full, part = load_checkpoint(path), load_checkpoint(path, groups=("model", "policy"))
+    assert sorted(full.params) == ["cost", "model", "policy"] and full.opt_states
+    assert sorted(part.params) == ["model", "policy"] and part.opt_states == {}
+    for group in ("model", "policy"):
+        assert [(n, a.shape, a.tobytes()) for n, a in part.params[group]] == \
+            [(n, a.shape, a.tobytes()) for n, a in full.params[group]]
+    assert part.config.to_json() == full.config.to_json()
+    assert (part.meta, part.rng_state) == (full.meta, full.rng_state)
+
+
+def test_a_corrupt_section_a_request_does_not_decode_still_fails_the_checksum(
+        tiny_run, tmp_path, capsys):
+    raw = bytearray((tiny_run["out"] / "model.ckpt").read_bytes())
+    payload = dict(_sections(bytes(raw)))[b"opt/cost"]
+    raw[raw.index(payload) + len(payload) // 2] ^= 0x01
+    path = tmp_path / "flipped.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        load_checkpoint(path, groups=("model", "policy"))
+    assert _plan_exit_code(str(path)) == 2
+    err = capsys.readouterr().err
+    assert "checksum mismatch" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ages", [[20], [14, 20]])
+def test_a_request_from_a_path_equals_one_on_the_fully_loaded_checkpoint(tiny_run, ages):
+    path = str(tiny_run["out"] / "model.ckpt")
+    ckpt = load_checkpoint(path)
+    world = tiny_run["cfg"].world
+    inputs = [(observe(world, make_archetype(world, 12), a), a) for a in ages]
+    assert run_plan(path, inputs, 50) == run_plan(ckpt, inputs, 50)
+    assert run_synthesize(path, inputs, target=44) == run_synthesize(ckpt, inputs, target=44)
+    assert run_synthesize(path, inputs, action=7) == run_synthesize(ckpt, inputs, action=7)
 
 
 def test_cli_synthesize_writes_its_file_atomically(tiny_run, tmp_path, monkeypatch):

@@ -641,6 +641,20 @@ def test_plan_transitions_only_rows_short_of_their_target():
                 batch.observations[i, n - 1] + 0.05 * batch.actions[i, n - 1]))
 
 
+def test_plan_transitions_take_only_the_parents_they_step():
+    """A plan transition's parents are the rows it steps, in order: P = K."""
+    rng = np.random.default_rng(38)
+    policy = make_policy_net(rng, dim=3, n_actions=16, age_low=0, age_high=100,
+                             uniform_init=False)
+    dyn = RecordingDynamics()
+    batch = plan_path_batch(policy, dyn, rng.standard_normal((6, 3)), [20] * 6,
+                            [20, 21, 34, 55, 80, 99])
+    assert len(set(batch.lengths.tolist())) >= 4 and len(dyn.calls) >= 3
+    for obs, ages, parents, actions in dyn.calls:
+        assert len(obs) == len(ages) == parents.size == actions.size
+        assert np.array_equal(parents, np.arange(parents.size))
+
+
 def test_plan_path_batch_rejects_bad_input():
     policy = biased_policy(3, 16, favored=3)
     dyn = line_dynamics(n_actions=16)

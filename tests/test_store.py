@@ -5,7 +5,7 @@ vector, fresh models draw into it, checkpoints fill it without drawing, and
 import numpy as np
 import pytest
 
-from flowpath import nets
+from flowpath import nets, transform
 from flowpath.checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint
 from flowpath.config import RunConfig
 from flowpath.errors import CheckpointError
@@ -241,6 +241,28 @@ def test_one_copy_load_matches_the_per_array_restore_bit_for_bit(tmp_path):
         assert np.shares_memory(a, model.store) and np.array_equal(a, b), name
     for flow in (model.source_flow, model.target_flow):
         assert flow.lead == () and flow.swaps == BijectionStack(flow.dim, flow.units).swaps
+
+
+def test_zero_layouts_share_one_cached_unit_layout_but_no_store(monkeypatch):
+    cfg = small_config()
+    cfg.flow.units, cfg.flow.hidden = 4, 9
+    masks = []
+    real = transform.alternating_mask
+    monkeypatch.setattr(transform, "alternating_mask", lambda dim, i: masks.append(i) or
+                        real(dim, i))
+    a, b = build_model(cfg, None), build_model(cfg, None)
+    assert len(masks) in (0, cfg.flow.units)  # at most one of the two builds lays out units
+    layout = transform._unit_layout(cfg.world.dim, cfg.flow.units, cfg.flow.hidden,
+                                    cfg.flow.clamp)
+    assert isinstance(layout, tuple) and all(isinstance(u, tuple) for u in layout)
+    for (mask, layers, clamps), ua, ub in zip(layout, a.flows.units, b.flows.units, strict=True):
+        assert not mask.flags.writeable and isinstance(layers, tuple)
+        assert clamps == (cfg.flow.clamp,) * 2
+        assert np.array_equal(mask, ua.mask) and ua.mask is ub.mask
+        assert not (ua.mask.flags.writeable or ua.kept.flags.writeable)
+    assert not np.shares_memory(a.store, b.store)
+    a.store += 1.0
+    assert not b.store.any()
 
 
 def test_a_reordered_model_group_loads_by_name():
