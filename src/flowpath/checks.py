@@ -47,6 +47,15 @@ def max_violation(analytic, numeric) -> float:
     return worst
 
 
+def _gradient_check(name: str, params, objective, value=None):
+    """Compare the gradients of `objective() -> (value, grads)` with central differences
+    over the arrays of `params` of `value()`, by default the objective's own value."""
+    _, grads = objective()
+    numeric = finite_diff_grad(value or (lambda: objective()[0]), [a for _, a in params], 1e-5)
+    worst = max_violation(grads, numeric)
+    return name, worst < 1.0, f"violation {worst:.3g}"
+
+
 def check_flow_nll_grad(seed: int = 0):
     rng = np.random.default_rng(seed)
     flow = make_flow(rng, dim=4, n_units=2, hidden=6)
@@ -54,11 +63,8 @@ def check_flow_nll_grad(seed: int = 0):
     for _, arr in flow.parameters():
         arr += 0.05 * rng.standard_normal(arr.shape)
     xs = rng.standard_normal((5, 4))
-    _, grads = flow_nll(flow, xs)
-    arrays = [a for _, a in flow.parameters()]
-    numeric = finite_diff_grad(lambda: flow_nll_value(flow, xs), arrays, 1e-5)
-    worst = max_violation(grads, numeric)
-    return "flow_nll_gradient", worst < 1.0, f"violation {worst:.3g}"
+    return _gradient_check("flow_nll_gradient", flow.parameters(), lambda: flow_nll(flow, xs),
+                           lambda: flow_nll_value(flow, xs))
 
 
 def check_pair_objective_grad(seed: int = 1):
@@ -69,16 +75,9 @@ def check_pair_objective_grad(seed: int = 1):
     xp = rng.standard_normal((4, 4))
     xt = rng.standard_normal((4, 4))
     acts = rng.integers(0, 5, size=4)
-    _, grads = pair_objective_and_grads(model, xp, xt, acts, constraint_weight=0.1)
-    arrays = [a for _, a in model.parameters()]
-
-    def loss() -> float:
-        val, _ = pair_objective_and_grads(model, xp, xt, acts, constraint_weight=0.1)
-        return val
-
-    numeric = finite_diff_grad(loss, arrays, 1e-5)
-    worst = max_violation(grads, numeric)
-    return "pair_objective_gradient", worst < 1.0, f"violation {worst:.3g}"
+    return _gradient_check("pair_objective_gradient", model.parameters(),
+                           lambda: pair_objective_and_grads(model, xp, xt, acts,
+                                                            constraint_weight=0.1))
 
 
 def _toy_demo_world(seed: int):
@@ -97,16 +96,8 @@ def check_irl_objective_grad(seed: int = 2):
     cost, policy, dyn, base = _toy_demo_world(seed)
     demos = sample_path_batch(policy, dyn, base[None, :], [0], 3, m=4, seed=seed)
     samples = sample_path_batch(policy, dyn, base[None, :], [0], 3, m=6, seed=seed + 1)
-    _, grads = irl_loss_and_grad(cost, demos, samples)
-    arrays = [a for _, a in cost.parameters()]
-
-    def loss() -> float:
-        val, _ = irl_loss_and_grad(cost, demos, samples)
-        return val
-
-    numeric = finite_diff_grad(loss, arrays, 1e-5)
-    worst = max_violation(grads, numeric)
-    return "irl_objective_gradient", worst < 1.0, f"violation {worst:.3g}"
+    return _gradient_check("irl_objective_gradient", cost.parameters(),
+                           lambda: irl_loss_and_grad(cost, demos, samples))
 
 
 def run_gradcheck(seed: int = 0) -> list[tuple[str, bool, str]]:

@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
 from .checks import run_gradcheck, run_oracle_check
 from .config import RunConfig, load_config
 from .errors import (
@@ -63,22 +62,18 @@ def build_parser() -> _Parser:
             p.add_argument("--stop-after", type=int,
                            help="stop after this many outer iterations")
 
-    p = sub.add_parser("plan", help="plan an aging path for an input")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--age", type=int, required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--input", help="JSON file with ages + observations (multi-input)")
-    p.add_argument("--subject-seed", type=int,
-                   help="world subject (default 0) to draw the input from when no file is given")
-
-    p = sub.add_parser("synthesize", help="synthesize progressed observations")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--age", type=int, required=True)
-    p.add_argument("--action", type=int)
-    p.add_argument("--target", type=int)
-    p.add_argument("--input")
-    p.add_argument("--subject-seed", type=int)
-    p.add_argument("--out", help="write the result JSON here instead of stdout")
+    for name, help_text in (("plan", "plan an aging path for an input"),
+                            ("synthesize", "synthesize progressed observations")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--age", type=int, required=True)
+        p.add_argument("--target", type=int, required=name == "plan")
+        p.add_argument("--input", help="JSON file with ages + observations (multi-input)")
+        p.add_argument("--subject-seed", type=int, help="world subject (default 0) to draw "
+                       "the input from when no file is given")
+        if name == "synthesize":
+            p.add_argument("--action", type=int)
+            p.add_argument("--out", help="write the result JSON here instead of stdout")
 
     p = sub.add_parser("evaluate", help="held-out path recovery and age fidelity")
     p.add_argument("--out", help="run directory (the checkpoint's config supplies the rest)")
@@ -157,20 +152,12 @@ def dispatch(args) -> int:
                                         stop_after=args.stop_after)
         print(f"wrote {path}" if path else "stopped early; resume from irl_latest.ckpt")
         return 0
-    if cmd == "plan":
-        ckpt = load_checkpoint(args.checkpoint, ("model", "policy"))
+    if cmd in ("plan", "synthesize"):
+        ckpt = pipeline.request_checkpoint(args.checkpoint, args.target)
         inputs = _load_inputs(args, ckpt.config)
-        result = pipeline.run_plan(ckpt, inputs, args.target)
-        print(json.dumps(result))
-        return 0
-    if cmd == "synthesize":
-        groups = ("model",) if args.target is None else ("model", "policy")
-        ckpt = load_checkpoint(args.checkpoint, groups)
-        inputs = _load_inputs(args, ckpt.config)
-        result = pipeline.run_synthesize(ckpt, inputs,
-                                         action=args.action, target=args.target)
-        text = json.dumps(result)
-        if args.out:
+        text = json.dumps(pipeline.run_plan(ckpt, inputs, args.target) if cmd == "plan" else
+                          pipeline.run_synthesize(ckpt, inputs, args.action, args.target))
+        if getattr(args, "out", None):
             write_atomic(args.out, (text + "\n").encode("utf-8"))
         else:
             print(text)

@@ -129,8 +129,8 @@ def energy_separation_report(model: AgingModel, cost, demos: PathBatch,
     only, so it depends on the order of `demos` (train_sequences.jsonl in a run).
     """
     dyn = ModelDynamics(model)
-    uniform = make_policy_net(np.random.default_rng(0), model.dim, model.n_actions,
-                              age_low=cost.age_low, age_high=cost.age_high)
+    uniform = make_policy_net(None, model.dim, model.n_actions, age_low=cost.age_low,
+                              age_high=cost.age_high)
     obs, ages, horizons = demos.observations[:, 0], demos.ages[:, 0], np.maximum(demos.lengths, 1)
     rollouts = sample_path_batch(uniform, dyn, obs, ages, horizons, m=2 * len(demos), seed=seed)
     demo_e = float(np.mean(path_energies(cost, demos)))

@@ -320,11 +320,16 @@ class Adam:
                 "v": [a.copy() for a in self._views(self._v)]}
 
     def load_state_dict(self, state: dict) -> None:
-        """Load a `state_dict`; any misfit moment, missing key or out-of-range scalar
-        raises CheckpointError before anything changes."""
+        """Load a `state_dict`; any misfit, non-finite or (for `v`) negative moment, missing
+        key or out-of-range scalar raises CheckpointError before anything changes."""
         try:
             for key in ("m", "v"):
                 self._check_fit(state[key], f"stored {key} moment", CheckpointError)
+                for name, a in zip(self.names, state[key]):
+                    if not np.isfinite(a).all():
+                        raise CheckpointError(f"stored {key} moment for {name} is not finite")
+                    if key == "v" and (a < 0).any():
+                        raise CheckpointError(f"stored v moment for {name} is negative")
             scalars = [float(state[k]) for k in ("learning_rate", "beta1", "beta2", "eps")]
             self._set_scalars(*scalars, state["step_count"], CheckpointError)
         except (KeyError, TypeError, ValueError) as exc:

@@ -192,10 +192,7 @@ def stage_pretrain_flow(cfg: RunConfig) -> Path:
     rng = _stage_rng(cfg, STAGE_FLOW)
     model = build_model(cfg, rng)
     steps, size = cfg.flow.pretrain_steps, cfg.flow.batch_size
-    # drawn in the sequential loop's order (all source batches, then all target
-    # batches), so each flow trains on the same batches as before
-    idx = np.array([rng.integers(0, data.shape[0], size=size)
-                    for _ in range(2 * steps)]).reshape(2, steps, size)
+    idx = rng.integers(0, data.shape[0], size=(2, steps, size))
     opt = Adam(model.flows.parameters(), cfg.optimizer.learning_rate, cfg.optimizer.beta1,
                cfg.optimizer.beta2)
     losses = np.empty((2, steps))
@@ -439,12 +436,18 @@ def default_subject_inputs(cfg: RunConfig, subject_seed: int, age: int
     return [(observe(cfg.world, arch, age), age)]
 
 
+def request_checkpoint(ckpt_path: str | Checkpoint, target: int | None) -> Checkpoint:
+    """A loaded `Checkpoint` as is, else the groups a request reads from `ckpt_path`: `model`,
+    and `policy` for a `target` (a missing policy plans uniformly)."""
+    if isinstance(ckpt_path, Checkpoint):
+        return ckpt_path
+    return load_checkpoint(ckpt_path, ("model",) if target is None else ("model", "policy"))
+
+
 def run_plan(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
              target: int) -> dict:
-    """Greedy plan to `target`; `ckpt_path` may also be a loaded `Checkpoint`.  A path loads
-    only the groups the plan reads, `model` and `policy` (a missing policy plans uniformly)."""
-    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) \
-        else load_checkpoint(ckpt_path, ("model", "policy"))
+    """Greedy plan to `target`, from the `request_checkpoint` of `ckpt_path`."""
+    ckpt = request_checkpoint(ckpt_path, target)
     model = model_from_checkpoint(ckpt)
     policy = policy_from_checkpoint(ckpt)
     obs, age = start_state_from_inputs(ckpt, model, inputs, target)
@@ -459,12 +462,10 @@ def run_plan(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
 
 def run_synthesize(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, int]],
                    action: int | None = None, target: int | None = None) -> dict:
-    """One action step or a plan to `target`; `ckpt_path` may be a loaded `Checkpoint`.  A
-    path loads only the groups the request reads: `model`, and `policy` for a `target`."""
+    """One action step or a plan to `target`, from the `request_checkpoint` of `ckpt_path`."""
     if (action is None) == (target is None):
         raise ValidationError("exactly one of action or target is required")
-    groups = ("model",) if target is None else ("model", "policy")
-    ckpt = ckpt_path if isinstance(ckpt_path, Checkpoint) else load_checkpoint(ckpt_path, groups)
+    ckpt = request_checkpoint(ckpt_path, target)
     model = model_from_checkpoint(ckpt)
     obs, age = start_state_from_inputs(ckpt, model, inputs, target)
     if action is not None:

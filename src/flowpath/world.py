@@ -55,28 +55,15 @@ class WorldConfig:
         return self.age_max - self.age_min
 
 
-@dataclass(eq=False)
+@dataclass
 class SubjectArchetype:
     """Hidden per-subject aging traits, a deterministic function of the seed."""
 
-    trait: np.ndarray  # [class_id, rate, nonstationary, phase]
+    class_id: int
+    rate: float
+    nonstationary: bool
+    phase: float
     seed: int
-
-    @property
-    def class_id(self) -> int:
-        return int(self.trait[0])
-
-    @property
-    def rate(self) -> float:
-        return float(self.trait[1])
-
-    @property
-    def nonstationary(self) -> bool:
-        return bool(self.trait[2])
-
-    @property
-    def phase(self) -> float:
-        return float(self.trait[3])
 
 
 def preferred_step(class_id: int, n_actions: int) -> int:
@@ -98,11 +85,9 @@ def _class_bank(class_id: int, dim: int):
 
 def make_archetype(config: WorldConfig, seed: int) -> SubjectArchetype:
     rng = np.random.default_rng(seed)
-    class_id = int(rng.integers(0, N_ARCHETYPE_CLASSES))
-    rate = float(rng.uniform(0.6, 1.4))
-    nonstat = float(rng.integers(0, 2))
-    phase = float(rng.uniform(0.0, 2 * np.pi))
-    return SubjectArchetype(np.array([class_id, rate, nonstat, phase]), seed)
+    return SubjectArchetype(
+        int(rng.integers(0, N_ARCHETYPE_CLASSES)), float(rng.uniform(0.6, 1.4)),
+        bool(rng.integers(0, 2)), float(rng.uniform(0.0, 2 * np.pi)), seed)
 
 
 def observe(config: WorldConfig, arch: SubjectArchetype, age: int | np.ndarray) -> np.ndarray:

@@ -423,11 +423,21 @@ def test_cli_reads_the_checkpoint_once_per_request(tiny_run, monkeypatch, reques
         reads.append(path)
         return load_checkpoint(path, groups)
 
-    monkeypatch.setattr(cli, "load_checkpoint", counting_load)
     monkeypatch.setattr(pipeline, "load_checkpoint", counting_load)
     ck = str(tiny_run["out"] / "model.ckpt")
     assert cli.main(request_args[:1] + ["--checkpoint", ck] + request_args[1:]) == 0
     assert reads == [ck]
+
+
+def test_request_checkpoint_decodes_the_groups_a_request_reads(tiny_run):
+    path = str(tiny_run["out"] / "model.ckpt")
+    action = pipeline.request_checkpoint(path, None)
+    plan = pipeline.request_checkpoint(path, 40)
+    assert sorted(action.params) == ["model"] and action.opt_states == {}
+    assert sorted(plan.params) == ["model", "policy"] and plan.opt_states == {}
+    assert pipeline.request_checkpoint(plan, None) is plan
+    full = load_checkpoint(path)
+    assert pipeline.request_checkpoint(full, 40) is full
 
 
 def test_a_request_load_decodes_only_the_groups_it_names(tiny_run):
@@ -587,6 +597,12 @@ def test_config_rejects_unknown_sections():
     ('{"transform": {"train_steps": -1}}', "transform.train_steps"),
     ('{"transform": {"batch_size": -2}}', "transform.batch_size"),
     ('{"transform": {"batch_size": 1}}', "transform.batch_size"),
+    ('{"flow": {"hidden": 0}}', "flow settings must be positive"),
+    ('{"transform": {"factors": 0}}', "transform settings must be positive"),
+    ('{"optimizer": {"beta2": 1.0}}', "optimizer settings out of range"),
+    ('{"irl": {"outer_iters": -1}}', "outer_iters must be >= 0"),
+    ('{"world": {"horizon": 1}}', "horizon must be >= 2"),
+    ('{"world": {"n_actions": 1}}', "need at least 2 actions"),
 ])
 def test_cli_malformed_config_exits_1(tmp_path, capsys, text, key):
     path = tmp_path / "bad.json"
@@ -760,6 +776,8 @@ def test_cli_checkpoint_of_format_version_1_exits_2(tmp_path, capsys):
     (lambda raw: raw + b"\0", "trailing bytes"),
     (lambda raw: raw[:-1], "truncated checkpoint"),
     (lambda raw: raw[:HEADER_SIZE - 1], "truncated checkpoint"),
+    (lambda raw: raw[:4], "truncated checkpoint header"),
+    (lambda raw: raw[:7], "truncated checkpoint header"),
     (lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]), "checksum mismatch"),
     (lambda raw: raw[:16] + bytes([raw[16] ^ 0x80]) + raw[17:], "checksum mismatch"),
 ])
@@ -798,6 +816,46 @@ def test_cli_checkpoint_repeated_unknown_or_orphan_section_exits_2(tmp_path, cap
     assert _plan_exit_code(path) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def _array_section(index: bytes, values: bytes = b"") -> bytes:
+    return struct.pack("<I", len(index)) + index + values
+
+
+def _past_the_end(secs):
+    """The sections' body with the last section's length 8 bytes past the body's end."""
+    body = b"".join(struct.pack("<I", len(n)) + n + struct.pack("<Q", len(p)) + p
+                    for n, p in secs)
+    payload = secs[-1][1]
+    return body[:-len(payload) - 8] + struct.pack("<Q", len(payload) + 8) + payload
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_array_section(b'{"v": [5]}', np.zeros(5).tobytes()), "malformed index"),
+    (_array_section(b'[["v"]]', np.zeros(5).tobytes()), "malformed index"),
+    (_array_section(b'[[5, ["v"]]]', np.zeros(5).tobytes()), "malformed index"),
+    (_array_section(b'[["v", [5]]]', np.zeros(4).tobytes()), "its index lists 40"),
+    (_array_section(b'[["v", [5]]]', np.zeros(6).tobytes()), "holds 48 bytes of values"),
+])
+def test_checkpoint_array_section_that_misfits_its_index_is_refused(tmp_path, payload,
+                                                                     message):
+    path = _rewritten_checkpoint(
+        tmp_path, lambda secs: [(n, payload if n == b"params/group_b" else p)
+                                for n, p in secs])
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_cli_checkpoint_section_past_the_body_end_exits_2(tmp_path, capsys):
+    path = tmp_path / "a.ckpt"
+    save_checkpoint(path, sample_checkpoint())
+    body = _past_the_end(_sections(path.read_bytes()))
+    path.write_bytes(MAGIC + struct.pack("<IQI", 2, len(body), zlib.crc32(body)) + body)
+    with pytest.raises(CheckpointError, match="truncated checkpoint payload"):
+        load_checkpoint(path)
+    assert _plan_exit_code(str(path)) == 2
+    err = capsys.readouterr().err
+    assert "truncated checkpoint payload" in err and "Traceback" not in err
 
 
 def _opt_index(names: list[str]) -> bytes:
@@ -1081,6 +1139,22 @@ def test_cli_resume_rejects_misshaped_optimizer_moments(tiny_run, tmp_path, caps
     assert "cost.l0.w" in capsys.readouterr().err
     assert (run / "model.ckpt").read_bytes() == (tiny_run["out"] / "model.ckpt").read_bytes()
     assert sorted(p.name for p in run.iterdir()) == before
+
+
+def test_cli_resume_rejects_a_non_finite_optimizer_moment(tiny_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("train_sequences.jsonl", "model.ckpt"):
+        shutil.copy(tiny_run["out"] / name, run / name)
+    ckpt = load_checkpoint(run / "model.ckpt")
+    ckpt.opt_states["cost"]["m"][0][0, 0] = np.nan
+    save_checkpoint(run / "nan_moment.ckpt", ckpt)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert cli.main(["train-irl", "--seed", "3", "--out", str(run),
+                     "--resume", str(run / "nan_moment.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "stored m moment for cost.l0.w" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 @pytest.mark.parametrize("key, value", [

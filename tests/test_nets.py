@@ -311,6 +311,26 @@ def test_flat_adam_load_rejects_moments_that_misfit_the_bound_arrays(key, slot):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("key, slot, value", [("m", 1, np.nan), ("v", 2, -1.0),
+                                               ("v", 0, np.inf)])
+def test_adam_load_rejects_non_finite_or_negative_moments(key, slot, value):
+    rng = np.random.default_rng(27)
+    params = mixed_arrays(rng)
+    source = Adam(named([p.copy() for p in params]))
+    source.step(mixed_arrays(rng))
+    state = source.state_dict()
+    state[key][slot].flat[0] = value
+    opt = Adam(named(params), learning_rate=0.5)
+    opt.step(mixed_arrays(rng))
+    before = opt.state_dict()
+    with pytest.raises(CheckpointError, match=f"stored {key} moment for a{slot}"):
+        opt.load_state_dict(state)
+    after = opt.state_dict()
+    assert (after["learning_rate"], after["step_count"]) == (0.5, 1)
+    for a, b in zip(before["m"] + before["v"], after["m"] + after["v"]):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("which", ["weight", "bias"])
 def test_nan_in_hidden_layer_raises_from_net_forward(which):
     rng = np.random.default_rng(26)

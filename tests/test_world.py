@@ -41,7 +41,7 @@ def zero_cost(obs, ages, actions):
 def test_generation_deterministic():
     a1, t1 = generate_subject(CFG, 123)
     a2, t2 = generate_subject(CFG, 123)
-    assert np.array_equal(a1.trait, a2.trait)
+    assert a1 == a2
     assert t1.actions == t2.actions
     for s1, s2 in zip(reference.states_of(t1), reference.states_of(t2)):
         assert s1.age == s2.age
@@ -67,7 +67,7 @@ def test_generators_draw_the_noise_of_a_per_state_reference(seed):
     for cfg in (CFG, WorldConfig(dim=5, n_actions=7, noise=0.3, horizon=4)):
         arch, demo = generate_subject(cfg, seed)
         ref_arch, ref_states = reference.generate_subject(cfg, seed)
-        assert np.array_equal(arch.trait, ref_arch.trait)
+        assert arch == ref_arch
         assert_same_states(demo, ref_states)
         for stride in (1, 3):
             assert_same_states(generate_pool_sequence(cfg, seed, stride),
@@ -76,7 +76,7 @@ def test_generators_draw_the_noise_of_a_per_state_reference(seed):
 
 def test_zero_rate_subject_is_frozen():
     arch = make_archetype(CFG, 77)
-    arch.trait[1] = 0.0  # aging rate
+    arch.rate = 0.0  # aging rate
     obs = [observe(CFG, arch, age) for age in (10, 25, 47, 60)]
     for o in obs[1:]:
         assert np.array_equal(o, obs[0])
