@@ -22,7 +22,6 @@ from .flows import (
     flow_log_density,
     flow_nll,
     gaussian_loglik,
-    make_coupling_unit,
     make_flow,
 )
 from .transform import (

@@ -15,12 +15,12 @@ A unit is built from one net whose layers stack its scale and translate
 subnets on an axis of 2, so both run as one batched matmul chain, and
 `member_net(unit.net, k)` views the scale (k = 0) or translate (k = 1) net.
 A unit's `parameters()` are those stacked arrays.  Nothing is copied in:
-`make_coupling_unit` carves the stacked layers from a store of the unit's
-own.  Unit i of two flows can be stacked once more, as (2 flows, 2 nets), and
-the passes below take inputs with a stack's leading flow axes, `lead`, in
-front of (N, dim).  Such a stack's arrays are views into its owner's flat
-parameter store (see `AgingModel`), and `member(f)` gives flow f alone as
-views of slices of them, so no level holds a copy.
+every stack's arrays are views of one flat store, in `parameters()` order,
+which `make_flow` carves for a lone stack and `AgingModel` for its pair.
+Unit i of two flows can be stacked once more, as (2 flows, 2 nets), and the
+passes below take inputs with a stack's leading flow axes, `lead`, in front
+of (N, dim).  `member(f)` gives flow f alone as views of slices of them, so
+no level holds a copy.
 
 A stack is immutable during inference and safe for concurrent read-only
 evaluation; training mutates parameters under exclusive access.
@@ -128,21 +128,6 @@ def glorot_subnets(rng: np.random.Generator, unit: CouplingUnit) -> None:
         glorot_fill(rng, [layer.weight[k] for layer in unit.net.layers], zero_final=True)
 
 
-def make_coupling_unit(rng: np.random.Generator, mask: np.ndarray, hidden: int = 32,
-                       clamp: float = 2.0) -> CouplingUnit:
-    """Coupling unit with 2-hidden-layer subnets stacked on a store of its own,
-    final layers at exactly zero.
-
-    Zero final layers make a fresh stack the identity map with zero logdet.
-    """
-    layers = subnet_layers(mask, hidden)
-    shapes = [(2,) + s for (out, inp), _ in layers for s in ((out, inp), (out,))]
-    arrays = iter(carve(np.zeros(sum(map(math.prod, shapes))), shapes))
-    unit = CouplingUnit(mask, net_from(arrays, [act for _, act in layers]), clamp)
-    glorot_subnets(rng, unit)
-    return unit
-
-
 class BijectionStack:
     """Ordered composition of coupling units over a shared dimension, all with
     the flow axes `lead`: () for one flow, (2,) for two run in lockstep.
@@ -172,11 +157,29 @@ class BijectionStack:
         return stack
 
 
+@functools.lru_cache(maxsize=16)
+def _unit_layout(dim: int, units: int, hidden: int, clamp: float) -> tuple:
+    """Per unit of an alternating-mask stack, (mask, subnet layers, (clamp, clamp)), shared
+    by `make_flow` and `make_aging_model`: read-only masks."""
+    masks = [np.frombuffer(alternating_mask(dim, i).tobytes(), np.int8) for i in range(units)]
+    return tuple((m, tuple(subnet_layers(m, hidden)), (clamp, clamp)) for m in masks)
+
+
 def make_flow(rng: np.random.Generator, dim: int, n_units: int = 10, hidden: int = 32,
               clamp: float = 2.0) -> BijectionStack:
-    """Stack of coupling units with alternating even/odd masks."""
-    return BijectionStack(dim, [make_coupling_unit(rng, alternating_mask(dim, i), hidden, clamp)
-                                for i in range(n_units)])
+    """Stack of alternating-mask units with 2-hidden-layer subnets, every array a view of
+    one zero store in `parameters()` order.  Glorot values go in unit by unit, as
+    `glorot_subnets` draws them; zero final layers make a fresh stack the identity map
+    with zero logdet."""
+    units = _unit_layout(dim, n_units, hidden, clamp)
+    shapes = [(2,) + s for _, layers, _ in units for (out, inp), _ in layers
+              for s in ((out, inp), (out,))]
+    arrays = iter(carve(np.zeros(sum(map(math.prod, shapes))), shapes))
+    flow = BijectionStack(dim, [CouplingUnit(mask, net_from(arrays, [act for _, act in layers]),
+                                             clamp) for mask, layers, _ in units])
+    for u in flow.units:
+        glorot_subnets(rng, u)
+    return flow
 
 
 def _as_batch(x: np.ndarray, owner) -> tuple[np.ndarray, bool]:
@@ -231,7 +234,7 @@ def _forward(flow: BijectionStack, x: np.ndarray, caches: list | None, logdet: b
 
 def flow_forward(flow: BijectionStack, x: np.ndarray):
     """Compose units in order; total logdet is the exact sum of unit logdets.  Each
-    unit's intermediates are freed as it goes (`flow_forward_cached` keeps them)."""
+    unit's intermediates are freed as it goes (`_forward` keeps them given a list)."""
     h, single = _as_batch(x, flow)
     h, total = _forward(flow, h, None)
     return (h[0], float(total[0])) if single else (h, total)
@@ -242,12 +245,6 @@ def flow_encode(flow: BijectionStack, x: np.ndarray) -> np.ndarray:
     h, single = _as_batch(x, flow)
     h, _ = _forward(flow, h, None, logdet=False)
     return h[0] if single else h
-
-
-def flow_forward_cached(flow: BijectionStack, x: np.ndarray):
-    caches = []
-    z, total = _forward(flow, x, caches)
-    return z, total, caches
 
 
 def flow_inverse(flow: BijectionStack, z: np.ndarray) -> np.ndarray:
@@ -310,8 +307,6 @@ def standard_normal_loglik(z: np.ndarray) -> np.ndarray:
 def flow_log_density(flow: BijectionStack, x: np.ndarray):
     """log p(x) under the flow with a standard-normal prior."""
     z, logdet = flow_forward(flow, x)
-    if np.asarray(x).ndim == 1:
-        return float(standard_normal_loglik(z) + logdet)
     return standard_normal_loglik(z) + logdet
 
 
@@ -327,7 +322,8 @@ def flow_nll(flow: BijectionStack, xs: np.ndarray):
     if xs.ndim != 2 + len(flow.lead) or xs.shape[:-2] != flow.lead or xs.shape[-2] == 0:
         raise ShapeError(f"expected a non-empty batch of shape {flow.lead + ('N', 'D')}")
     n = xs.shape[-2]
-    z, total, caches = flow_forward_cached(flow, xs)
+    caches = []
+    z, total = _forward(flow, xs, caches)
     loss = -(standard_normal_loglik(z) + total).mean(axis=-1)
     # d loss / dz = z / N  (standard-normal prior), d loss / dlogdet = -1/N
     grads = flow_backward(flow, caches, z / n, np.full(total.shape, -1.0 / n))

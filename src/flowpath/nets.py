@@ -243,11 +243,11 @@ class Adam:
     `step(grads)` updates those arrays in place: the gradients are
     concatenated into one preallocated flat buffer, and a few in-place ufuncs
     over it, the flat float64 moments and one scratch vector give the update,
-    bit for bit the per-array textbook arithmetic.  When the arrays tile one
-    flat store back to back (`flat_store`), as a model's `parameters()` do,
-    the step ends in one subtraction from that store; other arrays are updated
-    one by one.  State dicts hold per-array moments and load only into arrays
-    of the bound shapes.
+    bit for bit the per-array textbook arithmetic.  Every trained object (a
+    model, a lone flow, an IRL net) tiles its `parameters()` on one flat store
+    (`flat_store`), and there the step ends in one subtraction from it; other
+    arrays, such as a member flow's views, are updated one by one.  State
+    dicts hold per-array moments and load only into arrays of the bound shapes.
     """
 
     def __init__(self, parameters: Sequence[tuple[str, np.ndarray]], learning_rate: float = 1e-3,

@@ -21,7 +21,6 @@ access.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -30,16 +29,15 @@ from .errors import InsufficientDataError, NumericError, ShapeError, ValidationE
 from .flows import (
     BijectionStack,
     CouplingUnit,
-    alternating_mask,
+    _forward,
+    _unit_layout,
     flow_backward,
     flow_encode,
     flow_forward,
-    flow_forward_cached,
     flow_inverse,
     gaussian_loglik,
     glorot_subnets,
     standard_normal_loglik,
-    subnet_layers,
 )
 from .nets import Adam, carve, glorot_fill, net_from
 
@@ -167,13 +165,6 @@ class AgingModel:
         return self.flows.parameters("flows.") + self.transform.parameters("transform.")
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_layout(dim: int, units: int, hidden: int, clamp: float) -> tuple:
-    """`make_aging_model`'s per-unit (mask, subnet layers, clamps), shared: read-only masks."""
-    masks = [np.frombuffer(alternating_mask(dim, i).tobytes(), np.int8) for i in range(units)]
-    return tuple((m, tuple(subnet_layers(m, hidden)), (clamp, clamp)) for m in masks)
-
-
 def make_aging_model(rng: np.random.Generator | None, dim: int,
                      n_actions: int = DEFAULT_NUM_ACTIONS, flow_units: int = 10,
                      hidden: int = 32, clamp: float = 2.0, factors: int = 32
@@ -255,7 +246,8 @@ def pair_objective_and_grads(model: AgingModel, x_prev: np.ndarray, x_t: np.ndar
     if idx.size != n:
         raise ShapeError("one action per observation pair is required")
 
-    z, logdet, caches = flow_forward_cached(model.flows, np.stack([xp, xt]))
+    caches = []
+    z, logdet = _forward(model.flows, np.stack([xp, xt]), caches)
     z_prev, z_t = z
     pred = transform_apply(model.transform, z_prev, idx)
     r = z_t - pred

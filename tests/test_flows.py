@@ -9,7 +9,6 @@ from flowpath.errors import NumericError, ShapeError
 from flowpath.flows import (
     BijectionStack,
     CouplingUnit,
-    alternating_mask,
     flow_encode,
     flow_forward,
     flow_inverse,
@@ -17,7 +16,6 @@ from flowpath.flows import (
     flow_nll,
     flow_nll_value,
     gaussian_loglik,
-    make_coupling_unit,
     make_flow,
 )
 from flowpath.nets import DenseLayer, DenseNet, finite_diff_grad
@@ -37,7 +35,7 @@ def perturbed_flow(seed: int, dim: int, units: int, scale: float = 0.1,
 
 
 def test_zero_initialized_unit_is_identity():
-    unit = make_coupling_unit(np.random.default_rng(0), alternating_mask(4, 0))
+    unit = make_flow(np.random.default_rng(0), 4, n_units=1).units[0]
     x = np.random.default_rng(1).standard_normal(4)
     flow = BijectionStack(4, [unit])
     y, logdet = flow_forward(flow, x)
@@ -60,7 +58,7 @@ def test_pure_translation_unit():
 
 def test_unit_logdet_matches_numerical_jacobian():
     rng = np.random.default_rng(5)
-    unit = make_coupling_unit(rng, alternating_mask(4, 1), hidden=8)
+    unit = make_flow(rng, 4, n_units=2, hidden=8).units[1]  # keeps the odd indices
     for _, arr in unit.parameters():
         arr += 0.2 * rng.standard_normal(arr.shape)
     flow = BijectionStack(4, [unit])
@@ -79,7 +77,7 @@ def test_unit_logdet_matches_numerical_jacobian():
 
 def test_unit_roundtrip_random():
     rng = np.random.default_rng(6)
-    unit = make_coupling_unit(rng, alternating_mask(5, 0), hidden=8)
+    unit = make_flow(rng, 5, n_units=1, hidden=8).units[0]
     for _, arr in unit.parameters():
         arr += 0.2 * rng.standard_normal(arr.shape)
     x = rng.standard_normal((200, 5))
@@ -89,18 +87,18 @@ def test_unit_roundtrip_random():
 
 
 def test_mask_validation():
-    rng = np.random.default_rng(0)
+    net = make_flow(np.random.default_rng(0), 4, n_units=1).units[0].net
     with pytest.raises(ValueError):
-        make_coupling_unit(rng, np.array([1, 1, 1]))
+        CouplingUnit(np.array([1, 1, 1]), net)
     with pytest.raises(ValueError):
-        make_coupling_unit(rng, np.array([0, 0]))
+        CouplingUnit(np.array([0, 0]), net)
 
 
 def test_clamp_validation():
     rng = np.random.default_rng(0)
     for clamp in (0.0, -1.0, math.nan, (2.0, 2.0)):  # a lone unit runs one flow
         with pytest.raises(ValueError):
-            make_coupling_unit(rng, alternating_mask(4, 0), clamp=clamp)
+            make_flow(rng, 4, n_units=1, clamp=clamp)
 
 
 def test_zero_initialized_stack_is_identity():

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from flowpath import cli, pipeline
+from flowpath import cli, irl, pipeline
 from flowpath.checkpoint import (
     MAGIC,
     Checkpoint,
@@ -17,7 +17,7 @@ from flowpath.checkpoint import (
     save_checkpoint,
 )
 from flowpath.config import RunConfig, load_config
-from flowpath.errors import CheckpointError, ValidationError
+from flowpath.errors import CheckpointError, NumericError, ValidationError
 from flowpath.irl import ModelDynamics, PathBatch, plan_rollout
 from flowpath.metrics import read_csv_without_columns, write_atomic, write_csv
 from flowpath.transform import synthesize_step
@@ -399,6 +399,27 @@ def test_cli_plan_validation_error(tiny_run, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_plan_missing_input_file_exits_1(tiny_run, tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code = cli.main(["plan", "--checkpoint", str(tiny_run["out"] / "model.ckpt"),
+                     "--age", "28", "--target", "40", "--input", str(missing)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("age", [9, 61])  # tiny_config's world spans [10, 60]
+def test_cli_plan_input_age_outside_world_exits_1(tiny_run, tmp_path, capsys, age):
+    world = tiny_run["cfg"].world
+    inp = tmp_path / "inputs.json"
+    inp.write_text(json.dumps({"ages": [age], "observations": [[0.0] * world.dim]}))
+    code = cli.main(["plan", "--checkpoint", str(tiny_run["out"] / "model.ckpt"),
+                     "--age", str(age), "--target", "60", "--input", str(inp)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"input age {age} outside world range [10, 60]" in err and "Traceback" not in err
+
+
 def test_cli_synthesize_to_file(tiny_run, tmp_path):
     dest = tmp_path / "synth.json"
     code = cli.main(["synthesize", "--checkpoint",
@@ -670,6 +691,28 @@ def test_cli_train_irl_rejects_negative_stop_after(tiny_run, tmp_path, capsys):
     assert "--stop-after" in captured.err and "resume" not in captured.out
     for name, raw in kept.items():
         assert (copy / name).read_bytes() == raw, name
+
+
+@pytest.mark.parametrize("cause, code", [(NumericError("cost overflow"), 2),
+                                         (ValidationError("bad demo batch"), 1)],
+                         ids=["numeric", "validation"])
+def test_cli_train_irl_failure_exits_by_its_cause(tiny_run, tmp_path, monkeypatch, capsys,
+                                                  cause, code):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("train_sequences.jsonl", "pairs.ckpt"):
+        shutil.copy(tiny_run["out"] / name, run / name)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(tiny_config(str(run)).to_json())
+
+    def fail(*args, **kwargs):
+        raise cause
+
+    monkeypatch.setattr(irl, "irl_loss_and_grad", fail)
+    assert cli.main(["train-irl", "--config", str(cfg_path)]) == code
+    err = capsys.readouterr().err
+    assert f"error: learning aborted at outer iteration 0: {cause}" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -1154,6 +1197,24 @@ def test_cli_resume_rejects_a_non_finite_optimizer_moment(tiny_run, tmp_path, ca
                      "--resume", str(run / "nan_moment.ckpt")]) == 2
     err = capsys.readouterr().err
     assert "stored m moment for cost.l0.w" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_cli_resume_without_optimizer_state_exits_2(tiny_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("train_sequences.jsonl", "model.ckpt", "metrics.csv"):
+        shutil.copy(tiny_run["out"] / name, run / name)
+    ckpt = load_checkpoint(run / "model.ckpt")
+    ckpt.opt_states = {}
+    save_checkpoint(run / "no_opt.ckpt", ckpt)
+    assert not any(name.startswith((b"opt/", b"optmeta/"))
+                   for name, _ in _sections((run / "no_opt.ckpt").read_bytes()))
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert cli.main(["train-irl", "--seed", "3", "--out", str(run),
+                     "--resume", str(run / "no_opt.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint missing optimizer state" in err and "Traceback" not in err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 

@@ -5,7 +5,7 @@ vector, fresh models draw into it, checkpoints fill it without drawing, and
 import numpy as np
 import pytest
 
-from flowpath import nets, transform
+from flowpath import flows, nets
 from flowpath.checkpoint import Checkpoint, load_checkpoint, restore_group, save_checkpoint
 from flowpath.config import RunConfig
 from flowpath.errors import CheckpointError
@@ -112,6 +112,9 @@ def test_fresh_flow_draws_in_per_net_order(seed, dim):
         assert a.shape == b.shape and np.array_equal(a, b)
     for u in flow.units:
         assert flat_store([a for _, a in u.net.parameters()]) is not None
+    store = flat_store([a for _, a in flow.parameters()])
+    assert store is not None
+    assert np.shares_memory(Adam(flow.parameters()).store, store)
 
 
 def checkpoint_of(cfg: RunConfig, seed: int) -> Checkpoint:
@@ -247,13 +250,13 @@ def test_zero_layouts_share_one_cached_unit_layout_but_no_store(monkeypatch):
     cfg = small_config()
     cfg.flow.units, cfg.flow.hidden = 4, 9
     masks = []
-    real = transform.alternating_mask
-    monkeypatch.setattr(transform, "alternating_mask", lambda dim, i: masks.append(i) or
+    real = flows.alternating_mask
+    monkeypatch.setattr(flows, "alternating_mask", lambda dim, i: masks.append(i) or
                         real(dim, i))
     a, b = build_model(cfg, None), build_model(cfg, None)
     assert len(masks) in (0, cfg.flow.units)  # at most one of the two builds lays out units
-    layout = transform._unit_layout(cfg.world.dim, cfg.flow.units, cfg.flow.hidden,
-                                    cfg.flow.clamp)
+    layout = flows._unit_layout(cfg.world.dim, cfg.flow.units, cfg.flow.hidden,
+                                cfg.flow.clamp)
     assert isinstance(layout, tuple) and all(isinstance(u, tuple) for u in layout)
     for (mask, layers, clamps), ua, ub in zip(layout, a.flows.units, b.flows.units, strict=True):
         assert not mask.flags.writeable and isinstance(layers, tuple)
