@@ -16,6 +16,7 @@ from .flows import flow_forward, flow_nll, flow_nll_value, make_flow
 from .irl import (
     AgingTrajectory,
     FunctionDynamics,
+    PathBatch,
     exact_sequence_prob,
     irl_loss_and_grad,
     make_cost_net,
@@ -94,10 +95,11 @@ def _toy_demo_world(seed: int):
 
 def check_irl_objective_grad(seed: int = 2):
     cost, policy, dyn, base = _toy_demo_world(seed)
-    demos = sample_path_batch(policy, dyn, base[None, :], [0], 3, m=4, seed=seed)
-    samples = sample_path_batch(policy, dyn, base[None, :], [0], 3, m=6, seed=seed + 1)
+    pool = PathBatch.concat([sample_path_batch(policy, dyn, base[None, :], [0], 3, m=m, seed=s)
+                             for m, s in ((4, seed), (6, seed + 1))])
+    # demo row 3 is also an IS row, so its upstream sums a weight and -1/|demos|
     return _gradient_check("irl_objective_gradient", cost.parameters(),
-                           lambda: irl_loss_and_grad(cost, demos, samples))
+                           lambda: irl_loss_and_grad(cost, pool, np.arange(4), np.arange(3, 10)))
 
 
 def run_gradcheck(seed: int = 0) -> list[tuple[str, bool, str]]:

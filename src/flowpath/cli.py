@@ -115,10 +115,11 @@ def _load_inputs(args, cfg_from_ckpt) -> list[tuple[np.ndarray, int]]:
     if args.subject_seed is not None:
         raise ValidationError("--subject-seed cannot be combined with --input")
     with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    data = json.loads(text)
     if not isinstance(data, dict) or any(k not in data for k in ("ages", "observations")):
         raise ValidationError(f"{args.input}: needs the keys ages and observations")
-    obs = check_sequence_fields(data["ages"], data["observations"], args.input)
+    obs = check_sequence_fields(data["ages"], data["observations"], args.input, text)
     if args.age != max(data["ages"]):
         raise ValidationError(f"--age {args.age} is not the oldest input age "
                               f"{max(data['ages'])} of {args.input}")

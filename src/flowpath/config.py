@@ -59,9 +59,9 @@ class IrlSettings:
     policy_learning_rate: float = 0.05
 
     def __post_init__(self):
-        for name, v in dataclasses.asdict(self).items():
-            if v <= 0 and name != "outer_iters":
-                raise ValidationError(f"irl setting {name} must be positive")
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) <= 0 and f.name != "outer_iters":
+                raise ValidationError(f"irl setting {f.name} must be positive")
         if self.outer_iters < 0:
             raise ValidationError("outer_iters must be >= 0")
 

@@ -29,10 +29,11 @@ row's action with one uniform from a single matrix the call draws up front
 (row i, step t), and synthesizes each distinct child (node, action) some row
 acts from once, encoding its parent once.  Actions therefore do not depend on
 how rows share nodes or how work is chunked; observations do only up to float
-rounding, because batched matrix products may round differently.  Energies,
-proposal densities and the cost gradient are each one net pass over all (row,
-step) pairs.  Greedy planning also fills a `PathBatch` in lockstep, and exact
-enumeration expands every action sequence level by level (`enumerate_levels`).
+rounding, because batched matrix products may round differently.  Energies and
+proposal densities are each one net pass over all (row, step) pairs, the cost
+gradient one pass over those of the distinct rows it scores.  Greedy planning
+also fills a `PathBatch` in lockstep, and exact enumeration expands every
+action sequence level by level (`enumerate_levels`).
 No sampler or planner synthesizes the state after a path's last action, which
 no cost or policy reads; a reader that needs that state calls `with_end_states`.
 Cost and policy parameter updates need exclusive access.  `learn_aging_policy`
@@ -502,41 +503,42 @@ def with_end_states(dynamics: Dynamics, batch: PathBatch) -> PathBatch:
 # The importance-sampled cost objective
 # ---------------------------------------------------------------------------
 
-def irl_loss_and_grad(cost: CostNet, demos: PathBatch, samples: PathBatch
+def irl_loss_and_grad(cost: CostNet, pool: PathBatch, demos: np.ndarray, samples: np.ndarray
                       ) -> tuple[float, list[np.ndarray]]:
     """Importance-sampled trajectory log-likelihood and its exact gradient.
 
+    `demos` and `samples` index rows of `pool`; they may overlap or repeat.
     L = -mean(E over demos) - [logsumexp(-E_j - log q_j) - log N] over samples,
-    with log q_j read from `samples.log_q`.  The gradient is -mean(dE/dΓ over
+    with log q_j read from `pool.log_q`.  The gradient is -mean(dE/dΓ over
     demos) plus the self-normalized weighted mean of dE/dΓ over samples,
-    weights w_j ∝ exp(-E_j)/q_j.  Both are one forward and one backward pass
-    over every (row, step) pair, with upstream -1/|demos| on demo rows and
-    w_j on sample rows.
+    weights w_j ∝ exp(-E_j)/q_j.  Every distinct row either set names is scored
+    once, in pool order: one forward and one backward pass over their (row,
+    step) pairs, a row's upstream its summed weight less 1/|demos| per demo entry.
     """
     if len(demos) == 0 or len(samples) == 0:
-        raise ValidationError("demo and sample batches must be non-empty")
-    demo_rows, demo_steps = demos.pairs()
-    sample_rows, sample_steps = samples.pairs()
-    feats = np.concatenate([
-        _cost_inputs(cost, b.observations[r, t], b.ages[r, t], b.actions[r, t])
-        for b, r, t in ((demos, demo_rows, demo_steps), (samples, sample_rows, sample_steps))])
+        raise ValidationError("demo and sample index sets must be non-empty")
+    picked = np.concatenate([demos, samples])
+    if picked.min() < 0 or picked.max() >= len(pool):
+        raise ValidationError(f"row indices must lie in [0, {len(pool)})")
+    named = np.bincount(picked, minlength=len(pool)).astype(bool)
+    rows, steps = np.nonzero(np.arange(pool.actions.shape[1]) < (pool.lengths * named)[:, None])
+    feats = _cost_inputs(cost, pool.observations[rows, steps], pool.ages[rows, steps],
+                         pool.actions[rows, steps])
     out, caches = _forward_cached(cost.net, feats)
-    values = out[:, 0]
-    split = demo_rows.size
-    demo_e = np.bincount(demo_rows, weights=values[:split], minlength=len(demos))
-    sample_e = np.bincount(sample_rows, weights=values[split:], minlength=len(samples))
+    energy = np.bincount(rows, weights=out[:, 0], minlength=len(pool))
 
-    log_w = -sample_e - samples.log_q
-    if np.any(np.isposinf(log_w)) or np.any(np.isnan(log_w)):
+    log_w = -energy[samples] - pool.log_q[samples]
+    if log_w.max() == np.inf or np.isnan(log_w).any():
         raise DegenerateWeightsError("a sample has zero or invalid proposal density")
     if not np.any(np.isfinite(log_w)):
         raise DegenerateWeightsError("all importance weights are zero or non-finite")
     log_norm = _logsumexp(log_w)
-    loss = float(-demo_e.mean() - (log_norm - math.log(len(samples))))
+    loss = float(-energy[demos].mean() - (log_norm - math.log(len(samples))))
     weights = np.exp(log_w - log_norm)
 
-    upstream = np.concatenate([np.full(split, -1.0 / len(demos)), weights[sample_rows]])
-    grads, _ = net_backward(cost.net, feats, upstream[:, None], caches)
+    upstream = (np.bincount(samples, weights=weights, minlength=len(pool))
+                - np.bincount(demos, minlength=len(pool)) / len(demos))
+    grads, _ = net_backward(cost.net, feats, upstream[rows, None], caches)
     return loss, grads
 
 
@@ -631,11 +633,12 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
 
     Every outer iteration samples fresh paths from the current policy through
     the synthesis transitions, runs `inner_iters` gradient ascent steps on
-    the importance-sampled log-likelihood over mixed demo/sample batches
-    (demo members get their proposal density under the current policy), then
-    refines the policy against the updated cost.  The policy is frozen
-    during the inner steps, so every row's log q is computed once per outer
-    iteration.  All randomness is drawn from `rng`.  Each iteration's
+    the importance-sampled log-likelihood, each mixing its demo batch into
+    its IS rows and scoring those rows once for both roles (demo rows get
+    their proposal density under the current policy), then refines the policy
+    against the updated cost.  The policy is frozen during the inner steps, so
+    every row's log q is computed once per outer iteration.  All randomness
+    is drawn from `rng`.  Each iteration's
     `IterationMetrics` is yielded after its policy update, with the nets, the
     optimizers and `rng` at that boundary: the caller checkpoints there, and a
     later call over the remaining iterations from the restored state continues
@@ -659,8 +662,8 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
                                    replace=False)
                 s_idx = rng.choice(len(samples), size=min(sample_batch, len(samples)),
                                    replace=False)
-                mixed = pool.take(np.concatenate([d_idx, len(demos) + s_idx]))
-                loss, grads = irl_loss_and_grad(cost, pool.take(d_idx), mixed)
+                loss, grads = irl_loss_and_grad(
+                    cost, pool, d_idx, np.concatenate([d_idx, len(demos) + s_idx]))
                 loglik_sum += loss
                 cost_optimizer.step([-g for g in grads])
             pol_seed = int(rng.integers(0, 2**63 - 1))
@@ -669,10 +672,11 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
                                     seed=pol_seed)
         except Exception as exc:
             raise IrlIterationError(k, exc) from exc
+        energies = path_energies(cost, pool)
         yield IterationMetrics(
             iteration=k,
-            demo_energy=float(np.mean(path_energies(cost, demos))),
-            sample_energy=float(np.mean(path_energies(cost, samples))),
+            demo_energy=float(np.mean(energies[:len(demos)])),
+            sample_energy=float(np.mean(energies[len(demos):])),
             loglik_estimate=loglik_sum / max(1, inner_iters),
             policy_entropy=entropy,
             wall_seconds=time.perf_counter() - t0,

@@ -285,13 +285,17 @@ def write_sequences(path, entries: list[tuple[int, AgingTrajectory]]) -> None:
 SEQUENCE_KEYS = ("subject_id", "ages", "observations")
 
 
-def check_sequence_fields(ages, observations, where: str) -> np.ndarray:
+def check_sequence_fields(ages, observations, where: str, source: str) -> np.ndarray:
     """(len(ages), dim) observations of a sequence record or input file, checked:
-    lists, integer ages, equal counts, equal-length finite 1-d observations."""
+    lists, integer ages, equal counts, equal-length finite 1-d observations, no
+    booleans (sought only when `source`, the parsed JSON text, spells true or false)."""
     if not isinstance(ages, list) or not isinstance(observations, list):
         raise ValidationError(f"{where}: ages and observations must be lists")
     if not all(type(a) is int and -2**63 <= a < 2**63 for a in ages):
         raise ValidationError(f"{where}: ages must be integers that fit in 64 bits")
+    if ("true" in source or "false" in source) and any(
+            type(v) is bool for row in observations for v in (row if type(row) is list else [row])):
+        raise ValidationError(f"{where}: observations must be numbers, not true or false")
     try:
         obs = np.array(observations, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -319,7 +323,7 @@ def _parse_record(line: str, where: str) -> tuple[int, AgingTrajectory]:
         raise ValidationError(f"{where}: subject_id and ages must be integers")
     if sid < 0:  # it seeds the subject's archetype
         raise ValidationError(f"{where}: subject_id must be a non-negative integer, not {sid}")
-    obs = check_sequence_fields(ages, rec["observations"], where)
+    obs = check_sequence_fields(ages, rec["observations"], where, line)
     if any(b < a for a, b in zip(ages, ages[1:])):
         raise ValidationError(f"{where}: sequence ages must be non-decreasing")
     return sid, AgingTrajectory(obs, ages)

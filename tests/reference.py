@@ -7,6 +7,8 @@ enumerator and brute-force search are the ones the level-wise expander
 replaced, and the memoized recursion the one the array Bellman table of
 `world.dp_optimal_path` replaced, kept as oracles for them.  The multi-input
 fold encodes one input at a time, as before the fold encoded all in one pass.
+The IRL objective takes its demos and samples as two batches and scores each
+on its own with `path_energies`, as before it scored one pool's distinct rows.
 """
 
 import functools
@@ -17,8 +19,8 @@ import numpy as np
 
 from flowpath.errors import BudgetError, ValidationError
 from flowpath.flows import flow_forward, flow_inverse
-from flowpath.irl import AgingTrajectory, split_age_gap
-from flowpath.nets import member_net, net_forward
+from flowpath.irl import AgingTrajectory, path_energies, split_age_gap
+from flowpath.nets import member_net, net_backward, net_forward
 from flowpath.transform import transform_apply
 from flowpath.world import (
     WorldDynamics,
@@ -83,6 +85,25 @@ def cost_features(cost, state: State, action: int) -> np.ndarray:
 def cost(cost_net, state: State, action: int) -> float:
     """A `CostNet`'s cost of one step."""
     return float(net_forward(cost_net.net, cost_features(cost_net, state, action))[0])
+
+
+def irl_loss_and_grad(cost_net, demos, samples) -> tuple[float, list[np.ndarray]]:
+    """The importance-sampled objective over two batches, each scored on its own
+    with `path_energies`; the gradient is one backward pass per batch, with
+    upstream -1/|demos| on demo steps and the normalized weight on sample steps."""
+    demo_e, sample_e = path_energies(cost_net, demos), path_energies(cost_net, samples)
+    log_w = -sample_e - samples.log_q
+    log_norm = float(np.logaddexp.reduce(log_w))
+    loss = float(-demo_e.mean() - (log_norm - math.log(len(samples))))
+    grads = []
+    for batch, per_row in ((demos, np.full(len(demos), -1.0 / len(demos))),
+                           (samples, np.exp(log_w - log_norm))):
+        rows, steps = batch.pairs()
+        feats = np.array([cost_features(cost_net, State(batch.observations[r, t],
+                                                        batch.ages[r, t]), batch.actions[r, t])
+                          for r, t in zip(rows.tolist(), steps.tolist())])
+        grads.append(net_backward(cost_net.net, feats, per_row[rows, None])[0])
+    return loss, [d + s for d, s in zip(*grads)]
 
 
 # ---------------------------------------------------------------------------

@@ -1335,6 +1335,8 @@ def test_train_irl_refuses_an_empty_train_file_before_writing(tiny_run, tmp_path
     ({"ages": [20.0], "observations": [[0.1] * 16]}, "integers"),
     ({"ages": [20, 28], "observations": [[0.1] * 16]}, "equal count"),
     ({"ages": [20, 28], "observations": [[0.1] * 16, [0.2] * 15]}, "malformed"),
+    ({"ages": [20, 28], "observations": [[0.1] * 16, [0.2] * 15 + [False]]},
+     "observations must be numbers, not true or false"),
 ])
 def test_cli_rejects_invalid_input_file(tiny_run, tmp_path, capsys, payload, message):
     inp = tmp_path / "inputs.json"

@@ -75,6 +75,12 @@ def with_log_q(trajs, log_q) -> PathBatch:
                                log_q=np.asarray(log_q, dtype=np.float64))
 
 
+def pooled(demos: PathBatch, samples: PathBatch):
+    """One pool of both batches and the `arange` index sets naming each."""
+    return (PathBatch.concat([demos, samples]), np.arange(len(demos)),
+            len(demos) + np.arange(len(samples)))
+
+
 def proposal_density(traj: AgingTrajectory, policy) -> float:
     """exp of the batch log q of a single trajectory."""
     return math.exp(path_log_proposals(policy, PathBatch.from_trajectories([traj]))[0])
@@ -285,7 +291,7 @@ def test_irl_gradient_zero_net_closed_form():
     demos = PathBatch.from_trajectories([chain_traj(dyn, start, [1, 2]) for _ in range(3)])
     samples = with_log_q([chain_traj(dyn, start, [a, 3 - a]) for a in range(4)],
                          [math.log(1 / 16)] * 4)
-    loss, grads = irl_loss_and_grad(cost, demos, samples)
+    loss, grads = irl_loss_and_grad(cost, *pooled(demos, samples))
     # with E == 0 all weights are equal; dE/dΓ has only the final bias term,
     # which equals the horizon for every trajectory, so the terms cancel
     names = [n for n, _ in cost.parameters()]
@@ -305,10 +311,10 @@ def test_irl_gradient_matches_finite_differences():
                              uniform_init=False)
     demos = sample_path_batch(policy, dyn, *stacked([start]), 3, m=4, seed=11)
     samples = sample_path_batch(policy, dyn, *stacked([start]), 3, m=7, seed=12)
-    _, grads = irl_loss_and_grad(cost, demos, samples)
+    _, grads = irl_loss_and_grad(cost, *pooled(demos, samples))
     arrays = [a for _, a in cost.parameters()]
     numeric = finite_diff_grad(
-        lambda: irl_loss_and_grad(cost, demos, samples)[0], arrays, 1e-5)
+        lambda: irl_loss_and_grad(cost, *pooled(demos, samples))[0], arrays, 1e-5)
     assert_close(grads, numeric, label="irl objective")
 
 
@@ -330,7 +336,7 @@ def test_irl_loss_and_grad_runs_the_cost_net_forward_once(monkeypatch):
     monkeypatch.setattr(nets, "_forward_cached", counted)  # reached through net_forward
     monkeypatch.setattr(irl, "_forward_cached", counted)
     for calls in (1, 2):
-        irl_loss_and_grad(cost, demos, samples)
+        irl_loss_and_grad(cost, *pooled(demos, samples))
         assert sum(net is cost.net for net in passes) == calls
 
 
@@ -341,9 +347,61 @@ def test_irl_degenerate_weights_error():
     demos = PathBatch.from_trajectories([chain_traj(dyn, start, [1])])
     samples = [chain_traj(dyn, start, [2])]
     with pytest.raises(DegenerateWeightsError):
-        irl_loss_and_grad(cost, demos, with_log_q(samples, [math.inf]))  # q density above 1
+        irl_loss_and_grad(cost, *pooled(demos, with_log_q(samples, [math.inf])))  # q above 1
     with pytest.raises(DegenerateWeightsError):
-        irl_loss_and_grad(cost, demos, with_log_q(samples, [-math.inf]))
+        irl_loss_and_grad(cost, *pooled(demos, with_log_q(samples, [-math.inf])))
+
+
+def irl_pool(seed: int):
+    """A cost net and an 11-row pool of sampled paths of mixed lengths."""
+    rng = np.random.default_rng(seed)
+    cost = make_cost_net(rng, dim=3, n_actions=4, age_low=0, age_high=60, hidden=6)
+    policy = make_policy_net(rng, dim=3, n_actions=4, age_low=0, age_high=60,
+                             uniform_init=False)
+    starts = [State(rng.standard_normal(3), age) for age in (4, 9)]
+    return cost, sample_path_batch(policy, line_dynamics(), *stacked(starts), [3, 1], m=11,
+                                   seed=seed)
+
+
+def test_irl_objective_scores_each_named_row_once(monkeypatch):
+    """With the demo rows among the IS rows, as every inner step has them, the one
+    forward pass sees each (row, step) pair of the union exactly once."""
+    cost, pool = irl_pool(6)
+    demos, samples = np.array([3, 0, 7]), np.array([3, 0, 7, 1, 7, 10])
+    seen = []
+    forward = nets._forward_cached
+
+    def counted(net, x):
+        seen.append(x.shape[0])
+        return forward(net, x)
+
+    monkeypatch.setattr(irl, "_forward_cached", counted)
+    irl_loss_and_grad(cost, pool, demos, samples)
+    assert seen == [int(pool.lengths[[0, 1, 3, 7, 10]].sum())]
+    assert seen[0] < int(pool.lengths[demos].sum() + pool.lengths[samples].sum())
+
+
+@pytest.mark.parametrize("demos, samples", [([1, 4], [1, 4, 5, 8]), ([0, 2], [4, 6, 9]),
+                                            ([1, 1, 2], [2, 5, 5, 5, 10])],
+                         ids=["overlapping", "disjoint", "repeated"])
+def test_irl_objective_matches_the_two_batch_reference(demos, samples):
+    cost, pool = irl_pool(7)
+    loss, grads = irl_loss_and_grad(cost, pool, np.array(demos), np.array(samples))
+    ref_loss, ref_grads = reference.irl_loss_and_grad(cost, pool.take(demos),
+                                                      pool.take(samples))
+    assert abs(loss - ref_loss) <= 1e-12
+    for g, r in zip(grads, ref_grads, strict=True):
+        assert np.abs(g - r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("demos, samples", [([], [0]), ([0], []), ([-1], [0]), ([0], [11]),
+                                            ([0], [2, 12])],
+                         ids=["no-demos", "no-samples", "negative", "at-len", "past-len"])
+def test_irl_objective_refuses_empty_or_out_of_range_rows(demos, samples):
+    cost, pool = irl_pool(8)
+    with pytest.raises(ValidationError):
+        irl_loss_and_grad(cost, pool, np.array(demos, dtype=np.int64),
+                          np.array(samples, dtype=np.int64))
 
 
 def test_partition_estimate_consistency_20_seeds():
@@ -950,7 +1008,7 @@ def test_scores_never_read_end_states(kind):
         return dataclasses.replace(batch, observations=obs)
 
     def scores(demos, samples):
-        loss, grads = irl_loss_and_grad(cost, demos, samples)
+        loss, grads = irl_loss_and_grad(cost, *pooled(demos, samples))
         return [path_energies(cost, samples), path_log_proposals(policy, samples),
                 path_log_weights(cost, samples), path_energies(cost, demos),
                 path_log_proposals(policy, demos), np.array(loss), *grads]

@@ -444,6 +444,7 @@ GOOD_RECORD = {"subject_id": 1, "ages": [20, 23], "observations": [[0.5, 1.0], [
     ({"subject_id": "1"}, "integers"),
     ({"ages": [20]}, "malformed"),
     ({"ages": [23, 20]}, "non-decreasing"),
+    ({"observations": [[0.5, True], [0.25, 2.0]]}, "numbers, not true or false"),
 ])
 def test_read_sequences_rejects_malformed_record(tmp_path, change, message):
     path = tmp_path / "seqs.jsonl"
