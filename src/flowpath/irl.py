@@ -29,11 +29,13 @@ row's action with one uniform from a single matrix the call draws up front
 (row i, step t), and synthesizes each distinct child (node, action) some row
 acts from once, encoding its parent once.  Actions therefore do not depend on
 how rows share nodes or how work is chunked; observations do only up to float
-rounding, because batched matrix products may round differently.  Energies and
-proposal densities are each one net pass over all (row, step) pairs, the cost
-gradient one pass over those of the distinct rows it scores.  Greedy planning
-also fills a `PathBatch` in lockstep, and exact enumeration expands every
-action sequence level by level (`enumerate_levels`).
+rounding, because batched matrix products may round differently.  A table of
+every child of the starts may serve the first steps: `learn_aging_policy`
+builds one per stage, whose dynamics and demo starts are fixed.  Energies
+and proposal densities are each one net pass over all (row, step) pairs, the
+cost gradient one pass over those of the distinct rows it scores.  Greedy
+planning also fills a `PathBatch` in lockstep, and exact enumeration expands
+every action sequence level by level (`enumerate_levels`).
 No sampler or planner synthesizes the state after a path's last action, which
 no cost or policy reads; a reader that needs that state calls `with_end_states`.
 Cost and policy parameter updates need exclusive access.  `learn_aging_policy`
@@ -386,43 +388,51 @@ def traj_log_proposal_density(traj: AgingTrajectory, policy: PolicyNet) -> float
 
 def _expand(dynamics: Dynamics, obs: np.ndarray, ages: np.ndarray, parents: np.ndarray,
             actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Children of distinct (parent node, action) pairs, sorted by parent; each
-    transition takes at most ROLL_BLOCK of them and their distinct parents once.
+    """Children of distinct (parent node, action) pairs, sorted by parent.  Each
+    transition takes whole parents' children, at most ROLL_BLOCK of them unless
+    one parent alone has more, and each of its distinct parents once.
 
     Returns the children's observations and ages and each pair's child index.
     """
     _, first, child = np.unique(parents * dynamics.n_actions + actions,
                                 return_index=True, return_inverse=True)
     src, act = parents[first], actions[first]
-    nxt = []
-    for lo in range(0, first.size, ROLL_BLOCK):
-        nodes, at = np.unique(src[lo:lo + ROLL_BLOCK], return_inverse=True)
-        nxt.append(dynamics.transition(obs[nodes], ages[nodes], at, act[lo:lo + ROLL_BLOCK]))
+    ends = np.append(np.flatnonzero(np.diff(src)) + 1, src.size)  # past each parent's children
+    nxt, lo = [], 0
+    while lo < src.size:
+        hi = max(ends[ends <= lo + ROLL_BLOCK].max(initial=lo), ends[ends > lo][0])
+        nodes, at = np.unique(src[lo:hi], return_inverse=True)
+        nxt.append(dynamics.transition(obs[nodes], ages[nodes], at, act[lo:hi]))
+        lo = hi
     return np.concatenate(nxt), ages[src] + act, child
 
 
 def _roll(policy: PolicyNet, dynamics: Dynamics, node_obs: np.ndarray,
           node_ages: np.ndarray, node: np.ndarray, lengths: np.ndarray,
-          uniforms: np.ndarray) -> PathBatch:
+          uniforms: np.ndarray, children: np.ndarray | None = None) -> PathBatch:
     """Roll len(lengths) paths in lockstep; row i starts at node node[i] of
     (node_obs, node_ages), which `node` then tracks in place, and
-    uniforms[i, t] picks its action t.
+    uniforms[i, t] picks its action t.  Level 1 is read from `children`, if
+    given: start node s's child by action a is its row s n_actions + a.
 
     The action is drawn by the CDF search `Generator.choice(n, p=p)` uses, so
     a row's actions equal those of `rng.choice` on the same uniforms.
     """
-    m, width = lengths.size, int(lengths.max())
+    m, width, n = lengths.size, int(lengths.max()), dynamics.n_actions
     obs = np.zeros((m, width + 1, node_obs.shape[1]))
     ages = np.zeros((m, width + 1), dtype=np.int64)
     actions = np.zeros((m, width), dtype=np.int64)
     log_q = np.zeros(m)
-    obs[:, 0], ages[:, 0] = node_obs[node], node_ages[node]
+    ages[:, 0] = node_ages[node]
     for t in range(width):
         live = np.flatnonzero(lengths > t)
-        if t:  # the node table now holds the children rows act from: end states stay zero
+        if t == 1 and children is not None:
+            node_obs, node_ages = children, (node_ages[:, None] + np.arange(n)).ravel()
+            node[live] = node[live] * n + actions[live, 0]
+        elif t:
             node_obs, node_ages, node[live] = _expand(dynamics, node_obs, node_ages,
                                                       node[live], actions[live, t - 1])
-            obs[live, t] = node_obs[node[live]]
+        obs[live, t] = node_obs[node[live]]  # only states rows act from: end states stay zero
         needed, at = np.unique(node[live], return_inverse=True)
         probs, log_probs = _action_distribution(net_forward(
             policy.net, policy._inputs(node_obs[needed], node_ages[needed])))
@@ -456,15 +466,21 @@ def _check_starts(obs: np.ndarray, ages: Sequence[int]) -> tuple[np.ndarray, np.
 
 def sample_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
                       ages: Sequence[int], horizon: int | Sequence[int],
-                      m: int | None = None, seed: int | np.random.SeedSequence = 0
-                      ) -> PathBatch:
+                      m: int | None = None, seed: int | np.random.SeedSequence = 0,
+                      children: np.ndarray | None = None) -> PathBatch:
     """Sample m trajectories, cycling over the starts, in one lockstep pass.
 
     One (m, widest horizon) uniform matrix drawn from `seed` picks the actions,
     path i reading row i, so they are bit-reproducible and do not depend on
     how rows share nodes or how work is chunked.  A row's end state is zero.
+    `children`, a (M n_actions, D) table whose row s n_actions + a is start
+    s's child by action a, serves every first step in place of synthesis.
     """
     obs, ages = _check_starts(obs, ages)
+    table = (ages.size * dynamics.n_actions, obs.shape[1])
+    if children is not None and np.shape(children) != table:
+        raise ShapeError(f"a start-children table must be (M n_actions, D) = {table}, "
+                         f"not {np.shape(children)}")
     count = m if m is not None else ages.size
     if count < 1:
         raise ValidationError("m must be >= 1")
@@ -477,7 +493,7 @@ def sample_path_batch(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
     which = np.arange(count) % ages.size
     lengths = horizons[which]
     uniforms = np.random.default_rng(seed).random((count, int(lengths.max())))
-    return _roll(policy, dynamics, obs, ages, which, lengths, uniforms)
+    return _roll(policy, dynamics, obs, ages, which, lengths, uniforms, children)
 
 
 def sample_trajectories(policy: PolicyNet, dynamics: Dynamics, obs: np.ndarray,
@@ -578,20 +594,21 @@ def weight_diagnostics(log_w: np.ndarray) -> tuple[float, float]:
 def policy_update(policy: PolicyNet, cost: Cost, dynamics: Dynamics, obs: np.ndarray,
                   ages: Sequence[int], horizons: Sequence[int],
                   optimizer: Adam, n_rollouts: int, n_steps: int,
-                  seed: int = 0) -> float:
+                  seed: int = 0, children: np.ndarray | None = None) -> float:
     """Entropy-regularized policy-gradient refinement against a fixed cost.
 
     Minimizes E_q[E(ζ)] - H(q) with a score-function estimator: per rollout
     the return is energy plus trajectory log-probability (the log q the
     rollout accumulated), and the batch-mean return is subtracted as the
     baseline.  Returns the mean policy entropy over the last batch's states.
+    Rollouts read their first steps from `children` as `sample_path_batch` does.
     """
     streams = np.random.SeedSequence(seed).spawn(n_steps)
     # states the entropy is reported on: the last batch's, or the starts
     visited = obs, ages = _check_starts(obs, ages)
     for step in range(n_steps):
         batch = sample_path_batch(policy, dynamics, obs, ages, list(horizons),
-                                  m=n_rollouts, seed=streams[step])
+                                  m=n_rollouts, seed=streams[step], children=children)
         returns = path_energies(cost, batch) + batch.log_q
         adv = returns - returns.mean()
         rows, steps = batch.pairs()
@@ -638,22 +655,26 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
     their proposal density under the current policy), then refines the policy
     against the updated cost.  The policy is frozen during the inner steps, so
     every row's log q is computed once per outer iteration.  All randomness
-    is drawn from `rng`.  Each iteration's
-    `IterationMetrics` is yielded after its policy update, with the nets, the
-    optimizers and `rng` at that boundary: the caller checkpoints there, and a
-    later call over the remaining iterations from the restored state continues
-    the run bit for bit.
+    is drawn from `rng`.  Every child of every demo start is synthesized
+    once, before the first iteration, into the table all sampling calls read
+    their first steps from; a resumed call rebuilds it bit for bit.  Each
+    iteration's `IterationMetrics` is yielded after its policy update, with
+    the nets, the optimizers and `rng` at that boundary: the caller
+    checkpoints there, and a later call over the remaining iterations from
+    the restored state continues the run bit for bit.
     """
     if len(demos) == 0:
         raise ValidationError("need at least one demonstration")
     obs, ages, horizons = demos.observations[:, 0], demos.ages[:, 0], np.maximum(demos.lengths, 1)
+    n = dynamics.n_actions  # every start's children, for every sampling call of the stage
+    children = _expand(dynamics, obs, ages, *np.divmod(np.arange(len(demos) * n), n))[0]
 
     for k in iterations:
         t0 = time.perf_counter()
         try:
             path_seed = int(rng.integers(0, 2**63 - 1))
             samples = sample_path_batch(policy, dynamics, obs, ages, horizons,
-                                        m=sample_paths, seed=path_seed)
+                                        m=sample_paths, seed=path_seed, children=children)
             demos = dataclasses.replace(demos, log_q=path_log_proposals(policy, demos))
             pool = PathBatch.concat([demos, samples])
             loglik_sum = 0.0
@@ -669,7 +690,7 @@ def learn_aging_policy(demos: PathBatch, cost: CostNet,
             pol_seed = int(rng.integers(0, 2**63 - 1))
             entropy = policy_update(policy, cost, dynamics, obs, ages, horizons,
                                     policy_optimizer, policy_rollouts, policy_steps,
-                                    seed=pol_seed)
+                                    seed=pol_seed, children=children)
         except Exception as exc:
             raise IrlIterationError(k, exc) from exc
         energies = path_energies(cost, pool)

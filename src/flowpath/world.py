@@ -318,11 +318,14 @@ def _parse_record(line: str, where: str) -> tuple[int, AgingTrajectory]:
         raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
     if not isinstance(rec, dict) or any(k not in rec for k in SEQUENCE_KEYS):
         raise ValidationError(f"{where}: a record needs the keys {', '.join(SEQUENCE_KEYS)}")
+    if unknown := rec.keys() - SEQUENCE_KEYS:
+        raise ValidationError(f"{where}: unknown record keys {', '.join(sorted(unknown))}")
     sid, ages = rec["subject_id"], rec["ages"]
     if type(sid) is not int:
         raise ValidationError(f"{where}: subject_id and ages must be integers")
-    if sid < 0:  # it seeds the subject's archetype
-        raise ValidationError(f"{where}: subject_id must be a non-negative integer, not {sid}")
+    if not 0 <= sid < 2**63:  # it seeds the subject's archetype
+        raise ValidationError(f"{where}: subject_id must be a non-negative integer "
+                              f"below 2**63, not {sid}")
     obs = check_sequence_fields(ages, rec["observations"], where, line)
     if any(b < a for a, b in zip(ages, ages[1:])):
         raise ValidationError(f"{where}: sequence ages must be non-decreasing")

@@ -1019,9 +1019,12 @@ def test_scores_never_read_end_states(kind):
 
 
 def test_learning_synthesizes_only_states_it_acts_from(monkeypatch):
-    """A whole `learn_aging_policy` run over mixed horizons: each sampling call
-    makes one transition row per distinct (start, action prefix) some row acts
-    from next, and every synthesized child is a state a sampled row acts from."""
+    """A whole `learn_aging_policy` run over mixed horizons builds its starts'
+    children once, in one `_expand` over M n_actions rows before any sampling,
+    and hands that one table to every sampling call; each sampling call then
+    makes one transition row per distinct (start, action prefix of length >= 2)
+    some row acts from next, and every child it synthesizes is a state a
+    sampled row acts from."""
     rng = np.random.default_rng(41)
     made = []  # (children, their ages) of every transition call
 
@@ -1035,31 +1038,101 @@ def test_learning_synthesizes_only_states_it_acts_from(monkeypatch):
                                          for s, h in zip(starts, (3, 1, 2, 3))])
     cost = make_cost_net(rng, dim=3, n_actions=16, age_low=0, age_high=100, hidden=8)
     policy = make_policy_net(rng, dim=3, n_actions=16, age_low=0, age_high=100)
-    sampled = irl.sample_path_batch
-    widths = []
+    sampled, expand = irl.sample_path_batch, irl._expand
+    expands, tables, widths = [], [], []
+
+    def recorded_expand(dynamics, obs, ages, parents, actions):
+        expands.append((len(tables), parents.size))  # sampling calls begun so far
+        return expand(dynamics, obs, ages, parents, actions)
 
     def checked_sample(*args, **kwargs):
+        tables.append(kwargs["children"])
         first = len(made)
         batch = sampled(*args, **kwargs)
         calls = made[first:]
         prefixes = {(i % len(starts), tuple(batch.actions[i, :t + 1].tolist()))
-                    for i, n in enumerate(batch.lengths.tolist()) for t in range(n - 1)}
+                    for i, n in enumerate(batch.lengths.tolist()) for t in range(1, n - 1)}
         assert sum(ages.size for _, ages in calls) == len(prefixes)
         rows, steps = batch.pairs()
         acted = {(batch.observations[r, t].tobytes(), int(batch.ages[r, t]))
-                 for r, t in zip(rows.tolist(), steps.tolist()) if t}
+                 for r, t in zip(rows.tolist(), steps.tolist()) if t > 1}
         assert {(o.tobytes(), int(a)) for obs, ages in calls for o, a in zip(obs, ages)} == acted
-        widths.append((len(batch), max(ages.size for _, ages in calls)))
+        widths.append((len(prefixes), max(ages.size for _, ages in calls)))
         return batch
 
+    monkeypatch.setattr(irl, "_expand", recorded_expand)
     monkeypatch.setattr(irl, "sample_path_batch", checked_sample)
     list(learn_aging_policy(
         demos, cost, policy, dyn, iterations=range(2), inner_iters=2, sample_paths=1000,
         demo_batch=2, sample_batch=8, policy_rollouts=24, policy_steps=2,
         cost_optimizer=Adam(cost.parameters(), 1e-3),
         policy_optimizer=Adam(policy.parameters(), 0.05), rng=np.random.default_rng(42)))
-    assert len(widths) == 2 * (1 + 2)
-    assert max(widths) == (1000, ROLL_BLOCK)  # a sampling call crossed ROLL_BLOCK
+    assert [size for begun, size in expands if begun == 0] == [len(starts) * 16]
+    assert len(tables) == 2 * (1 + 2) and all(table is tables[0] for table in tables)
+    assert tables[0].shape == (len(starts) * 16, 3)
+    assert max(prefixes for prefixes, _ in widths) > ROLL_BLOCK  # a level took several calls
+    assert max(largest for _, largest in widths) <= ROLL_BLOCK
+
+
+def start_table(dyn, obs, ages):
+    """Every start's children, one fresh transition per (start, action)."""
+    n = dyn.n_actions
+    return np.concatenate([dyn.transition(obs[s:s + 1], ages[s:s + 1], np.zeros(1, np.int64),
+                                          np.array([a])) for s in range(len(ages))
+                           for a in range(n)])
+
+
+@pytest.mark.parametrize("kind", ["model", "function"])
+def test_learning_table_rows_equal_fresh_transitions(kind, monkeypatch):
+    """The table the stage hands its sampling calls holds, at row s n + a, start
+    s's child by action a, as a one-row transition makes it."""
+    policy, dyn, cost, starts = engine_world(kind)
+    demos = PathBatch.from_trajectories([chain_traj(line_dynamics(16, dim=len(s.observation)), s,
+                                                    [2] * h) for s, h in zip(starts, (3, 1, 2))])
+    sampled, tables = irl.sample_path_batch, []
+
+    def recording(*args, **kwargs):
+        tables.append(kwargs["children"])
+        return sampled(*args, **kwargs)
+
+    monkeypatch.setattr(irl, "sample_path_batch", recording)
+    list(learn_aging_policy(
+        demos, cost, policy, dyn, iterations=range(1), inner_iters=1, sample_paths=40,
+        demo_batch=2, sample_batch=8, policy_rollouts=8, policy_steps=1,
+        cost_optimizer=Adam(cost.parameters(), 1e-3),
+        policy_optimizer=Adam(policy.parameters(), 0.05), rng=np.random.default_rng(43)))
+    obs, ages = stacked(starts)
+    assert tables[0].shape == (len(starts) * 16, obs.shape[1])
+    assert np.abs(tables[0] - start_table(dyn, obs, ages)).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["model", "function"])
+def test_sampling_from_the_start_table_matches_synthesis(kind):
+    """A batch whose first steps read the starts' table and one that
+    synthesizes them, from the same seed, take the same actions and visit the
+    same states to float rounding."""
+    policy, dyn, cost, starts = engine_world(kind)
+    obs, ages = stacked(starts)
+    fed = sample_path_batch(policy, dyn, obs, ages, [3, 1, 2], m=300, seed=12,
+                            children=start_table(dyn, obs, ages))
+    rolled = sample_path_batch(policy, dyn, obs, ages, [3, 1, 2], m=300, seed=12)
+    assert np.array_equal(fed.actions, rolled.actions)
+    assert np.array_equal(fed.lengths, rolled.lengths)
+    assert np.array_equal(fed.ages, rolled.ages)
+    assert np.abs(fed.observations - rolled.observations).max() < 1e-12
+    assert np.abs(fed.log_q - rolled.log_q).max() < 1e-12
+
+
+def test_start_table_of_the_wrong_shape_is_refused():
+    policy, dyn, cost, starts = engine_world("function")
+    obs, ages = stacked(starts)
+    table = start_table(dyn, obs, ages)
+    for bad in (table[:-1], table[:, :2], table.ravel(), np.concatenate([table, table])):
+        with pytest.raises(ShapeError, match="start-children table"):
+            sample_path_batch(policy, dyn, obs, ages, 2, m=5, seed=1, children=bad)
+        with pytest.raises(ShapeError, match="start-children table"):
+            policy_update(policy, cost, dyn, obs, ages, [2, 2, 2], Adam(policy.parameters(), 0.1),
+                          n_rollouts=4, n_steps=1, children=bad)
 
 
 @pytest.mark.parametrize("kind", ["model", "function"])
@@ -1158,20 +1231,42 @@ def test_model_dynamics_equals_synthesis_of_the_gathered_rows():
     assert np.abs(out - synthesize_step(model, obs[PARENTS], actions)).max() < 1e-12
 
 
-def test_sampling_passes_each_distinct_parent_once_per_chunk():
+def test_sampling_passes_each_distinct_parent_once_per_chunk(monkeypatch):
     """Every transition call of the engine takes at most ROLL_BLOCK children,
-    sorted by parent, and each of their distinct parent states once."""
+    sorted by parent, and whole parents: each distinct parent state of a level
+    is passed in exactly one call of that level.  A parent with more than
+    ROLL_BLOCK children gets a call of its own."""
     policy, _, _, starts = engine_world("function")
     dyn = RecordingDynamics()
+    levels = []  # [first, last) of each _expand call's transition calls
+    expand = irl._expand
+
+    def recorded(*args):
+        first = len(dyn.calls)
+        out = expand(*args)
+        levels.append((first, len(dyn.calls)))
+        return out
+
+    monkeypatch.setattr(irl, "_expand", recorded)
     batch = sample_path_batch(policy, dyn, *stacked(starts), [4, 1, 3], m=1500, seed=10)
-    assert max(parents.size for _, _, parents, _ in dyn.calls) == ROLL_BLOCK
+    assert max(parents.size for _, _, parents, _ in dyn.calls) <= ROLL_BLOCK
+    assert max(hi - lo for lo, hi in levels) > 1  # some level was cut into several calls
+    for lo, hi in levels:
+        states = [(o.tobytes(), int(a)) for obs, ages, _, _ in dyn.calls[lo:hi]
+                  for o, a in zip(obs, ages)]
+        assert len(set(states)) == len(states)
     for obs, ages, parents, actions in dyn.calls:
         assert np.array_equal(np.unique(parents), np.arange(len(obs)))
         assert np.all(np.diff(parents) >= 0)
-        assert len({(o.tobytes(), int(a)) for o, a in zip(obs, ages)}) == len(obs)
     same = sample_path_batch(policy, FunctionDynamics(16, lambda obs, ages, actions: np.tanh(
         obs + 0.05 * actions[:, None])), *stacked(starts), [4, 1, 3], m=1500, seed=10)
     assert np.array_equal(batch.observations, same.observations)
+
+    dyn.calls.clear()
+    monkeypatch.setattr(irl, "ROLL_BLOCK", 7)
+    sample_path_batch(policy, dyn, *stacked(starts), [4, 1, 3], m=1500, seed=10)
+    assert all(len(obs) == 1 for obs, _, parents, _ in dyn.calls if parents.size > 7)
+    assert max(parents.size for _, _, parents, _ in dyn.calls) > 7
 
 
 def test_enumeration_passes_each_live_node_once_per_level():

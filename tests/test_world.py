@@ -445,6 +445,8 @@ GOOD_RECORD = {"subject_id": 1, "ages": [20, 23], "observations": [[0.5, 1.0], [
     ({"ages": [20]}, "malformed"),
     ({"ages": [23, 20]}, "non-decreasing"),
     ({"observations": [[0.5, True], [0.25, 2.0]]}, "numbers, not true or false"),
+    ({"note": "x"}, "unknown record keys note"),
+    ({"subject_id": 2**63}, "below 2\\*\\*63, not 9223372036854775808"),
 ])
 def test_read_sequences_rejects_malformed_record(tmp_path, change, message):
     path = tmp_path / "seqs.jsonl"
