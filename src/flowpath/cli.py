@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numeric or checkpoint
-failure.  All randomness flows from --seed (or the FLOWPATH_SEED environment
-variable, or the config file's seed, in that precedence order).
+Exit codes (`exit_code`): 0 success, 2 for an ArithmeticError or a CheckpointError, also
+as a learning iteration's cause, and 1 for any other error.  All randomness flows from
+--seed (or FLOWPATH_SEED, or the config file's seed, in that precedence order).
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ import numpy as np
 
 from .checks import run_gradcheck, run_oracle_check
 from .config import RunConfig, load_config
-from .errors import (
-    CheckpointError,
-    DegenerateWeightsError,
-    FlowpathError,
-    NumericError,
-    ValidationError,
-)
+from .errors import CheckpointError, FlowpathError, ValidationError
 from .irl import IrlIterationError
 from .metrics import write_atomic
 from .world import check_sequence_fields
@@ -140,13 +134,9 @@ def dispatch(args) -> int:
         out = pipeline.stage_gen_data(resolve_config(args))
         print(f"wrote sequence files under {out}")
         return 0
-    if cmd == "pretrain-flow":
-        path = pipeline.stage_pretrain_flow(resolve_config(args))
-        print(f"wrote {path}")
-        return 0
-    if cmd == "train-pairs":
-        path = pipeline.stage_train_pairs(resolve_config(args))
-        print(f"wrote {path}")
+    if cmd in ("pretrain-flow", "train-pairs"):
+        stage = getattr(pipeline, "stage_" + cmd.replace("-", "_"))
+        print(f"wrote {stage(resolve_config(args))}")
         return 0
     if cmd == "train-irl":
         path = pipeline.stage_train_irl(resolve_config(args), resume=args.resume,
@@ -176,6 +166,11 @@ def dispatch(args) -> int:
     raise UsageError(f"unknown command {cmd}")
 
 
+def exit_code(exc: BaseException) -> int:
+    """2 for a numeric or checkpoint failure, 1 for any other error."""
+    return 2 if isinstance(exc, (ArithmeticError, CheckpointError)) else 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -186,19 +181,11 @@ def main(argv=None) -> int:
         return 1
     except IrlIterationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.cause, ArithmeticError) else 1
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericError, DegenerateWeightsError, CheckpointError, ArithmeticError) as exc:
-        print(f"numeric/checkpoint failure: {exc}", file=sys.stderr)
-        return 2
-    except FlowpathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exit_code(exc.cause)
+    except (FlowpathError, ValueError, ArithmeticError, OSError) as exc:
+        code = exit_code(exc)
+        print(f"{'numeric/checkpoint failure' if code == 2 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

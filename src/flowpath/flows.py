@@ -328,8 +328,3 @@ def flow_nll(flow: BijectionStack, xs: np.ndarray):
     # d loss / dz = z / N  (standard-normal prior), d loss / dlogdet = -1/N
     grads = flow_backward(flow, caches, z / n, np.full(total.shape, -1.0 / n))
     return (float(loss) if loss.ndim == 0 else loss), grads
-
-
-def flow_nll_value(flow: BijectionStack, xs: np.ndarray) -> float:
-    return float(-np.mean(flow_log_density(flow, xs)))
-

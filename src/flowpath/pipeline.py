@@ -103,7 +103,8 @@ def _load_sequences(cfg: RunConfig, name: str, train_ids=()) -> tuple[list[int],
     """One sequence file of the run as its distinct subject ids and one batch,
     row i holding subject ids[i].  Observations are checked against world.dim,
     ages against the world's age range and age gaps against its action count,
-    and no subject may be one of `train_ids`."""
+    and no subject may be one of `train_ids`.  A train or held-out record holds at
+    most world.horizon states, and a held-out one at least 2 (a path to recover)."""
     path = Path(cfg.out_dir) / name
     if not path.exists():
         raise ValidationError(f"missing {name} under {path.parent}; run gen-data first")
@@ -128,7 +129,14 @@ def _load_sequences(cfg: RunConfig, name: str, train_ids=()) -> tuple[list[int],
                                   f"the action range [0, {world.n_actions})")
     if shared := set(ids) & set(train_ids):
         raise ValidationError(f"{name}: subject {min(shared)} is also in {TRAIN_FILE}")
-    return ids, PathBatch.from_trajectories([traj for _, traj in entries], dim=world.dim)
+    paths = PathBatch.from_trajectories([traj for _, traj in entries], dim=world.dim)
+    if name != POOL_FILE:  # a pool record holds every age by design
+        states, least = paths.lengths + 1, 2 if name == HELDOUT_FILE else 1
+        bad = np.flatnonzero((states < least) | (states > world.horizon))
+        if bad.size:
+            raise ValidationError(f"{name}: subject {ids[bad[0]]} has a state count of "
+                                  f"{states[bad[0]]}, outside [{least}, {world.horizon}]")
+    return ids, paths
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +476,7 @@ def run_synthesize(ckpt_path: str | Checkpoint, inputs: list[tuple[np.ndarray, i
     ckpt = request_checkpoint(ckpt_path, target)
     model = model_from_checkpoint(ckpt)
     obs, age = start_state_from_inputs(ckpt, model, inputs, target)
-    if action is not None:
-        if not (0 <= action < model.n_actions):
-            raise ValidationError(f"action {action} out of range [0, {model.n_actions})")
+    if action is not None:  # synthesize_step refuses an action outside [0, n_actions)
         observations = np.stack([obs, synthesize_step(model, obs, action)])
         ages = np.array([age, age + action])
     else:

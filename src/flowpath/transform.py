@@ -12,7 +12,8 @@ encoders) with one transform; the conditional likelihood of a target
 observation given a source observation and an action is the standard-normal
 density of the latent residual plus the target encoder's change-of-variables
 term.  The two stacks are held as one `BijectionStack` with a flow axis of 2,
-so training runs both encoders in one pass, and `member(f)` views each alone.
+so scoring and training that density run both encoders in one pass, and
+`member(f)` views each alone.
 Every parameter of a pair model is a view into one flat float64 store, in
 `parameters()` order, which a fresh model draws into and a checkpoint fills.
 Inference paths are read-only on parameters; training steps need exclusive
@@ -29,11 +30,11 @@ from .errors import InsufficientDataError, NumericError, ShapeError, ValidationE
 from .flows import (
     BijectionStack,
     CouplingUnit,
+    _as_batch,
     _forward,
     _unit_layout,
     flow_backward,
     flow_encode,
-    flow_forward,
     flow_inverse,
     gaussian_loglik,
     glorot_subnets,
@@ -181,8 +182,16 @@ def make_aging_model(rng: np.random.Generator | None, dim: int,
     return model
 
 
+def _pair_forward(model: AgingModel, xp: np.ndarray, xt: np.ndarray, idx, caches=None):
+    """Both flows in one pass over (N, D) pairs, unit caches kept in `caches` if given:
+    z_prev, r = z_t - pred, and log p(x_t | x_prev, a) = N(r; 0, I) + log|det dz_t/dx_t|."""
+    z, logdet = _forward(model.flows, np.stack([xp, xt]), caches)
+    r = z[1] - transform_apply(model.transform, z[0], idx)
+    return z[0], r, standard_normal_loglik(r) + logdet[1]
+
+
 def pair_loglik(model: AgingModel, x_prev: np.ndarray, x_t: np.ndarray, action):
-    """log p(x_t | x_prev, action): latent residual density plus logdet.
+    """log p(x_t | x_prev, action) of a (D,) pair or (N, D) pairs: residual density plus logdet.
 
     The target latent z_t = target_flow(x_t) is modeled as the transform
     prediction plus a standard-normal innovation, so the conditional density
@@ -192,12 +201,9 @@ def pair_loglik(model: AgingModel, x_prev: np.ndarray, x_t: np.ndarray, action):
     xt = np.asarray(x_t, dtype=np.float64)
     if xp.shape != xt.shape:
         raise ShapeError("both observations must share a shape")
-    single = xp.ndim == 1
-    z_prev = flow_encode(model.source_flow, xp)
-    z_t, logdet = flow_forward(model.target_flow, xt)
-    pred = transform_apply(model.transform, z_prev, action)
-    loglik = standard_normal_loglik(z_t - pred) + logdet
-    return float(loglik) if single else loglik
+    xp, single = _as_batch(xp, model.source_flow)
+    loglik = _pair_forward(model, xp, xt.reshape(xp.shape), action)[2]
+    return float(loglik[0]) if single else loglik
 
 
 def controller_gaussian_penalty(w_act: np.ndarray, actions) -> tuple[float, np.ndarray]:
@@ -247,11 +253,7 @@ def pair_objective_and_grads(model: AgingModel, x_prev: np.ndarray, x_t: np.ndar
         raise ShapeError("one action per observation pair is required")
 
     caches = []
-    z, logdet = _forward(model.flows, np.stack([xp, xt]), caches)
-    z_prev, z_t = z
-    pred = transform_apply(model.transform, z_prev, idx)
-    r = z_t - pred
-    loglik = standard_normal_loglik(r) + logdet[1]
+    z_prev, r, loglik = _pair_forward(model, xp, xt, idx, caches)
     bad = np.flatnonzero(~np.isfinite(loglik))
     if bad.size:
         raise NumericError(f"non-finite pair log-likelihood at sample {bad[0]}")

@@ -51,9 +51,7 @@ def trained_bimodal_flow():
     data = bimodal_samples(rng, 4096)
     heldout = bimodal_samples(rng, 1024)
     opt = Adam(flow.parameters(), 1e-3)
-    from flowpath.flows import flow_nll_value
-
-    initial = flow_nll_value(flow, heldout)
+    initial, _ = flow_nll(flow, heldout)
     for _ in range(2000):
         idx = rng.integers(0, data.shape[0], size=64)
         _, grads = flow_nll(flow, data[idx])

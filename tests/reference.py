@@ -9,6 +9,8 @@ replaced, and the memoized recursion the one the array Bellman table of
 fold encodes one input at a time, as before the fold encoded all in one pass.
 The IRL objective takes its demos and samples as two batches and scores each
 on its own with `path_energies`, as before it scored one pool's distinct rows.
+The pair density runs the source and target member flows one after the other,
+as before it ran one pass of both.
 """
 
 import functools
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from flowpath.errors import BudgetError, ValidationError
-from flowpath.flows import flow_forward, flow_inverse
+from flowpath.flows import flow_encode, flow_forward, flow_inverse, standard_normal_loglik
 from flowpath.irl import AgingTrajectory, path_energies, split_age_gap
 from flowpath.nets import member_net, net_backward, net_forward
 from flowpath.transform import transform_apply
@@ -128,6 +130,15 @@ def per_net_parameters(flow) -> list[tuple[str, np.ndarray]]:
 
 def factors(transform) -> int:
     return transform.w_out.shape[1]
+
+
+def pair_loglik(model, x_prev, x_t, action):
+    """`transform.pair_loglik` through the two member flows: the source flow encodes
+    x_prev and the target flow maps x_t with its log-determinant."""
+    z_prev = flow_encode(model.source_flow, np.asarray(x_prev, dtype=np.float64))
+    z_t, logdet = flow_forward(model.target_flow, np.asarray(x_t, dtype=np.float64))
+    pred = transform_apply(model.transform, z_prev, action)
+    return standard_normal_loglik(z_t - pred) + logdet
 
 
 def multi_input_init(inputs, model) -> tuple[np.ndarray, int]:

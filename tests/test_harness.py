@@ -17,7 +17,16 @@ from flowpath.checkpoint import (
     save_checkpoint,
 )
 from flowpath.config import RunConfig, load_config
-from flowpath.errors import CheckpointError, NumericError, ValidationError
+from flowpath.errors import (
+    BudgetError,
+    CheckpointError,
+    DegenerateWeightsError,
+    FlowpathError,
+    InsufficientDataError,
+    NumericError,
+    ShapeError,
+    ValidationError,
+)
 from flowpath.irl import ModelDynamics, PathBatch, plan_rollout
 from flowpath.metrics import read_csv_without_columns, write_atomic, write_csv
 from flowpath.transform import synthesize_step
@@ -660,6 +669,9 @@ def test_synthesize_rejects_both_action_and_target(tiny_run):
     with pytest.raises(ValidationError):
         run_synthesize(str(tiny_run["out"] / "model.ckpt"),
                        _subject_inputs(tiny_run, 20), action=99)
+    with pytest.raises(ValidationError):
+        run_synthesize(str(tiny_run["out"] / "model.ckpt"),
+                       _subject_inputs(tiny_run, 20), action=-1)
 
 
 def test_cli_train_irl_stop_after_and_resume(tmp_path, capsys):
@@ -712,6 +724,36 @@ def test_cli_train_irl_failure_exits_by_its_cause(tiny_run, tmp_path, monkeypatc
     assert cli.main(["train-irl", "--config", str(cfg_path)]) == code
     err = capsys.readouterr().err
     assert f"error: learning aborted at outer iteration 0: {cause}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (FlowpathError("base"), 1),
+    (ShapeError("shape"), 1),
+    (ValidationError("invalid"), 1),
+    (BudgetError("budget"), 1),
+    (InsufficientDataError("too few"), 1),
+    (NumericError("overflow"), 2),
+    (DegenerateWeightsError("all weights zero"), 2),
+    (CheckpointError("truncated"), 2),
+    (ValueError("value"), 1),
+    (ZeroDivisionError("division"), 2),
+    (OSError("disk"), 1),
+    (irl.IrlIterationError(0, NumericError("cost overflow")), 2),
+    (irl.IrlIterationError(0, ValidationError("bad demo batch")), 1),
+    (irl.IrlIterationError(0, CheckpointError("bad boundary")), 2),
+], ids=lambda v: v if isinstance(v, int) else type(v).__name__ + (
+    "-" + type(v.cause).__name__ if isinstance(v, irl.IrlIterationError) else ""))
+def test_cli_exit_code_and_prefix_follow_one_rule(tmp_path, monkeypatch, capsys, exc, code):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(pipeline, "stage_pretrain_flow", fail)
+    assert cli.main(["pretrain-flow", "--seed", "3", "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    prefix = "numeric/checkpoint failure" if code == 2 and not isinstance(
+        exc, irl.IrlIterationError) else "error"
+    assert err == f"{prefix}: {exc}\n"
     assert "Traceback" not in err
 
 
@@ -1050,6 +1092,30 @@ def test_stages_refuse_an_age_gap_outside_the_action_range(tiny_run, tmp_path, c
     err = capsys.readouterr().err
     assert (f"{name}: subject {rec['subject_id']} has an age gap of 20, outside the "
             "action range [0, 16)") in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, stage, states", [
+    ("train_sequences.jsonl", "pretrain-flow", 6),
+    ("train_sequences.jsonl", "train-irl", 6),
+    ("heldout_sequences.jsonl", "train-pairs", 6),
+    ("heldout_sequences.jsonl", "evaluate", 6),
+    ("heldout_sequences.jsonl", "train-pairs", 1),
+    ("heldout_sequences.jsonl", "evaluate", 1),
+])
+def test_stages_refuse_a_record_outside_the_state_count_range(tiny_run, tmp_path, capsys, name,
+                                                              stage, states):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run["out"], run)
+    first = json.loads((run / name).read_text().splitlines()[1])["observations"][0]
+    rec = _edit_second_record(run / name, ages=list(range(20, 20 + states)),
+                              observations=[first] * states)
+    seed = [] if stage == "evaluate" else ["--seed", "3"]
+    assert cli.main([stage, "--out", str(run)] + seed) == 1
+    err = capsys.readouterr().err
+    least = 2 if name == "heldout_sequences.jsonl" else 1
+    assert (f"{name}: subject {rec['subject_id']} has a state count of {states}, outside "
+            f"[{least}, 5]") in err
     assert "Traceback" not in err
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from flowpath.errors import InsufficientDataError, NumericError, ValidationError
+from flowpath.errors import InsufficientDataError, NumericError, ShapeError, ValidationError
 from flowpath.checks import full_3way_contraction
 from flowpath.flows import flow_forward, gaussian_loglik
 from flowpath.nets import Adam, finite_diff_grad
@@ -278,6 +278,26 @@ def test_pair_loglik_batch_matches_single():
     batch = pair_loglik(model, xp, xt, acts)
     for i in range(5):
         assert abs(batch[i] - pair_loglik(model, xp[i], xt[i], int(acts[i]))) < 1e-12
+
+
+def test_pair_loglik_is_the_member_flow_density_and_the_objective_reads_it():
+    model = small_model(44)
+    rng = np.random.default_rng(45)
+    xp, xt = rng.standard_normal((2, 7, 4))
+    acts = rng.integers(0, 5, size=7)
+    batch = pair_loglik(model, xp, xt, acts)
+    assert batch.shape == (7,)
+    assert np.abs(batch - reference.pair_loglik(model, xp, xt, acts)).max() < 1e-12
+    one = pair_loglik(model, xp[3], xt[3], int(acts[3]))
+    assert type(one) is float
+    assert abs(one - reference.pair_loglik(model, xp[3], xt[3], int(acts[3]))) < 1e-12
+    # at constraint weight 0 the loss is the mean pair NLL, bit for bit
+    assert pair_objective_and_grads(model, xp, xt, acts, 0.0)[0] == float(-np.mean(batch))
+    for bad in (xp[:, :3], xp[3, :3], xp[None]):
+        with pytest.raises(ShapeError):
+            pair_loglik(model, bad, bad, 1)
+    with pytest.raises(ShapeError):
+        pair_loglik(model, xp[3], xt[3:4], 1)
 
 
 def test_transform_apply_batch_matches_single():
